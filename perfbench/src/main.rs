@@ -1,5 +1,5 @@
 //! `perfbench`, the repository benchmark. It trains one workload in a
-//! closed loop (a single driver starts each step when the previous one
+//! closed loop (a single caller starts each step when the previous one
 //! returns), checks the outputs, and prints every end-to-end metric, or
 //! with `--trace 1` every per-layer metric, as the last line of stdout:
 //!

@@ -1,4 +1,4 @@
-//! The three ways a workload trains, each in a closed loop: one driver
+//! The three ways a workload trains, each in a closed loop: one main
 //! thread starts the next step as soon as the previous one returns. Every
 //! run also checks its outputs outside the timed window and, with
 //! `--trace 1`, times single layers through their public functions.

@@ -11,7 +11,7 @@ use std::time::{Duration, Instant};
 
 /// `parent` of a span that has none.
 pub const NO_PARENT: u32 = u32::MAX;
-/// Thread id of the driving thread; rank `m` records as `m + 1`.
+/// Thread id of the main thread; rank `m` records as `m + 1`.
 pub const MAIN_TID: u32 = 0;
 
 /// One recorded interval.
@@ -52,12 +52,12 @@ impl Tracer {
         }
     }
 
-    /// Innermost span open on the driving thread.
+    /// Innermost span open on the main thread.
     pub fn current(&self) -> u32 {
         self.open.last().copied().unwrap_or(NO_PARENT)
     }
 
-    /// Runs `f` inside a span on the driving thread. Spans recorded while
+    /// Runs `f` inside a span on the main thread. Spans recorded while
     /// `f` runs (through the tracer it is handed) become its children.
     pub fn span<R>(
         &mut self,
@@ -133,7 +133,7 @@ impl Tracer {
             .into_iter()
             .map(|tid| {
                 let label = if tid == MAIN_TID {
-                    "driver".to_string()
+                    "main".to_string()
                 } else {
                     format!("rank {}", tid - 1)
                 };
