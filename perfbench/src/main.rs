@@ -20,8 +20,13 @@ use pargcn_util::json::Json;
 use std::path::Path;
 use std::process::exit;
 
-const USAGE: &str = "usage: perfbench --workload <name> [--seed <n>] [--seconds <s>] \
-                     [--trace 0|1] [--ranks <p>] [--threads <t>]";
+const USAGE: &str = "usage: perfbench --workload <name> [--seed <n>] [--seconds <s>] [--trace 0|1]";
+
+/// Ranks every workload trains on; metric names and bounds are defined
+/// for this configuration only.
+pub const RANKS: usize = 2;
+/// Kernel threads per rank.
+pub const THREADS: usize = 1;
 
 /// End-to-end metrics of untraced runs, as listed in BENCHMARK.json.
 pub const END_TO_END: [(&str, &str); 5] = [
@@ -76,24 +81,14 @@ struct Args {
     seed: u64,
     seconds: f64,
     trace: bool,
-    ranks: usize,
-    threads: usize,
 }
 
 fn parse_args(argv: &[String]) -> Result<Args, String> {
     let (mut workload, mut seed, mut seconds, mut trace) = (None, 1, 10.0, false);
-    let (mut ranks, mut threads) = (2, 1);
     let mut it = argv.iter();
     while let Some(flag) = it.next() {
         let value = it.next().ok_or_else(|| format!("{flag} needs a value"))?;
         let bad = || format!("bad value '{value}' for {flag}");
-        let count = || {
-            value
-                .parse::<usize>()
-                .ok()
-                .filter(|&v| v >= 1)
-                .ok_or_else(bad)
-        };
         match flag.as_str() {
             "--workload" => {
                 workload = Some(
@@ -115,8 +110,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                     _ => return Err(bad()),
                 }
             }
-            "--ranks" => ranks = count()?,
-            "--threads" => threads = count()?,
             _ => return Err(format!("unknown flag '{flag}'")),
         }
     }
@@ -125,8 +118,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         seed,
         seconds,
         trace,
-        ranks,
-        threads,
     })
 }
 
@@ -183,7 +174,7 @@ fn main() {
         exit(2)
     });
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    if let Err(e) = check_parallelism(args.ranks, args.threads, cores) {
+    if let Err(e) = check_parallelism(RANKS, THREADS, cores) {
         eprintln!("perfbench: {e}");
         exit(2);
     }
@@ -191,8 +182,8 @@ fn main() {
     let provenance = Json::obj(vec![
         ("workload", Json::Str(args.workload.name.into())),
         ("available_parallelism", Json::Num(cores as f64)),
-        ("ranks", Json::Num(args.ranks as f64)),
-        ("threads_per_rank", Json::Num(args.threads as f64)),
+        ("ranks", Json::Num(RANKS as f64)),
+        ("threads_per_rank", Json::Num(THREADS as f64)),
         ("kernel", Json::Str(kernel.name().into())),
         ("seed", Json::Num(args.seed as f64)),
         ("seconds", Json::Num(args.seconds)),
@@ -205,9 +196,8 @@ fn main() {
         seed: args.seed,
         seconds: args.seconds,
         trace: args.trace,
-        ranks: args.ranks,
         spec: ComputeSpec {
-            threads: Some(args.threads),
+            threads: Some(THREADS),
             kernel: Some(kernel),
         },
     };
@@ -361,11 +351,11 @@ mod tests {
             (a.workload.name, a.seed, a.seconds, a.trace),
             ("cagnet-rp-road", 7, 2.5, true)
         );
-        assert_eq!((a.ranks, a.threads), (2, 1));
         for bad in [
             "--seed 1",
             "--workload nope",
             "--workload cagnet-rp-road --trace 2",
+            "--workload cagnet-rp-road --ranks 8",
         ] {
             assert!(parse_args(&argv(bad)).is_err(), "{bad}");
         }
