@@ -209,7 +209,7 @@ fn main() {
             .map(|&(name, unit)| (name, unit, out.layers.get(name).copied().unwrap_or(0.0)))
             .collect()
     } else {
-        let p90 = stats::tail_percentile(&times, 0.9).unwrap_or_else(|e| {
+        let p90 = stats::blocked_percentile(&times, 0.9).unwrap_or_else(|e| {
             eprintln!("step_s_p90: {e}");
             out.failed += 1;
             f64::NAN
@@ -217,7 +217,7 @@ fn main() {
         let values = [
             stats::median(&times),
             p90,
-            out.window.samples() as f64 / out.window.wall,
+            stats::median(&out.window.block_rates()),
             stats::median(&out.setup_s),
             peak_rss_mb().unwrap_or(f64::NAN),
         ];
@@ -230,12 +230,19 @@ fn main() {
     assert!(metrics.iter().all(|m| stats::valid_metric_name(m.0)));
     let attempted = out.attempted + out.window.attempted;
     let failed = out.failed + out.window.failed;
+    let blocks = stats::blocks(times.len());
     println!(
-        "{}: {} timed steps in {:.2} s, {} beyond the p90; {} set-ups",
+        "{}: {} timed steps in {:.2} s, {} blocks of ≥ {} with {}+ beyond each block's p90; {} set-ups",
         args.workload.name,
         times.len(),
         out.window.wall,
-        stats::beyond(times.len(), 0.9),
+        blocks.len(),
+        blocks.iter().map(|r| r.len()).min().unwrap_or(0),
+        blocks
+            .iter()
+            .map(|r| stats::beyond(r.len(), 0.9))
+            .min()
+            .unwrap_or(0),
         out.setup_s.len()
     );
     for &(name, unit, value) in &metrics {

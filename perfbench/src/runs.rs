@@ -3,7 +3,7 @@
 //! run also checks its outputs outside the timed window and, with
 //! `--trace 1`, times single layers through their public functions.
 
-use crate::stats::median;
+use crate::stats::{blocks, median};
 use crate::trace::{Tracer, MAIN_TID, NO_PARENT};
 use crate::workload::{
     cagnet_call_counts, cagnet_epoch_bytes, model, slice, step_counts, Counts, Inputs, Kind, Local,
@@ -34,12 +34,16 @@ use std::time::{Duration, Instant};
 /// on the graph and the partitioner's seed, so the set-ups between the
 /// first and the last use seeds derived from `--seed` (see `setup_seed`):
 /// the median then stands for the workload, not for one seed's luck.
-const SETUP_REPS: u32 = 11;
+const SETUP_REPS: u32 = 7;
 /// Epochs (or batches) each set-up trains before timing starts: the
 /// correctness gate compares them across repeats and to a reference.
 const GATE_STEPS: usize = 3;
-/// Further untimed steps, so caches and pools are warm when timing starts.
+/// Further untimed steps, so caches and pools are warm when timing starts:
+/// at least `WARMUP_STEPS`, and for at least `WARMUP_SECONDS`. The first
+/// half second of steps after set-up ran up to 1.5× slower than the rest
+/// of the run on the 2-core host the README describes.
 const WARMUP_STEPS: usize = 3;
+const WARMUP_SECONDS: f64 = 1.0;
 /// Fewest timed steps: a p90 needs ten samples beyond it.
 const MIN_STEPS: usize = 100;
 /// Mini-batches hold n / BATCH_DIVISOR vertices: large batches repeat
@@ -113,6 +117,8 @@ pub struct Step {
 #[derive(Default)]
 pub struct Window {
     pub steps: Vec<Step>,
+    /// Seconds from the window's start to the end of each step.
+    pub ends: Vec<f64>,
     pub wall: f64,
     pub attempted: u64,
     pub failed: u64,
@@ -127,8 +133,21 @@ impl Window {
             .collect()
     }
 
-    pub fn samples(&self) -> u64 {
-        self.steps.iter().map(|s| s.samples).sum()
+    /// Training vertices per second over each of the window's
+    /// [`blocks`] of steps.
+    pub fn block_rates(&self) -> Vec<f64> {
+        blocks(self.steps.len())
+            .into_iter()
+            .map(|r| {
+                let from = if r.start == 0 {
+                    0.0
+                } else {
+                    self.ends[r.start - 1]
+                };
+                let samples: u64 = self.steps[r.clone()].iter().map(|s| s.samples).sum();
+                samples as f64 / (self.ends[r.end - 1] - from)
+            })
+            .collect()
     }
 }
 
@@ -263,6 +282,7 @@ pub fn run(w: &Workload, o: &Opts) -> Outcome {
 fn closed_loop(seconds: f64, min_steps: usize, mut step: impl FnMut(u32) -> Step) -> Window {
     let mut w = Window {
         steps: Vec::with_capacity(1 << 12),
+        ends: Vec::with_capacity(1 << 12),
         ..Window::default()
     };
     let start = Instant::now();
@@ -278,6 +298,7 @@ fn closed_loop(seconds: f64, min_steps: usize, mut step: impl FnMut(u32) -> Step
                     w.failed += s.count;
                 }
                 w.steps.push(s);
+                w.ends.push(start.elapsed().as_secs_f64());
             }
             Err(_) => {
                 w.attempted += 1;
@@ -299,7 +320,11 @@ fn windows(
     span: &'static str,
     mut step: impl FnMut() -> Step,
 ) -> Option<Window> {
-    for _ in 0..WARMUP_STEPS {
+    let warm = Instant::now();
+    for i in 0.. {
+        if i >= WARMUP_STEPS && warm.elapsed().as_secs_f64() >= WARMUP_SECONDS {
+            break;
+        }
         let _ = step();
     }
     if !o.trace {

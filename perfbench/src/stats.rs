@@ -1,6 +1,8 @@
 //! Summary statistics over the benchmark's samples, and the rule every
 //! reported metric name follows.
 
+use std::ops::Range;
+
 /// Fewest samples a reported tail percentile must have beyond it. With
 /// fewer, the "percentile" is one or two outliers and does not repeat.
 pub const MIN_TAIL_SAMPLES: usize = 10;
@@ -55,6 +57,35 @@ pub fn tail_percentile(xs: &[f64], q: f64) -> Result<f64, String> {
     Ok(sorted(xs)[rank(xs.len(), q)])
 }
 
+/// Samples per block of the blocked statistics: a block's p90 then has
+/// [`MIN_TAIL_SAMPLES`] samples beyond it.
+pub const BLOCK: usize = 100;
+
+/// Consecutive blocks of [`BLOCK`] samples out of `n`, the remainder
+/// joining the last block: one block when `n < 2·BLOCK`, none when `n = 0`.
+pub fn blocks(n: usize) -> Vec<Range<usize>> {
+    let count = (n / BLOCK).max(usize::from(n > 0));
+    (0..count)
+        .map(|b| b * BLOCK..if b + 1 == count { n } else { (b + 1) * BLOCK })
+        .collect()
+}
+
+/// Median over consecutive [`blocks`] of each block's nearest-rank `q`
+/// quantile. A shared host slows down for seconds at a time; a slow
+/// stretch that covers fewer than half the blocks leaves this where it
+/// was, where it would pull a whole-run tail up. Refused like
+/// [`tail_percentile`] when a block has too few samples beyond its quantile.
+pub fn blocked_percentile(xs: &[f64], q: f64) -> Result<f64, String> {
+    if xs.is_empty() {
+        return tail_percentile(xs, q);
+    }
+    let per_block = blocks(xs.len())
+        .into_iter()
+        .map(|r| tail_percentile(&xs[r], q))
+        .collect::<Result<Vec<f64>, String>>()?;
+    Ok(median(&per_block))
+}
+
 /// True for a valid metric name: a letter or digit, then up to 63 more
 /// characters from `[A-Za-z0-9_.-]`.
 pub fn valid_metric_name(name: &str) -> bool {
@@ -95,6 +126,30 @@ mod tests {
         assert_eq!(tail_percentile(&xs, 0.5), Ok(10.0));
         assert_eq!(tail_percentile(&xs[..20], 0.5), Ok(9.0));
         assert!(tail_percentile(&xs[..19], 0.5).is_err());
+    }
+
+    #[test]
+    fn blocks_cover_every_sample_once() {
+        assert!(blocks(0).is_empty());
+        assert_eq!(blocks(42), vec![0..42]);
+        assert_eq!(blocks(199), vec![0..199]);
+        assert_eq!(blocks(200), vec![0..100, 100..200]);
+        assert_eq!(blocks(350), vec![0..100, 100..200, 200..350]);
+    }
+
+    #[test]
+    fn blocked_p90_ignores_a_slow_minority_of_blocks() {
+        // Five blocks of 100 samples, each 1..=100 ms; the last two run
+        // twice as slow, as on a host that stalls for a stretch.
+        let xs: Vec<f64> = (0..500)
+            .map(|i| (i % 100 + 1) as f64 * if i >= 300 { 2.0 } else { 1.0 })
+            .collect();
+        assert_eq!(blocked_percentile(&xs, 0.9), Ok(90.0));
+        assert_eq!(tail_percentile(&xs, 0.9), Ok(150.0));
+        // Every block must satisfy the tail rule on its own.
+        assert!(blocked_percentile(&xs[..99], 0.9).is_err());
+        assert_eq!(blocked_percentile(&xs[..150], 0.9), Ok(85.0));
+        assert!(blocked_percentile(&[], 0.9).is_err());
     }
 
     #[test]
