@@ -11,7 +11,7 @@
 //! throughput (`Throughput::Elements`, one element = one batch) reads
 //! directly as batches/second. Three methods per group:
 //!   `spawn`      — `minibatch::train_spec`, the per-batch-spawn path;
-//!   `persistent` — `train_spec_persistent`, engine built inside the
+//!   `persistent` — a `MinibatchEngine` built and trained inside the
 //!                  iteration (what a fresh training run pays);
 //!   `steady`     — a long-lived engine re-fed the list, the
 //!                  steady-state cost with pools and workspaces at
@@ -88,9 +88,10 @@ fn run_group(c: &mut Criterion, name: &str, batch_size: usize, count: usize) {
 
     group.bench_function(BenchmarkId::new("persistent", P), |b| {
         b.iter(|| {
-            minibatch::train_spec_persistent(
-                &f.graph, &f.h0, &f.labels, &f.mask, &f.part, &f.config, &f.batches, 5, f.spec,
+            MinibatchEngine::new(
+                &f.graph, &f.h0, &f.labels, &f.mask, &f.part, &f.config, 5, f.spec,
             )
+            .train(&f.batches)
         })
     });
 

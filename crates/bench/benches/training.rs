@@ -3,11 +3,11 @@
 //! broadcast baseline — real threaded execution, not the cost model.
 
 use pargcn_core::baselines::cagnet;
-use pargcn_core::dist::train_full_batch;
+use pargcn_core::dist::train_full_batch_spec;
 use pargcn_core::serial::SerialTrainer;
 use pargcn_core::GcnConfig;
 use pargcn_graph::gen::community;
-use pargcn_matrix::Dense;
+use pargcn_matrix::{ComputeSpec, Dense};
 use pargcn_partition::{partition_rows, Method};
 use pargcn_util::bench::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pargcn_util::rng::SeedableRng;
@@ -38,7 +38,19 @@ fn bench_distributed_epoch(c: &mut Criterion) {
     for p in [2usize, 4, 8] {
         let part = partition_rows(&g, &a, Method::Hp, p, 0.05, 1);
         group.bench_with_input(BenchmarkId::new("hp", p), &p, |b, _| {
-            b.iter(|| train_full_batch(&g, &h0, &labels, &mask, &part, &config, 1, 1))
+            b.iter(|| {
+                train_full_batch_spec(
+                    &g,
+                    &h0,
+                    &labels,
+                    &mask,
+                    &part,
+                    &config,
+                    1,
+                    1,
+                    ComputeSpec::default(),
+                )
+            })
         });
     }
     group.finish();
@@ -51,7 +63,19 @@ fn bench_cagnet_epoch(c: &mut Criterion) {
     let mut group = c.benchmark_group("cagnet_epoch_4k");
     group.sample_size(10);
     group.bench_function("p4", |b| {
-        b.iter(|| cagnet::train_full_batch(&g, &h0, &labels, &mask, &part, &config, 1, 1))
+        b.iter(|| {
+            cagnet::train_full_batch_spec(
+                &g,
+                &h0,
+                &labels,
+                &mask,
+                &part,
+                &config,
+                1,
+                1,
+                ComputeSpec::default(),
+            )
+        })
     });
     group.finish();
 }

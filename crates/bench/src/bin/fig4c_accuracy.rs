@@ -9,11 +9,12 @@
 //! ```
 
 use pargcn_bench::{Opts, ResultRow};
-use pargcn_core::dist::train_full_batch;
+use pargcn_core::dist::train_full_batch_spec;
 use pargcn_core::loss::accuracy;
 use pargcn_core::serial::SerialTrainer;
 use pargcn_core::GcnConfig;
 use pargcn_graph::Dataset;
+use pargcn_matrix::ComputeSpec;
 use pargcn_partition::{partition_rows, Method, DEFAULT_EPSILON};
 use std::collections::BTreeMap;
 
@@ -52,7 +53,7 @@ fn main() {
         } else {
             partition_rows(&data.graph, &a, Method::Hp, p, DEFAULT_EPSILON, opts.seed)
         };
-        let out = train_full_batch(
+        let out = train_full_batch_spec(
             &data.graph,
             &features,
             &labels,
@@ -61,6 +62,7 @@ fn main() {
             &config,
             epochs,
             opts.seed,
+            ComputeSpec::default(),
         );
         let acc = accuracy(&out.predictions, &labels, &test_mask);
         println!("{:<8} {:>10.4}", format!("P={p}"), acc);

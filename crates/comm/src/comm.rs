@@ -63,6 +63,27 @@ fn lowbit(v: usize) -> usize {
     v & v.wrapping_neg()
 }
 
+/// `rank`'s children in the binomial tree rooted at `root` over `p`
+/// ranks, biggest subtree first (the log-depth fan-out schedule).
+fn tree_children(rank: usize, root: usize, p: usize) -> impl Iterator<Item = usize> {
+    let vrank = (rank + p - root) % p;
+    let low = if vrank == 0 {
+        p.next_power_of_two()
+    } else {
+        lowbit(vrank)
+    };
+    std::iter::successors(Some(low >> 1), |m| Some(m >> 1))
+        .take_while(|&m| m > 0)
+        .filter(move |&m| vrank + m < p)
+        .map(move |m| (vrank + m + root) % p)
+}
+
+/// `rank`'s parent and children in the binomial tree rooted at rank 0.
+fn tree_neighbours(rank: usize, p: usize) -> impl Iterator<Item = usize> {
+    let parent = (rank != 0).then(|| rank - lowbit(rank));
+    parent.into_iter().chain(tree_children(rank, 0, p))
+}
+
 /// Spawns `p` rank threads and runs `f` on each.
 pub struct Communicator;
 
@@ -428,39 +449,27 @@ impl RankCtx {
     }
 
     /// Pre-fills the pool for this rank's binomial-tree collective
-    /// neighbours (parent and children of the rank-0-rooted allreduce
-    /// tree): `count` buffers of capacity `len` per neighbour.
+    /// neighbours ([`allreduce_neighbours`](Self::allreduce_neighbours)):
+    /// `count` buffers of capacity `len` per neighbour.
     pub fn prewarm_collectives(&mut self, count: usize, len: usize) {
-        self.for_collective_neighbours(|pool, peer| pool.prewarm(peer, count, len));
+        for peer in tree_neighbours(self.rank, self.p) {
+            self.pool.prewarm(peer, count, len);
+        }
     }
 
     /// Idempotent [`prewarm_collectives`](Self::prewarm_collectives),
     /// with [`ensure_pool`](Self::ensure_pool)'s top-up semantics.
     pub fn ensure_collectives(&mut self, count: usize, len: usize) {
         self.drain_returns();
-        self.for_collective_neighbours(|pool, peer| pool.ensure(peer, count, len));
+        for peer in tree_neighbours(self.rank, self.p) {
+            self.pool.ensure(peer, count, len);
+        }
     }
 
-    fn for_collective_neighbours(&mut self, mut f: impl FnMut(&mut BufPool, usize)) {
-        if self.p == 1 {
-            return;
-        }
-        if self.rank != 0 {
-            f(&mut self.pool, self.rank - lowbit(self.rank));
-        }
-        let low = if self.rank == 0 {
-            self.p.next_power_of_two()
-        } else {
-            lowbit(self.rank)
-        };
-        let mut m = low >> 1;
-        while m > 0 {
-            let child = self.rank + m;
-            if child < self.p {
-                f(&mut self.pool, child);
-            }
-            m >>= 1;
-        }
+    /// This rank's parent and children in the rank-0-rooted allreduce
+    /// tree: the ranks an [`allreduce_sum`](Self::allreduce_sum) sends to.
+    pub fn allreduce_neighbours(&self) -> impl Iterator<Item = usize> {
+        tree_neighbours(self.rank, self.p)
     }
 
     /// Non-blocking point-to-point send. Returns immediately; the payload
@@ -733,22 +742,18 @@ impl RankCtx {
         self.counters.comm_seconds += start.elapsed().as_secs_f64();
     }
 
+    /// The ranks a [`broadcast`](Self::broadcast) from `root` forwards to
+    /// from this rank: its children in the binomial tree rooted at `root`.
+    /// Callers size their payload pools from it.
+    pub fn broadcast_children(&self, root: usize) -> impl Iterator<Item = usize> {
+        tree_children(self.rank, root, self.p)
+    }
+
     /// Sends `data` to this rank's children in the binomial tree rooted at
     /// `root`, biggest subtree first (the log-depth schedule).
     fn tree_fanout(&mut self, root: usize, tag: u32, data: &[f32]) {
-        let vrank = (self.rank + self.p - root) % self.p;
-        let low = if vrank == 0 {
-            self.p.next_power_of_two()
-        } else {
-            lowbit(vrank)
-        };
-        let mut m = low >> 1;
-        while m > 0 {
-            let child = vrank + m;
-            if child < self.p {
-                self.send_pooled((child + root) % self.p, tag, data);
-            }
-            m >>= 1;
+        for child in tree_children(self.rank, root, self.p) {
+            self.send_pooled(child, tag, data);
         }
     }
 

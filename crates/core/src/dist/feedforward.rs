@@ -21,14 +21,15 @@
 //! steady-state forward pass allocates nothing on the comm path.
 
 use super::workspace::{EpochWorkspace, ExchangeScratch};
-use super::{RankState, TAG_FWD};
+use super::{RankState, SpmmExchange, TAG_FWD};
 use crate::model::LayerOrder;
+use crate::plan::RankPlan;
 use pargcn_comm::RankCtx;
 use pargcn_matrix::{gather, ComputeCtx, Dense};
 
-/// Runs the full feedforward pass into `ws.fwd` (`Z¹…Z^L`, `H¹…H^L`).
+/// Runs the full feedforward pass into `ws.z`/`ws.h` (`Z¹…Z^L`, `H¹…H^L`).
 /// Local kernels (SpMM/DMM/activation) run on the rank's thread pool.
-pub fn run(ctx: &mut RankCtx, st: &RankState<'_>, ws: &mut EpochWorkspace) {
+pub fn run<X: SpmmExchange>(ctx: &mut RankCtx, st: &RankState<'_, X>, ws: &mut EpochWorkspace) {
     let cctx = &st.ctx;
     let pool = cctx.pool();
     let layers = st.config.layers();
@@ -37,38 +38,65 @@ pub fn run(ctx: &mut RankCtx, st: &RankState<'_>, ws: &mut EpochWorkspace) {
         let tag = TAG_FWD + k as u32;
         let EpochWorkspace {
             exchange,
-            fwd,
-            ax_f,
-            hw,
+            z,
+            h,
+            mid,
             ..
         } = ws;
-        let h_prev: &Dense = if k == 1 { st.h0 } else { &fwd.h[k - 2] };
+        let h_prev: &Dense = if k == 1 { st.h0 } else { &h[k - 2] };
         match st.config.order {
             LayerOrder::SpmmFirst => {
-                let ax = &mut ax_f[k - 1];
-                spmm_exchange_into(ctx, st.plan_f, h_prev, tag, cctx, exchange, ax);
-                cctx.matmul_into(ax, w, &mut fwd.z[k - 1], false);
+                let ax = &mut mid[k - 1];
+                st.plan_f
+                    .exchange_into(ctx, h_prev, tag, cctx, exchange, ax);
+                cctx.matmul_into(ax, w, &mut z[k - 1], false);
             }
             LayerOrder::DmmFirst => {
                 // §4.4: transform locally first, then aggregate with the
                 // *same* communication pattern (messages carry d_out-wide
                 // rows instead of d_in-wide ones). The aggregate IS `Zᵏ`,
                 // so the exchange accumulates straight into it.
-                cctx.matmul_into(h_prev, w, &mut hw[k - 1], false);
-                spmm_exchange_into(
-                    ctx,
-                    st.plan_f,
-                    &hw[k - 1],
-                    tag,
-                    cctx,
-                    exchange,
-                    &mut fwd.z[k - 1],
-                );
+                cctx.matmul_into(h_prev, w, &mut mid[k - 1], false);
+                st.plan_f
+                    .exchange_into(ctx, &mid[k - 1], tag, cctx, exchange, &mut z[k - 1]);
             }
         }
         st.config
             .activation(k)
-            .apply_into_pool(&fwd.z[k - 1], &mut fwd.h[k - 1], pool);
+            .apply_into_pool(&z[k - 1], &mut h[k - 1], pool);
+    }
+}
+
+/// The point-to-point exchange: the paper's algorithm behind every layer.
+impl SpmmExchange for RankPlan {
+    fn local_rows(&self) -> &[u32] {
+        &self.local_rows
+    }
+
+    fn exchange_into(
+        &self,
+        ctx: &mut RankCtx,
+        x_local: &Dense,
+        tag: u32,
+        cctx: &ComputeCtx,
+        scratch: &mut ExchangeScratch,
+        ax: &mut Dense,
+    ) {
+        spmm_exchange_into(ctx, self, x_local, tag, cctx, scratch, ax);
+    }
+
+    /// Two buffers per destination: one in flight, one still travelling
+    /// back from the previous layer (the FIFO non-overtaking argument in
+    /// DESIGN.md §9). Allreduce hops fit the same two, which the
+    /// collectives prewarm tops up to `allreduce_len`.
+    fn ensure_pools(&self, ctx: &mut RankCtx, width: usize, _allreduce_len: usize) {
+        for ss in &self.send {
+            ctx.ensure_pool(ss.peer, 2, ss.local_indices.len() * width);
+        }
+    }
+
+    fn inbound_per_sweep(&self) -> usize {
+        self.a_remote.len()
     }
 }
 
@@ -82,7 +110,7 @@ pub fn run(ctx: &mut RankCtx, st: &RankState<'_>, ws: &mut EpochWorkspace) {
 /// no allocator.
 pub fn spmm_exchange_into(
     ctx: &mut RankCtx,
-    plan: &crate::plan::RankPlan,
+    plan: &RankPlan,
     x_local: &Dense,
     tag: u32,
     cctx: &ComputeCtx,
@@ -147,7 +175,7 @@ pub fn spmm_exchange_into(
 /// back to its sender — a zero-copy view via `Dense::from_vec`/`into_vec`.
 fn accumulate_block(
     ctx: &mut RankCtx,
-    plan: &crate::plan::RankPlan,
+    plan: &RankPlan,
     i: usize,
     payload: Vec<f32>,
     d: usize,
@@ -158,19 +186,4 @@ fn accumulate_block(
     let x_recv = Dense::from_vec(block.rows.len(), d, payload);
     cctx.spmm_into(&block.a, &x_recv, ax, true);
     ctx.release(block.peer, x_recv.into_vec());
-}
-
-/// As [`spmm_exchange_into`] with freshly allocated scratch and output
-/// (used directly by tests; the trainers keep persistent versions).
-pub fn spmm_exchange_with_plan(
-    ctx: &mut RankCtx,
-    plan: &crate::plan::RankPlan,
-    x_local: &Dense,
-    tag: u32,
-    cctx: &ComputeCtx,
-) -> Dense {
-    let mut scratch = ExchangeScratch::new(ctx.p());
-    let mut ax = Dense::zeros(plan.n_local(), x_local.cols());
-    spmm_exchange_into(ctx, plan, x_local, tag, cctx, &mut scratch, &mut ax);
-    ax
 }

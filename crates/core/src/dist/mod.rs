@@ -1,30 +1,69 @@
 //! The distributed training algorithms: Algorithm 1 (parallel feedforward)
 //! and Algorithm 2 (parallel backpropagation) over the message-passing
 //! runtime, orchestrated by [`trainer`].
+//!
+//! The layer loop ([`feedforward::run`], [`backprop::run`],
+//! [`trainer::epoch_step`]) is written once, generic over how a rank
+//! obtains its block of `Â·X` ([`SpmmExchange`]): the paper's
+//! point-to-point plan ([`RankPlan`]) or CAGNET's turn-wise broadcasts
+//! ([`crate::baselines::cagnet::CagnetRank`]).
 
 pub mod backprop;
 pub mod feedforward;
 pub mod trainer;
 pub mod workspace;
 
-pub use trainer::{train_full_batch, train_full_batch_spec, train_full_batch_threads, DistOutcome};
-pub use workspace::{
-    prewarm_comm_pools, reserve_epoch_queues, BatchWorkspace, EpochWorkspace, ExchangeScratch,
-};
+pub use trainer::{train_full_batch_spec, DistOutcome};
+pub use workspace::{prewarm_comm_pools, BatchWorkspace, EpochWorkspace, ExchangeScratch};
 
 use crate::model::{GcnConfig, Params};
 use crate::optim::OptimizerState;
 use crate::plan::RankPlan;
+use pargcn_comm::RankCtx;
 use pargcn_matrix::{ComputeCtx, Dense};
 
+/// One rank's share of a distributed SpMM `Â·X`: the only part of the
+/// layer loop that differs between exchange algorithms.
+pub trait SpmmExchange {
+    /// Owned global rows, ascending.
+    fn local_rows(&self) -> &[u32];
+
+    /// Number of owned rows `n_m`.
+    fn n_local(&self) -> usize {
+        self.local_rows().len()
+    }
+
+    /// Overwrites `ax` with this rank's block of `Â·X`, where `x_local` is
+    /// the owned row block of `X`. `tag` keys the sweep's point-to-point
+    /// messages; `scratch` is the run's persistent exchange state.
+    fn exchange_into(
+        &self,
+        ctx: &mut RankCtx,
+        x_local: &Dense,
+        tag: u32,
+        cctx: &ComputeCtx,
+        scratch: &mut ExchangeScratch,
+        ax: &mut Dense,
+    );
+
+    /// Tops this rank's payload pools up so that no sweep of rows up to
+    /// `width` floats wide, nor an allreduce hop of up to `allreduce_len`
+    /// floats between sweeps, ever misses (idempotent).
+    fn ensure_pools(&self, ctx: &mut RankCtx, width: usize, allreduce_len: usize);
+
+    /// Messages one sweep delivers to this rank.
+    fn inbound_per_sweep(&self) -> usize;
+}
+
 /// Everything one rank holds during training: its slice of the plan and
-/// data, plus the replicated parameters.
-pub struct RankState<'a> {
+/// data, plus the replicated parameters. `X` is the exchange algorithm
+/// (point-to-point by default).
+pub struct RankState<'a, X = RankPlan> {
     /// Feedforward-direction plan (pattern of `Â`).
-    pub plan_f: &'a RankPlan,
+    pub plan_f: &'a X,
     /// Backpropagation-direction plan (pattern of `Âᵀ`; same object as
     /// `plan_f` for undirected graphs).
-    pub plan_b: &'a RankPlan,
+    pub plan_b: &'a X,
     pub config: &'a GcnConfig,
     /// Replicated parameter matrices (identical on every rank).
     pub params: Params,
@@ -43,23 +82,6 @@ pub struct RankState<'a> {
     /// multithreaded GraphBLAS layer). Pooled kernels are bitwise identical
     /// to serial, so the thread count never changes results.
     pub ctx: ComputeCtx,
-}
-
-/// Local intermediates of one forward pass (per rank), living in the
-/// persistent [`EpochWorkspace`] and overwritten every epoch.
-pub struct LocalForward {
-    /// `Z¹ₘ…Z^Lₘ` (`z[k−1]` is `Zᵏₘ`).
-    pub z: Vec<Dense>,
-    /// `H¹ₘ…H^Lₘ` (`h[k−1]` is `Hᵏₘ`; `H⁰ₘ` stays in
-    /// [`RankState::h0`] — it never changes, so it is never copied).
-    pub h: Vec<Dense>,
-}
-
-impl LocalForward {
-    /// The output-layer activations `H^Lₘ`.
-    pub fn output(&self) -> &Dense {
-        self.h.last().expect("at least one layer")
-    }
 }
 
 /// Base tag for feedforward layer messages; layer `k` uses `TAG_FWD + k`.

@@ -2,7 +2,7 @@
 //! distributes the data, spawns the ranks, and assembles global results.
 
 use super::workspace::{prewarm_comm_pools, EpochWorkspace};
-use super::{backprop, feedforward, RankState};
+use super::{backprop, feedforward, RankState, SpmmExchange};
 use crate::loss;
 use crate::model::{GcnConfig, Params};
 use crate::plan::CommPlan;
@@ -11,6 +11,7 @@ use pargcn_comm::{CommCounters, Communicator};
 use pargcn_graph::Graph;
 use pargcn_matrix::{gather, ComputeCtx, ComputeSpec, Dense};
 use pargcn_partition::Partition;
+use std::sync::Mutex;
 use std::time::Instant;
 
 /// Global results of a distributed training run.
@@ -34,8 +35,16 @@ impl DistOutcome {
     }
 }
 
+/// One rank's inputs and persistent workspace for a training call.
+struct RankSlot {
+    h0: Dense,
+    labels: Vec<u32>,
+    mask: Vec<bool>,
+    cctx: ComputeCtx,
+    ws: EpochWorkspace,
+}
+
 struct RankResult {
-    pred: Dense,
     counters: CommCounters,
     losses: Vec<f64>,
     params: Params,
@@ -43,64 +52,20 @@ struct RankResult {
 }
 
 /// Trains an L-layer GCN for `epochs` full-batch epochs on `p` ranks
-/// (one OS thread per rank, plus each rank's kernel thread pool sized by
-/// `PARGCN_THREADS` / `available_parallelism / p`), with masked softmax
-/// cross-entropy.
+/// with the paper's point-to-point exchange (one OS thread per rank, plus
+/// each rank's kernel thread pool as `spec` selects — pass
+/// `ComputeSpec::default()` for `PARGCN_THREADS` /
+/// `available_parallelism / p` threads and the `PARGCN_KERNEL` engine),
+/// with masked softmax cross-entropy.
 ///
 /// Functionally equivalent to [`crate::serial::SerialTrainer`] with the
 /// same `param_seed` — that equivalence, for arbitrary partitions, is the
 /// correctness contract of the whole algorithm and is enforced by the
-/// test-suite.
+/// test-suite. Neither the thread count nor the kernel engine ever
+/// changes results: all engines and pool splits are bitwise identical
+/// (determinism suite).
 // The training entry points take the full problem description by design;
-// a config struct would just rename the eight pieces.
-#[allow(clippy::too_many_arguments)]
-pub fn train_full_batch(
-    graph: &Graph,
-    h0: &Dense,
-    labels: &[u32],
-    mask: &[bool],
-    part: &Partition,
-    config: &GcnConfig,
-    epochs: usize,
-    param_seed: u64,
-) -> DistOutcome {
-    train_full_batch_threads(
-        graph, h0, labels, mask, part, config, epochs, param_seed, None,
-    )
-}
-
-/// As [`train_full_batch`] with an explicit per-rank kernel thread count
-/// (`None` = `PARGCN_THREADS` env, else `available_parallelism / p`). The
-/// thread count never changes results: pooled kernels are bitwise
-/// identical to serial (see the determinism test-suite).
-#[allow(clippy::too_many_arguments)]
-pub fn train_full_batch_threads(
-    graph: &Graph,
-    h0: &Dense,
-    labels: &[u32],
-    mask: &[bool],
-    part: &Partition,
-    config: &GcnConfig,
-    epochs: usize,
-    param_seed: u64,
-    threads: Option<usize>,
-) -> DistOutcome {
-    train_full_batch_spec(
-        graph,
-        h0,
-        labels,
-        mask,
-        part,
-        config,
-        epochs,
-        param_seed,
-        ComputeSpec::threads(threads),
-    )
-}
-
-/// As [`train_full_batch`] with a full per-rank compute spec (thread
-/// count and kernel engine). Neither choice ever changes results: all
-/// engines and pool splits are bitwise identical (determinism suite).
+// a config struct would just rename the nine pieces.
 #[allow(clippy::too_many_arguments)]
 pub fn train_full_batch_spec(
     graph: &Graph,
@@ -115,64 +80,31 @@ pub fn train_full_batch_spec(
 ) -> DistOutcome {
     let a = graph.normalized_adjacency();
     let plan_f = CommPlan::build(&a, part);
-    let plan_b = if graph.directed() {
-        CommPlan::build(&a.transpose(), part)
-    } else {
-        plan_f.clone()
-    };
+    let plan_b = graph
+        .directed()
+        .then(|| CommPlan::build(&a.transpose(), part));
     let init = config.init_params(param_seed);
     train_with_plans_spec(
-        &plan_f, &plan_b, h0, labels, mask, config, epochs, init, spec,
-    )
-}
-
-/// Training core over prebuilt plans with explicit initial parameters
-/// (mini-batch training reuses this per batch, carrying parameters over).
-#[allow(clippy::too_many_arguments)]
-pub fn train_with_plans(
-    plan_f: &CommPlan,
-    plan_b: &CommPlan,
-    h0: &Dense,
-    labels: &[u32],
-    mask: &[bool],
-    config: &GcnConfig,
-    epochs: usize,
-    init: Params,
-) -> DistOutcome {
-    train_with_plans_threads(plan_f, plan_b, h0, labels, mask, config, epochs, init, None)
-}
-
-/// As [`train_with_plans`] with an explicit per-rank kernel thread count.
-#[allow(clippy::too_many_arguments)]
-pub fn train_with_plans_threads(
-    plan_f: &CommPlan,
-    plan_b: &CommPlan,
-    h0: &Dense,
-    labels: &[u32],
-    mask: &[bool],
-    config: &GcnConfig,
-    epochs: usize,
-    init: Params,
-    threads: Option<usize>,
-) -> DistOutcome {
-    train_with_plans_spec(
-        plan_f,
-        plan_b,
+        &plan_f.ranks,
+        &plan_b.as_ref().unwrap_or(&plan_f).ranks,
         h0,
         labels,
         mask,
         config,
         epochs,
         init,
-        ComputeSpec::threads(threads),
+        spec,
     )
 }
 
-/// As [`train_with_plans`] with a full per-rank compute spec.
+/// The training core behind every trainer: runs `epochs` epochs of
+/// [`epoch_step`] over prebuilt per-rank plans (`plan_f[m]`/`plan_b[m]`
+/// are rank `m`'s forward/backward exchanges) from explicit initial
+/// parameters, then one forward pass for the predictions.
 #[allow(clippy::too_many_arguments)]
-pub fn train_with_plans_spec(
-    plan_f: &CommPlan,
-    plan_b: &CommPlan,
+pub(crate) fn train_with_plans_spec<X: SpmmExchange + Sync>(
+    plan_f: &[X],
+    plan_b: &[X],
     h0: &Dense,
     labels: &[u32],
     mask: &[bool],
@@ -181,53 +113,60 @@ pub fn train_with_plans_spec(
     init: Params,
     spec: ComputeSpec,
 ) -> DistOutcome {
-    let p = plan_f.p;
-    let n = plan_f.n;
-    assert_eq!(h0.rows(), n, "feature rows mismatch");
+    let p = plan_f.len();
+    let n = h0.rows();
+    assert_eq!(plan_b.len(), p, "plan rank counts differ");
+    let plan_rows: usize = plan_f.iter().map(|rp| rp.n_local()).sum();
+    assert_eq!(plan_rows, n, "feature rows mismatch");
     assert_eq!(labels.len(), n, "labels mismatch");
     assert_eq!(mask.len(), n, "mask mismatch");
     let mask_total = mask.iter().filter(|&&m| m).count().max(1) as f64;
 
-    // Pre-slice every rank's local data on the main thread.
-    let locals: Vec<(Dense, Vec<u32>, Vec<bool>)> = plan_f
-        .ranks
+    // Slice every rank's local data and allocate its layer workspace on
+    // the calling thread. The rank threads live for this call only, and
+    // memory they allocate stays resident in their allocator arenas after
+    // it is freed, out of the caller's reach.
+    let slots: Vec<Mutex<RankSlot>> = plan_f
         .iter()
         .map(|rp| {
-            let h_local = gather::gather_rows(h0, &rp.local_rows);
-            let l_local: Vec<u32> = rp.local_rows.iter().map(|&v| labels[v as usize]).collect();
-            let m_local: Vec<bool> = rp.local_rows.iter().map(|&v| mask[v as usize]).collect();
-            (h_local, l_local, m_local)
+            let rows = rp.local_rows();
+            let cctx = ComputeCtx::for_ranks_spec(p, spec);
+            Mutex::new(RankSlot {
+                h0: gather::gather_rows(h0, rows),
+                labels: rows.iter().map(|&v| labels[v as usize]).collect(),
+                mask: rows.iter().map(|&v| mask[v as usize]).collect(),
+                ws: EpochWorkspace::new(rp, config, p, &cctx),
+                cctx,
+            })
         })
         .collect();
 
     let results: Vec<RankResult> = Communicator::run(p, |ctx| {
         let m = ctx.rank();
-        let (h_local, l_local, m_local) = &locals[m];
+        let mut guard = slots[m].lock().expect("rank slot poisoned");
+        let slot = &mut *guard;
         let mut st = RankState {
-            plan_f: &plan_f.ranks[m],
-            plan_b: &plan_b.ranks[m],
+            plan_f: &plan_f[m],
+            plan_b: &plan_b[m],
             config,
             params: init.clone(),
-            h0: h_local,
-            labels: l_local,
-            mask: m_local,
+            h0: &slot.h0,
+            labels: &slot.labels,
+            mask: &slot.mask,
             mask_total,
             opt_state: crate::optim::OptimizerState::new(config.optimizer, &config.shapes()),
-            ctx: ComputeCtx::for_ranks_spec(p, spec),
+            ctx: slot.cctx.clone(),
         };
-        // Every buffer the epoch loop reuses, allocated exactly once:
-        // the comm pools (sized so steady-state acquires always hit) and
-        // the layer workspaces.
+        // The comm pools, sized so steady-state acquires always hit.
         prewarm_comm_pools(ctx, st.plan_f, st.plan_b, config);
-        let mut ws = EpochWorkspace::new(st.plan_f, config, p, &st.ctx);
+        let ws = &mut slot.ws;
         let start = Instant::now();
         let mut losses = Vec::with_capacity(epochs);
         for _ in 0..epochs {
-            losses.push(epoch_step(ctx, &mut st, &mut ws));
+            losses.push(epoch_step(ctx, &mut st, ws));
         }
-        // Final predictions with the trained parameters.
-        feedforward::run(ctx, &st, &mut ws);
-        let pred = ws.fwd.output().clone();
+        // Final predictions with the trained parameters (left in `ws.h`).
+        feedforward::run(ctx, &st, ws);
         let seconds = start.elapsed().as_secs_f64();
         // Compute time is the non-blocked complement of the runtime-timed
         // comm seconds, so `comm + compute == wall` per rank (fig4a split);
@@ -235,7 +174,6 @@ pub fn train_with_plans_spec(
         ctx.add_compute_seconds(seconds - ctx.counters().comm_seconds);
         ctx.add_compute_flops(st.ctx.take_flops());
         RankResult {
-            pred,
             counters: ctx.counters().clone(),
             losses,
             params: st.params,
@@ -246,19 +184,20 @@ pub fn train_with_plans_spec(
     // Assemble global predictions.
     let classes = config.dims[config.layers()];
     let mut predictions = Dense::zeros(n, classes);
-    for (rp, res) in plan_f.ranks.iter().zip(&results) {
-        gather::scatter_rows(&res.pred, &rp.local_rows, &mut predictions);
+    for (rp, slot) in plan_f.iter().zip(&slots) {
+        let slot = slot.lock().expect("rank slot poisoned");
+        gather::scatter_rows(
+            &slot.ws.h[config.layers() - 1],
+            rp.local_rows(),
+            &mut predictions,
+        );
     }
-    let losses = results[0].losses.clone();
-    let params = results[0].params.clone();
-    let counters = results.iter().map(|r| r.counters.clone()).collect();
-    let rank_seconds = results.iter().map(|r| r.seconds).collect();
     DistOutcome {
-        losses,
-        params,
+        losses: results[0].losses.clone(),
+        params: results[0].params.clone(),
         predictions,
-        counters,
-        rank_seconds,
+        counters: results.iter().map(|r| r.counters.clone()).collect(),
+        rank_seconds: results.iter().map(|r| r.seconds).collect(),
     }
 }
 
@@ -267,10 +206,14 @@ pub fn train_with_plans_spec(
 /// global loss (identical on every rank). The trainer loop is just this
 /// in a loop; tests (e.g. the steady-state allocation test) drive epochs
 /// individually through it.
-pub fn epoch_step(ctx: &mut RankCtx, st: &mut RankState<'_>, ws: &mut EpochWorkspace) -> f64 {
+pub fn epoch_step<X: SpmmExchange>(
+    ctx: &mut RankCtx,
+    st: &mut RankState<'_, X>,
+    ws: &mut EpochWorkspace,
+) -> f64 {
     feedforward::run(ctx, st, ws);
-    let loss_local = local_loss_and_grad(
-        ws.fwd.output(),
+    let loss_local = loss::softmax_cross_entropy_into(
+        &ws.h[st.config.layers() - 1],
         st.labels,
         st.mask,
         st.mask_total,
@@ -282,37 +225,4 @@ pub fn epoch_step(ctx: &mut RankCtx, st: &mut RankState<'_>, ws: &mut EpochWorks
     ctx.allreduce_sum(&mut buf);
     backprop::run(ctx, st, ws);
     buf[0] as f64
-}
-
-/// Local masked cross-entropy: the *sum* of masked row losses divided by
-/// the global mask count, and (into `grad`, overwritten) the loss
-/// gradient for the local rows. Allreducing the per-rank values yields
-/// the identical global loss the serial trainer computes. `probs` is the
-/// workspace's persistent softmax buffer, so the loss path stays
-/// allocation-free (§9).
-fn local_loss_and_grad(
-    hl: &Dense,
-    labels: &[u32],
-    mask: &[bool],
-    mask_total: f64,
-    probs: &mut Dense,
-    grad: &mut Dense,
-) -> f64 {
-    loss::softmax_rows_into(hl, probs);
-    grad.fill_zero();
-    let mut total = 0.0f64;
-    for i in 0..hl.rows() {
-        if !mask[i] {
-            continue;
-        }
-        let y = labels[i] as usize;
-        let pv = probs.get(i, y).max(1e-12);
-        total -= (pv as f64).ln();
-        let g = grad.row_mut(i);
-        for (j, gv) in g.iter_mut().enumerate() {
-            let indicator = if j == y { 1.0 } else { 0.0 };
-            *gv = (probs.get(i, j) - indicator) / mask_total as f32;
-        }
-    }
-    total / mask_total
 }

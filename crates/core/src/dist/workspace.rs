@@ -10,16 +10,17 @@
 //! heap allocation on its communication path, which the
 //! counting-allocator test (`no_alloc_steady_state`) pins down.
 
-use super::LocalForward;
-use crate::model::{GcnConfig, LayerOrder};
+use super::SpmmExchange;
+use crate::model::GcnConfig;
 use crate::plan::RankPlan;
 use pargcn_comm::RankCtx;
 use pargcn_matrix::{ComputeCtx, Dense};
 
-/// Scratch state of one in-flight [`spmm_exchange_into`] call: a slot per
-/// remote block for payloads that arrived out of plan order, plus the
-/// peer → slot map. Reused across every exchange of a run (forward and
-/// backward plans may have different receive sets; `begin` re-keys it).
+/// Scratch state of one in-flight exchange: for [`spmm_exchange_into`], a
+/// slot per remote block for payloads that arrived out of plan order plus
+/// the peer → slot map; for the CAGNET broadcasts, the stage payload.
+/// Reused across every exchange of a run (forward and backward plans may
+/// have different receive sets; `begin` re-keys it).
 ///
 /// [`spmm_exchange_into`]: super::feedforward::spmm_exchange_into
 pub struct ExchangeScratch {
@@ -28,6 +29,8 @@ pub struct ExchangeScratch {
     pub(crate) arrived: Vec<Option<Vec<f32>>>,
     /// Peer rank → remote-block index for the current exchange.
     pub(crate) peer_slot: Vec<u32>,
+    /// One broadcast stage's rows, grown once to the largest block.
+    pub(crate) stage: Vec<f32>,
 }
 
 impl ExchangeScratch {
@@ -36,6 +39,7 @@ impl ExchangeScratch {
         ExchangeScratch {
             arrived: Vec::new(),
             peer_slot: vec![u32::MAX; p],
+            stage: Vec::new(),
         }
     }
 
@@ -61,17 +65,19 @@ impl ExchangeScratch {
 pub struct EpochWorkspace {
     /// Exchange scratch shared by every layer in both directions.
     pub exchange: ExchangeScratch,
-    /// Forward intermediates `Z¹…Z^L` / `H¹…H^L` (`H⁰` stays in
-    /// `RankState`, never copied).
-    pub fwd: LocalForward,
-    /// Forward exchange accumulators (SpmmFirst only): `ax_f[k−1]` holds
-    /// this rank's block of `Â·H^{k-1}`. DmmFirst aggregates straight
-    /// into `fwd.z`, so the list is empty there.
-    pub ax_f: Vec<Dense>,
+    /// Forward pre-activations: `z[k−1]` holds `Zᵏₘ`.
+    pub z: Vec<Dense>,
+    /// Forward activations: `h[k−1]` holds `Hᵏₘ` (`H⁰ₘ` stays in
+    /// [`RankState::h0`](super::RankState::h0) — it never changes, so it
+    /// is never copied).
+    pub h: Vec<Dense>,
+    /// Forward intermediates between exchange and transform, each
+    /// [`GcnConfig::forward_width`] wide: `mid[k−1]` holds this rank's
+    /// block of `Â·H^{k-1}` (SpmmFirst) or the local `H^{k-1}·Wᵏ` it
+    /// sends (DmmFirst, which aggregates straight into `z`).
+    pub mid: Vec<Dense>,
     /// Backward exchange accumulators: `ax_b[k−1]` holds `(Â'Gᵏ)ₘ`.
     pub ax_b: Vec<Dense>,
-    /// DmmFirst-only scratch for the local `H^{k-1}·Wᵏ` products.
-    pub hw: Vec<Dense>,
     /// Backward gradient flow: `g[k−1]` holds `Gᵏ`.
     pub g: Vec<Dense>,
     /// Parameter-gradient partials/sums: `dw[k−1]` holds `ΔWᵏ`.
@@ -88,33 +94,26 @@ impl EpochWorkspace {
     /// job, sized from the plan and model shape, and pre-sizes the
     /// compute context's kernel packing scratch for the run's widest
     /// operands. Called once per run, before the first epoch.
-    pub fn new(plan: &RankPlan, config: &GcnConfig, p: usize, cctx: &ComputeCtx) -> Self {
+    pub fn new(plan: &impl SpmmExchange, config: &GcnConfig, p: usize, cctx: &ComputeCtx) -> Self {
         let n = plan.n_local();
         let dims = &config.dims;
         let layers = config.layers();
-        // The blocked GEMM engine packs its widest B operand (≤ dmax²
-        // floats for the weight-shaped operands, ≤ n·dmax for the
-        // activation-shaped ones); grow the shared scratch to that once,
+        // The blocked GEMM engine packs the B operand, which in the layer
+        // loop is always a weight (`H·W`, `G·Wᵀ`; `Hᵀ·G` is pack-free):
+        // at most dmax² floats. Grow the shared scratch to that once,
         // here, so steady-state kernel calls stay allocation-free
         // (DESIGN.md §9).
         let dmax = dims.iter().copied().max().unwrap_or(0);
-        cctx.reserve_pack(n.max(dmax) * dmax);
+        cctx.reserve_pack(dmax * dmax);
         let zeros = |d: usize| Dense::zeros(n, d);
         EpochWorkspace {
             exchange: ExchangeScratch::new(p),
-            fwd: LocalForward {
-                z: (1..=layers).map(|k| zeros(dims[k])).collect(),
-                h: (1..=layers).map(|k| zeros(dims[k])).collect(),
-            },
-            ax_f: match config.order {
-                LayerOrder::SpmmFirst => (1..=layers).map(|k| zeros(dims[k - 1])).collect(),
-                LayerOrder::DmmFirst => Vec::new(),
-            },
+            z: (1..=layers).map(|k| zeros(dims[k])).collect(),
+            h: (1..=layers).map(|k| zeros(dims[k])).collect(),
+            mid: (1..=layers)
+                .map(|k| zeros(config.forward_width(k)))
+                .collect(),
             ax_b: (1..=layers).map(|k| zeros(dims[k])).collect(),
-            hw: match config.order {
-                LayerOrder::SpmmFirst => Vec::new(),
-                LayerOrder::DmmFirst => (1..=layers).map(|k| zeros(dims[k])).collect(),
-            },
             g: (1..=layers).map(|k| zeros(dims[k])).collect(),
             dw: (1..=layers)
                 .map(|k| Dense::zeros(dims[k - 1], dims[k]))
@@ -131,18 +130,14 @@ impl EpochWorkspace {
     /// grows once to the high-water batch and is fully overwritten before
     /// being read (the same argument that makes cross-epoch reuse bitwise
     /// safe), so steady-state batches of bounded size allocate nothing.
-    pub fn resize_for_plan(&mut self, plan: &RankPlan, config: &GcnConfig, cctx: &ComputeCtx) {
+    pub fn resize_for_plan(&mut self, plan: &RankPlan) {
         let n = plan.n_local();
-        let dmax = config.dims.iter().copied().max().unwrap_or(0);
-        cctx.reserve_pack(n.max(dmax) * dmax);
         for m in self
-            .fwd
             .z
             .iter_mut()
-            .chain(self.fwd.h.iter_mut())
-            .chain(self.ax_f.iter_mut())
+            .chain(self.h.iter_mut())
+            .chain(self.mid.iter_mut())
             .chain(self.ax_b.iter_mut())
-            .chain(self.hw.iter_mut())
             .chain(self.g.iter_mut())
         {
             m.resize_rows(n);
@@ -177,7 +172,7 @@ impl BatchWorkspace {
         match &mut self.ws {
             slot @ None => slot.insert(EpochWorkspace::new(plan, config, p, cctx)),
             Some(ws) => {
-                ws.resize_for_plan(plan, config, cctx);
+                ws.resize_for_plan(plan);
                 ws
             }
         }
@@ -185,11 +180,10 @@ impl BatchWorkspace {
 }
 
 /// Pre-fills this rank's payload pools so every steady-state `acquire`
-/// is a hit: two buffers per point-to-point destination (one in flight,
-/// one still travelling back from the previous layer — the FIFO
-/// non-overtaking argument in DESIGN.md §9 bounds the outstanding count
-/// at two) sized for the widest layer, plus two per binomial-tree
-/// collective neighbour sized for the largest `ΔW` payload.
+/// is a hit: what the exchange holds in flight per destination
+/// ([`SpmmExchange::ensure_pools`]) sized for the widest layer, plus two
+/// per binomial-tree allreduce neighbour sized for the largest `ΔW`
+/// payload.
 ///
 /// Idempotent (`ensure_pool` tops up instead of accreting), so callers
 /// with a *stream* of plans — the mini-batch engine, one plan per batch
@@ -197,43 +191,28 @@ impl BatchWorkspace {
 /// worst case, pools grow only when the stream hits a new high-water
 /// batch, and steady state stays provably allocation-free rather than
 /// relying on timing-dependent grow-on-miss convergence.
-pub fn prewarm_comm_pools(
+pub fn prewarm_comm_pools<X: SpmmExchange>(
     ctx: &mut RankCtx,
-    plan_f: &RankPlan,
-    plan_b: &RankPlan,
+    plan_f: &X,
+    plan_b: &X,
     config: &GcnConfig,
 ) {
     let wmax = config.dims.iter().copied().max().unwrap_or(0);
-    for ss in plan_f.send.iter().chain(&plan_b.send) {
-        ctx.ensure_pool(ss.peer, 2, ss.local_indices.len() * wmax);
-    }
     let dw_max = (0..config.layers())
         .map(|k| config.dims[k] * config.dims[k + 1])
         .max()
         .unwrap_or(1);
+    plan_f.ensure_pools(ctx, wmax, dw_max);
+    plan_b.ensure_pools(ctx, wmax, dw_max);
     ctx.ensure_collectives(2, dw_max);
-    reserve_epoch_queues(ctx, plan_f, plan_b, config);
-}
-
-/// Pre-sizes this rank's inbound queues for one epoch under the given
-/// plans. Split from [`prewarm_comm_pools`] because `prewarm` *accretes*
-/// pool buffers (calling it per batch would grow the pools without bound)
-/// while queue reservation is idempotent — the mini-batch engine prewarms
-/// once per session and re-reserves queues per batch as plans change.
-pub fn reserve_epoch_queues(
-    ctx: &mut RankCtx,
-    plan_f: &RankPlan,
-    plan_b: &RankPlan,
-    config: &GcnConfig,
-) {
-    // Queue depth at this rank is bounded by one epoch's worth of
-    // inbound traffic (the per-layer allreduces stop senders running
-    // further ahead): per layer, one forward and one backward exchange
-    // of the plans' remote-block counts, plus up to 2·⌈log₂ p⌉ tree
-    // hops per allreduce. Reserve twice that so no interleaving can
-    // grow a queue mid-epoch.
+    // Queue depth at this rank is bounded by one epoch's worth of inbound
+    // traffic (the per-layer allreduces stop senders running further
+    // ahead): per layer, one forward and one backward exchange of the
+    // plans' inbound messages, plus up to 2·⌈log₂ p⌉ tree hops per
+    // allreduce. Reserve twice that so no interleaving can grow a queue
+    // mid-epoch.
     let log2p = ctx.p().next_power_of_two().trailing_zeros() as usize;
     let per_epoch =
-        config.layers() * (plan_f.a_remote.len() + plan_b.a_remote.len() + 2 * log2p + 2);
+        config.layers() * (plan_f.inbound_per_sweep() + plan_b.inbound_per_sweep() + 2 * log2p + 2);
     ctx.reserve_queues(2 * per_epoch + 8);
 }

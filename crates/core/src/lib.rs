@@ -15,14 +15,15 @@
 //!    role) and the correctness oracle: distributed training must reproduce
 //!    its losses and predictions to float tolerance for *any* partition;
 //! 4. [`baselines::cagnet`] is the CAGNET-style broadcast algorithm the
-//!    paper compares against;
+//!    paper compares against — a second [`dist::SpmmExchange`] run by the
+//!    same layer loop;
 //! 5. [`minibatch`] samples subgraphs and trains on them, the workload the
 //!    stochastic hypergraph model (§4.3.3) optimizes for.
 //!
 //! ```
-//! use pargcn_core::{dist::train_full_batch, GcnConfig};
+//! use pargcn_core::{dist::train_full_batch_spec, GcnConfig};
 //! use pargcn_graph::gen::grid;
-//! use pargcn_matrix::Dense;
+//! use pargcn_matrix::{ComputeSpec, Dense};
 //! use pargcn_partition::{partition_rows, Method};
 //!
 //! let g = grid::road_network(120, 1);
@@ -35,7 +36,8 @@
 //! let mask = vec![true; g.n()];
 //!
 //! // Three ranks (threads) run Algorithms 1–2 for five epochs.
-//! let out = train_full_batch(&g, &h0, &labels, &mask, &part, &config, 5, 42);
+//! let spec = ComputeSpec::default();
+//! let out = train_full_batch_spec(&g, &h0, &labels, &mask, &part, &config, 5, 42, spec);
 //! assert_eq!(out.losses.len(), 5);
 //! assert!(out.losses[4] < out.losses[0], "training reduces the loss");
 //! ```

@@ -46,11 +46,30 @@ pub fn softmax_rows_into(h: &Dense, out: &mut Dense) {
 /// `J = (1/|mask|) Σ_{i∈mask} −log softmax(H(i,:))[yᵢ]` and the gradient is
 /// `(softmax(H(i,:)) − onehot(yᵢ))/|mask|` on masked rows, zero elsewhere.
 pub fn softmax_cross_entropy(h: &Dense, labels: &[u32], mask: &[bool]) -> (f64, Dense) {
+    let count = mask.iter().filter(|&&m| m).count().max(1) as f64;
+    let mut probs = Dense::zeros(h.rows(), h.cols());
+    let mut grad = Dense::zeros(h.rows(), h.cols());
+    let loss = softmax_cross_entropy_into(h, labels, mask, count, &mut probs, &mut grad);
+    (loss, grad)
+}
+
+/// [`softmax_cross_entropy`] over caller-owned `probs`/`grad` buffers
+/// (overwritten), normalised by `count` instead of the local mask size.
+/// A rank passes the *global* masked count, so allreducing the per-rank
+/// values yields the serial loss; the training loop passes its
+/// workspace buffers, so the loss path allocates nothing (§9).
+pub fn softmax_cross_entropy_into(
+    h: &Dense,
+    labels: &[u32],
+    mask: &[bool],
+    count: f64,
+    probs: &mut Dense,
+    grad: &mut Dense,
+) -> f64 {
     assert_eq!(h.rows(), labels.len(), "label length mismatch");
     assert_eq!(h.rows(), mask.len(), "mask length mismatch");
-    let count = mask.iter().filter(|&&m| m).count().max(1) as f64;
-    let probs = softmax_rows(h);
-    let mut grad = Dense::zeros(h.rows(), h.cols());
+    softmax_rows_into(h, probs);
+    grad.fill_zero();
     let mut loss = 0.0f64;
     for i in 0..h.rows() {
         if !mask[i] {
@@ -65,7 +84,7 @@ pub fn softmax_cross_entropy(h: &Dense, labels: &[u32], mask: &[bool]) -> (f64, 
             *gv = (probs.get(i, j) - indicator) / count as f32;
         }
     }
-    (loss / count, grad)
+    loss / count
 }
 
 /// Masked mean squared error against a dense target: `J = (1/2|mask|)·Σ‖h−t‖²`.

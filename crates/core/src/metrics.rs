@@ -35,8 +35,10 @@ impl VolumeStats {
 /// per-layer `ΔW` allreduce) for the point-to-point algorithm.
 ///
 /// Per layer `k` (widths `d_{k-1} → d_k`):
-/// * the feedforward exchange carries `d_{k-1}`-wide `H` rows and performs
-///   `2·nnz·d_{k-1}` SpMM FLOPs plus `2·n_m·d_{k-1}·d_k` DMM FLOPs;
+/// * the feedforward exchange carries `w`-wide rows and performs
+///   `2·nnz·w` SpMM FLOPs plus `2·n_m·d_{k-1}·d_k` DMM FLOPs, where `w` is
+///   [`GcnConfig::forward_width`]: `d_{k-1}` (`H`) under SpmmFirst,
+///   `d_k` (`H·W`) under DmmFirst;
 /// * the backprop exchange carries `d_k`-wide `G` rows, SpMMs at `d_k`, and
 ///   performs two DMMs (`Sᵏ` and `ΔWᵏ`), `4·d_{k-1}·d_k` FLOPs per row;
 /// * the allreduce moves the `d_{k-1}×d_k` gradient in a log tree.
@@ -50,9 +52,10 @@ pub fn simulate_epoch(
     let mut collectives = 0.0;
     for k in 1..=config.layers() {
         let (d_in, d_out) = (config.dims[k - 1], config.dims[k]);
+        let w = config.forward_width(k);
         phases.push(costmodel::phase_time(
             profile,
-            &plan_f.phase_costs(d_in, d_in, 2.0 * d_in as f64 * d_out as f64),
+            &plan_f.phase_costs(w, w, 2.0 * d_in as f64 * d_out as f64),
         ));
         phases.push(costmodel::phase_time(
             profile,

@@ -8,7 +8,7 @@
 //! volume a partition induces — the quantity Fig. 5 compares between HP
 //! and SHP.
 
-use crate::dist::trainer::{epoch_step, train_with_plans_spec, DistOutcome};
+use crate::dist::trainer::{epoch_step, train_with_plans_spec};
 use crate::dist::workspace::{prewarm_comm_pools, BatchWorkspace};
 use crate::dist::RankState;
 use crate::model::{GcnConfig, Params};
@@ -75,35 +75,12 @@ pub struct MinibatchOutcome {
 }
 
 /// Trains over the given mini-batches (one step each), distributing every
-/// batch across the same `part.p()` ranks under the global partition.
+/// batch across the same `part.p()` ranks under the global partition,
+/// with `spec` (thread count and kernel engine) applied to every batch
+/// step. Spawns the ranks afresh per batch; [`MinibatchEngine`] trains
+/// the same stream bitwise identically without the per-batch startup.
 // The training entry points take the full problem description by design;
-// a config struct would just rename the eight pieces.
-#[allow(clippy::too_many_arguments)]
-pub fn train(
-    graph: &Graph,
-    h0: &Dense,
-    labels: &[u32],
-    mask: &[bool],
-    part: &Partition,
-    config: &GcnConfig,
-    batches: &[Vec<u32>],
-    param_seed: u64,
-) -> MinibatchOutcome {
-    train_spec(
-        graph,
-        h0,
-        labels,
-        mask,
-        part,
-        config,
-        batches,
-        param_seed,
-        ComputeSpec::default(),
-    )
-}
-
-/// As [`train`] with an explicit per-rank compute spec (thread count and
-/// kernel engine), applied to every batch step.
+// a config struct would just rename the nine pieces.
 #[allow(clippy::too_many_arguments)]
 pub fn train_spec(
     graph: &Graph,
@@ -126,11 +103,9 @@ pub fn train_spec(
         let a = norm::normalize_adjacency(sub.adjacency());
         let sub_part = restrict_partition(part, batch);
         let plan_f = CommPlan::build(&a, &sub_part);
-        let plan_b = if sub.directed() {
-            CommPlan::build(&a.transpose(), &sub_part)
-        } else {
-            plan_f.clone()
-        };
+        let plan_b = sub
+            .directed()
+            .then(|| CommPlan::build(&a.transpose(), &sub_part));
 
         let m_batch: Vec<bool> = batch.iter().map(|&v| mask[v as usize]).collect();
         if !m_batch.iter().any(|&m| m) {
@@ -145,8 +120,16 @@ pub fn train_spec(
         total_volume += plan_f.total_volume_rows();
         let h_batch = gather::gather_rows(h0, batch);
         let l_batch: Vec<u32> = batch.iter().map(|&v| labels[v as usize]).collect();
-        let out: DistOutcome = train_with_plans_spec(
-            &plan_f, &plan_b, &h_batch, &l_batch, &m_batch, config, 1, params, spec,
+        let out = train_with_plans_spec(
+            &plan_f.ranks,
+            &plan_b.as_ref().unwrap_or(&plan_f).ranks,
+            &h_batch,
+            &l_batch,
+            &m_batch,
+            config,
+            1,
+            params,
+            spec,
         );
         params = out.params;
         losses.push(out.losses[0]);
@@ -158,24 +141,6 @@ pub fn train_spec(
         skipped_batches,
         skipped_volume_rows: skipped_volume,
     }
-}
-
-/// As [`train_spec`], but through a freshly constructed persistent
-/// [`MinibatchEngine`] — same outputs bitwise, batch-sized per-step cost.
-#[allow(clippy::too_many_arguments)]
-pub fn train_spec_persistent(
-    graph: &Graph,
-    h0: &Dense,
-    labels: &[u32],
-    mask: &[bool],
-    part: &Partition,
-    config: &GcnConfig,
-    batches: &[Vec<u32>],
-    param_seed: u64,
-    spec: ComputeSpec,
-) -> MinibatchOutcome {
-    let mut engine = MinibatchEngine::new(graph, h0, labels, mask, part, config, param_seed, spec);
-    engine.train(batches)
 }
 
 /// One rank's per-batch slice, gathered on the main thread while the
@@ -559,7 +524,17 @@ mod tests {
         let part = partition_rows(&g, &a, Method::Hp, 3, 0.1, 1);
         let batches = sample_batches(&g, Sampler::UniformVertex { batch_size: 120 }, 30, 2);
         let config = GcnConfig::two_layer(8, 12, 4);
-        let out = train(&g, &h0, &labels, &mask, &part, &config, &batches, 5);
+        let out = train_spec(
+            &g,
+            &h0,
+            &labels,
+            &mask,
+            &part,
+            &config,
+            &batches,
+            5,
+            ComputeSpec::default(),
+        );
         assert!(out.losses.len() >= 25);
         let first: f64 = out.losses[..5].iter().sum::<f64>() / 5.0;
         let last: f64 = out.losses[out.losses.len() - 5..].iter().sum::<f64>() / 5.0;

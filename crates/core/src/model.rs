@@ -60,6 +60,15 @@ impl GcnConfig {
         }
     }
 
+    /// Row width the forward exchange of layer `k` carries: `d_{k-1}`
+    /// when aggregating `H` first, `d_k` when aggregating `H·W`.
+    pub fn forward_width(&self, k: usize) -> usize {
+        match self.order {
+            LayerOrder::SpmmFirst => self.dims[k - 1],
+            LayerOrder::DmmFirst => self.dims[k],
+        }
+    }
+
     /// Per-layer parameter shapes `(d_{k-1}, d_k)`.
     pub fn shapes(&self) -> Vec<(usize, usize)> {
         (0..self.layers())

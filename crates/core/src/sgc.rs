@@ -11,7 +11,7 @@
 //! plus the small `ΔW` allreduce. The test-suite asserts that byte count.
 
 use crate::dist::feedforward::spmm_exchange_into;
-use crate::dist::ExchangeScratch;
+use crate::dist::{ExchangeScratch, SpmmExchange};
 use crate::loss;
 use crate::plan::CommPlan;
 use pargcn_comm::{CommCounters, Communicator};
@@ -121,10 +121,8 @@ pub fn train_distributed(
         // sweeps ping-pong between two persistent buffers over a single
         // exchange scratch, with the payload pools pre-warmed, so no sweep
         // after the first allocates on the comm path.
-        for ss in &rp.send {
-            ctx.prewarm(ss.peer, 2, ss.local_indices.len() * d);
-        }
-        ctx.prewarm_collectives(2, d * classes);
+        rp.ensure_pools(ctx, d, d * classes);
+        ctx.ensure_collectives(2, d * classes);
         let mut scratch = ExchangeScratch::new(part.p());
         let mut hp = h_local.clone();
         let mut hp_next = Dense::zeros(h_local.rows(), d);
@@ -146,21 +144,12 @@ pub fn train_distributed(
         let mut losses = Vec::with_capacity(epochs);
         for _ in 0..epochs {
             let logits = cctx.matmul(&hp, &w);
-            let probs = loss::softmax_rows(&logits);
-            let mut loss_local = 0.0f64;
-            let mut grad = Dense::zeros(logits.rows(), logits.cols());
-            for i in 0..logits.rows() {
-                if !m_local[i] {
-                    continue;
-                }
-                let y = l_local[i] as usize;
-                loss_local -= (probs.get(i, y).max(1e-12) as f64).ln();
-                for j in 0..classes {
-                    let ind = if j == y { 1.0 } else { 0.0 };
-                    grad.set(i, j, (probs.get(i, j) - ind) / mask_total as f32);
-                }
-            }
-            let mut lbuf = [(loss_local / mask_total) as f32];
+            let mut probs = Dense::zeros(logits.rows(), classes);
+            let mut grad = Dense::zeros(logits.rows(), classes);
+            let loss_local = loss::softmax_cross_entropy_into(
+                &logits, l_local, m_local, mask_total, &mut probs, &mut grad,
+            );
+            let mut lbuf = [loss_local as f32];
             ctx.allreduce_sum(&mut lbuf);
             losses.push(lbuf[0] as f64);
 
@@ -193,7 +182,6 @@ pub fn train_distributed(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dist::feedforward::spmm_exchange_with_plan;
     use pargcn_graph::gen::sbm::{self, SbmParams};
     use pargcn_partition::{partition_rows, Method};
 
@@ -226,9 +214,12 @@ mod tests {
         let results = Communicator::run(4, |ctx| {
             let cctx = pargcn_matrix::ComputeCtx::serial();
             let rp = &plan.ranks[ctx.rank()];
+            let mut scratch = ExchangeScratch::new(4);
             let mut hp = locals[ctx.rank()].clone();
+            let mut next = Dense::zeros(hp.rows(), hp.cols());
             for sweep in 0..3 {
-                hp = spmm_exchange_with_plan(ctx, rp, &hp, sweep, &cctx);
+                spmm_exchange_into(ctx, rp, &hp, sweep, &cctx, &mut scratch, &mut next);
+                std::mem::swap(&mut hp, &mut next);
             }
             hp
         });

@@ -7,11 +7,13 @@
 //! threads per rank. Combined with the plan-order accumulation guarantee
 //! of the exchange, thread count can never leak into results.
 
+use pargcn_core::baselines::cagnet;
 use pargcn_core::dist;
-use pargcn_core::model::GcnConfig;
+use pargcn_core::model::{GcnConfig, LayerOrder};
+use pargcn_core::optim::Optimizer;
 use pargcn_core::serial::SerialTrainer;
 use pargcn_graph::gen::sbm::{self, SbmParams};
-use pargcn_matrix::{ComputeCtx, Dense};
+use pargcn_matrix::{ComputeCtx, ComputeSpec, Dense};
 use pargcn_partition::random;
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 7];
@@ -43,8 +45,17 @@ fn dist_trainer_epochs_bitwise_equal_across_thread_counts() {
     type RunBits = (Vec<u64>, Vec<u32>, Vec<Vec<u32>>);
     let mut reference: Option<RunBits> = None;
     for t in THREAD_COUNTS {
-        let out =
-            dist::train_full_batch_threads(&g, &h0, &labels, &mask, &part, &config, 3, 99, Some(t));
+        let out = dist::train_full_batch_spec(
+            &g,
+            &h0,
+            &labels,
+            &mask,
+            &part,
+            &config,
+            3,
+            99,
+            ComputeSpec::threads(Some(t)),
+        );
         let losses: Vec<u64> = out.losses.iter().map(|l| l.to_bits()).collect();
         let preds = dense_bits(&out.predictions);
         let weights: Vec<Vec<u32>> = out.params.weights.iter().map(dense_bits).collect();
@@ -84,13 +95,17 @@ fn serial_trainer_bitwise_equal_across_thread_counts() {
 
 #[test]
 fn cagnet_trainer_bitwise_equal_across_thread_counts() {
+    // Adam + DmmFirst: the optimizer state and the transformed-first
+    // exchange run through the shared layer loop too.
     let (g, h0, labels, mask) = setup();
-    let config = GcnConfig::two_layer(12, 16, 4);
+    let mut config = GcnConfig::two_layer(12, 16, 4);
+    config.optimizer = Optimizer::adam();
+    config.order = LayerOrder::DmmFirst;
     let part = random::partition(g.n(), 2, 5);
 
     let mut reference: Option<(Vec<u64>, Vec<u32>)> = None;
     for t in THREAD_COUNTS {
-        let out = pargcn_core::baselines::cagnet::train_full_batch_threads(
+        let out = cagnet::train_full_batch_spec(
             &g,
             &h0,
             &labels,
@@ -99,7 +114,7 @@ fn cagnet_trainer_bitwise_equal_across_thread_counts() {
             &config,
             2,
             13,
-            Some(t),
+            ComputeSpec::threads(Some(t)),
         );
         let losses: Vec<u64> = out.losses.iter().map(|l| l.to_bits()).collect();
         let preds = dense_bits(&out.predictions);
@@ -118,7 +133,17 @@ fn compute_seconds_are_recorded_per_rank() {
     let (g, h0, labels, mask) = setup();
     let config = GcnConfig::two_layer(12, 16, 4);
     let part = random::partition(g.n(), 2, 3);
-    let out = dist::train_full_batch(&g, &h0, &labels, &mask, &part, &config, 2, 1);
+    let out = dist::train_full_batch_spec(
+        &g,
+        &h0,
+        &labels,
+        &mask,
+        &part,
+        &config,
+        2,
+        1,
+        ComputeSpec::default(),
+    );
     for (m, (c, &wall)) in out.counters.iter().zip(&out.rank_seconds).enumerate() {
         assert!(c.compute_seconds > 0.0, "rank {m} recorded no compute time");
         // comm + compute is the rank's wall time by construction.

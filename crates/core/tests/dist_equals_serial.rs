@@ -5,19 +5,35 @@
 //! reassociation. The same contract covers the CAGNET broadcast baseline,
 //! which computes the identical math with a different comm pattern.
 
-use pargcn_core::baselines::cagnet;
-use pargcn_core::dist::train_full_batch;
+use pargcn_comm::{CommCounters, Communicator};
+use pargcn_core::baselines::cagnet::{self, CagnetPlan};
+use pargcn_core::dist::trainer::epoch_step;
+use pargcn_core::dist::{train_full_batch_spec, DistOutcome, EpochWorkspace, RankState};
 use pargcn_core::model::{GcnConfig, LayerOrder};
+use pargcn_core::optim::{Optimizer, OptimizerState};
 use pargcn_core::serial::SerialTrainer;
 use pargcn_graph::gen::{community, er, grid, sbm};
 use pargcn_graph::Graph;
-use pargcn_matrix::Dense;
+use pargcn_matrix::{gather, ComputeCtx, ComputeSpec, Dense};
 use pargcn_partition::stochastic::Sampler;
 use pargcn_partition::{partition_rows, Method, Partition};
 use pargcn_util::rng::SeedableRng;
 use pargcn_util::rng::StdRng;
 
 const TOL: f32 = 2e-3;
+
+/// The shared signature of the full-batch entry points.
+type Trainer = fn(
+    &Graph,
+    &Dense,
+    &[u32],
+    &[bool],
+    &Partition,
+    &GcnConfig,
+    usize,
+    u64,
+    ComputeSpec,
+) -> DistOutcome;
 
 /// Runs both trainers and asserts agreement.
 fn assert_equivalent(
@@ -41,7 +57,17 @@ fn assert_equivalent(
     }
     let serial_pred = serial.predict(&h0);
 
-    let out = train_full_batch(graph, &h0, &labels, &mask, part, config, epochs, 42);
+    let out = train_full_batch_spec(
+        graph,
+        &h0,
+        &labels,
+        &mask,
+        part,
+        config,
+        epochs,
+        42,
+        ComputeSpec::default(),
+    );
 
     for (e, (s, d)) in serial_losses.iter().zip(&out.losses).enumerate() {
         assert!(
@@ -147,53 +173,172 @@ fn single_rank_distributed_is_serial() {
     assert_equivalent(&g, &config, &part, 5, 23);
 }
 
-#[test]
-fn cagnet_matches_serial_and_p2p() {
-    let g = community::copurchase(150, 6.0, false, 6);
+/// CAGNET ≡ P2P ≡ serial over every optimizer × layer order on `g`: the
+/// broadcast baseline runs the shared layer loop, so no option may make it
+/// drift from the point-to-point trainer.
+fn assert_cagnet_matches_p2p_and_serial(name: &str, g: &Graph) {
     let a = g.normalized_adjacency();
-    let config = GcnConfig::two_layer(5, 6, 3);
-    let part = partition_rows(&g, &a, Method::Hp, 4, 0.1, 4);
-
+    let part = partition_rows(g, &a, Method::Hp, 4, 0.1, 4);
     let mut rng = StdRng::seed_from_u64(29);
     let h0 = Dense::random(g.n(), 5, &mut rng);
     let labels: Vec<u32> = (0..g.n()).map(|i| (i % 3) as u32).collect();
-    let mask = vec![true; g.n()];
+    let mask: Vec<bool> = (0..g.n()).map(|i| i % 4 != 3).collect();
+    for optimizer in [Optimizer::Sgd, Optimizer::adam()] {
+        for order in [LayerOrder::SpmmFirst, LayerOrder::DmmFirst] {
+            let case = format!("{name}, {optimizer:?}, {order:?}");
+            let mut config = GcnConfig::two_layer(5, 6, 3);
+            if optimizer != Optimizer::Sgd {
+                // Adam's step is ~lr per weight whatever the gradient's
+                // size, so keep it small enough that f32 reassociation
+                // noise cannot flip a step past the tolerance.
+                config.learning_rate = 0.01;
+            }
+            config.optimizer = optimizer;
+            config.order = order;
+            let run = |train: Trainer| {
+                train(
+                    g,
+                    &h0,
+                    &labels,
+                    &mask,
+                    &part,
+                    &config,
+                    3,
+                    42,
+                    ComputeSpec::default(),
+                )
+            };
+            let p2p = run(train_full_batch_spec);
+            let bc = run(cagnet::train_full_batch_spec);
+            let mut serial = SerialTrainer::new(g, config.clone(), 42);
+            let serial_losses: Vec<f64> = (0..3)
+                .map(|_| serial.train_epoch(&h0, &labels, &mask))
+                .collect();
+            let serial_pred = serial.predict(&h0);
 
-    let p2p = train_full_batch(&g, &h0, &labels, &mask, &part, &config, 3, 42);
-    let bc = cagnet::train_full_batch(&g, &h0, &labels, &mask, &part, &config, 3, 42);
-    assert!(
-        p2p.predictions.approx_eq(&bc.predictions, TOL),
-        "CAGNET diverged from P2P: max diff {}",
-        p2p.predictions.max_abs_diff(&bc.predictions)
-    );
-    for (s, d) in p2p.losses.iter().zip(&bc.losses) {
-        assert!((s - d).abs() < 1e-3 * (1.0 + s.abs()));
+            for (trainer, out) in [("P2P", &p2p), ("CAGNET", &bc)] {
+                assert_eq!(out.losses.len(), 3, "{case}: {trainer} epochs");
+                for (e, (s, d)) in serial_losses.iter().zip(&out.losses).enumerate() {
+                    assert!(
+                        (s - d).abs() < 1e-3 * (1.0 + s.abs()),
+                        "{case}: {trainer} epoch {e} loss {d} vs serial {s}"
+                    );
+                }
+                assert!(
+                    out.predictions.approx_eq(&serial_pred, TOL),
+                    "{case}: {trainer} predictions diverged from serial (max diff {})",
+                    out.predictions.max_abs_diff(&serial_pred)
+                );
+            }
+            for (s, d) in p2p.losses.iter().zip(&bc.losses) {
+                assert!(
+                    (s - d).abs() < 1e-3 * (1.0 + s.abs()),
+                    "{case}: CAGNET loss {d} vs P2P {s}"
+                );
+            }
+            assert!(
+                p2p.predictions.approx_eq(&bc.predictions, TOL),
+                "{case}: CAGNET diverged from P2P (max diff {})",
+                p2p.predictions.max_abs_diff(&bc.predictions)
+            );
+        }
     }
+}
 
-    let mut serial = SerialTrainer::new(&g, config.clone(), 42);
-    for _ in 0..3 {
-        serial.train_epoch(&h0, &labels, &mask);
-    }
-    assert!(bc.predictions.approx_eq(&serial.predict(&h0), TOL));
+#[test]
+fn cagnet_matches_serial_and_p2p() {
+    let g = community::copurchase(150, 6.0, false, 6);
+    assert_cagnet_matches_p2p_and_serial("undirected", &g);
 }
 
 #[test]
 fn cagnet_directed_matches_serial() {
+    // Directed: the broadcast backward sweep must use the transpose plan.
     let g = er::generate(90, 400, true, 9);
-    let config = GcnConfig::two_layer(4, 5, 2);
-    let part = pargcn_partition::random::partition(g.n(), 3, 6);
+    assert_cagnet_matches_p2p_and_serial("directed", &g);
+}
 
+/// One CAGNET epoch driven through the shared `epoch_step` on every rank;
+/// returns each rank's counters for exactly that epoch.
+fn cagnet_epoch_counters(
+    g: &Graph,
+    part: &Partition,
+    config: &GcnConfig,
+    h0: &Dense,
+    labels: &[u32],
+) -> Vec<CommCounters> {
+    let a = g.normalized_adjacency();
+    let plan_f = CagnetPlan::build(&a, part);
+    let plan_b = CagnetPlan::build(&a.transpose(), part);
+    let p = part.p();
+    let init = config.init_params(1);
+    Communicator::run(p, |ctx| {
+        let m = ctx.rank();
+        let rows = &plan_f.ranks[m].local_rows;
+        let h_local = gather::gather_rows(h0, rows);
+        let l_local: Vec<u32> = rows.iter().map(|&v| labels[v as usize]).collect();
+        let m_local = vec![true; rows.len()];
+        let mut st = RankState {
+            plan_f: &plan_f.ranks[m],
+            plan_b: &plan_b.ranks[m],
+            config,
+            params: init.clone(),
+            h0: &h_local,
+            labels: &l_local,
+            mask: &m_local,
+            mask_total: g.n() as f64,
+            opt_state: OptimizerState::new(config.optimizer, &config.shapes()),
+            ctx: ComputeCtx::for_ranks(p, Some(1)),
+        };
+        let mut ws = EpochWorkspace::new(st.plan_f, config, p, &st.ctx);
+        epoch_step(ctx, &mut st, &mut ws);
+        ctx.counters().clone()
+    })
+}
+
+#[test]
+fn cagnet_collective_traffic_follows_layer_order() {
+    // Per epoch every rank's block reaches the p − 1 others once per sweep:
+    // forward at the order's width w_fwd(k) (d_{k−1} SpmmFirst, d_k
+    // DmmFirst), backward at d_k; plus the loss and ΔWᵏ allreduces, each
+    // p − 1 messages up the tree and p − 1 back down.
+    let g = er::generate(90, 400, true, 9);
+    let p = 3;
+    let part = pargcn_partition::random::partition(g.n(), p, 6);
     let mut rng = StdRng::seed_from_u64(31);
-    let h0 = Dense::random(g.n(), 4, &mut rng);
-    let labels: Vec<u32> = (0..g.n()).map(|i| (i % 2) as u32).collect();
-    let mask = vec![true; g.n()];
+    let h0 = Dense::random(g.n(), 12, &mut rng);
+    let labels: Vec<u32> = (0..g.n()).map(|i| (i % 3) as u32).collect();
+    let (n, p64) = (g.n() as u64, p as u64);
+    let mut bytes_by_order = Vec::new();
+    for order in [LayerOrder::SpmmFirst, LayerOrder::DmmFirst] {
+        let mut config = GcnConfig::two_layer(12, 6, 3);
+        config.order = order;
+        let layers = 1..=config.layers();
+        let sweep_floats: u64 = layers
+            .clone()
+            .map(|k| n * (config.forward_width(k) + config.dims[k]) as u64)
+            .sum();
+        let allreduce_floats: u64 = 1 + layers
+            .map(|k| (config.dims[k - 1] * config.dims[k]) as u64)
+            .sum::<u64>();
+        let expected_bytes = (p64 - 1) * 4 * (sweep_floats + 2 * allreduce_floats);
+        let expected_msgs = (2 * config.layers() as u64) * p64 * (p64 - 1)
+            + (config.layers() as u64 + 1) * 2 * (p64 - 1);
 
-    let bc = cagnet::train_full_batch(&g, &h0, &labels, &mask, &part, &config, 3, 42);
-    let mut serial = SerialTrainer::new(&g, config.clone(), 42);
-    for _ in 0..3 {
-        serial.train_epoch(&h0, &labels, &mask);
+        let total = CommCounters::merged(&cagnet_epoch_counters(&g, &part, &config, &h0, &labels));
+        assert_eq!(total.collective_bytes, expected_bytes, "{order:?} bytes");
+        assert_eq!(
+            total.collective_messages, expected_msgs,
+            "{order:?} messages"
+        );
+        assert_eq!(
+            total.sent_bytes, 0,
+            "{order:?}: CAGNET sends no point-to-point rows"
+        );
+        bytes_by_order.push(total.collective_bytes);
     }
-    assert!(bc.predictions.approx_eq(&serial.predict(&h0), TOL));
+    // d_1 = 6 < d_0 = 12: transforming first shrinks the forward broadcasts.
+    assert!(bytes_by_order[1] < bytes_by_order[0]);
 }
 
 #[test]
@@ -216,7 +361,17 @@ fn counters_match_static_prediction() {
     let h0 = Dense::random(g.n(), 8, &mut rng);
     let labels: Vec<u32> = (0..g.n()).map(|i| (i % 4) as u32).collect();
     let mask = vec![true; g.n()];
-    let out = train_full_batch(&g, &h0, &labels, &mask, &part, &config, epochs, 1);
+    let out = train_full_batch_spec(
+        &g,
+        &h0,
+        &labels,
+        &mask,
+        &part,
+        &config,
+        epochs,
+        1,
+        ComputeSpec::default(),
+    );
 
     // Per epoch: feedforward sends d_{k-1}-wide rows per layer, backprop
     // d_k-wide rows; plus one extra forward pass for final predictions.
@@ -261,7 +416,7 @@ fn accuracy_unaffected_by_parallelism_fig4c() {
     let a = d.graph.normalized_adjacency();
     for p in [2usize, 5, 9] {
         let part = partition_rows(&d.graph, &a, Method::Hp, p, 0.1, 21);
-        let out = train_full_batch(
+        let out = train_full_batch_spec(
             &d.graph,
             &d.features,
             &d.labels,
@@ -270,6 +425,7 @@ fn accuracy_unaffected_by_parallelism_fig4c() {
             &config,
             30,
             3,
+            ComputeSpec::default(),
         );
         let acc = pargcn_core::loss::accuracy(&out.predictions, &d.labels, &test_mask);
         assert!(
@@ -310,7 +466,7 @@ fn adam_converges_on_learnable_data() {
     config.optimizer = pargcn_core::optim::Optimizer::adam();
     let a = d.graph.normalized_adjacency();
     let part = partition_rows(&d.graph, &a, Method::Hp, 3, 0.1, 2);
-    let out = train_full_batch(
+    let out = train_full_batch_spec(
         &d.graph,
         &d.features,
         &d.labels,
@@ -319,6 +475,7 @@ fn adam_converges_on_learnable_data() {
         &config,
         25,
         4,
+        ComputeSpec::default(),
     );
     assert!(
         out.losses.last().unwrap() < &(out.losses[0] * 0.7),
@@ -343,7 +500,17 @@ fn rank_with_no_labelled_vertices_is_fine() {
     let h0 = Dense::random(g.n(), 4, &mut rng);
     let labels: Vec<u32> = (0..g.n()).map(|i| (i % 2) as u32).collect();
 
-    let out = train_full_batch(&g, &h0, &labels, &mask, &part, &config, 3, 9);
+    let out = train_full_batch_spec(
+        &g,
+        &h0,
+        &labels,
+        &mask,
+        &part,
+        &config,
+        3,
+        9,
+        ComputeSpec::default(),
+    );
     let mut serial = SerialTrainer::new(&g, config, 9);
     for (e, d) in out.losses.iter().enumerate() {
         let s = serial.train_epoch(&h0, &labels, &mask);

@@ -91,9 +91,8 @@ fn equivalence_at(p: usize, kernel: KernelKind) {
     let old = minibatch::train_spec(
         &graph, &h0, &labels, &mask, &part, &config, &batches, 5, spec,
     );
-    let new = minibatch::train_spec_persistent(
-        &graph, &h0, &labels, &mask, &part, &config, &batches, 5, spec,
-    );
+    let new =
+        MinibatchEngine::new(&graph, &h0, &labels, &mask, &part, &config, 5, spec).train(&batches);
 
     assert!(!old.losses.is_empty(), "no batch trained — vacuous test");
     assert_eq!(old.skipped_batches, 1, "the unlabelled batch must skip");
@@ -131,9 +130,8 @@ fn engine_streams_across_train_calls() {
         kernel: None,
     };
 
-    let whole = minibatch::train_spec_persistent(
-        &graph, &h0, &labels, &mask, &part, &config, &batches, 7, spec,
-    );
+    let whole =
+        MinibatchEngine::new(&graph, &h0, &labels, &mask, &part, &config, 7, spec).train(&batches);
 
     let mut engine = MinibatchEngine::new(&graph, &h0, &labels, &mask, &part, &config, 7, spec);
     let first = engine.train(&batches[..3]);

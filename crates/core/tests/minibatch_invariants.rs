@@ -6,7 +6,7 @@ use pargcn_core::minibatch;
 use pargcn_core::serial::SerialTrainer;
 use pargcn_core::GcnConfig;
 use pargcn_graph::gen::community;
-use pargcn_matrix::Dense;
+use pargcn_matrix::{ComputeSpec, Dense};
 use pargcn_partition::stochastic::{sample_batches, Sampler};
 use pargcn_partition::{partition_rows, Method, Partition};
 use pargcn_util::rng::SeedableRng;
@@ -30,7 +30,17 @@ fn full_cover_batch_is_full_batch_step() {
     let part = partition_rows(&g, &g.normalized_adjacency(), Method::Hp, 3, 0.1, 1);
     let all: Vec<u32> = (0..150u32).collect();
 
-    let out = minibatch::train(&g, &h0, &labels, &mask, &part, &config, &[all], 42);
+    let out = minibatch::train_spec(
+        &g,
+        &h0,
+        &labels,
+        &mask,
+        &part,
+        &config,
+        &[all],
+        42,
+        ComputeSpec::default(),
+    );
 
     let mut serial = SerialTrainer::new(&g, config, 42);
     let serial_loss = serial.train_epoch(&h0, &labels, &mask);
@@ -56,8 +66,28 @@ fn minibatch_result_independent_of_rank_count() {
 
     let p2 = partition_rows(&g, &a, Method::Rp, 2, 0.1, 1);
     let p5 = partition_rows(&g, &a, Method::Rp, 5, 0.1, 2);
-    let out2 = minibatch::train(&g, &h0, &labels, &mask, &p2, &config, &batches, 9);
-    let out5 = minibatch::train(&g, &h0, &labels, &mask, &p5, &config, &batches, 9);
+    let out2 = minibatch::train_spec(
+        &g,
+        &h0,
+        &labels,
+        &mask,
+        &p2,
+        &config,
+        &batches,
+        9,
+        ComputeSpec::default(),
+    );
+    let out5 = minibatch::train_spec(
+        &g,
+        &h0,
+        &labels,
+        &mask,
+        &p5,
+        &config,
+        &batches,
+        9,
+        ComputeSpec::default(),
+    );
 
     assert_eq!(out2.losses.len(), out5.losses.len());
     for (a, b) in out2.losses.iter().zip(&out5.losses) {
@@ -95,7 +125,17 @@ fn unlabelled_batches_are_skipped() {
     // Mask labels only vertices ≥ 60; batch contains only vertices < 60.
     let mask: Vec<bool> = (0..120).map(|i| i >= 60).collect();
     let batch: Vec<u32> = (0..60u32).collect();
-    let out = minibatch::train(&g, &h0, &labels, &mask, &part, &config, &[batch], 21);
+    let out = minibatch::train_spec(
+        &g,
+        &h0,
+        &labels,
+        &mask,
+        &part,
+        &config,
+        &[batch],
+        21,
+        ComputeSpec::default(),
+    );
     assert!(out.losses.is_empty(), "unlabelled batch should be skipped");
     let init = config.init_params(21);
     assert_eq!(

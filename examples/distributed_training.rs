@@ -8,10 +8,10 @@
 //! ```
 
 use pargcn_core::baselines::cagnet;
-use pargcn_core::dist::train_full_batch;
+use pargcn_core::dist::train_full_batch_spec;
 use pargcn_core::{CommPlan, GcnConfig};
 use pargcn_graph::Dataset;
-use pargcn_matrix::Dense;
+use pargcn_matrix::{ComputeSpec, Dense};
 use pargcn_partition::{partition_rows, Method, DEFAULT_EPSILON};
 use pargcn_util::rng::SeedableRng;
 use pargcn_util::rng::StdRng;
@@ -60,7 +60,17 @@ fn main() {
     let labels: Vec<u32> = (0..data.graph.n()).map(|i| (i % 8) as u32).collect();
     let mask = vec![true; data.graph.n()];
 
-    let out = train_full_batch(&data.graph, &h0, &labels, &mask, &part, &config, epochs, 3);
+    let out = train_full_batch_spec(
+        &data.graph,
+        &h0,
+        &labels,
+        &mask,
+        &part,
+        &config,
+        epochs,
+        3,
+        ComputeSpec::default(),
+    );
     println!(
         "losses: {:?}",
         out.losses
@@ -82,7 +92,17 @@ fn main() {
     println!("runtime counters match the comm plan exactly ({measured} bytes).");
 
     // CAGNET moves every row to every rank each layer — count the difference.
-    let bc = cagnet::train_full_batch(&data.graph, &h0, &labels, &mask, &part, &config, epochs, 3);
+    let bc = cagnet::train_full_batch_spec(
+        &data.graph,
+        &h0,
+        &labels,
+        &mask,
+        &part,
+        &config,
+        epochs,
+        3,
+        ComputeSpec::default(),
+    );
     let bc_bytes: u64 = bc.counters.iter().map(|c| c.collective_bytes).sum();
     println!(
         "\nbroadcast baseline traffic: {:.2} MiB vs P2P {:.2} MiB ({}x reduction)",

@@ -10,7 +10,7 @@
 use pargcn_core::minibatch;
 use pargcn_core::GcnConfig;
 use pargcn_graph::Dataset;
-use pargcn_matrix::Dense;
+use pargcn_matrix::{ComputeSpec, Dense};
 use pargcn_partition::stochastic::{hoeffding_min_nets, sample_batches, Sampler};
 use pargcn_partition::{partition_rows, Method, DEFAULT_EPSILON};
 use pargcn_util::rng::SeedableRng;
@@ -70,7 +70,7 @@ fn main() {
     let mask = vec![true; n];
     let config = GcnConfig::two_layer(16, 16, 4);
     let train_batches = sample_batches(&data.graph, sampler, 30, 5);
-    let out = minibatch::train(
+    let out = minibatch::train_spec(
         &data.graph,
         &h0,
         &labels,
@@ -79,6 +79,7 @@ fn main() {
         &config,
         &train_batches,
         6,
+        ComputeSpec::default(),
     );
     println!(
         "mini-batch training: {} steps, loss {:.4} → {:.4}, {} rows exchanged",

@@ -6,11 +6,12 @@
 //! cargo run --release -p pargcn-integration --example quickstart
 //! ```
 
-use pargcn_core::dist::train_full_batch;
+use pargcn_core::dist::train_full_batch_spec;
 use pargcn_core::loss::accuracy;
 use pargcn_core::serial::SerialTrainer;
 use pargcn_core::GcnConfig;
 use pargcn_graph::Dataset;
+use pargcn_matrix::ComputeSpec;
 use pargcn_partition::{partition_rows, Method, DEFAULT_EPSILON};
 
 fn main() {
@@ -48,7 +49,7 @@ fn main() {
     //    non-blocking point-to-point communication (paper Algorithms 1–2).
     let a = data.graph.normalized_adjacency();
     let part = partition_rows(&data.graph, &a, Method::Hp, 4, DEFAULT_EPSILON, 7);
-    let out = train_full_batch(
+    let out = train_full_batch_spec(
         &data.graph,
         &features,
         &labels,
@@ -57,6 +58,7 @@ fn main() {
         &config,
         epochs,
         1, // same parameter seed as the serial run
+        ComputeSpec::default(),
     );
     let dist_acc = accuracy(&out.predictions, &labels, &test_mask);
     println!("distributed (p=4, HP) test accuracy: {dist_acc:.3}");

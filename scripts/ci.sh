@@ -34,6 +34,9 @@ for kernel in naive blocked; do
         --test determinism_threads --test no_alloc_steady_state \
         --test minibatch_engine
 done
+# The benchmark crate is its own workspace built against the public
+# training API; test it so an API change cannot silently break it.
+run cargo test --release --offline --locked --manifest-path perfbench/Cargo.toml
 # Smoke-run the communication and kernel-engine microbenchmarks (a few
 # samples each) so the bench harnesses can't rot between perf sessions.
 run cargo bench -q --offline --locked -p pargcn-bench --bench comm -- --quick

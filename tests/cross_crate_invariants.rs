@@ -5,10 +5,10 @@
 //! Cases come from the seeded `pargcn_util::qc` runner; a failure prints
 //! its case seed for replay via `PARGCN_QC_SEED=<seed>`.
 
-use pargcn_core::dist::train_full_batch;
+use pargcn_core::dist::train_full_batch_spec;
 use pargcn_core::{CommPlan, GcnConfig};
 use pargcn_graph::Graph;
-use pargcn_matrix::Dense;
+use pargcn_matrix::{ComputeSpec, Dense};
 use pargcn_partition::{metrics, Hypergraph, Partition};
 use pargcn_util::qc;
 use pargcn_util::rng::{Rng, SeedableRng, StdRng};
@@ -62,7 +62,17 @@ fn dist_equals_serial_on_random_instances() {
         let labels: Vec<u32> = (0..n).map(|i| (i % 2) as u32).collect();
         let mask = vec![true; n];
 
-        let out = train_full_batch(&g, &h0, &labels, &mask, &part, &config, 2, 11);
+        let out = train_full_batch_spec(
+            &g,
+            &h0,
+            &labels,
+            &mask,
+            &part,
+            &config,
+            2,
+            11,
+            ComputeSpec::default(),
+        );
         let mut serial = pargcn_core::serial::SerialTrainer::new(&g, config, 11);
         let mut serial_losses = Vec::new();
         for _ in 0..2 {
@@ -91,7 +101,17 @@ fn runtime_counters_equal_plan() {
         let h0 = Dense::random(n, 4, &mut hrng);
         let labels: Vec<u32> = (0..n).map(|i| (i % 2) as u32).collect();
         let mask = vec![true; n];
-        let out = train_full_batch(&g, &h0, &labels, &mask, &part, &config, 1, 1);
+        let out = train_full_batch_spec(
+            &g,
+            &h0,
+            &labels,
+            &mask,
+            &part,
+            &config,
+            1,
+            1,
+            ComputeSpec::default(),
+        );
 
         let vol = plan.total_volume_rows();
         // One epoch: fwd layers carry widths 4 and 5; bwd layers carry 5 and
@@ -135,8 +155,28 @@ fn repeated_runs_are_bitwise_identical() {
     let labels: Vec<u32> = (0..30).map(|i| (i % 2) as u32).collect();
     let mask = vec![true; 30];
 
-    let a = train_full_batch(&g, &h0, &labels, &mask, &part, &config, 3, 5);
-    let b = train_full_batch(&g, &h0, &labels, &mask, &part, &config, 3, 5);
+    let a = train_full_batch_spec(
+        &g,
+        &h0,
+        &labels,
+        &mask,
+        &part,
+        &config,
+        3,
+        5,
+        ComputeSpec::default(),
+    );
+    let b = train_full_batch_spec(
+        &g,
+        &h0,
+        &labels,
+        &mask,
+        &part,
+        &config,
+        3,
+        5,
+        ComputeSpec::default(),
+    );
     assert_eq!(a.losses, b.losses);
     assert_eq!(a.predictions.data(), b.predictions.data());
     for (wa, wb) in a.params.weights.iter().zip(&b.params.weights) {

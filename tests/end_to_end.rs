@@ -2,12 +2,12 @@
 //! normalization → partitioning → comm-plan → distributed training →
 //! prediction — across crates, exercised the way a downstream user would.
 
-use pargcn_core::dist::train_full_batch;
+use pargcn_core::dist::train_full_batch_spec;
 use pargcn_core::loss::accuracy;
 use pargcn_core::serial::SerialTrainer;
 use pargcn_core::GcnConfig;
 use pargcn_graph::{Dataset, Scale};
-use pargcn_matrix::Dense;
+use pargcn_matrix::{ComputeSpec, Dense};
 use pargcn_partition::{partition_rows, Method, DEFAULT_EPSILON};
 use pargcn_util::rng::SeedableRng;
 use pargcn_util::rng::StdRng;
@@ -27,7 +27,17 @@ fn full_pipeline_on_every_dataset_family() {
         let mask = vec![true; data.graph.n()];
         let config = GcnConfig::two_layer(8, 8, 3);
 
-        let out = train_full_batch(&data.graph, &h0, &labels, &mask, &part, &config, 2, 7);
+        let out = train_full_batch_spec(
+            &data.graph,
+            &h0,
+            &labels,
+            &mask,
+            &part,
+            &config,
+            2,
+            7,
+            ComputeSpec::default(),
+        );
         assert_eq!(out.losses.len(), 2, "{}", ds.name());
         assert!(out.losses.iter().all(|l| l.is_finite()), "{}", ds.name());
         assert_eq!(out.predictions.rows(), data.graph.n(), "{}", ds.name());
@@ -47,7 +57,7 @@ fn cora_end_to_end_learns() {
 
     let a = data.graph.normalized_adjacency();
     let part = partition_rows(&data.graph, &a, Method::Hp, 6, DEFAULT_EPSILON, 2);
-    let out = train_full_batch(
+    let out = train_full_batch_spec(
         &data.graph,
         &features,
         &labels,
@@ -56,6 +66,7 @@ fn cora_end_to_end_learns() {
         &config,
         40,
         5,
+        ComputeSpec::default(),
     );
     let acc = accuracy(&out.predictions, &labels, &test_mask);
     assert!(
@@ -90,7 +101,17 @@ fn training_converges_under_every_method() {
 
     for method in [Method::Rp, Method::Gp, Method::Hp] {
         let part = partition_rows(&data.graph, &a, method, 3, DEFAULT_EPSILON, 4);
-        let out = train_full_batch(&data.graph, &h0, &labels, &mask, &part, &config, 15, 9);
+        let out = train_full_batch_spec(
+            &data.graph,
+            &h0,
+            &labels,
+            &mask,
+            &part,
+            &config,
+            15,
+            9,
+            ComputeSpec::default(),
+        );
         let first = out.losses[0];
         let last = *out.losses.last().unwrap();
         assert!(

@@ -6,7 +6,7 @@ use pargcn_comm::MachineProfile;
 use pargcn_core::baselines::cagnet::{self, CagnetPlan};
 use pargcn_core::metrics::simulate_epoch;
 use pargcn_core::minibatch::expected_comm_volume;
-use pargcn_core::{CommPlan, GcnConfig};
+use pargcn_core::{CommPlan, GcnConfig, LayerOrder};
 use pargcn_graph::{Dataset, Scale};
 use pargcn_partition::stochastic::{sample_batches, Sampler};
 use pargcn_partition::{metrics, partition_rows, Method, DEFAULT_EPSILON};
@@ -39,6 +39,41 @@ fn hp_strong_scaling_on_cpu() {
         );
         last = t;
     }
+}
+
+/// §4.4 layer order in the cost model: transforming first ships `d_k`-wide
+/// rows forward instead of `d_{k−1}`-wide ones, so with `d_1 < d_0` both
+/// the P2P and the CAGNET model charge less communication for DmmFirst.
+#[test]
+fn dmm_first_shrinking_layers_cost_less_modeled_comm() {
+    let data = road();
+    let a = data.graph.normalized_adjacency();
+    let part = partition_rows(&data.graph, &a, Method::Hp, 8, DEFAULT_EPSILON, 1);
+    let (plan, cplan) = (CommPlan::build(&a, &part), CagnetPlan::build(&a, &part));
+    // Overlap off: compare the whole modeled transfer, not the part the
+    // local SpMM (which shrinks too) leaves exposed.
+    let profile = MachineProfile {
+        overlap: false,
+        ..MachineProfile::cpu_cluster()
+    };
+    let mut config = GcnConfig::two_layer(32, 8, 4);
+    let spmm_first = (
+        simulate_epoch(&plan, &plan, &config, &profile).comm,
+        cagnet::simulate_epoch(&cplan, &cplan, &config, &profile).comm,
+    );
+    config.order = LayerOrder::DmmFirst;
+    let dmm_first = (
+        simulate_epoch(&plan, &plan, &config, &profile).comm,
+        cagnet::simulate_epoch(&cplan, &cplan, &config, &profile).comm,
+    );
+    assert!(
+        dmm_first.0 < spmm_first.0,
+        "P2P: {dmm_first:?} vs {spmm_first:?}"
+    );
+    assert!(
+        dmm_first.1 < spmm_first.1,
+        "CAGNET: {dmm_first:?} vs {spmm_first:?}"
+    );
 }
 
 /// Fig. 4a shape: the P2P algorithm's comm time falls with P while
