@@ -2,12 +2,12 @@
 //! point-to-point round-trips, the binomial-tree collectives, and a full
 //! SpMM exchange — the costs the pooled-buffer/log-tree redesign targets.
 //!
-//! Thread spawning dominates a single `Communicator::run`, so every
-//! benchmark runs a *batch* of operations inside one communicator session
-//! per iteration; divide by the batch constant for per-op figures.
+//! Thread spawning dominates a single-step `CommSession`, so every
+//! benchmark runs a *batch* of operations inside one session step per
+//! iteration; divide by the batch constant for per-op figures.
 //! Baseline medians live in `results/comm_bench.json`.
 
-use pargcn_comm::Communicator;
+use pargcn_comm::CommSession;
 use pargcn_core::dist::feedforward::spmm_exchange_into;
 use pargcn_core::dist::ExchangeScratch;
 use pargcn_core::CommPlan;
@@ -27,7 +27,7 @@ fn bench_pingpong(c: &mut Criterion) {
     let len = 1024;
     c.bench_function("comm_pingpong_1k_x200", |b| {
         b.iter(|| {
-            Communicator::run(2, |ctx| {
+            CommSession::new(2).run_step(|ctx| {
                 let peer = 1 - ctx.rank();
                 ctx.prewarm(peer, 2, len);
                 for round in 0..BATCH {
@@ -59,7 +59,7 @@ fn bench_allreduce(c: &mut Criterion) {
     for p in [4usize, 8, 16] {
         group.bench_with_input(BenchmarkId::new("p", p), &p, |b, &p| {
             b.iter(|| {
-                Communicator::run(p, |ctx| {
+                CommSession::new(p).run_step(|ctx| {
                     ctx.prewarm_collectives(2, len);
                     let mut buf = vec![ctx.rank() as f32; len];
                     for _ in 0..BATCH {
@@ -86,7 +86,7 @@ fn bench_broadcast(c: &mut Criterion) {
     for p in [4usize, 8, 16] {
         group.bench_with_input(BenchmarkId::new("p", p), &p, |b, &p| {
             b.iter(|| {
-                Communicator::run(p, |ctx| {
+                CommSession::new(p).run_step(|ctx| {
                     ctx.prewarm_collectives(2, len);
                     let mut buf = if ctx.rank() == 0 {
                         vec![1.0f32; len]
@@ -124,7 +124,7 @@ fn bench_spmm_exchange(c: &mut Criterion) {
             .collect();
         group.bench_with_input(BenchmarkId::new("hp", p), &p, |b, &p| {
             b.iter(|| {
-                Communicator::run(p, |ctx| {
+                CommSession::new(p).run_step(|ctx| {
                     let rp = &plan.ranks[ctx.rank()];
                     let cctx = ComputeCtx::for_ranks(p, Some(1));
                     let x = &locals[ctx.rank()];

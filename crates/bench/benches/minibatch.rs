@@ -1,5 +1,5 @@
 //! Persistent mini-batch engine vs per-batch-spawn training (DESIGN.md
-//! §11). The old path pays `Communicator::run` (thread spawn + join),
+//! §11). The old path pays a fresh `CommSession` (thread spawn + join),
 //! plan construction, and workspace/pool growth once *per batch*; the
 //! engine pays them once per session and pipelines batch preparation
 //! against rank compute. For small batches the fixed per-batch cost

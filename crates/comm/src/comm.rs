@@ -84,28 +84,6 @@ fn tree_neighbours(rank: usize, p: usize) -> impl Iterator<Item = usize> {
     parent.into_iter().chain(tree_children(rank, 0, p))
 }
 
-/// Spawns `p` rank threads and runs `f` on each.
-pub struct Communicator;
-
-impl Communicator {
-    /// Runs `f(rank_ctx)` on `p` threads, returning per-rank results in rank
-    /// order. Panics in any rank propagate.
-    ///
-    /// This is the one-shot convenience wrapper around [`CommSession`]:
-    /// spawn the ranks, run a single step, join. Callers issuing many
-    /// steps against the same ranks (the mini-batch engine) keep the
-    /// session alive instead, so channels, buffer pools, and counters
-    /// persist across steps.
-    pub fn run<F, R>(p: usize, f: F) -> Vec<R>
-    where
-        F: Fn(&mut RankCtx) -> R + Sync,
-        R: Send,
-    {
-        let mut session = CommSession::new(p);
-        session.run_step(&f)
-    }
-}
-
 /// The closure one step runs on every rank, with its borrow lifetime
 /// erased so it can cross into the long-lived rank threads. Soundness is
 /// the scoped-pool argument (`pargcn_util::pool::Shared`): the submitter
@@ -113,14 +91,12 @@ impl Communicator {
 struct ErasedStep(*const (dyn Fn(&mut RankCtx) + Sync));
 
 // SAFETY: the pointee is `Sync` (shared calls from any thread are fine)
-// and `CommSession` blocks in `collect_step` before the pointee can die.
+// and `InFlight` blocks until every rank acknowledged before the pointee
+// can die.
 unsafe impl Send for ErasedStep {}
 
-/// One rank's acknowledgement that it finished (or panicked in) a step.
-struct StepDone {
-    rank: usize,
-    panic: Option<Box<dyn Any + Send>>,
-}
+/// One rank's acknowledgement of a step: the panic payload if it panicked.
+type StepDone = Option<Box<dyn Any + Send>>;
 
 /// A long-lived rank runtime: `p` rank threads spawned **once**, each
 /// owning its [`RankCtx`] — message channels, payload pools, pending
@@ -129,17 +105,15 @@ struct StepDone {
 /// stream of mini-batch steps pays the thread-spawn, channel-build and
 /// pool-warmup cost once instead of per batch.
 ///
-/// Panic semantics match [`Communicator::run`]: a panicking rank
-/// acknowledges its step with the payload (rethrown on the submitter),
-/// then exits, dropping its endpoints — peers blocked on it observe
-/// "peer rank hung up", exactly as if the scoped thread had died. The
-/// session is poisoned afterwards; further steps are refused.
+/// A panicking rank acknowledges its step with the payload (rethrown on
+/// the submitter), then exits, dropping its endpoints — peers blocked on
+/// it observe "peer rank hung up", exactly as if a scoped thread had
+/// died. The session is poisoned afterwards; further steps are refused.
 pub struct CommSession {
     p: usize,
     jobs: Vec<Sender<ErasedStep>>,
     done_rx: Receiver<StepDone>,
     handles: Vec<JoinHandle<()>>,
-    in_flight: bool,
     poisoned: bool,
 }
 
@@ -190,21 +164,18 @@ impl CommSession {
                         counters: CommCounters::default(),
                     };
                     while let Ok(step) = job_rx.recv() {
-                        // SAFETY: the submitter blocks in `collect_step`
+                        // SAFETY: the submitter's `InFlight` guard blocks
                         // until this rank's `done` message below, so the
                         // closure (and everything it borrows) is alive.
                         let result =
                             catch_unwind(AssertUnwindSafe(|| unsafe { (*step.0)(&mut ctx) }));
                         let failed = result.is_err();
-                        let _ = done_tx.send(StepDone {
-                            rank,
-                            panic: result.err(),
-                        });
+                        let _ = done_tx.send(result.err());
                         if failed {
                             // Exit, dropping `ctx`: peers blocked on this
                             // rank unblock with "peer rank hung up" — the
                             // same observable behaviour a dying scoped
-                            // thread had under the one-shot runtime.
+                            // thread would have.
                             break;
                         }
                     }
@@ -217,7 +188,6 @@ impl CommSession {
             jobs,
             done_rx,
             handles,
-            in_flight: false,
             poisoned: false,
         }
     }
@@ -236,73 +206,100 @@ impl CommSession {
         F: Fn(&mut RankCtx) -> R + Sync,
         R: Send,
     {
-        let slots: Vec<Mutex<Option<R>>> = (0..self.p).map(|_| Mutex::new(None)).collect();
-        let step = |ctx: &mut RankCtx| {
-            let r = f(ctx);
-            *slots[ctx.rank()].lock().unwrap() = Some(r);
-        };
-        // SAFETY: `step` (and the `slots`/`f` it borrows) outlives the
-        // blocking `collect_step` below; no other step is in flight.
-        unsafe { self.submit_step(&step) };
-        self.collect_step();
-        slots
-            .into_iter()
-            .map(|s| s.into_inner().unwrap().expect("rank produced no result"))
-            .collect()
+        self.run_step_overlapped(f, || ()).0
     }
 
-    /// Posts `f` to every rank **without waiting**. The caller's thread is
-    /// free until the matching [`collect_step`](Self::collect_step) — the
-    /// hook the mini-batch engine uses to prepare batch `t+1` while the
-    /// ranks train batch `t`.
+    /// Runs `step` on every rank like [`run_step`](Self::run_step) while
+    /// the calling thread runs `main` — the hook the mini-batch engine
+    /// uses to prepare batch `t+1` while the ranks train batch `t`.
+    /// Returns the ranks' results in rank order and `main`'s result.
     ///
-    /// # Safety
-    /// The closure (and everything it borrows) must stay alive and
-    /// unmodified until `collect_step` returns, and at most one step may
-    /// be in flight at a time (enforced by assertion).
-    pub unsafe fn submit_step(&mut self, f: &(dyn Fn(&mut RankCtx) + Sync)) {
+    /// Every rank's acknowledgement is collected before this returns *or
+    /// unwinds*: if `main` panics, the ranks still finish the step (their
+    /// own panics are then dropped, only poisoning the session) and
+    /// `main`'s panic propagates; otherwise the first rank panic is
+    /// rethrown.
+    pub fn run_step_overlapped<F, R, M, T>(&mut self, step: F, main: M) -> (Vec<R>, T)
+    where
+        F: Fn(&mut RankCtx) -> R + Sync,
+        R: Send,
+        M: FnOnce() -> T,
+    {
         assert!(
             !self.poisoned,
             "comm session poisoned by an earlier rank panic"
         );
-        assert!(!self.in_flight, "a step is already in flight");
-        // Erase the borrow's lifetime into the raw pointer; `collect_step`
-        // blocks until every rank is done with it.
+        let results: Vec<Mutex<Option<R>>> = (0..self.p).map(|_| Mutex::new(None)).collect();
+        let run = |ctx: &mut RankCtx| {
+            let r = step(ctx);
+            *results[ctx.rank()].lock().unwrap() = Some(r);
+        };
+        // SAFETY: erases `run`'s borrow lifetime so the rank threads can
+        // call it. `run` is declared before `pending`, so it outlives the
+        // guard, and the guard — never leaked — blocks in `collect`
+        // (directly, or from its drop when `main` unwinds) until every rank
+        // that was sent the pointer has acknowledged it.
         let ptr = unsafe {
             std::mem::transmute::<
                 &(dyn Fn(&mut RankCtx) + Sync),
                 *const (dyn Fn(&mut RankCtx) + Sync),
-            >(f)
+            >(&run)
         };
-        for job in &self.jobs {
-            job.send(ErasedStep(ptr)).expect("rank thread exited");
+        let mut pending = InFlight {
+            session: self,
+            sent: 0,
+        };
+        for m in 0..pending.session.p {
+            pending.session.jobs[m]
+                .send(ErasedStep(ptr))
+                .expect("rank thread exited");
+            pending.sent += 1;
         }
-        self.in_flight = true;
-    }
-
-    /// Blocks until every rank has finished the in-flight step. Rethrows
-    /// the first rank panic (poisoning the session) after all
-    /// acknowledgements arrive.
-    pub fn collect_step(&mut self) {
-        assert!(self.in_flight, "no step in flight");
-        let mut first_panic: Option<Box<dyn Any + Send>> = None;
-        for _ in 0..self.p {
-            let done = self
-                .done_rx
-                .recv()
-                .expect("rank thread died without acknowledging its step");
-            if let Some(payload) = done.panic {
-                self.poisoned = true;
-                let _ = done.rank;
-                if first_panic.is_none() {
-                    first_panic = Some(payload);
-                }
-            }
-        }
-        self.in_flight = false;
-        if let Some(payload) = first_panic {
+        let out = main();
+        if let Some(payload) = pending.collect() {
             resume_unwind(payload);
         }
+        let results = results
+            .into_iter()
+            .map(|s| s.into_inner().unwrap().expect("rank produced no result"))
+            .collect();
+        (results, out)
+    }
+}
+
+/// A step posted to `sent` ranks and not yet acknowledged. Dropping it
+/// collects the acknowledgements, so the ranks are done with the step's
+/// closure before the submitter's frame can unwind past it.
+struct InFlight<'s> {
+    session: &'s mut CommSession,
+    sent: usize,
+}
+
+impl InFlight<'_> {
+    /// Blocks until every rank sent the step has acknowledged it; returns
+    /// the first rank panic (poisoning the session).
+    fn collect(&mut self) -> Option<Box<dyn Any + Send>> {
+        let mut first_panic = None;
+        for _ in 0..std::mem::take(&mut self.sent) {
+            // A closed channel means every rank thread is gone, so none
+            // can still touch the step.
+            let done = self.session.done_rx.recv().unwrap_or_else(|_| {
+                Some(Box::new("rank thread died without acknowledging its step"))
+            });
+            if let Some(payload) = done {
+                self.session.poisoned = true;
+                first_panic.get_or_insert(payload);
+            }
+        }
+        first_panic
+    }
+}
+
+impl Drop for InFlight<'_> {
+    fn drop(&mut self) {
+        // Reached with steps outstanding only while `main` unwinds; a rank
+        // panic must not become a second panic, so its payload is dropped.
+        self.collect();
     }
 }
 
@@ -312,8 +309,8 @@ impl Drop for CommSession {
         // exit, dropping their contexts.
         self.jobs.clear();
         for handle in self.handles.drain(..) {
-            // Rank panics were already captured and rethrown by
-            // `collect_step`; a join error here can only happen during an
+            // Rank panics were already captured and rethrown by the
+            // step's submitter; a join error here can only happen during an
             // unwind that is already in progress, so never double-panic.
             let _ = handle.join();
         }
@@ -805,7 +802,7 @@ mod tests {
 
     #[test]
     fn ring_exchange() {
-        let results = Communicator::run(4, |ctx| {
+        let results = CommSession::new(4).run_step(|ctx| {
             let next = (ctx.rank() + 1) % 4;
             let prev = (ctx.rank() + 3) % 4;
             ctx.isend(next, 7, vec![ctx.rank() as f32]);
@@ -817,7 +814,7 @@ mod tests {
 
     #[test]
     fn tag_matching_reorders() {
-        let results = Communicator::run(2, |ctx| {
+        let results = CommSession::new(2).run_step(|ctx| {
             if ctx.rank() == 0 {
                 ctx.isend(1, 1, vec![1.0]);
                 ctx.isend(1, 2, vec![2.0]);
@@ -837,7 +834,7 @@ mod tests {
         // Integer-valued f32s sum exactly under any association, so the
         // binomial-tree fold must reproduce the arithmetic total.
         for p in [2usize, 3, 5, 8, 13] {
-            let results = Communicator::run(p, |ctx| {
+            let results = CommSession::new(p).run_step(|ctx| {
                 let mut buf = vec![ctx.rank() as f32, 1.0];
                 ctx.allreduce_sum(&mut buf);
                 buf
@@ -852,7 +849,7 @@ mod tests {
     #[test]
     fn broadcast_delivers_to_all() {
         // Root 1 exercises the virtual-rank rotation of the tree.
-        let results = Communicator::run(3, |ctx| {
+        let results = CommSession::new(3).run_step(|ctx| {
             let mut buf = if ctx.rank() == 1 {
                 vec![3.5, 4.5]
             } else {
@@ -870,7 +867,7 @@ mod tests {
     fn broadcast_from_every_root() {
         for p in [2usize, 5, 8] {
             for root in 0..p {
-                let results = Communicator::run(p, |ctx| {
+                let results = CommSession::new(p).run_step(|ctx| {
                     let mut buf = if ctx.rank() == root {
                         vec![root as f32, 42.0]
                     } else {
@@ -888,14 +885,14 @@ mod tests {
 
     #[test]
     fn gather_collects_in_rank_order() {
-        let results = Communicator::run(3, |ctx| ctx.gather(0, vec![ctx.rank() as f32]));
+        let results = CommSession::new(3).run_step(|ctx| ctx.gather(0, vec![ctx.rank() as f32]));
         assert_eq!(results[0], Some(vec![vec![0.0], vec![1.0], vec![2.0]]));
         assert_eq!(results[1], None);
     }
 
     #[test]
     fn counters_track_p2p_volume() {
-        let results = Communicator::run(2, |ctx| {
+        let results = CommSession::new(2).run_step(|ctx| {
             if ctx.rank() == 0 {
                 ctx.isend(1, 0, vec![0.0; 10]);
                 ctx.counters().clone()
@@ -916,7 +913,7 @@ mod tests {
         // each counted once (by its sender), so the merged total is
         // exactly the number of messages on the wire.
         for p in [2usize, 5, 8] {
-            let results = Communicator::run(p, |ctx| {
+            let results = CommSession::new(p).run_step(|ctx| {
                 let mut buf = vec![1.0f32; 3];
                 ctx.allreduce_sum(&mut buf);
                 ctx.counters().clone()
@@ -925,7 +922,7 @@ mod tests {
             assert_eq!(merged.collective_messages, 2 * (p as u64 - 1));
             assert_eq!(merged.collective_bytes, 2 * (p as u64 - 1) * 12);
         }
-        let results = Communicator::run(6, |ctx| {
+        let results = CommSession::new(6).run_step(|ctx| {
             let mut buf = if ctx.rank() == 2 {
                 vec![7.0; 4]
             } else {
@@ -941,7 +938,7 @@ mod tests {
 
     #[test]
     fn try_recv_returns_none_before_arrival() {
-        Communicator::run(2, |ctx| {
+        CommSession::new(2).run_step(|ctx| {
             if ctx.rank() == 1 {
                 // Nothing sent yet (rank 0 waits on a barrier first).
                 assert!(ctx.try_recv(0, 3).is_none());
@@ -965,7 +962,7 @@ mod tests {
 
     #[test]
     fn recv_any_matches_by_tag_only() {
-        let results = Communicator::run(3, |ctx| {
+        let results = CommSession::new(3).run_step(|ctx| {
             if ctx.rank() == 0 {
                 ctx.isend(2, 5, vec![10.0]);
                 0.0
@@ -984,7 +981,7 @@ mod tests {
 
     #[test]
     fn try_recv_any_leaves_other_tags_pending() {
-        Communicator::run(2, |ctx| {
+        CommSession::new(2).run_step(|ctx| {
             if ctx.rank() == 0 {
                 ctx.isend(1, 8, vec![1.0]);
                 ctx.isend(1, 9, vec![2.0]);
@@ -1006,7 +1003,7 @@ mod tests {
 
     #[test]
     fn recv_into_reuses_caller_capacity() {
-        Communicator::run(2, |ctx| {
+        CommSession::new(2).run_step(|ctx| {
             if ctx.rank() == 0 {
                 for i in 0..4u32 {
                     ctx.isend(1, i, vec![i as f32; 8]);
@@ -1026,7 +1023,7 @@ mod tests {
 
     #[test]
     fn released_payloads_return_to_the_sender_pool() {
-        Communicator::run(2, |ctx| {
+        CommSession::new(2).run_step(|ctx| {
             let other = 1 - ctx.rank();
             // Round 0 allocates; after the payload travels there and back,
             // round 2's acquire must be served from the pool.
@@ -1047,7 +1044,7 @@ mod tests {
 
     #[test]
     fn single_rank_collectives_are_noops() {
-        let results = Communicator::run(1, |ctx| {
+        let results = CommSession::new(1).run_step(|ctx| {
             let mut buf = vec![5.0];
             ctx.allreduce_sum(&mut buf);
             ctx.broadcast(0, &mut buf);
@@ -1061,7 +1058,7 @@ mod tests {
     fn nonblocking_send_does_not_deadlock_without_receiver_progress() {
         // Both ranks send many messages before either receives: with
         // blocking sends this deadlocks; with isend it must complete.
-        Communicator::run(2, |ctx| {
+        CommSession::new(2).run_step(|ctx| {
             let other = 1 - ctx.rank();
             for i in 0..100u32 {
                 ctx.isend(other, i, vec![i as f32; 64]);
@@ -1076,7 +1073,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "self-sends")]
     fn self_send_panics() {
-        Communicator::run(1, |ctx| {
+        CommSession::new(1).run_step(|ctx| {
             ctx.isend(0, 0, vec![1.0]);
         });
     }
@@ -1084,7 +1081,7 @@ mod tests {
     #[test]
     fn session_state_persists_across_steps() {
         // Counters accumulate and payload pools stay warm across steps —
-        // the property the one-shot runtime could not provide.
+        // the property a fresh session per step could not provide.
         let mut session = CommSession::new(2);
         session.run_step(|ctx| {
             let other = 1 - ctx.rank();
@@ -1135,23 +1132,57 @@ mod tests {
 
     #[test]
     fn session_submit_overlaps_caller_work() {
-        // The pipelining hook: submit a step, do main-thread work while the
-        // ranks run, then collect. Results land in caller-owned slots.
+        // The pipelining hook: the ranks run a step while the calling
+        // thread does its own work; both results come back.
         let mut session = CommSession::new(3);
-        let slots: Vec<Mutex<f32>> = (0..3).map(|_| Mutex::new(0.0)).collect();
-        let step = |ctx: &mut RankCtx| {
-            let mut buf = vec![ctx.rank() as f32];
-            ctx.allreduce_sum(&mut buf);
-            *slots[ctx.rank()].lock().unwrap() = buf[0];
-        };
-        // SAFETY: `step` and `slots` outlive the collect below; one step.
-        unsafe { session.submit_step(&step) };
-        let main_thread_work: f32 = (0..100).map(|i| i as f32).sum();
-        session.collect_step();
+        let (results, main_thread_work) = session.run_step_overlapped(
+            |ctx| {
+                let mut buf = vec![ctx.rank() as f32];
+                ctx.allreduce_sum(&mut buf);
+                buf[0]
+            },
+            || (0..100).map(|i| i as f32).sum::<f32>(),
+        );
         assert_eq!(main_thread_work, 4950.0);
-        for s in &slots {
-            assert_eq!(*s.lock().unwrap(), 3.0);
+        assert_eq!(results, vec![3.0; 3]);
+    }
+
+    #[test]
+    fn session_survives_a_panic_in_overlapped_main() {
+        // The ranks cannot finish their step until `main` is unwinding
+        // (the barrier's last party waits in a drop that only the unwind
+        // runs): the step must still complete on every rank before the
+        // panic propagates, and the session must stay usable.
+        struct WaitOnDrop<'a>(&'a Barrier);
+        impl Drop for WaitOnDrop<'_> {
+            fn drop(&mut self) {
+                self.0.wait();
+            }
         }
+        let mut session = CommSession::new(3);
+        let release = Barrier::new(4);
+        let done: Vec<Mutex<bool>> = (0..3).map(|_| Mutex::new(false)).collect();
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            session.run_step_overlapped(
+                |ctx| {
+                    release.wait();
+                    let mut buf = vec![1.0f32];
+                    ctx.allreduce_sum(&mut buf);
+                    *done[ctx.rank()].lock().unwrap() = true;
+                },
+                || {
+                    let _release = WaitOnDrop(&release);
+                    panic!("main exploded")
+                },
+            )
+        }));
+        let payload = caught.expect_err("main's panic must propagate");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"main exploded"));
+        for (rank, d) in done.iter().enumerate() {
+            assert!(*d.lock().unwrap(), "rank {rank} had not finished its step");
+        }
+        let ranks = session.run_step(|ctx| ctx.rank());
+        assert_eq!(ranks, vec![0, 1, 2]);
     }
 
     #[test]

@@ -18,11 +18,12 @@
 //! machine model with CPU-cluster and GPU-cluster profiles.
 //!
 //! ```
-//! use pargcn_comm::Communicator;
+//! use pargcn_comm::CommSession;
 //!
-//! // Four "MPI ranks" exchange a ring of non-blocking messages and
-//! // allreduce a sum — the primitives Algorithms 1–2 are built on.
-//! let results = Communicator::run(4, |ctx| {
+//! // Four "MPI ranks", spawned once for the session, run one step: they
+//! // exchange a ring of non-blocking messages and allreduce a sum — the
+//! // primitives Algorithms 1–2 are built on.
+//! let results = CommSession::new(4).run_step(|ctx| {
 //!     let next = (ctx.rank() + 1) % 4;
 //!     ctx.isend(next, 0, vec![ctx.rank() as f32]);
 //!     let from_prev = ctx.recv((ctx.rank() + 3) % 4, 0);
@@ -39,6 +40,6 @@ pub mod costmodel;
 pub mod counters;
 
 pub use bufpool::{BufPool, BufPoolStats};
-pub use comm::{CommSession, Communicator, RankCtx};
+pub use comm::{CommSession, RankCtx};
 pub use costmodel::MachineProfile;
 pub use counters::CommCounters;

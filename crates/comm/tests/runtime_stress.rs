@@ -6,7 +6,7 @@
 //! This binary installs the counting global allocator so the pool tests
 //! can additionally assert the warm-path no-allocation contract.
 
-use pargcn_comm::Communicator;
+use pargcn_comm::CommSession;
 use pargcn_util::allocmeter::CountingAllocator;
 use pargcn_util::rng::{Rng, SeedableRng, StdRng};
 
@@ -17,7 +17,7 @@ static ALLOC: CountingAllocator = CountingAllocator;
 /// arrive in send order, even under heavy interleaving with other tags.
 #[test]
 fn same_tag_messages_are_fifo() {
-    Communicator::run(2, |ctx| {
+    CommSession::new(2).run_step(|ctx| {
         if ctx.rank() == 0 {
             for i in 0..500u32 {
                 ctx.isend(1, 7, vec![i as f32]);
@@ -48,7 +48,7 @@ fn same_tag_messages_are_fifo() {
 #[test]
 fn all_to_all_payload_integrity() {
     let p = 8;
-    Communicator::run(p, |ctx| {
+    CommSession::new(p).run_step(|ctx| {
         let me = ctx.rank();
         for to in 0..p {
             if to != me {
@@ -71,7 +71,7 @@ fn all_to_all_payload_integrity() {
 /// (collectives use reserved tags internally).
 #[test]
 fn collectives_do_not_steal_p2p_messages() {
-    Communicator::run(4, |ctx| {
+    CommSession::new(4).run_step(|ctx| {
         let me = ctx.rank();
         let next = (me + 1) % 4;
         let prev = (me + 3) % 4;
@@ -91,7 +91,7 @@ fn collectives_do_not_steal_p2p_messages() {
 /// between rounds, values accumulate as expected).
 #[test]
 fn repeated_allreduce_rounds() {
-    let results = Communicator::run(5, |ctx| {
+    let results = CommSession::new(5).run_step(|ctx| {
         let mut acc = 0.0f32;
         for round in 0..50 {
             let mut buf = vec![(ctx.rank() + round) as f32];
@@ -112,7 +112,7 @@ fn repeated_allreduce_rounds() {
 #[test]
 fn many_ranks_functional() {
     let p = 64;
-    let results = Communicator::run(p, |ctx| {
+    let results = CommSession::new(p).run_step(|ctx| {
         let me = ctx.rank();
         ctx.isend((me + 1) % p, 0, vec![me as f32; 8]);
         let m = ctx.recv((me + p - 1) % p, 0);
@@ -130,7 +130,7 @@ fn many_ranks_functional() {
 /// Empty payloads are legal (a rank may own zero rows of a mini-batch).
 #[test]
 fn empty_payloads() {
-    Communicator::run(2, |ctx| {
+    CommSession::new(2).run_step(|ctx| {
         if ctx.rank() == 0 {
             ctx.isend(1, 1, Vec::new());
         } else {
@@ -157,7 +157,7 @@ fn pooled_buffers_recycle_under_reordered_load() {
     let rounds = 12;
     let warmup = 3;
     let len = 96;
-    let outcomes = Communicator::run(p, |ctx| {
+    let outcomes = CommSession::new(p).run_step(|ctx| {
         let me = ctx.rank();
         let targets = [(me + 1) % p, (me + 5) % p];
         let sources = [(me + p - 1) % p, (me + p - 5) % p];
@@ -240,7 +240,7 @@ fn tree_allreduce_is_bitwise_deterministic_across_runs() {
     let p = 13;
     let len = 257;
     let run = || {
-        Communicator::run(p, |ctx| {
+        CommSession::new(p).run_step(|ctx| {
             let mut rng = StdRng::seed_from_u64(1000 + ctx.rank() as u64);
             let mut buf: Vec<f32> = (0..len).map(|_| rng.gen::<f32>() * 2.0 - 1.0).collect();
             ctx.allreduce_sum(&mut buf);
@@ -261,7 +261,7 @@ fn tree_allreduce_is_bitwise_deterministic_across_runs() {
 /// Gather returns rank-ordered buffers of heterogeneous lengths.
 #[test]
 fn gather_heterogeneous_lengths() {
-    let results = Communicator::run(4, |ctx| {
+    let results = CommSession::new(4).run_step(|ctx| {
         let buf = vec![ctx.rank() as f32; ctx.rank()]; // rank r sends r floats
         ctx.gather(2, buf)
     });

@@ -241,7 +241,7 @@ pub fn simulate_epoch(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pargcn_comm::Communicator;
+    use pargcn_comm::CommSession;
     use pargcn_graph::gen::er;
     use pargcn_matrix::gather;
     use pargcn_partition::random;
@@ -276,7 +276,7 @@ mod tests {
             .iter()
             .map(|r| gather::gather_rows(&h, &r.local_rows))
             .collect();
-        let results = Communicator::run(3, |ctx| {
+        let results = CommSession::new(3).run_step(|ctx| {
             let rank = &plan.ranks[ctx.rank()];
             let mut ax = Dense::zeros(rank.n_local(), 4);
             let mut scratch = ExchangeScratch::new(3);

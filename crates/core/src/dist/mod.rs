@@ -14,7 +14,7 @@ pub mod trainer;
 pub mod workspace;
 
 pub use trainer::{train_full_batch_spec, DistOutcome};
-pub use workspace::{prewarm_comm_pools, BatchWorkspace, EpochWorkspace, ExchangeScratch};
+pub use workspace::{prewarm_comm_pools, EpochWorkspace, ExchangeScratch};
 
 use crate::model::{GcnConfig, Params};
 use crate::optim::OptimizerState;

@@ -1,13 +1,15 @@
-//! Orchestration of distributed full-batch training: builds the plans,
-//! distributes the data, spawns the ranks, and assembles global results.
+//! Orchestration of distributed training: the per-rank slot and step
+//! that full-batch training and the mini-batch engine both run through,
+//! and the full-batch entry, which builds the plans, distributes the
+//! data, runs the epochs on a rank session, and assembles global results.
 
 use super::workspace::{prewarm_comm_pools, EpochWorkspace};
 use super::{backprop, feedforward, RankState, SpmmExchange};
 use crate::loss;
 use crate::model::{GcnConfig, Params};
+use crate::optim::OptimizerState;
 use crate::plan::CommPlan;
-use pargcn_comm::RankCtx;
-use pargcn_comm::{CommCounters, Communicator};
+use pargcn_comm::{CommCounters, CommSession, RankCtx};
 use pargcn_graph::Graph;
 use pargcn_matrix::{gather, ComputeCtx, ComputeSpec, Dense};
 use pargcn_partition::Partition;
@@ -35,20 +37,108 @@ impl DistOutcome {
     }
 }
 
-/// One rank's inputs and persistent workspace for a training call.
-struct RankSlot {
-    h0: Dense,
-    labels: Vec<u32>,
-    mask: Vec<bool>,
-    cctx: ComputeCtx,
-    ws: EpochWorkspace,
+/// One rank's slice of the training data: the features, labels and
+/// training mask of its owned rows, in local row order.
+pub(crate) struct RankData {
+    pub(crate) h0: Dense,
+    pub(crate) labels: Vec<u32>,
+    pub(crate) mask: Vec<bool>,
 }
 
-struct RankResult {
-    counters: CommCounters,
-    losses: Vec<f64>,
-    params: Params,
-    seconds: f64,
+impl RankData {
+    /// Gathers the owned `rows` of the global data.
+    pub(crate) fn gather(rows: &[u32], h0: &Dense, labels: &[u32], mask: &[bool]) -> RankData {
+        RankData {
+            h0: gather::gather_rows(h0, rows),
+            labels: rows.iter().map(|&v| labels[v as usize]).collect(),
+            mask: rows.iter().map(|&v| mask[v as usize]).collect(),
+        }
+    }
+}
+
+/// One rank's training state that persists across steps — of a
+/// full-batch run's epochs or of the mini-batch engine's batch stream.
+/// Each trainer keeps one per rank behind an uncontended `Mutex` that
+/// only that rank's thread (or the caller, between steps) touches.
+pub(crate) struct RankSlot {
+    /// Replicated parameters (lock-step across slots).
+    pub(crate) params: Params,
+    /// Replicated optimizer state.
+    opt_state: OptimizerState,
+    /// The rank's kernel thread pool, built once.
+    cctx: ComputeCtx,
+    /// Grow-once layer workspace, row-resized to every step's plan.
+    pub(crate) ws: EpochWorkspace,
+}
+
+impl RankSlot {
+    /// A slot for one of `p` ranks starting from `params`, its workspace
+    /// allocated on the calling thread for `n_local` rows.
+    pub(crate) fn new(
+        n_local: usize,
+        config: &GcnConfig,
+        params: Params,
+        p: usize,
+        spec: ComputeSpec,
+    ) -> RankSlot {
+        let cctx = ComputeCtx::for_ranks_spec(p, spec);
+        RankSlot {
+            params,
+            opt_state: OptimizerState::new(config.optimizer, &config.shapes()),
+            ws: EpochWorkspace::with_rows(n_local, config, p, &cctx),
+            cctx,
+        }
+    }
+
+    /// One step on this rank over the exchanges `plan_f`/`plan_b` and the
+    /// rank's `data`: an [`epoch_step`] returning the global loss, or with
+    /// `train == false` only the forward pass, which leaves the output
+    /// logits in `ws.h[L−1]` (and returns `NaN`). Pools and workspace are
+    /// topped up to the plan first (idempotent, a no-op once the stream's
+    /// high-water plan has been seen). The step's wall time is split into
+    /// the counters' comm and compute seconds (`comm + compute == wall`
+    /// per rank, the fig4a split), and its kernel FLOPs are credited.
+    // The step takes one rank's whole problem by design.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn step<X: SpmmExchange>(
+        &mut self,
+        ctx: &mut RankCtx,
+        plan_f: &X,
+        plan_b: &X,
+        data: &RankData,
+        mask_total: f64,
+        config: &GcnConfig,
+        train: bool,
+    ) -> f64 {
+        prewarm_comm_pools(ctx, plan_f, plan_b, config);
+        self.ws.resize_for_plan(plan_f);
+        let mut st = RankState {
+            plan_f,
+            plan_b,
+            config,
+            params: std::mem::take(&mut self.params),
+            h0: &data.h0,
+            labels: &data.labels,
+            mask: &data.mask,
+            mask_total,
+            opt_state: std::mem::take(&mut self.opt_state),
+            ctx: self.cctx.clone(),
+        };
+        let comm_before = ctx.counters().comm_seconds;
+        let start = Instant::now();
+        let loss = if train {
+            epoch_step(ctx, &mut st, &mut self.ws)
+        } else {
+            feedforward::run(ctx, &st, &mut self.ws);
+            f64::NAN
+        };
+        let wall = start.elapsed().as_secs_f64();
+        ctx.add_compute_seconds(wall - (ctx.counters().comm_seconds - comm_before));
+        ctx.add_compute_flops(st.ctx.take_flops());
+        self.params = st.params;
+        self.opt_state = st.opt_state;
+        loss
+    }
 }
 
 /// Trains an L-layer GCN for `epochs` full-batch epochs on `p` ranks
@@ -97,10 +187,11 @@ pub fn train_full_batch_spec(
     )
 }
 
-/// The training core behind every trainer: runs `epochs` epochs of
-/// [`epoch_step`] over prebuilt per-rank plans (`plan_f[m]`/`plan_b[m]`
-/// are rank `m`'s forward/backward exchanges) from explicit initial
-/// parameters, then one forward pass for the predictions.
+/// The full-batch training core behind every trainer but the mini-batch
+/// engine: one [`CommSession`] runs `epochs` [`RankSlot::step`]s over
+/// prebuilt per-rank plans (`plan_f[m]`/`plan_b[m]` are rank `m`'s
+/// forward/backward exchanges) from explicit initial parameters, then one
+/// forward-only step for the predictions.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn train_with_plans_spec<X: SpmmExchange + Sync>(
     plan_f: &[X],
@@ -126,60 +217,34 @@ pub(crate) fn train_with_plans_spec<X: SpmmExchange + Sync>(
     // the calling thread. The rank threads live for this call only, and
     // memory they allocate stays resident in their allocator arenas after
     // it is freed, out of the caller's reach.
-    let slots: Vec<Mutex<RankSlot>> = plan_f
+    let (data, slots): (Vec<RankData>, Vec<Mutex<RankSlot>>) = plan_f
         .iter()
         .map(|rp| {
-            let rows = rp.local_rows();
-            let cctx = ComputeCtx::for_ranks_spec(p, spec);
-            Mutex::new(RankSlot {
-                h0: gather::gather_rows(h0, rows),
-                labels: rows.iter().map(|&v| labels[v as usize]).collect(),
-                mask: rows.iter().map(|&v| mask[v as usize]).collect(),
-                ws: EpochWorkspace::new(rp, config, p, &cctx),
-                cctx,
-            })
+            let data = RankData::gather(rp.local_rows(), h0, labels, mask);
+            let slot = RankSlot::new(rp.n_local(), config, init.clone(), p, spec);
+            (data, Mutex::new(slot))
         })
-        .collect();
+        .unzip();
 
-    let results: Vec<RankResult> = Communicator::run(p, |ctx| {
-        let m = ctx.rank();
-        let mut guard = slots[m].lock().expect("rank slot poisoned");
-        let slot = &mut *guard;
-        let mut st = RankState {
-            plan_f: &plan_f[m],
-            plan_b: &plan_b[m],
-            config,
-            params: init.clone(),
-            h0: &slot.h0,
-            labels: &slot.labels,
-            mask: &slot.mask,
-            mask_total,
-            opt_state: crate::optim::OptimizerState::new(config.optimizer, &config.shapes()),
-            ctx: slot.cctx.clone(),
-        };
-        // The comm pools, sized so steady-state acquires always hit.
-        prewarm_comm_pools(ctx, st.plan_f, st.plan_b, config);
-        let ws = &mut slot.ws;
-        let start = Instant::now();
-        let mut losses = Vec::with_capacity(epochs);
-        for _ in 0..epochs {
-            losses.push(epoch_step(ctx, &mut st, ws));
+    let mut session = CommSession::new(p);
+    let step = |train: bool| {
+        let (slots, data) = (&slots, &data);
+        move |ctx: &mut RankCtx| {
+            let m = ctx.rank();
+            let mut slot = slots[m].lock().expect("rank slot poisoned");
+            slot.step(
+                ctx, &plan_f[m], &plan_b[m], &data[m], mask_total, config, train,
+            )
         }
-        // Final predictions with the trained parameters (left in `ws.h`).
-        feedforward::run(ctx, &st, ws);
-        let seconds = start.elapsed().as_secs_f64();
-        // Compute time is the non-blocked complement of the runtime-timed
-        // comm seconds, so `comm + compute == wall` per rank (fig4a split);
-        // the kernels' shape-counted FLOPs give the matching rate.
-        ctx.add_compute_seconds(seconds - ctx.counters().comm_seconds);
-        ctx.add_compute_flops(st.ctx.take_flops());
-        RankResult {
-            counters: ctx.counters().clone(),
-            losses,
-            params: st.params,
-            seconds,
-        }
-    });
+    };
+    let losses = (0..epochs)
+        .map(|_| session.run_step(step(true))[0])
+        .collect();
+    // Final predictions with the trained parameters (left in `ws.h`).
+    session.run_step(step(false));
+    let counters = session.run_step(|ctx| ctx.counters().clone());
+
+    let params = slots[0].lock().expect("rank slot poisoned").params.clone();
 
     // Assemble global predictions.
     let classes = config.dims[config.layers()];
@@ -193,11 +258,15 @@ pub(crate) fn train_with_plans_spec<X: SpmmExchange + Sync>(
         );
     }
     DistOutcome {
-        losses: results[0].losses.clone(),
-        params: results[0].params.clone(),
+        losses,
+        params,
         predictions,
-        counters: results.iter().map(|r| r.counters.clone()).collect(),
-        rank_seconds: results.iter().map(|r| r.seconds).collect(),
+        // Each step splits its wall time into comm + compute seconds.
+        rank_seconds: counters
+            .iter()
+            .map(|c| c.comm_seconds + c.compute_seconds)
+            .collect(),
+        counters,
     }
 }
 

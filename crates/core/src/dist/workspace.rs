@@ -95,7 +95,11 @@ impl EpochWorkspace {
     /// compute context's kernel packing scratch for the run's widest
     /// operands. Called once per run, before the first epoch.
     pub fn new(plan: &impl SpmmExchange, config: &GcnConfig, p: usize, cctx: &ComputeCtx) -> Self {
-        let n = plan.n_local();
+        Self::with_rows(plan.n_local(), config, p, cctx)
+    }
+
+    /// [`EpochWorkspace::new`] for a plan of `n` local rows.
+    pub(crate) fn with_rows(n: usize, config: &GcnConfig, p: usize, cctx: &ComputeCtx) -> Self {
         let dims = &config.dims;
         let layers = config.layers();
         // The blocked GEMM engine packs the B operand, which in the layer
@@ -124,13 +128,14 @@ impl EpochWorkspace {
     }
 
     /// Re-dimensions every row-sized buffer for a plan with a different
-    /// local row count (the mini-batch engine's per-batch call). Column
-    /// widths are fixed by the model config, `dw` is row-count-independent,
-    /// and `exchange` is re-keyed by its own `begin`; everything row-sized
-    /// grows once to the high-water batch and is fully overwritten before
-    /// being read (the same argument that makes cross-epoch reuse bitwise
-    /// safe), so steady-state batches of bounded size allocate nothing.
-    pub fn resize_for_plan(&mut self, plan: &RankPlan) {
+    /// local row count (a no-op for the same count; the mini-batch engine
+    /// gets a new count every batch). Column widths are fixed by the
+    /// model config, `dw` is row-count-independent, and `exchange` is
+    /// re-keyed by its own `begin`; everything row-sized grows once to the
+    /// high-water batch and is fully overwritten before being read (the
+    /// same argument that makes cross-epoch reuse bitwise safe), so
+    /// steady-state batches of bounded size allocate nothing.
+    pub fn resize_for_plan(&mut self, plan: &impl SpmmExchange) {
         let n = plan.n_local();
         for m in self
             .z
@@ -147,50 +152,18 @@ impl EpochWorkspace {
     }
 }
 
-/// A grow-once [`EpochWorkspace`] for the mini-batch engine: created on
-/// the first batch, row-resized (high-water-marked) for every later one,
-/// so a steady stream of bounded-size batches trains without workspace
-/// allocation (DESIGN.md §11).
-#[derive(Default)]
-pub struct BatchWorkspace {
-    ws: Option<EpochWorkspace>,
-}
-
-impl BatchWorkspace {
-    pub fn new() -> Self {
-        BatchWorkspace::default()
-    }
-
-    /// The workspace sized for `plan`, creating it on first use.
-    pub fn begin_batch(
-        &mut self,
-        plan: &RankPlan,
-        config: &GcnConfig,
-        p: usize,
-        cctx: &ComputeCtx,
-    ) -> &mut EpochWorkspace {
-        match &mut self.ws {
-            slot @ None => slot.insert(EpochWorkspace::new(plan, config, p, cctx)),
-            Some(ws) => {
-                ws.resize_for_plan(plan);
-                ws
-            }
-        }
-    }
-}
-
 /// Pre-fills this rank's payload pools so every steady-state `acquire`
 /// is a hit: what the exchange holds in flight per destination
 /// ([`SpmmExchange::ensure_pools`]) sized for the widest layer, plus two
 /// per binomial-tree allreduce neighbour sized for the largest `ΔW`
 /// payload.
 ///
-/// Idempotent (`ensure_pool` tops up instead of accreting), so callers
-/// with a *stream* of plans — the mini-batch engine, one plan per batch
-/// — call this at every step boundary: each batch gets its own analytic
-/// worst case, pools grow only when the stream hits a new high-water
-/// batch, and steady state stays provably allocation-free rather than
-/// relying on timing-dependent grow-on-miss convergence.
+/// Idempotent (`ensure_pool` tops up instead of accreting), so the
+/// trainers call it at every step boundary: with a *stream* of plans —
+/// the mini-batch engine, one plan per batch — each batch gets its own
+/// analytic worst case, pools grow only when the stream hits a new
+/// high-water batch, and steady state stays provably allocation-free
+/// rather than relying on timing-dependent grow-on-miss convergence.
 pub fn prewarm_comm_pools<X: SpmmExchange>(
     ctx: &mut RankCtx,
     plan_f: &X,

@@ -21,7 +21,7 @@
 //! the point being demonstrated is the *communication* claim.
 
 use crate::plan::{CommPlan, RankPlan};
-use pargcn_comm::{CommCounters, Communicator, RankCtx};
+use pargcn_comm::{CommCounters, CommSession, RankCtx};
 use pargcn_graph::Graph;
 use pargcn_matrix::{gather, Csr, Dense};
 use pargcn_partition::Partition;
@@ -210,7 +210,7 @@ pub fn forward_distributed(
         out: Dense,
         counters: CommCounters,
     }
-    let results: Vec<R> = Communicator::run(part.p(), |ctx| {
+    let results: Vec<R> = CommSession::new(part.p()).run_step(|ctx| {
         let rp = &plan.ranks[ctx.rank()];
         let mut h = locals[ctx.rank()].clone();
         for (k, layer) in layers.iter().enumerate() {

@@ -8,18 +8,14 @@
 //! volume a partition induces — the quantity Fig. 5 compares between HP
 //! and SHP.
 
-use crate::dist::trainer::{epoch_step, train_with_plans_spec};
-use crate::dist::workspace::{prewarm_comm_pools, BatchWorkspace};
-use crate::dist::RankState;
+use crate::dist::trainer::{train_with_plans_spec, RankData, RankSlot};
 use crate::model::{GcnConfig, Params};
-use crate::optim::{Optimizer, OptimizerState};
 use crate::plan::{CommPlan, PlanBuilder};
 use pargcn_comm::{CommCounters, CommSession, RankCtx};
 use pargcn_graph::{Graph, SubgraphScratch};
-use pargcn_matrix::{gather, norm, ComputeCtx, ComputeSpec, Dense};
+use pargcn_matrix::{gather, norm, ComputeSpec, Dense};
 use pargcn_partition::{metrics, Partition};
 use std::sync::Mutex;
-use std::time::Instant;
 
 /// Restriction of a global partition to a batch's vertices: part ids keep
 /// their meaning (rank `m` still owns its vertices), rows renumber to the
@@ -99,6 +95,7 @@ pub fn train_spec(
     let mut skipped_batches = 0usize;
     let mut skipped_volume = 0u64;
     for batch in batches {
+        assert_in_graph(batch, graph.n());
         let sub = graph.induced_subgraph(batch);
         let a = norm::normalize_adjacency(sub.adjacency());
         let sub_part = restrict_partition(part, batch);
@@ -143,15 +140,6 @@ pub fn train_spec(
     }
 }
 
-/// One rank's per-batch slice, gathered on the main thread while the
-/// ranks train the previous batch.
-struct RankLocal {
-    /// Feature rows of the rank's owned batch vertices (grow-once).
-    h: Dense,
-    labels: Vec<u32>,
-    mask: Vec<bool>,
-}
-
 /// Everything one batch needs to train, built ahead of time into the
 /// engine's double buffer: plans, per-rank data slices, and bookkeeping.
 /// Prep is a pure function of the batch (graph, features, partition,
@@ -161,7 +149,8 @@ struct BatchPrep {
     plan_f: CommPlan,
     /// `None` for undirected graphs (backward reuses `plan_f`).
     plan_b: Option<CommPlan>,
-    locals: Vec<RankLocal>,
+    /// Per-rank data slices (grow-once).
+    locals: Vec<RankData>,
     mask_total: f64,
     /// False when the batch sampled no labelled vertex: no step runs.
     trainable: bool,
@@ -178,8 +167,8 @@ impl BatchPrep {
             },
             plan_b: None,
             locals: (0..p)
-                .map(|_| RankLocal {
-                    h: Dense::zeros(0, width),
+                .map(|_| RankData {
+                    h0: Dense::zeros(0, width),
                     labels: Vec::new(),
                     mask: Vec::new(),
                 })
@@ -198,38 +187,25 @@ impl BatchPrep {
     }
 }
 
-/// Per-rank persistent training state, owned by the engine and visited by
-/// that rank's step closures. The `Mutex` is uncontended — only rank `m`'s
-/// thread (or the main thread between steps) ever touches slot `m`.
-struct RankSlot {
-    /// Replicated parameters (lock-step across slots).
-    params: Params,
-    /// Replicated optimizer state.
-    opt_state: OptimizerState,
-    /// The rank's kernel thread pool, built once for the whole stream.
-    cctx: ComputeCtx,
-    /// Grow-once epoch workspace, high-water-marked across batches.
-    ws: BatchWorkspace,
-    last_loss: f64,
-}
-
 /// Persistent mini-batch training engine (DESIGN.md §11).
 ///
-/// [`train_spec`] pays full startup cost per batch: `Communicator::run`
-/// respawns all `p` rank threads and kernel pools, re-prewarms the comm
-/// pools, reallocates an `EpochWorkspace`, and `CommPlan::build` zeroes
-/// O(n·p) scratch — all wrapped around a *single* training step. The
-/// engine hoists every one of those out of the loop:
+/// [`train_spec`] pays full startup cost per batch: a fresh
+/// [`CommSession`] respawns all `p` rank threads and kernel pools,
+/// re-prewarms the comm pools, reallocates an `EpochWorkspace`, and
+/// `CommPlan::build` zeroes O(n·p) scratch — all wrapped around a
+/// *single* training step. The engine hoists every one of those out of
+/// the loop, running every batch as one step of the same per-rank slot
+/// the full-batch trainer uses:
 ///
 /// * a [`CommSession`] keeps the rank threads, channels, buffer pools and
 ///   counters alive across the whole batch stream;
-/// * per-rank [`ComputeCtx`]s (kernel pools) are built once;
-/// * a [`PlanBuilder`] and [`SubgraphScratch`] reuse their maps, and the
-///   [`BatchWorkspace`] grows once to the high-water batch;
+/// * per-rank kernel pools are built once;
+/// * a [`PlanBuilder`] and [`SubgraphScratch`] reuse their maps, and each
+///   rank's workspace grows once to the high-water batch;
 /// * batch *t+1*'s subgraph, normalized adjacency, plan, and data slices
 ///   are prepared on the main thread *while the ranks train batch t*
-///   (double buffer). Prep is a pure function of the batch, so the
-///   pipelining cannot change results.
+///   ([`CommSession::run_step_overlapped`], double buffer). Prep is a
+///   pure function of the batch, so the pipelining cannot change results.
 ///
 /// Outputs are bitwise identical to [`train_spec`] (equivalence suite in
 /// `tests/minibatch_engine.rs`); only the per-batch overhead changes.
@@ -272,15 +248,7 @@ impl<'a> MinibatchEngine<'a> {
         let p = part.p();
         let init = config.init_params(param_seed);
         let slots = (0..p)
-            .map(|_| {
-                Mutex::new(RankSlot {
-                    params: init.clone(),
-                    opt_state: OptimizerState::new(config.optimizer, &config.shapes()),
-                    cctx: ComputeCtx::for_ranks_spec(p, spec),
-                    ws: BatchWorkspace::new(),
-                    last_loss: 0.0,
-                })
-            })
+            .map(|_| Mutex::new(RankSlot::new(0, config, init.clone(), p, spec)))
             .collect();
         MinibatchEngine {
             graph,
@@ -310,7 +278,6 @@ impl<'a> MinibatchEngine<'a> {
         let mut total_volume = 0u64;
         let mut skipped_batches = 0usize;
         let mut skipped_volume = 0u64;
-        let p = self.session.p();
         // Split the engine into disjoint borrows: the step closure reads
         // `slots` + the active prep while `prepare_batch` refills the
         // builder scratch and the build prep.
@@ -345,69 +312,27 @@ impl<'a> MinibatchEngine<'a> {
             } else {
                 (&preps.1, &mut preps.0)
             };
+            let mut prepare_next = || {
+                if let Some(next) = batches.get(t + 1) {
+                    prepare_batch(graph, h0, labels, mask, part, builder, scratch, next, build);
+                }
+            };
             if active.trainable {
                 let step = |ctx: &mut RankCtx| {
                     let m = ctx.rank();
-                    let mut guard = slots[m].lock().expect("rank slot poisoned");
-                    let slot = &mut *guard;
-                    let rp_f = &active.plan_f.ranks[m];
-                    let rp_b = active.backward_rank(m);
-                    // Idempotent: tops pools/queues up to *this* batch's
-                    // analytic worst case; a no-op once the stream's
-                    // high-water batch has been seen, so steady state
-                    // stays allocation-free by construction rather than
-                    // by timing-dependent grow-on-miss.
-                    prewarm_comm_pools(ctx, rp_f, rp_b, config);
-                    let ws = slot.ws.begin_batch(rp_f, config, p, &slot.cctx);
-                    let local = &active.locals[m];
-                    let mut st = RankState {
-                        plan_f: rp_f,
-                        plan_b: rp_b,
-                        config,
-                        params: std::mem::replace(
-                            &mut slot.params,
-                            Params {
-                                weights: Vec::new(),
-                            },
-                        ),
-                        h0: &local.h,
-                        labels: &local.labels,
-                        mask: &local.mask,
-                        mask_total: active.mask_total,
-                        opt_state: std::mem::replace(
-                            &mut slot.opt_state,
-                            OptimizerState::new(Optimizer::Sgd, &[]),
-                        ),
-                        ctx: slot.cctx.clone(),
-                    };
-                    let comm_before = ctx.counters().comm_seconds;
-                    let start = Instant::now();
-                    let loss = epoch_step(ctx, &mut st, ws);
-                    let wall = start.elapsed().as_secs_f64();
-                    // Keep `comm + compute == wall` per rank across the
-                    // session, like the per-run accounting in the trainer.
-                    ctx.add_compute_seconds(wall - (ctx.counters().comm_seconds - comm_before));
-                    ctx.add_compute_flops(st.ctx.take_flops());
-                    slot.params = st.params;
-                    slot.opt_state = st.opt_state;
-                    slot.last_loss = loss;
+                    let mut slot = slots[m].lock().expect("rank slot poisoned");
+                    let (rp_f, rp_b) = (&active.plan_f.ranks[m], active.backward_rank(m));
+                    let data = &active.locals[m];
+                    slot.step(ctx, rp_f, rp_b, data, active.mask_total, config, true)
                 };
-                // Safety: `step` outlives the submit/collect pair below —
-                // `collect_step` runs before it goes out of scope.
-                unsafe { session.submit_step(&step) };
-                // Ranks are now training batch t; overlap batch t+1's prep.
-                if let Some(next) = batches.get(t + 1) {
-                    prepare_batch(graph, h0, labels, mask, part, builder, scratch, next, build);
-                }
-                session.collect_step();
+                // Ranks train batch t while this thread prepares t+1.
+                let (rank_losses, ()) = session.run_step_overlapped(step, prepare_next);
                 total_volume += active.volume;
-                losses.push(slots[0].lock().expect("rank slot poisoned").last_loss);
+                losses.push(rank_losses[0]);
             } else {
                 skipped_batches += 1;
                 skipped_volume += active.volume;
-                if let Some(next) = batches.get(t + 1) {
-                    prepare_batch(graph, h0, labels, mask, part, builder, scratch, next, build);
-                }
+                prepare_next();
             }
             *cur ^= 1;
         }
@@ -457,6 +382,7 @@ fn prepare_batch(
     batch: &[u32],
     prep: &mut BatchPrep,
 ) {
+    assert_in_graph(batch, graph.n());
     let sub = graph.induced_subgraph_into(batch, scratch);
     let a = norm::normalize_adjacency(sub.adjacency());
     let sub_part = restrict_partition(part, batch);
@@ -471,15 +397,22 @@ fn prepare_batch(
     prep.trainable = masked > 0;
     prep.mask_total = masked.max(1) as f64;
     for (rp, local) in prep.plan_f.ranks.iter().zip(&mut prep.locals) {
-        local.h.resize_rows(rp.local_rows.len());
+        local.h0.resize_rows(rp.local_rows.len());
         local.labels.clear();
         local.mask.clear();
         for (li, &lr) in rp.local_rows.iter().enumerate() {
             let v = batch[lr as usize] as usize;
-            local.h.row_mut(li).copy_from_slice(h0.row(v));
+            local.h0.row_mut(li).copy_from_slice(h0.row(v));
             local.labels.push(labels[v]);
             local.mask.push(mask[v]);
         }
+    }
+}
+
+/// Rejects a batch naming a vertex outside the graph.
+fn assert_in_graph(batch: &[u32], n: usize) {
+    if let Some(&v) = batch.iter().find(|&&v| v as usize >= n) {
+        panic!("batch vertex {v} is out of range for a graph of n = {n} vertices");
     }
 }
 

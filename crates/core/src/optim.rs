@@ -10,9 +10,10 @@
 use pargcn_matrix::Dense;
 
 /// Update-rule selection.
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub enum Optimizer {
     /// `W ← W − η·ΔW` (paper Eq. 5).
+    #[default]
     Sgd,
     /// Adam (Kingma & Ba) with the usual defaults.
     Adam { beta1: f32, beta2: f32, eps: f32 },
@@ -30,7 +31,7 @@ impl Optimizer {
 }
 
 /// Per-layer optimizer state (empty for SGD).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct OptimizerState {
     kind: Optimizer,
     /// First-moment estimates, one per layer (Adam only).

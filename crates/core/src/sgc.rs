@@ -14,7 +14,7 @@ use crate::dist::feedforward::spmm_exchange_into;
 use crate::dist::{ExchangeScratch, SpmmExchange};
 use crate::loss;
 use crate::plan::CommPlan;
-use pargcn_comm::{CommCounters, Communicator};
+use pargcn_comm::{CommCounters, CommSession};
 use pargcn_graph::Graph;
 use pargcn_matrix::{gather, Csr, Dense};
 use pargcn_partition::Partition;
@@ -111,7 +111,7 @@ pub fn train_distributed(
         counters: CommCounters,
     }
 
-    let results: Vec<R> = Communicator::run(part.p(), |ctx| {
+    let results: Vec<R> = CommSession::new(part.p()).run_step(|ctx| {
         let m = ctx.rank();
         let rp = &plan.ranks[m];
         let (h_local, l_local, m_local) = &locals[m];
@@ -211,7 +211,7 @@ mod tests {
             .iter()
             .map(|rp| gather::gather_rows(&h0, &rp.local_rows))
             .collect();
-        let results = Communicator::run(4, |ctx| {
+        let results = CommSession::new(4).run_step(|ctx| {
             let cctx = pargcn_matrix::ComputeCtx::serial();
             let rp = &plan.ranks[ctx.rank()];
             let mut scratch = ExchangeScratch::new(4);

@@ -5,7 +5,7 @@
 //! reassociation. The same contract covers the CAGNET broadcast baseline,
 //! which computes the identical math with a different comm pattern.
 
-use pargcn_comm::{CommCounters, Communicator};
+use pargcn_comm::{CommCounters, CommSession};
 use pargcn_core::baselines::cagnet::{self, CagnetPlan};
 use pargcn_core::dist::trainer::epoch_step;
 use pargcn_core::dist::{train_full_batch_spec, DistOutcome, EpochWorkspace, RankState};
@@ -272,7 +272,7 @@ fn cagnet_epoch_counters(
     let plan_b = CagnetPlan::build(&a.transpose(), part);
     let p = part.p();
     let init = config.init_params(1);
-    Communicator::run(p, |ctx| {
+    CommSession::new(p).run_step(|ctx| {
         let m = ctx.rank();
         let rows = &plan_f.ranks[m].local_rows;
         let h_local = gather::gather_rows(h0, rows);
@@ -386,6 +386,24 @@ fn counters_match_static_prediction() {
     let expected_msgs = per_epoch_msgs * epochs as u64 + plan.total_messages() * 2;
     let measured_msgs: u64 = out.counters.iter().map(|c| c.sent_messages).sum();
     assert_eq!(measured_msgs, expected_msgs);
+
+    // Collectives: per epoch the loss and one ΔWᵏ per layer are allreduced
+    // over the binomial tree (p − 1 hops up, p − 1 down). The prediction
+    // pass and the session's step boundaries add no counted traffic.
+    let p = part.p() as u64;
+    let allreduce_floats: u64 = 1
+        + (1..=config.layers())
+            .map(|k| (config.dims[k - 1] * config.dims[k]) as u64)
+            .sum::<u64>();
+    let total = CommCounters::merged(&out.counters);
+    assert_eq!(
+        total.collective_messages,
+        epochs as u64 * (config.layers() as u64 + 1) * 2 * (p - 1)
+    );
+    assert_eq!(
+        total.collective_bytes,
+        epochs as u64 * 2 * (p - 1) * allreduce_floats * 4
+    );
 }
 
 #[test]

@@ -183,6 +183,76 @@ fn steady_state_batches_do_not_allocate_on_the_comm_path() {
     );
 }
 
+/// A panic on the calling thread while a step is in flight — here
+/// `prepare_batch` rejecting batch 1 while the ranks train batch 0 — must
+/// leave the engine usable: batch 0's step completes on every rank before
+/// the panic propagates, and the next `train` call continues the stream.
+#[test]
+fn engine_recovers_from_a_panic_while_preparing_the_next_batch() {
+    let (graph, h0, labels, mask) = setup(200, 9);
+    let a = graph.normalized_adjacency();
+    let part = partition_rows(&graph, &a, Method::Hp, 3, 0.1, 2);
+    let config = GcnConfig::two_layer(8, 10, 4);
+    let batch = sample_batches(&graph, Sampler::UniformVertex { batch_size: 50 }, 1, 4).remove(0);
+    let spec = ComputeSpec {
+        threads: Some(1),
+        kernel: None,
+    };
+
+    let mut engine = MinibatchEngine::new(&graph, &h0, &labels, &mask, &part, &config, 7, spec);
+    let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        engine.train(&[batch.clone(), vec![u32::MAX]])
+    }));
+    let Err(payload) = caught else {
+        panic!("an out-of-range vertex must be rejected");
+    };
+    let msg = payload.downcast_ref::<String>().expect("formatted panic");
+    assert!(
+        msg.contains("4294967295") && msg.contains("n = 200"),
+        "panic should name the vertex and n: {msg}"
+    );
+
+    // Batch 0 trained before the panic, so this is the stream's second step.
+    let out = engine.train(std::slice::from_ref(&batch));
+    let reference = minibatch::train_spec(
+        &graph,
+        &h0,
+        &labels,
+        &mask,
+        &part,
+        &config,
+        &[batch.clone(), batch],
+        7,
+        spec,
+    );
+    assert_eq!(
+        reference.losses.len(),
+        2,
+        "both reference batches must train"
+    );
+    assert_eq!(out.losses, reference.losses[1..]);
+    assert_eq!(out.params, reference.params);
+}
+
+#[test]
+#[should_panic(expected = "batch vertex 200 is out of range for a graph of n = 200")]
+fn per_batch_path_rejects_a_vertex_outside_the_graph() {
+    let (graph, h0, labels, mask) = setup(200, 9);
+    let part = Partition::trivial(graph.n());
+    let config = GcnConfig::two_layer(8, 10, 4);
+    minibatch::train_spec(
+        &graph,
+        &h0,
+        &labels,
+        &mask,
+        &part,
+        &config,
+        &[vec![0, 1, 200]],
+        7,
+        ComputeSpec::default(),
+    );
+}
+
 /// Skipped-batch accounting: a batch with no labelled vertices produces
 /// no loss and no traffic, and its would-be volume is reported apart.
 #[test]

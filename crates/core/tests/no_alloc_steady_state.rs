@@ -11,7 +11,7 @@
 //! reach its steady footprint, the counters reset, and three more epochs
 //! must then report zero comm-path allocations on every rank.
 
-use pargcn_comm::Communicator;
+use pargcn_comm::CommSession;
 use pargcn_core::baselines::cagnet::CagnetPlan;
 use pargcn_core::dist::trainer::epoch_step;
 use pargcn_core::dist::{prewarm_comm_pools, EpochWorkspace, RankState, SpmmExchange};
@@ -103,7 +103,7 @@ fn epoch_allocs<X: SpmmExchange + Sync>(
         })
         .collect();
 
-    Communicator::run(p, |ctx| {
+    CommSession::new(p).run_step(|ctx| {
         let m = ctx.rank();
         let (h_local, l_local, m_local) = &locals[m];
         let mut st = RankState {
@@ -193,7 +193,7 @@ fn cagnet_steady_state_epochs_do_not_allocate_on_the_comm_path() {
 // hook, or sampling around the wrong region).
 #[test]
 fn cold_pools_do_allocate_and_are_counted() {
-    let counts: Vec<u64> = Communicator::run(2, |ctx| {
+    let counts: Vec<u64> = CommSession::new(2).run_step(|ctx| {
         let peer = 1 - ctx.rank();
         // No prewarm: the very first acquire must miss and allocate.
         let payload = ctx.acquire(peer, 4096);

@@ -444,7 +444,15 @@ mod tests {
     #[test]
     fn runs_and_records_stats() {
         let mut c = quiet_harness();
-        c.bench_function("spin", |b| b.iter(|| (0..100u64).sum::<u64>()));
+        // Opaque bound and terms: a foldable sum (constant, or closed form
+        // in the bound) measures under 1 ns an iteration, a median of 0.
+        c.bench_function("spin", |b| {
+            b.iter(|| {
+                (0..std::hint::black_box(100u64))
+                    .map(std::hint::black_box)
+                    .sum::<u64>()
+            })
+        });
         assert_eq!(c.results.len(), 1);
         let s = &c.results[0];
         assert_eq!(s.full_name(), "spin");

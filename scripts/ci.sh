@@ -21,6 +21,9 @@ run cargo build --release --offline --locked
 # identically (see the determinism_threads suites).
 run env PARGCN_THREADS=1 cargo test -q --offline --locked
 run env PARGCN_THREADS=4 cargo test -q --offline --locked
+# Timing assertions (the bench harness's own tests) must also hold where
+# the optimiser can fold benchmark bodies.
+run cargo test --release -q --offline --locked -p pargcn-util
 # Kernel-engine parity: the bitwise-determinism suites and the
 # allocation contract must hold under both compute engines
 # (PARGCN_KERNEL selects naive vs blocked GEMM/SpMM; every result is
