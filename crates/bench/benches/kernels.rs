@@ -139,21 +139,63 @@ fn bench_pool_overhead(c: &mut Criterion) {
 
 /// Naive vs blocked kernel engine head-to-head on GCN-typical skinny
 /// shapes (`n × {16,64,128}` features), single thread — the single-core
-/// arithmetic headroom the blocked engine exists for. Throughput is in
-/// multiply-add elements, so `elements_per_s × 2 = FLOP/s` and the
-/// naive/blocked ratio reads off directly at equal shapes. Results are
-/// bitwise identical between engines (determinism suite), so this is a
-/// pure speed comparison. Baseline: `results/kernels_blocked.json`.
+/// arithmetic headroom the blocked engine exists for. `blocked` runs on
+/// AVX2 lanes where the CPU has them; `scalar` is the same engine on its
+/// portable fallback, so the `scalar`/`blocked` ratio is what the lanes
+/// buy. Throughput is in multiply-add elements, so
+/// `elements_per_s × 2 = FLOP/s` and the ratios read off directly at
+/// equal shapes. Results are bitwise identical between engines
+/// (determinism suite), so this is a pure speed comparison. Baseline:
+/// `results/kernels_blocked.json`.
 fn bench_kernel_engine(c: &mut Criterion) {
     let mut group = c.benchmark_group("kernel_engine");
+    let blocked = ComputeCtx::serial().with_kernel(KernelKind::Blocked);
     let engines = [
         ("naive", ComputeCtx::serial().with_kernel(KernelKind::Naive)),
-        (
-            "blocked",
-            ComputeCtx::serial().with_kernel(KernelKind::Blocked),
-        ),
+        ("scalar", blocked.clone().without_lanes()),
+        ("blocked", blocked),
     ];
     let mut rng = StdRng::seed_from_u64(6);
+
+    // One rank's layer GEMMs on the road benchmark (roadNet-CA/16 split
+    // over two ranks, a 32-32-16 GCN): H·W at both layers, ΔW = HᵀG at
+    // both layers with H a ReLU output (half zeros), and S = G·Wᵀ from
+    // the 16-wide output layer back to the 32-wide hidden one.
+    let rows = 61_600usize;
+    let relu = |d: Dense| d.map(|v| v.max(0.0));
+    for (k, n) in [(32usize, 32usize), (32, 16)] {
+        let h = relu(Dense::random(rows, k, &mut rng));
+        let w = Dense::random(k, n, &mut rng);
+        let g = Dense::random(rows, n, &mut rng);
+        // Outputs are preallocated, as in the layer loop: a fresh
+        // rank-sized output per call would time page faults.
+        let mut z = Dense::zeros(rows, n);
+        let mut dw = Dense::zeros(k, n);
+        group.throughput(Throughput::Elements((rows * k * n) as u64));
+        for (name, cctx) in &engines {
+            group.bench_with_input(
+                BenchmarkId::new(format!("gemm_{name}"), format!("{rows}x{k}x{n}")),
+                &n,
+                |b, _| b.iter(|| cctx.matmul_into(std::hint::black_box(&h), &w, &mut z, false)),
+            );
+            group.bench_with_input(
+                BenchmarkId::new(format!("gemm_at_{name}"), format!("{rows}x{k}x{n}_relu")),
+                &n,
+                |b, _| b.iter(|| cctx.matmul_at_into(std::hint::black_box(&h), &g, &mut dw)),
+            );
+        }
+    }
+    let g = Dense::random(rows, 16, &mut rng);
+    let w = Dense::random(32, 16, &mut rng);
+    let mut s = Dense::zeros(rows, 32);
+    group.throughput(Throughput::Elements((rows * 16 * 32) as u64));
+    for (name, cctx) in &engines {
+        group.bench_with_input(
+            BenchmarkId::new(format!("gemm_bt_{name}"), format!("{rows}x16x32")),
+            &rows,
+            |b, _| b.iter(|| cctx.matmul_bt_into(std::hint::black_box(&g), &w, &mut s)),
+        );
+    }
 
     // Forward DMM H·W: tall-skinny × small square.
     let n = 8192usize;

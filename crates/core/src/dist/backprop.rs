@@ -6,15 +6,15 @@
 //!    non-blocking point-to-point pattern of lines 4–10, or CAGNET's
 //!    broadcasts), computing its block of `Â'Gᵏ` where
 //!    `Â' = Âᵀ` for directed graphs (§3.1) and `Â` otherwise;
-//! 2. forms `Sᵏₘ = (Â'Gᵏ)ₘ(Wᵏ)ᵀ` and the local parameter-gradient partial
-//!    `ΔWᵏₘ = (H^{k-1}ₘ)ᵀ(Â'Gᵏ)ₘ` (lines 7, 10–12) — both pure local DMMs
-//!    because `(Â'Gᵏ)ₘ` was just computed and `H` is conformably
-//!    partitioned;
+//! 2. forms the local parameter-gradient partial
+//!    `ΔWᵏₘ = (H^{k-1}ₘ)ᵀ(Â'Gᵏ)ₘ` and `Sᵏₘ = (Â'Gᵏ)ₘ(Wᵏ)ᵀ` (lines 7,
+//!    10–12) — both pure local DMMs because `(Â'Gᵏ)ₘ` was just computed
+//!    and `H` is conformably partitioned — and propagates
+//!    `G^{k-1} = Sᵏ ⊙ σ'(Z^{k-1})` (line 11) as the `Sᵏ` GEMM stores;
 //! 3. allreduce-sums `ΔWᵏ` (line 13, binomial tree) and applies the
 //!    optimizer update locally on the replicated `Wᵏ` (line 14) — every
 //!    rank computes the identical update, keeping the replicas in
-//!    lock-step;
-//! 4. propagates `G^{k-1} = Sᵏ ⊙ σ'(Z^{k-1})` (line 11).
+//!    lock-step.
 //!
 //! The forward intermediates are read from, and the gradient flow written
 //! to, the persistent [`EpochWorkspace`] — including the (small, `d×d`)
@@ -31,23 +31,20 @@ pub fn run<X: SpmmExchange>(
     st: &mut RankState<'_, X>,
     ws: &mut EpochWorkspace,
 ) {
-    // Cheap Arc clone so the pool stays usable across `&mut st` updates.
+    // Cheap Arc clone so the context stays usable across `&mut st`
+    // updates.
     let cctx = st.ctx.clone();
-    let pool = cctx.pool();
     let layers = st.config.layers();
 
-    // Line 2: G^L = ∇_{H^L} J ⊙ σ'(Z^L), built in place: σ' lands in the
-    // persistent G^L buffer, then the loss gradient multiplies on.
-    st.config.activation(layers).derivative_into_pool(
-        &ws.z[layers - 1],
-        &mut ws.g[layers - 1],
-        pool,
-    );
-    ws.g[layers - 1].hadamard_assign(&ws.grad);
+    // Line 2: G^L = ∇_{H^L} J ⊙ σ'(Z^L), into the persistent G^L buffer.
+    st.config
+        .activation(layers)
+        .seed_into(&ws.z[layers - 1], &ws.grad, &mut ws.g[layers - 1]);
 
     for k in (1..=layers).rev() {
         let EpochWorkspace {
             exchange,
+            z,
             h,
             ax_b,
             g,
@@ -71,10 +68,18 @@ pub fn run<X: SpmmExchange>(
         let h_in = if k == 1 { st.h0 } else { &h[k - 2] };
         cctx.matmul_at_into(h_in, ag, &mut dw[k - 1]);
 
-        // Sᵏ must use the *pre-update* Wᵏ (line 7 precedes line 14); it
+        // Lines 7 and 11 in one pass: G^{k-1} = Sᵏ ⊙ σ'(Z^{k-1}), with
+        // Sᵏ = (Â'Gᵏ)ₘ(Wᵏ)ᵀ multiplied by σ' as the GEMM stores it. Sᵏ
+        // must use the *pre-update* Wᵏ (line 7 precedes line 14); it
         // overwrites G^{k-1}'s buffer, which is dead from here on.
         if k > 1 {
-            cctx.matmul_bt_into(ag, &st.params.weights[k - 1], &mut g[k - 2]);
+            st.config.activation(k - 1).backprop_into(
+                &cctx,
+                ag,
+                &st.params.weights[k - 1],
+                &z[k - 2],
+                &mut g[k - 2],
+            );
         }
 
         // Line 13: ΔWᵏ = allreduce-sum(ΔWᵏₘ) — binomial tree with a fixed
@@ -89,15 +94,6 @@ pub fn run<X: SpmmExchange>(
             &dw[k - 1],
             st.config.learning_rate,
         );
-
-        // Line 11: G^{k-1} = Sᵏ ⊙ σ'(Z^{k-1}), finished in place.
-        if k > 1 {
-            let deriv_scratch = &mut ws.ax_b[k - 2];
-            st.config
-                .activation(k - 1)
-                .derivative_into_pool(&ws.z[k - 2], deriv_scratch, pool);
-            ws.g[k - 2].hadamard_assign(deriv_scratch);
-        }
     }
     st.opt_state.advance();
 }

@@ -11,7 +11,7 @@
 //!    per pass) and accumulates the off-diagonal products (lines 7–9),
 //!    releasing every payload back to its sender's pool;
 //! 4. applies the replicated `Wᵏ` (pure local DMM) and the activation
-//!    (line 10).
+//!    (line 10) — one pass, the activation applied as the GEMM stores.
 //!
 //! One deviation from the paper's literal pseudocode: lines 6/9 write
 //! `(AₘH)Wᵏ` per contribution; we accumulate `AₘH` first and apply `Wᵏ`
@@ -31,7 +31,6 @@ use pargcn_matrix::{gather, ComputeCtx, Dense};
 /// Local kernels (SpMM/DMM/activation) run on the rank's thread pool.
 pub fn run<X: SpmmExchange>(ctx: &mut RankCtx, st: &RankState<'_, X>, ws: &mut EpochWorkspace) {
     let cctx = &st.ctx;
-    let pool = cctx.pool();
     let layers = st.config.layers();
     for k in 1..=layers {
         let w = &st.params.weights[k - 1];
@@ -44,26 +43,28 @@ pub fn run<X: SpmmExchange>(ctx: &mut RankCtx, st: &RankState<'_, X>, ws: &mut E
             ..
         } = ws;
         let h_prev: &Dense = if k == 1 { st.h0 } else { &h[k - 2] };
+        let act = st.config.activation(k);
         match st.config.order {
             LayerOrder::SpmmFirst => {
                 let ax = &mut mid[k - 1];
                 st.plan_f
                     .exchange_into(ctx, h_prev, tag, cctx, exchange, ax);
-                cctx.matmul_into(ax, w, &mut z[k - 1], false);
+                // Line 10 in one pass: `Zᵏ` and `Hᵏ = σ(Zᵏ)` from the
+                // same GEMM store.
+                act.transform_into(cctx, ax, w, &mut z[k - 1], &mut h[k - 1]);
             }
             LayerOrder::DmmFirst => {
                 // §4.4: transform locally first, then aggregate with the
                 // *same* communication pattern (messages carry d_out-wide
                 // rows instead of d_in-wide ones). The aggregate IS `Zᵏ`,
-                // so the exchange accumulates straight into it.
+                // so the exchange accumulates straight into it, and the
+                // activation is a pass of its own.
                 cctx.matmul_into(h_prev, w, &mut mid[k - 1], false);
                 st.plan_f
                     .exchange_into(ctx, &mid[k - 1], tag, cctx, exchange, &mut z[k - 1]);
+                act.apply_into_pool(&z[k - 1], &mut h[k - 1], cctx.pool());
             }
         }
-        st.config
-            .activation(k)
-            .apply_into_pool(&z[k - 1], &mut h[k - 1], pool);
     }
 }
 

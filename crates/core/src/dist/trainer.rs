@@ -286,7 +286,6 @@ pub fn epoch_step<X: SpmmExchange>(
         st.labels,
         st.mask,
         st.mask_total,
-        &mut ws.probs,
         &mut ws.grad,
     );
     // Global loss: allreduce of the local sums (stack buffer, no heap).

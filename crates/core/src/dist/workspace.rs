@@ -82,11 +82,9 @@ pub struct EpochWorkspace {
     pub g: Vec<Dense>,
     /// Parameter-gradient partials/sums: `dw[k−1]` holds `ΔWᵏ`.
     pub dw: Vec<Dense>,
-    /// Output-layer loss gradient `∇_{H^L} Jₘ`.
+    /// Output-layer loss gradient `∇_{H^L} Jₘ`, computed in place by the
+    /// one-pass loss.
     pub grad: Dense,
-    /// Softmax probabilities of the loss path (`softmax_rows_into`
-    /// target), so computing the epoch loss allocates nothing.
-    pub probs: Dense,
 }
 
 impl EpochWorkspace {
@@ -102,11 +100,11 @@ impl EpochWorkspace {
     pub(crate) fn with_rows(n: usize, config: &GcnConfig, p: usize, cctx: &ComputeCtx) -> Self {
         let dims = &config.dims;
         let layers = config.layers();
-        // The blocked GEMM engine packs the B operand, which in the layer
-        // loop is always a weight (`H·W`, `G·Wᵀ`; `Hᵀ·G` is pack-free):
-        // at most dmax² floats. Grow the shared scratch to that once,
-        // here, so steady-state kernel calls stay allocation-free
-        // (DESIGN.md §9).
+        // The blocked GEMM engine packs (or, on AVX2 lanes, transposes)
+        // the B operand, which in the layer loop is always a weight
+        // (`H·W`, `G·Wᵀ`; `Hᵀ·G` is pack-free): at most dmax² floats.
+        // Grow the shared scratch to that once, here, so steady-state
+        // kernel calls stay allocation-free (DESIGN.md §9).
         let dmax = dims.iter().copied().max().unwrap_or(0);
         cctx.reserve_pack(dmax * dmax);
         let zeros = |d: usize| Dense::zeros(n, d);
@@ -123,7 +121,6 @@ impl EpochWorkspace {
                 .map(|k| Dense::zeros(dims[k - 1], dims[k]))
                 .collect(),
             grad: zeros(dims[layers]),
-            probs: zeros(dims[layers]),
         }
     }
 
@@ -148,7 +145,6 @@ impl EpochWorkspace {
             m.resize_rows(n);
         }
         self.grad.resize_rows(n);
-        self.probs.resize_rows(n);
     }
 }
 

@@ -10,32 +10,25 @@ use pargcn_matrix::Dense;
 
 /// Row-wise softmax with the max-subtraction trick for stability.
 pub fn softmax_rows(h: &Dense) -> Dense {
-    let mut out = Dense::zeros(h.rows(), h.cols());
-    softmax_rows_into(h, &mut out);
+    let mut out = h.clone();
+    for i in 0..out.rows() {
+        softmax_in_place(out.row_mut(i));
+    }
     out
 }
 
-/// [`softmax_rows`] into a caller-owned buffer — the training loop keeps a
-/// persistent `probs` matrix in its workspace so the per-epoch loss path
-/// allocates nothing (the §9 no-alloc contract, extended in DESIGN.md §11).
-///
-/// `out` is row-resized in place (grow-once) and must have `h`'s width.
-pub fn softmax_rows_into(h: &Dense, out: &mut Dense) {
-    assert_eq!(h.cols(), out.cols(), "softmax_rows_into width mismatch");
-    out.resize_rows(h.rows());
-    for i in 0..h.rows() {
-        let row = out.row_mut(i);
-        row.copy_from_slice(h.row(i));
-        let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        let mut sum = 0.0f32;
+/// One row's softmax in place: the max-subtracted exponentials, divided
+/// by their sum when it is positive.
+fn softmax_in_place(row: &mut [f32]) {
+    let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+    let mut sum = 0.0f32;
+    for v in row.iter_mut() {
+        *v = (*v - max).exp();
+        sum += *v;
+    }
+    if sum > 0.0 {
         for v in row.iter_mut() {
-            *v = (*v - max).exp();
-            sum += *v;
-        }
-        if sum > 0.0 {
-            for v in row.iter_mut() {
-                *v /= sum;
-            }
+            *v /= sum;
         }
     }
 }
@@ -47,41 +40,50 @@ pub fn softmax_rows_into(h: &Dense, out: &mut Dense) {
 /// `(softmax(H(i,:)) − onehot(yᵢ))/|mask|` on masked rows, zero elsewhere.
 pub fn softmax_cross_entropy(h: &Dense, labels: &[u32], mask: &[bool]) -> (f64, Dense) {
     let count = mask.iter().filter(|&&m| m).count().max(1) as f64;
-    let mut probs = Dense::zeros(h.rows(), h.cols());
     let mut grad = Dense::zeros(h.rows(), h.cols());
-    let loss = softmax_cross_entropy_into(h, labels, mask, count, &mut probs, &mut grad);
+    let loss = softmax_cross_entropy_into(h, labels, mask, count, &mut grad);
     (loss, grad)
 }
 
-/// [`softmax_cross_entropy`] over caller-owned `probs`/`grad` buffers
-/// (overwritten), normalised by `count` instead of the local mask size.
-/// A rank passes the *global* masked count, so allreducing the per-rank
-/// values yields the serial loss; the training loop passes its
-/// workspace buffers, so the loss path allocates nothing (§9).
+/// [`softmax_cross_entropy`] into a caller-owned `grad` (overwritten),
+/// normalised by `count` instead of the local mask size. A rank passes
+/// the *global* masked count, so allreducing the per-rank values yields
+/// the serial loss; the training loop passes its workspace buffer, so
+/// the loss path allocates nothing (§9).
+///
+/// One pass over the rows: each masked row's softmax is computed in its
+/// `grad` row and turned into the gradient there, with the same `exp`,
+/// `ln` and divisions in the same order as a separate softmax pass
+/// followed by a gradient loop, so the bits are those of that sequence.
+/// Unmasked rows are zeroed.
 pub fn softmax_cross_entropy_into(
     h: &Dense,
     labels: &[u32],
     mask: &[bool],
     count: f64,
-    probs: &mut Dense,
     grad: &mut Dense,
 ) -> f64 {
     assert_eq!(h.rows(), labels.len(), "label length mismatch");
     assert_eq!(h.rows(), mask.len(), "mask length mismatch");
-    softmax_rows_into(h, probs);
-    grad.fill_zero();
+    assert_eq!(
+        (grad.rows(), grad.cols()),
+        (h.rows(), h.cols()),
+        "gradient shape mismatch"
+    );
     let mut loss = 0.0f64;
-    for i in 0..h.rows() {
-        if !mask[i] {
+    for (i, (&masked, &label)) in mask.iter().zip(labels).enumerate() {
+        let g = grad.row_mut(i);
+        if !masked {
+            g.fill(0.0);
             continue;
         }
-        let y = labels[i] as usize;
-        let p = probs.get(i, y).max(1e-12);
-        loss -= (p as f64).ln();
-        let g = grad.row_mut(i);
+        g.copy_from_slice(h.row(i));
+        softmax_in_place(g);
+        let y = label as usize;
+        loss -= (g[y].max(1e-12) as f64).ln();
         for (j, gv) in g.iter_mut().enumerate() {
             let indicator = if j == y { 1.0 } else { 0.0 };
-            *gv = (probs.get(i, j) - indicator) / count as f32;
+            *gv = (*gv - indicator) / count as f32;
         }
     }
     loss / count
@@ -185,6 +187,64 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The loss path the one-pass form replaced: a softmax pass over
+    /// every row, then the masked gradient loop reading the
+    /// probabilities back.
+    fn softmax_then_gradient_loop(
+        h: &Dense,
+        labels: &[u32],
+        mask: &[bool],
+        count: f64,
+    ) -> (f64, Dense) {
+        let probs = softmax_rows(h);
+        let mut grad = Dense::zeros(h.rows(), h.cols());
+        let mut loss = 0.0f64;
+        for i in 0..h.rows() {
+            if !mask[i] {
+                continue;
+            }
+            let y = labels[i] as usize;
+            let p = probs.get(i, y).max(1e-12);
+            loss -= (p as f64).ln();
+            let g = grad.row_mut(i);
+            for (j, gv) in g.iter_mut().enumerate() {
+                let indicator = if j == y { 1.0 } else { 0.0 };
+                *gv = (probs.get(i, j) - indicator) / count as f32;
+            }
+        }
+        (loss / count, grad)
+    }
+
+    #[test]
+    fn one_pass_loss_matches_softmax_then_gradient_loop_bitwise() {
+        use pargcn_util::rng::{Rng, SeedableRng, StdRng};
+        let mut rng = StdRng::seed_from_u64(21);
+        let (n, c) = (300, 16);
+        let h = Dense::from_fn(n, c, |i, _| match i % 50 {
+            // A row whose exponentials underflow but one, a row of
+            // huge logits, and a row with a NaN logit.
+            7 => rng.gen_range(-200.0..-100.0f32),
+            8 => rng.gen_range(1e4..2e4f32),
+            9 if rng.gen_range(0..4u32) == 0 => f32::NAN,
+            _ => rng.gen_range(-6.0..6.0f32),
+        });
+        let labels: Vec<u32> = (0..n).map(|_| rng.gen_range(0..c as u32)).collect();
+        let mask: Vec<bool> = (0..n).map(|i| i % 3 != 1).collect();
+        let count = 211.0;
+        let (loss_ref, grad_ref) = softmax_then_gradient_loop(&h, &labels, &mask, count);
+        // A stale buffer: every element must be overwritten.
+        let mut grad = Dense::from_fn(n, c, |_, _| 9.0);
+        let loss = softmax_cross_entropy_into(&h, &labels, &mask, count, &mut grad);
+        assert_eq!(loss_ref.to_bits(), loss.to_bits());
+        let bits = |d: &Dense| -> Vec<u32> {
+            d.data()
+                .iter()
+                .map(|v| if v.is_nan() { f32::NAN } else { *v }.to_bits())
+                .collect()
+        };
+        assert_eq!(bits(&grad_ref), bits(&grad));
     }
 
     #[test]

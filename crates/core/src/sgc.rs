@@ -144,11 +144,9 @@ pub fn train_distributed(
         let mut losses = Vec::with_capacity(epochs);
         for _ in 0..epochs {
             let logits = cctx.matmul(&hp, &w);
-            let mut probs = Dense::zeros(logits.rows(), classes);
             let mut grad = Dense::zeros(logits.rows(), classes);
-            let loss_local = loss::softmax_cross_entropy_into(
-                &logits, l_local, m_local, mask_total, &mut probs, &mut grad,
-            );
+            let loss_local =
+                loss::softmax_cross_entropy_into(&logits, l_local, m_local, mask_total, &mut grad);
             let mut lbuf = [loss_local as f32];
             ctx.allreduce_sum(&mut lbuf);
             losses.push(lbuf[0] as f64);

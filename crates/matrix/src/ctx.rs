@@ -25,6 +25,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::gemm::{self, PackBuf};
+use crate::lanes::Avx2;
 use crate::spmm_kernel;
 use crate::{Csr, Dense};
 use pargcn_util::pool::{auto_threads, Pool};
@@ -105,11 +106,13 @@ struct Scratch {
 
 /// Cheaply cloneable handle to a per-rank thread pool plus the selected
 /// kernel engine; clones share the pool, the packing scratch and the
-/// FLOP counter.
+/// FLOP counter. The blocked engine runs on AVX2 lanes ([`crate::lanes`])
+/// when the CPU has them, detected once when the context is built.
 #[derive(Clone, Debug)]
 pub struct ComputeCtx {
     pool: Arc<Pool>,
     kernel: KernelKind,
+    lanes: Option<Avx2>,
     scratch: Arc<Scratch>,
 }
 
@@ -125,6 +128,7 @@ impl ComputeCtx {
         Self {
             pool: Arc::new(Pool::new(threads)),
             kernel: KernelKind::from_env(),
+            lanes: Avx2::detect(),
             scratch: Arc::new(Scratch::default()),
         }
     }
@@ -148,6 +152,15 @@ impl ComputeCtx {
     /// Replaces the kernel engine (builder-style, for benches/tests).
     pub fn with_kernel(mut self, kernel: KernelKind) -> Self {
         self.kernel = kernel;
+        self
+    }
+
+    /// Runs the blocked engine on its scalar code even where the CPU has
+    /// AVX2, so the bitwise suites cover the fallback every other host
+    /// runs. Results are identical either way.
+    #[doc(hidden)]
+    pub fn without_lanes(mut self) -> Self {
+        self.lanes = None;
         self
     }
 
@@ -197,7 +210,7 @@ impl ComputeCtx {
             KernelKind::Naive => a.matmul_into_pool(b, out, accumulate, self.pool()),
             KernelKind::Blocked => {
                 let mut pack = self.scratch.pack.lock().unwrap();
-                gemm::matmul_into(a, b, out, accumulate, &mut pack, self.pool());
+                gemm::matmul_into(a, b, out, accumulate, &mut pack, self.pool(), self.lanes);
             }
         }
     }
@@ -209,6 +222,57 @@ impl ComputeCtx {
         out
     }
 
+    /// `z = a × b` and `h = f(z)` (the forward layer's transform and
+    /// activation) on the selected engine; the blocked engine applies `f`
+    /// as it stores `z`. Bitwise identical to [`ComputeCtx::matmul_into`]
+    /// followed by [`Dense::map_into_pool`], and metered like the GEMM
+    /// alone.
+    pub fn matmul_map_into(
+        &self,
+        a: &Dense,
+        b: &Dense,
+        z: &mut Dense,
+        h: &mut Dense,
+        f: impl Fn(f32) -> f32 + Sync,
+    ) {
+        self.add_flops(2 * (a.rows() * a.cols() * b.cols()) as u64);
+        match self.kernel {
+            KernelKind::Naive => {
+                a.matmul_into_pool(b, z, false, self.pool());
+                z.map_into_pool(h, self.pool(), f);
+            }
+            KernelKind::Blocked => {
+                let mut pack = self.scratch.pack.lock().unwrap();
+                gemm::matmul_map_into(a, b, z, h, f, &mut pack, self.pool(), self.lanes);
+            }
+        }
+    }
+
+    /// `out = (a × bᵀ) ⊙ f(z)` (the backward layer's `S ⊙ σ′(Z)`) on the
+    /// selected engine; the blocked engine multiplies as it stores.
+    /// Bitwise identical to [`ComputeCtx::matmul_bt_into`] followed by
+    /// `out ⊙= f(z)`, and metered like the GEMM alone.
+    pub fn matmul_bt_scale_into(
+        &self,
+        a: &Dense,
+        b: &Dense,
+        z: &Dense,
+        f: impl Fn(f32) -> f32 + Sync,
+        out: &mut Dense,
+    ) {
+        self.add_flops(2 * (a.rows() * a.cols() * b.rows()) as u64);
+        match self.kernel {
+            KernelKind::Naive => {
+                a.matmul_bt_into_pool(b, out, self.pool());
+                out.mul_map_assign(z, f);
+            }
+            KernelKind::Blocked => {
+                let mut pack = self.scratch.pack.lock().unwrap();
+                gemm::matmul_bt_scale_into(a, b, z, f, out, &mut pack, self.pool(), self.lanes);
+            }
+        }
+    }
+
     /// `out = a × bᵀ` on the selected engine.
     pub fn matmul_bt_into(&self, a: &Dense, b: &Dense, out: &mut Dense) {
         self.add_flops(2 * (a.rows() * a.cols() * b.rows()) as u64);
@@ -216,7 +280,7 @@ impl ComputeCtx {
             KernelKind::Naive => a.matmul_bt_into_pool(b, out, self.pool()),
             KernelKind::Blocked => {
                 let mut pack = self.scratch.pack.lock().unwrap();
-                gemm::matmul_bt_into(a, b, out, &mut pack, self.pool());
+                gemm::matmul_bt_into(a, b, out, &mut pack, self.pool(), self.lanes);
             }
         }
     }
@@ -234,7 +298,7 @@ impl ComputeCtx {
         self.add_flops(2 * (a.rows() * a.cols() * b.cols()) as u64);
         match self.kernel {
             KernelKind::Naive => a.matmul_at_into_pool(b, out, self.pool()),
-            KernelKind::Blocked => gemm::matmul_at_into(a, b, out, self.pool()),
+            KernelKind::Blocked => gemm::matmul_at_into(a, b, out, self.pool(), self.lanes),
         }
     }
 
@@ -250,7 +314,9 @@ impl ComputeCtx {
         self.add_flops(2 * (a.nnz() * h.cols()) as u64);
         match self.kernel {
             KernelKind::Naive => a.spmm_into_pool(h, out, accumulate, self.pool()),
-            KernelKind::Blocked => spmm_kernel::spmm_into(a, h, out, accumulate, self.pool()),
+            KernelKind::Blocked => {
+                spmm_kernel::spmm_into(a, h, out, accumulate, self.pool(), self.lanes)
+            }
         }
     }
 

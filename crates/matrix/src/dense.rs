@@ -485,6 +485,19 @@ impl Dense {
         }
     }
 
+    /// In-place `self ⊙= f(z)`: each element multiplied by `f` of the
+    /// same-position element of `z` (the `S ⊙ σ′(Z)` of Eq. 3).
+    pub fn mul_map_assign(&mut self, z: &Dense, f: impl Fn(f32) -> f32) {
+        assert_eq!(
+            (self.rows, self.cols),
+            (z.rows, z.cols),
+            "mul_map_assign shape mismatch"
+        );
+        for (x, &zv) in self.data.iter_mut().zip(&z.data) {
+            *x *= f(zv);
+        }
+    }
+
     /// `self += b`.
     pub fn add_assign(&mut self, b: &Dense) {
         assert_eq!(

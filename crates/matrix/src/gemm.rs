@@ -1,35 +1,44 @@
 //! Cache-blocked GEMM engine shared by every dense-matmul variant.
 //!
-//! The classic packing scheme (Goto & van de Geijn): the right-hand
-//! operand is copied once per call into `NR`-wide **column panels** laid
-//! out k-major, so the micro-kernel's inner loop reads one contiguous
-//! `NR`-float line per `k` step regardless of the original leading
-//! dimension. Over the panels runs an `MR×NR` register-tiled micro-kernel
-//! holding all `MR·NR` accumulators in registers across the whole `k`
-//! loop — the naive kernels instead re-read and re-write the output row
-//! from memory on every `k` step.
+//! The scalar engine uses the classic packing scheme (Goto & van de
+//! Geijn): the right-hand operand is copied once per call into `NR`-wide
+//! **column panels** laid out k-major, so the micro-kernel's inner loop
+//! reads one contiguous `NR`-float line per `k` step regardless of the
+//! original leading dimension. Over the panels runs an `MR×NR`
+//! register-tiled micro-kernel holding all `MR·NR` accumulators in
+//! registers across the whole `k` loop — the naive kernels instead
+//! re-read and re-write the output row from memory on every `k` step. On
+//! a CPU with AVX2 the same loops run on explicit eight-lane tiles
+//! ([`crate::lanes`]), which read the small row-major right operand
+//! directly: `A·B` needs no pack at all, `A·Bᵀ` one transposing copy.
 //!
 //! **Bitwise contract** (DESIGN.md §10): every output element is produced
 //! by a single accumulator summing its `k` terms in strictly ascending
-//! order — exactly the naive kernels' per-element order. The naive
-//! kernels' `a == 0.0 → skip` shortcut is a bitwise no-op on the data the
-//! trainers produce (a `±0.0·b` term never changes an accumulator that
-//! is not `-0.0`, and ascending sums started from `+0.0` can never reach
-//! `-0.0`), so blocked and naive agree bit-for-bit, at every thread
-//! count. The property suite (`tests/kernel_engine.rs`) pins this across
-//! adversarial shapes.
+//! order — exactly the naive kernels' per-element order. The naive `A·B`
+//! skips `a == 0.0` terms that the tiles multiply through; that is a
+//! bitwise no-op unless `B` holds a non-finite value (`0·∞` is NaN) or an
+//! accumulated output holds `-0.0` (a `+0.0` term would flip it), so
+//! exactly those calls run the naive loop instead. Blocked and naive
+//! therefore agree bit for bit on every input, at every thread count. The
+//! property suite (`tests/kernel_engine.rs`) pins this across
+//! adversarial shapes and values.
 //!
-//! The transposed-operand variants share the machinery where it helps:
-//! `A·B` packs `B` directly and `A·Bᵀ` packs `B`'s columns during the
-//! copy (a transposing pack) — the panel buffer lives in [`PackBuf`] and
-//! grows once to the largest shape it ever sees, so steady-state calls
-//! allocate nothing. `Aᵀ·B` (the `ΔW` gradient shape: a huge reduction
-//! dimension onto a tiny output) is different: packing either operand
-//! would copy more memory than the whole multiply reads, so it gets its
-//! own pack-free kernel — an input-row-blocked outer product with
-//! register-tiled output columns (see [`matmul_at_into`]).
+//! `Aᵀ·B` (the `ΔW` gradient shape: a huge reduction dimension onto a
+//! tiny output) is different: packing either operand would copy more
+//! memory than the whole multiply reads, so it gets its own pack-free
+//! kernel — an input-row-blocked outer product with register-tiled
+//! output columns (see [`matmul_at_into`]).
+//!
+//! The layer loop's element-wise epilogues ride along in the stores:
+//! [`matmul_map_into`] writes `Z` and `H = σ(Z)` in one pass, and
+//! [`matmul_bt_scale_into`] multiplies `S` by `σ′(Z)` as it is stored.
+//! Each block of output rows gets its epilogue while it is still in L1,
+//! with the same scalar operations as the separate passes, so the fused
+//! and unfused forms have the same bits.
 
+use crate::ctx::MIN_PARALLEL_WORK;
 use crate::dense::Dense;
+use crate::lanes::Avx2;
 use pargcn_util::pool::{even_chunks, Pool};
 
 /// Micro-kernel output-tile height (rows of `A` per tile).
@@ -42,7 +51,8 @@ pub const NR: usize = 8;
 /// shapes the engine is allocation-free.
 #[derive(Debug, Default)]
 pub struct PackBuf {
-    /// The B operand packed into `NR`-wide column panels (k-major).
+    /// The B operand packed into `NR`-wide column panels (k-major), or
+    /// for the lanes the row-major `Bᵀ` of an `A·Bᵀ`.
     panels: Vec<f32>,
 }
 
@@ -98,11 +108,63 @@ fn pack_bt(b: &[f32], n: usize, k: usize, panels: &mut Vec<f32>) {
     }
 }
 
+/// Transposing copy for the lanes: `b` (`n×k`, row-major) becomes the
+/// row-major `Bᵀ` (`k×n`) at the front of `dst`.
+fn transpose_into(b: &[f32], n: usize, k: usize, dst: &mut Vec<f32>) {
+    if dst.len() < k * n {
+        dst.resize(k * n, 0.0);
+    }
+    for j in 0..n {
+        for kk in 0..k {
+            dst[kk * n + j] = b[j * k + kk];
+        }
+    }
+}
+
+/// The right operand of a `k×n` product laid out for one engine's row
+/// kernels: the lanes read a row-major `k×n` operand (`b` itself for
+/// `A·B`, a transposing copy in `pack` for `A·Bᵀ`); the scalar
+/// micro-kernel reads `NR`-wide panels.
+fn layout<'a>(
+    b: &'a Dense,
+    transposed: bool,
+    pack: &'a mut PackBuf,
+    lanes: Option<Avx2>,
+) -> &'a [f32] {
+    let (k, n) = if transposed {
+        (b.cols(), b.rows())
+    } else {
+        (b.rows(), b.cols())
+    };
+    match (lanes, transposed) {
+        (Some(_), false) => return b.data(),
+        (Some(_), true) => transpose_into(b.data(), n, k, &mut pack.panels),
+        (None, false) => pack_b(b.data(), k, n, &mut pack.panels),
+        (None, true) => pack_bt(b.data(), n, k, &mut pack.panels),
+    }
+    &pack.panels[..k * n]
+}
+
+/// Whether the tiles, which multiply through the zero `a` terms the
+/// naive `A·B` skips, could differ from it: only if `b` holds a
+/// non-finite value (`0·∞` is NaN) or an output to accumulate into holds
+/// `-0.0` (DESIGN.md §10). Such calls — a diverged run — take the naive
+/// loop.
+fn skip_matters(b: &Dense, out: &Dense, accumulate: bool) -> bool {
+    b.data().iter().any(|v| !v.is_finite())
+        || (accumulate && out.data().iter().any(|v| *v == 0.0 && v.is_sign_negative()))
+}
+
+/// Whether a kernel of `work` multiply-adds runs inline on the caller —
+/// the naive pooled kernels' cutoff, a pure function of shape.
+fn runs_inline(pool: &Pool, work: usize) -> bool {
+    pool.threads() == 1 || work < MIN_PARALLEL_WORK
+}
+
 /// Input rows per block of the `Aᵀ·B` outer-product kernel: the register
 /// accumulators for one output tile persist across this many reduction
 /// steps before spilling back to the (cache-hot) output.
 const AT_IB: usize = 16;
-
 /// One `W`-wide output-column tile of `AT_IB` (or fewer) outer-product
 /// updates: `acc[jj] (+)= a[i][j] · b[i][n0+jj]` for `i ∈ [i0, ie)`,
 /// ascending. `W` is constant so the accumulators stay in registers and
@@ -139,7 +201,7 @@ fn at_tile_pass<const W: usize>(
 /// Dynamic-width edge tile for the sub-16 remainder columns.
 #[allow(clippy::too_many_arguments)]
 #[inline]
-fn at_edge_pass(
+pub(crate) fn at_edge_pass(
     a: &[f32],
     m: usize,
     j: usize,
@@ -286,73 +348,100 @@ fn micro_edge(
     }
 }
 
-/// Runs the micro-kernels over `m` consecutive rows of `a` (starting at
-/// its first element, stride `lda`) against pre-packed panels, writing
-/// `m×n` output rows starting at `out[0]`. The unit of work a pool chunk
-/// executes; chunk boundaries only regroup rows and per-element sums are
-/// row-independent, so splitting is bitwise invisible.
+/// Runs the scalar micro-kernels over `m` consecutive rows of `a`
+/// (stride `k`) against pre-packed panels, writing `m×n` output rows
+/// starting at `out[0]` and handing each finished `MR`-row block to
+/// `epi(first_row, rows)`.
 #[allow(clippy::too_many_arguments)]
 fn gemm_rows(
     a: &[f32],
-    lda: usize,
     m: usize,
     k: usize,
     panels: &[f32],
     n: usize,
     out: &mut [f32],
     accumulate: bool,
+    epi: &mut impl FnMut(usize, &mut [f32]),
 ) {
     let mut i0 = 0;
     while i0 < m {
         let mr = MR.min(m - i0);
-        let a_tile = &a[i0 * lda..];
+        let a_tile = &a[i0 * k..];
         let mut jp = 0;
         while jp < n {
             let w = NR.min(n - jp);
             let panel = &panels[jp * k..jp * k + k * w];
             let out_tile = &mut out[i0 * n..];
             if mr == MR && w == NR {
-                micro_full(a_tile, lda, panel, k, out_tile, n, jp, accumulate);
+                micro_full(a_tile, k, panel, k, out_tile, n, jp, accumulate);
             } else {
-                micro_edge(a_tile, lda, mr, panel, w, k, out_tile, n, jp, accumulate);
+                micro_edge(a_tile, k, mr, panel, w, k, out_tile, n, jp, accumulate);
             }
             jp += w;
         }
+        epi(i0, &mut out[i0 * n..(i0 + mr) * n]);
         i0 += mr;
     }
 }
 
-/// Blocked `out (+)= A·panels` over a whole `m×n` output, split across
-/// the pool's threads by output rows exactly like the naive `_pool`
-/// kernels (same `MIN_PARALLEL_WORK` cutoff, same `even_chunks`).
+/// One engine's row kernels over `m` consecutive rows of `a` against
+/// the right operand as [`layout`] left it. The unit of work a pool
+/// chunk executes; chunk boundaries only regroup rows and per-element
+/// sums are row-independent, so splitting is bitwise invisible.
 #[allow(clippy::too_many_arguments)]
-fn gemm_with_panels(
+fn rows(
+    lanes: Option<Avx2>,
     a: &[f32],
-    lda: usize,
     m: usize,
     k: usize,
-    panels: &[f32],
+    bp: &[f32],
+    n: usize,
+    out: &mut [f32],
+    accumulate: bool,
+    epi: &mut impl FnMut(usize, &mut [f32]),
+) {
+    match lanes {
+        Some(l) => l.gemm_rows(a, m, k, bp, n, out, accumulate, epi),
+        None => gemm_rows(a, m, k, bp, n, out, accumulate, epi),
+    }
+}
+
+/// `out (+)= a·bp` over a whole `m×n` output, split across the pool's
+/// threads by output rows exactly like the naive `_pool` kernels (same
+/// cutoff, same `even_chunks`). `epi` sees global row indices.
+#[allow(clippy::too_many_arguments)]
+fn product(
+    a: &[f32],
+    m: usize,
+    k: usize,
+    bp: &[f32],
     n: usize,
     out: &mut [f32],
     accumulate: bool,
     pool: &Pool,
+    lanes: Option<Avx2>,
+    epi: &(impl Fn(usize, &mut [f32]) + Sync),
 ) {
-    if pool.threads() == 1 || m * k * n < crate::ctx::MIN_PARALLEL_WORK {
-        gemm_rows(a, lda, m, k, panels, n, out, accumulate);
+    if runs_inline(pool, m * k * n) {
+        rows(lanes, a, m, k, bp, n, out, accumulate, &mut |i, r| {
+            epi(i, r)
+        });
         return;
     }
     let ranges = even_chunks(m, pool.threads());
     pool.run_disjoint_rows(out, n, &ranges, |chunk, out_rows| {
-        let rows = &ranges[chunk];
-        gemm_rows(
-            &a[rows.start * lda..],
-            lda,
-            rows.len(),
+        let r = &ranges[chunk];
+        let a_rows = &a[r.start * k..r.end * k];
+        rows(
+            lanes,
+            a_rows,
+            r.len(),
             k,
-            panels,
+            bp,
             n,
             out_rows,
             accumulate,
+            &mut |i, o| epi(r.start + i, o),
         );
     });
 }
@@ -365,30 +454,129 @@ pub fn matmul_into(
     accumulate: bool,
     pack: &mut PackBuf,
     pool: &Pool,
+    lanes: Option<Avx2>,
 ) {
     assert_eq!(a.cols(), b.rows(), "matmul dimension mismatch");
     assert_eq!(out.rows(), a.rows(), "matmul output rows mismatch");
     assert_eq!(out.cols(), b.cols(), "matmul output cols mismatch");
+    if skip_matters(b, out, accumulate) {
+        a.matmul_into_pool(b, out, accumulate, pool);
+        return;
+    }
     let (m, k, n) = (a.rows(), a.cols(), b.cols());
-    pack_b(b.data(), k, n, &mut pack.panels);
-    let panels = &pack.panels[..k * n];
-    gemm_with_panels(
+    let bp = layout(b, false, pack, lanes);
+    let out = out.data_mut();
+    product(
         a.data(),
-        k,
         m,
         k,
-        panels,
+        bp,
         n,
-        out.data_mut(),
+        out,
         accumulate,
         pool,
+        lanes,
+        &|_, _| {},
+    );
+}
+
+/// `z = a × b` and `h = f(z)` — the forward layer's transform and
+/// activation — with `f` applied to each block of `z` rows as it is
+/// stored. Bitwise identical to [`matmul_into`] followed by
+/// [`Dense::map_into_pool`]; with a multi-thread pool (or the naive
+/// fallback) that is also how it runs.
+#[allow(clippy::too_many_arguments)]
+pub fn matmul_map_into(
+    a: &Dense,
+    b: &Dense,
+    z: &mut Dense,
+    h: &mut Dense,
+    f: impl Fn(f32) -> f32 + Sync,
+    pack: &mut PackBuf,
+    pool: &Pool,
+    lanes: Option<Avx2>,
+) {
+    let (m, k, n) = (a.rows(), a.cols(), b.cols());
+    assert_eq!(k, b.rows(), "matmul dimension mismatch");
+    assert_eq!((z.rows(), z.cols()), (m, n), "matmul output shape mismatch");
+    assert_eq!((h.rows(), h.cols()), (m, n), "activation shape mismatch");
+    if !runs_inline(pool, m * k * n) || skip_matters(b, z, false) {
+        matmul_into(a, b, z, false, pack, pool, lanes);
+        z.map_into_pool(h, pool, f);
+        return;
+    }
+    let bp = layout(b, false, pack, lanes);
+    let h = h.data_mut();
+    rows(
+        lanes,
+        a.data(),
+        m,
+        k,
+        bp,
+        n,
+        z.data_mut(),
+        false,
+        &mut |i, z_rows| {
+            for (hv, &zv) in h[i * n..].iter_mut().zip(z_rows.iter()) {
+                *hv = f(zv);
+            }
+        },
     );
 }
 
 /// Blocked [`Dense::matmul_bt_into`]: `out = a × bᵀ` (`a` is `m×k`, `b`
 /// is `n×k`). The transpose happens inside the pack — no `Bᵀ` is ever
-/// materialized.
-pub fn matmul_bt_into(a: &Dense, b: &Dense, out: &mut Dense, pack: &mut PackBuf, pool: &Pool) {
+/// materialized for the scalar panels — or as one small transposing
+/// copy for the lanes.
+pub fn matmul_bt_into(
+    a: &Dense,
+    b: &Dense,
+    out: &mut Dense,
+    pack: &mut PackBuf,
+    pool: &Pool,
+    lanes: Option<Avx2>,
+) {
+    bt_product(a, b, out, pack, pool, lanes, &|_, _| {});
+}
+
+/// `out = (a × bᵀ) ⊙ f(z)` — the backward layer's `S = (Â'G)·Wᵀ` times
+/// `σ′(Z)` — multiplying each block of output rows as it is stored. The
+/// product is multiplied by `f(z)` rather than selected by it, so it is
+/// bitwise [`matmul_bt_into`] followed by `out ⊙= f(z)`, `-0.0` and NaN
+/// included.
+#[allow(clippy::too_many_arguments)]
+pub fn matmul_bt_scale_into(
+    a: &Dense,
+    b: &Dense,
+    z: &Dense,
+    f: impl Fn(f32) -> f32 + Sync,
+    out: &mut Dense,
+    pack: &mut PackBuf,
+    pool: &Pool,
+    lanes: Option<Avx2>,
+) {
+    assert_eq!(
+        (z.rows(), z.cols()),
+        (out.rows(), out.cols()),
+        "matmul_bt_scale_into scale shape mismatch"
+    );
+    let (n, z) = (out.cols(), z.data());
+    bt_product(a, b, out, pack, pool, lanes, &|i, rows: &mut [f32]| {
+        for (o, &zv) in rows.iter_mut().zip(&z[i * n..]) {
+            *o *= f(zv);
+        }
+    });
+}
+
+fn bt_product(
+    a: &Dense,
+    b: &Dense,
+    out: &mut Dense,
+    pack: &mut PackBuf,
+    pool: &Pool,
+    lanes: Option<Avx2>,
+    epi: &(impl Fn(usize, &mut [f32]) + Sync),
+) {
     assert_eq!(a.cols(), b.cols(), "matmul_bt dimension mismatch");
     assert_eq!(
         (out.rows(), out.cols()),
@@ -396,17 +584,28 @@ pub fn matmul_bt_into(a: &Dense, b: &Dense, out: &mut Dense, pack: &mut PackBuf,
         "matmul_bt_into output shape mismatch"
     );
     let (m, k, n) = (a.rows(), a.cols(), b.rows());
-    pack_bt(b.data(), n, k, &mut pack.panels);
-    let panels = &pack.panels[..k * n];
-    gemm_with_panels(a.data(), k, m, k, panels, n, out.data_mut(), false, pool);
+    let bp = layout(b, true, pack, lanes);
+    product(
+        a.data(),
+        m,
+        k,
+        bp,
+        n,
+        out.data_mut(),
+        false,
+        pool,
+        lanes,
+        epi,
+    );
 }
 
 /// Blocked [`Dense::matmul_at_into`]: `out = aᵀ × b` (`a` is `r×m`, `b`
 /// is `r×n`, result `m×n`). Pack-free input-row-blocked outer product
-/// (see [`at_rows`]); parallelism splits the output rows exactly like
-/// the naive pooled kernel (same cutoff, same `even_chunks`), which is
-/// bitwise invisible because output rows are independent.
-pub fn matmul_at_into(a: &Dense, b: &Dense, out: &mut Dense, pool: &Pool) {
+/// (see `at_rows`, or its lanes, whose row blocks are sized to stay in
+/// L1); parallelism splits the output rows exactly like the naive pooled
+/// kernel (same cutoff, same `even_chunks`), which is bitwise invisible
+/// because output rows are independent.
+pub fn matmul_at_into(a: &Dense, b: &Dense, out: &mut Dense, pool: &Pool, lanes: Option<Avx2>) {
     assert_eq!(a.rows(), b.rows(), "matmul_at dimension mismatch");
     assert_eq!(
         (out.rows(), out.cols()),
@@ -414,13 +613,18 @@ pub fn matmul_at_into(a: &Dense, b: &Dense, out: &mut Dense, pool: &Pool) {
         "matmul_at_into output shape mismatch"
     );
     let (r, m, n) = (a.rows(), a.cols(), b.cols());
-    if pool.threads() == 1 || r * m * n < crate::ctx::MIN_PARALLEL_WORK {
-        at_rows(a.data(), m, b.data(), n, r, 0..m, out.data_mut());
+    let (a, b) = (a.data(), b.data());
+    let rows = |js: std::ops::Range<usize>, out: &mut [f32]| match lanes {
+        Some(l) => l.at_rows(a, m, b, n, r, js, out),
+        None => at_rows(a, m, b, n, r, js, out),
+    };
+    if runs_inline(pool, r * m * n) {
+        rows(0..m, out.data_mut());
         return;
     }
     let ranges = even_chunks(m, pool.threads());
     pool.run_disjoint_rows(out.data_mut(), n, &ranges, |chunk, out_rows| {
-        at_rows(a.data(), m, b.data(), n, r, ranges[chunk].clone(), out_rows);
+        rows(ranges[chunk].clone(), out_rows);
     });
 }
 
@@ -428,6 +632,13 @@ pub fn matmul_at_into(a: &Dense, b: &Dense, out: &mut Dense, pool: &Pool) {
 mod tests {
     use super::*;
     use pargcn_util::rng::{Rng, SeedableRng, StdRng};
+
+    /// The scalar engine, and the lanes where the CPU has them.
+    fn engines() -> Vec<Option<Avx2>> {
+        let mut v = vec![None];
+        v.extend(Avx2::detect().map(Some));
+        v
+    }
 
     fn bits(d: &Dense) -> Vec<u32> {
         d.data().iter().map(|v| v.to_bits()).collect()
@@ -449,14 +660,16 @@ mod tests {
     fn blocked_matmul_matches_naive_bitwise() {
         let pool = Pool::new(1);
         let mut pack = PackBuf::new();
-        for (m, k, n) in [(7, 5, 9), (64, 32, 16), (1, 1, 1), (13, 8, 8), (100, 3, 17)] {
-            let a = random(m, k, 1);
-            let b = random(k, n, 2);
-            let mut naive = Dense::zeros(m, n);
-            a.matmul_into(&b, &mut naive, false);
-            let mut blocked = Dense::zeros(m, n);
-            matmul_into(&a, &b, &mut blocked, false, &mut pack, &pool);
-            assert_eq!(bits(&naive), bits(&blocked), "shape {m}x{k}x{n}");
+        for lanes in engines() {
+            for (m, k, n) in [(7, 5, 9), (64, 32, 16), (1, 1, 1), (13, 8, 8), (100, 3, 17)] {
+                let a = random(m, k, 1);
+                let b = random(k, n, 2);
+                let mut naive = Dense::zeros(m, n);
+                a.matmul_into(&b, &mut naive, false);
+                let mut blocked = Dense::zeros(m, n);
+                matmul_into(&a, &b, &mut blocked, false, &mut pack, &pool, lanes);
+                assert_eq!(bits(&naive), bits(&blocked), "shape {m}x{k}x{n} {lanes:?}");
+            }
         }
     }
 
@@ -469,10 +682,13 @@ mod tests {
         // Accumulator contents must be sum-reachable (never -0.0): use a
         // prior product, exactly like the trainers do.
         let mut naive = a.matmul(&b);
-        let mut blocked = naive.clone();
+        let seed = naive.clone();
         a.matmul_into(&b, &mut naive, true);
-        matmul_into(&a, &b, &mut blocked, true, &mut pack, &pool);
-        assert_eq!(bits(&naive), bits(&blocked));
+        for lanes in engines() {
+            let mut blocked = seed.clone();
+            matmul_into(&a, &b, &mut blocked, true, &mut pack, &pool, lanes);
+            assert_eq!(bits(&naive), bits(&blocked), "{lanes:?}");
+        }
     }
 
     #[test]
@@ -481,15 +697,17 @@ mod tests {
         let mut pack = PackBuf::new();
         let a = random(21, 10, 5);
         let b = random(14, 10, 6);
-        let mut blocked = Dense::zeros(21, 14);
-        matmul_bt_into(&a, &b, &mut blocked, &mut pack, &pool);
-        assert_eq!(bits(&a.matmul_bt(&b)), bits(&blocked));
-
         let h = random(50, 6, 7);
         let g = random(50, 11, 8);
-        let mut blocked = Dense::zeros(6, 11);
-        matmul_at_into(&h, &g, &mut blocked, &pool);
-        assert_eq!(bits(&h.matmul_at(&g)), bits(&blocked));
+        for lanes in engines() {
+            let mut blocked = Dense::zeros(21, 14);
+            matmul_bt_into(&a, &b, &mut blocked, &mut pack, &pool, lanes);
+            assert_eq!(bits(&a.matmul_bt(&b)), bits(&blocked), "{lanes:?}");
+
+            let mut blocked = Dense::zeros(6, 11);
+            matmul_at_into(&h, &g, &mut blocked, &pool, lanes);
+            assert_eq!(bits(&h.matmul_at(&g)), bits(&blocked), "{lanes:?}");
+        }
     }
 
     #[test]
@@ -499,11 +717,16 @@ mod tests {
         for (m, k, n) in [(0, 4, 4), (4, 0, 4), (4, 4, 0), (0, 0, 0)] {
             let a = Dense::zeros(m, k);
             let b = Dense::zeros(k, n);
-            let mut out = Dense::zeros(m, n);
-            matmul_into(&a, &b, &mut out, false, &mut pack, &pool);
             let mut naive = Dense::zeros(m, n);
             a.matmul_into(&b, &mut naive, false);
-            assert_eq!(bits(&naive), bits(&out));
+            for lanes in engines() {
+                let mut out = Dense::zeros(m, n);
+                matmul_into(&a, &b, &mut out, false, &mut pack, &pool, lanes);
+                assert_eq!(bits(&naive), bits(&out));
+                let mut out = Dense::zeros(k, m);
+                matmul_at_into(&a, &Dense::zeros(m, m), &mut out, &pool, lanes);
+                assert!(out.data().iter().all(|&v| v.to_bits() == 0));
+            }
         }
     }
 

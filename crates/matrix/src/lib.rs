@@ -33,11 +33,15 @@
 //! assert_eq!(z.cols(), 2);
 //! ```
 
+#![deny(unsafe_code)]
+
 pub mod csr;
 pub mod ctx;
 pub mod dense;
 pub mod gather;
 pub mod gemm;
+#[allow(unsafe_code)]
+pub mod lanes;
 pub mod norm;
 pub mod spmm_kernel;
 

@@ -22,6 +22,7 @@
 
 use crate::csr::Csr;
 use crate::dense::Dense;
+use crate::lanes::Avx2;
 use pargcn_util::pool::{weighted_chunks, Pool};
 
 /// Rows per block: consecutive rows processed tile-by-tile together so
@@ -55,7 +56,7 @@ fn tile_pass<const W: usize>(
 
 /// Dynamic-width edge pass for the sub-16 remainder columns.
 #[inline]
-fn edge_pass(
+pub(crate) fn edge_pass(
     cols: &[u32],
     vals: &[f32],
     h: &Dense,
@@ -80,7 +81,35 @@ fn edge_pass(
 /// Processes rows `[row0, row0+m)` of `a`, writing `m` output rows
 /// starting at `out[0]` (row-major, width `d = h.cols()`).
 fn spmm_rows(a: &Csr, row0: usize, m: usize, h: &Dense, out: &mut [f32], accumulate: bool) {
-    let d = h.cols();
+    row_tiles(
+        a,
+        row0,
+        m,
+        h.cols(),
+        out,
+        |cols, vals, j0, out_row| match out_row.len() {
+            64 => tile_pass::<64>(cols, vals, h, j0, out_row, accumulate),
+            32 => tile_pass::<32>(cols, vals, h, j0, out_row, accumulate),
+            16 => tile_pass::<16>(cols, vals, h, j0, out_row, accumulate),
+            _ => edge_pass(cols, vals, h, j0, out_row, accumulate),
+        },
+    );
+}
+
+/// The row-block × column-tile walk over rows `[row0, row0+m)`: calls
+/// `tile(cols, vals, j0, out_row)` for each row's nonzeros and each
+/// column tile `[j0, j0 + out_row.len())` of width 64, 32, 16 or a
+/// sub-16 edge. Shared by the scalar kernel and the AVX2 lanes, which
+/// inline it into their `#[target_feature]` code.
+#[inline(always)]
+pub(crate) fn row_tiles(
+    a: &Csr,
+    row0: usize,
+    m: usize,
+    d: usize,
+    out: &mut [f32],
+    mut tile: impl FnMut(&[u32], &[f32], usize, &mut [f32]),
+) {
     let mut ib = 0;
     while ib < m {
         let ie = (ib + RB).min(m);
@@ -97,13 +126,7 @@ fn spmm_rows(a: &Csr, row0: usize, m: usize, h: &Dense, out: &mut [f32], accumul
             for li in ib..ie {
                 let cols = a.row_indices(row0 + li);
                 let vals = a.row_values(row0 + li);
-                let out_row = &mut out[li * d + j0..li * d + j0 + w];
-                match w {
-                    64 => tile_pass::<64>(cols, vals, h, j0, out_row, accumulate),
-                    32 => tile_pass::<32>(cols, vals, h, j0, out_row, accumulate),
-                    16 => tile_pass::<16>(cols, vals, h, j0, out_row, accumulate),
-                    _ => edge_pass(cols, vals, h, j0, out_row, accumulate),
-                }
+                tile(cols, vals, j0, &mut out[li * d + j0..li * d + j0 + w]);
             }
             j0 += w;
         }
@@ -113,20 +136,32 @@ fn spmm_rows(a: &Csr, row0: usize, m: usize, h: &Dense, out: &mut [f32], accumul
 
 /// Blocked [`Csr::spmm_into`]: `out (+)= a × h`, split across the pool's
 /// threads by nonzero count exactly like the naive pooled kernel (same
-/// [`weighted_chunks`], same `MIN_PARALLEL_WORK` cutoff).
-pub fn spmm_into(a: &Csr, h: &Dense, out: &mut Dense, accumulate: bool, pool: &Pool) {
+/// [`weighted_chunks`], same `MIN_PARALLEL_WORK` cutoff). With `lanes`
+/// the tiles run on AVX2 ([`crate::lanes`]), with the same bits.
+pub fn spmm_into(
+    a: &Csr,
+    h: &Dense,
+    out: &mut Dense,
+    accumulate: bool,
+    pool: &Pool,
+    lanes: Option<Avx2>,
+) {
     assert_eq!(a.n_cols(), h.rows(), "spmm dimension mismatch");
     assert_eq!(out.rows(), a.n_rows(), "spmm output rows mismatch");
     assert_eq!(out.cols(), h.cols(), "spmm output cols mismatch");
     let d = h.cols();
+    let rows = |row0: usize, m: usize, out: &mut [f32]| match lanes {
+        Some(l) => l.spmm_rows(a, row0, m, h, out, accumulate),
+        None => spmm_rows(a, row0, m, h, out, accumulate),
+    };
     if pool.threads() == 1 || a.nnz() * d < crate::ctx::MIN_PARALLEL_WORK {
-        spmm_rows(a, 0, a.n_rows(), h, out.data_mut(), accumulate);
+        rows(0, a.n_rows(), out.data_mut());
         return;
     }
     let ranges = weighted_chunks(a.indptr(), pool.threads());
     pool.run_disjoint_rows(out.data_mut(), d, &ranges, |chunk, out_rows| {
-        let rows = &ranges[chunk];
-        spmm_rows(a, rows.start, rows.len(), h, out_rows, accumulate);
+        let r = &ranges[chunk];
+        rows(r.start, r.len(), out_rows);
     });
 }
 
@@ -155,19 +190,26 @@ mod tests {
     fn blocked_spmm_matches_naive_bitwise() {
         let pool = Pool::new(1);
         let mut rng = StdRng::seed_from_u64(9);
-        for (rows, cols, d) in [(40, 30, 16), (17, 23, 5), (8, 8, 33), (3, 50, 1)] {
+        for (rows, cols, d) in [
+            (40, 30, 16),
+            (17, 23, 5),
+            (8, 8, 33),
+            (3, 50, 1),
+            (9, 12, 112),
+        ] {
             let a = random_csr(rows, cols, 4, rows as u64);
             let h = Dense::random(cols, d, &mut rng);
             let naive = a.spmm(&h);
-            let mut blocked = Dense::zeros(rows, d);
-            spmm_into(&a, &h, &mut blocked, false, &pool);
-            assert_eq!(bits(&naive), bits(&blocked), "{rows}x{cols} d={d}");
-
             // Accumulating path, seeded with a sum-reachable value.
             let mut naive_acc = naive.clone();
             a.spmm_into(&h, &mut naive_acc, true);
-            spmm_into(&a, &h, &mut blocked, true, &pool);
-            assert_eq!(bits(&naive_acc), bits(&blocked));
+            for lanes in [None, Avx2::detect()] {
+                let mut blocked = Dense::zeros(rows, d);
+                spmm_into(&a, &h, &mut blocked, false, &pool, lanes);
+                assert_eq!(bits(&naive), bits(&blocked), "{rows}x{cols} d={d}");
+                spmm_into(&a, &h, &mut blocked, true, &pool, lanes);
+                assert_eq!(bits(&naive_acc), bits(&blocked), "{lanes:?}");
+            }
         }
     }
 
@@ -177,10 +219,10 @@ mod tests {
         let a = Csr::from_coo(0, 5, vec![]);
         let h = Dense::zeros(5, 7);
         let mut out = Dense::zeros(0, 7);
-        spmm_into(&a, &h, &mut out, false, &pool);
+        spmm_into(&a, &h, &mut out, false, &pool, None);
         let a = Csr::from_coo(4, 5, vec![]); // rows but no nonzeros
         let mut out = Dense::zeros(4, 7);
-        spmm_into(&a, &h, &mut out, false, &pool);
+        spmm_into(&a, &h, &mut out, false, &pool, None);
         assert!(out.data().iter().all(|&v| v == 0.0));
     }
 }

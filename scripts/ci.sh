@@ -24,6 +24,10 @@ run env PARGCN_THREADS=4 cargo test -q --offline --locked
 # Timing assertions (the bench harness's own tests) must also hold where
 # the optimiser can fold benchmark bodies.
 run cargo test --release -q --offline --locked -p pargcn-util
+# The kernel engine's bitwise suites in release codegen too: that is
+# where the AVX2 lanes' #[target_feature] code is inlined differently
+# from debug builds.
+run cargo test --release -q --offline --locked -p pargcn-matrix
 # Kernel-engine parity: the bitwise-determinism suites and the
 # allocation contract must hold under both compute engines
 # (PARGCN_KERNEL selects naive vs blocked GEMM/SpMM; every result is
