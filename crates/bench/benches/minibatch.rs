@@ -16,14 +16,22 @@
 //!   `steady`     — a long-lived engine re-fed the list, the
 //!                  steady-state cost with pools and workspaces at
 //!                  their high-water mark.
+//!
+//! The `prep` group times the preparation kernels one batch step is
+//! waiting on when prep is not hidden: the induced subgraph, `Â`, and the
+//! forward and `Âᵀ` plan builds at the `minibatch-hp-amazon` benchmark's
+//! shape (amazon0601/16 under HP at p = 2, one uniform batch of n/8
+//! vertices), plus the full-batch P2P and CAGNET plan builds of the road
+//! workloads (roadNet-CA/16, random rows, p = 2).
 
+use pargcn_core::baselines::cagnet::CagnetPlan;
 use pargcn_core::minibatch::{self, MinibatchEngine};
-use pargcn_core::GcnConfig;
+use pargcn_core::{CommPlan, GcnConfig, PlanBuilder};
 use pargcn_graph::gen::sbm::{self, SbmParams};
-use pargcn_graph::Graph;
-use pargcn_matrix::{ComputeSpec, Dense};
+use pargcn_graph::{Dataset, Graph, Scale, SubgraphScratch};
+use pargcn_matrix::{norm, ComputeSpec, Dense};
 use pargcn_partition::stochastic::{sample_batches, Sampler};
-use pargcn_partition::{partition_rows, Method, Partition};
+use pargcn_partition::{partition_rows, Method, Partition, DEFAULT_EPSILON};
 use pargcn_util::bench::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 /// Ranks — the acceptance criterion's p.
@@ -119,5 +127,53 @@ fn bench_large_batches(c: &mut Criterion) {
     run_group(c, "minibatch_large_b400", 400, 6);
 }
 
-criterion_group!(benches, bench_small_batches, bench_large_batches);
+/// The preparation kernels in isolation, at the benchmark workloads'
+/// shapes (see the module docs).
+fn bench_prep(c: &mut Criterion) {
+    let graph = Dataset::Amazon0601.generate(Scale(16), 1).graph;
+    let a = graph.normalized_adjacency();
+    let part = partition_rows(&graph, &a, Method::Hp, 2, DEFAULT_EPSILON, 1);
+    let sampler = Sampler::UniformVertex {
+        batch_size: graph.n() / 8,
+    };
+    let batch = sample_batches(&graph, sampler, 1, 1).remove(0);
+    let mut scratch = SubgraphScratch::new();
+    let sub = graph.induced_subgraph_into(&batch, &mut scratch);
+    let a_batch = norm::normalize_adjacency(sub.adjacency());
+    let at_batch = a_batch.transpose();
+    let batch_part = minibatch::restrict_partition(&part, &batch);
+    let mut builder = PlanBuilder::new();
+
+    let road = Dataset::RoadNetCa.generate(Scale(16), 1).graph;
+    let a_road = road.normalized_adjacency();
+    let road_part = partition_rows(&road, &a_road, Method::Rp, 2, DEFAULT_EPSILON, 1);
+
+    let mut group = c.benchmark_group("prep");
+    group.bench_function("induced_subgraph_into/amazon_n8", |b| {
+        b.iter(|| graph.induced_subgraph_into(&batch, &mut scratch))
+    });
+    group.bench_function("normalize_adjacency/amazon_n8", |b| {
+        b.iter(|| norm::normalize_adjacency(sub.adjacency()))
+    });
+    group.bench_function("plan_builder_forward/amazon_n8", |b| {
+        b.iter(|| builder.build(&a_batch, &batch_part))
+    });
+    group.bench_function("plan_builder_transpose/amazon_n8", |b| {
+        b.iter(|| builder.build(&at_batch, &batch_part))
+    });
+    group.bench_function("comm_plan/road_rp2", |b| {
+        b.iter(|| CommPlan::build(&a_road, &road_part))
+    });
+    group.bench_function("cagnet_plan/road_rp2", |b| {
+        b.iter(|| CagnetPlan::build(&a_road, &road_part))
+    });
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_small_batches,
+    bench_large_batches,
+    bench_prep
+);
 criterion_main!(benches);

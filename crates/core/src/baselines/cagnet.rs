@@ -57,24 +57,18 @@ impl CagnetPlan {
                 pos_in_owner[v as usize] = li as u32;
             }
         }
-        let mut ranks = Vec::with_capacity(p);
-        for (m, rows) in members.iter().enumerate() {
-            let a_m = a.select_rows(rows);
-            let mut blocks = Vec::with_capacity(p);
-            for (b, members_b) in members.iter().enumerate() {
-                // Only `b`'s columns survive the filter, so the owner
-                // positions renumber them into `b`'s local row list.
-                blocks.push(
-                    a_m.filter_cols(|c| part.part_of(c as usize) as usize == b)
-                        .remap_cols(&pos_in_owner, members_b.len()),
-                );
-            }
-            ranks.push(CagnetRank {
+        // Positions ascend with the global id within each owner (members
+        // lists are ascending), so one split yields every column block.
+        let block_cols: Vec<usize> = members.iter().map(Vec::len).collect();
+        let ranks = members
+            .iter()
+            .enumerate()
+            .map(|(m, rows)| CagnetRank {
                 rank: m,
                 local_rows: rows.clone(),
-                blocks,
-            });
-        }
+                blocks: a.split_by_owner(rows, part.assignment(), &pos_in_owner, &block_cols),
+            })
+            .collect();
         CagnetPlan { ranks, n, p }
     }
 }

@@ -409,10 +409,24 @@ fn prepare_batch(
     }
 }
 
-/// Rejects a batch naming a vertex outside the graph.
+/// Rejects a batch naming a vertex outside the graph or naming one vertex
+/// twice (the induced subgraph maps batch positions to vertices one to
+/// one). A sorted batch — what `sample_batches` yields — is checked for
+/// repeats in one compare per vertex; only an unsorted one pays a sort.
 fn assert_in_graph(batch: &[u32], n: usize) {
     if let Some(&v) = batch.iter().find(|&&v| v as usize >= n) {
         panic!("batch vertex {v} is out of range for a graph of n = {n} vertices");
+    }
+    if batch.windows(2).all(|w| w[0] < w[1]) {
+        return;
+    }
+    let mut by_vertex: Vec<(u32, usize)> = batch.iter().copied().zip(0..).collect();
+    by_vertex.sort_unstable();
+    if let Some(w) = by_vertex.windows(2).find(|w| w[0].0 == w[1].0) {
+        panic!(
+            "batch vertex {} appears twice, at positions {} and {}",
+            w[0].0, w[0].1, w[1].1
+        );
     }
 }
 

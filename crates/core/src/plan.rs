@@ -136,39 +136,32 @@ impl CommPlan {
 
 /// Reusable-scratch plan builder for the mini-batch path (DESIGN.md §11).
 ///
-/// [`CommPlan::build`] allocates and zeroes O(n·p) of `u32::MAX` maps on
-/// every call (`own_map` per rank, `recv_map` per remote block) — fine for
-/// one full-batch plan, ruinous when every mini-batch needs a fresh plan.
-/// `PlanBuilder` keeps those maps alive across builds:
+/// A plan build needs two length-n maps (global row → local index, and
+/// the per-rank column position fed to [`Csr::split_by_owner`]) plus the
+/// p×p `needed` matrix. `PlanBuilder` keeps them alive across builds:
 ///
-/// * `local_index` and `own_map` are plain grow-once vectors. Every entry
-///   that a build *reads* is written earlier in the same build (all n
-///   vertices for `local_index`; the current rank's owned vertices for
-///   `own_map`, and `filter_cols` keeps only owned columns before
-///   `remap_cols` reads the map), so stale entries from prior builds are
-///   never observed.
-/// * the receive map is epoch-stamped: `recv_val[c]` is live only when
-///   `recv_stamp[c]` equals the current epoch, so "clearing" the map for
-///   the next remote block is a counter increment, not an O(n) fill. The
-///   column-support scan reuses the same trick (`seen_stamp`).
+/// * `local_index` and `pos` are plain grow-once vectors. Every entry a
+///   build *reads* is written earlier in the same build (all n vertices
+///   for `local_index`; for rank m's split, its owned columns and its
+///   receive sets — exactly the columns of `Aₘ` — for `pos`), so stale
+///   entries from prior builds are never observed.
+/// * the column-support scan is epoch-stamped: `seen_stamp[c]` is live
+///   only when it equals the current epoch, so "clearing" the marks for
+///   the next rank is a counter increment, not an O(n) fill.
 /// * the p×p `needed` matrix keeps its inner vectors' capacity.
 ///
-/// Emitted plans are **bitwise identical** to `CommPlan::build` (the qc
-/// suite in `tests/minibatch_engine.rs` checks `==` across random
-/// graph/partition streams); the per-build cost drops from O(n·p) to
-/// O(touched) for the scratch, i.e. batch-sized for batch-sized graphs.
+/// Emitted plans do not depend on the scratch's history (the qc suite in
+/// `tests/minibatch_engine.rs` checks a reused builder against a
+/// reference built from Eqs. 8–9); the per-build scratch cost is
+/// O(touched), i.e. batch-sized for batch-sized graphs.
 #[derive(Debug, Default)]
 pub struct PlanBuilder {
     /// Global row id → local index within its owner; fully rewritten per build.
     local_index: Vec<u32>,
-    /// Current rank's owned global row → local index; only owned positions
-    /// are written then read, so no clearing between ranks or builds.
-    own_map: Vec<u32>,
-    /// Epoch-stamped receive map: `recv_val[c]` is live iff
-    /// `recv_stamp[c] == epoch`.
-    recv_stamp: Vec<u32>,
-    recv_val: Vec<u32>,
-    epoch: u32,
+    /// Column → position in the current rank's block for that column's
+    /// owner: the local index for owned columns, the receive position for
+    /// remote ones. Rewritten per rank for the columns it reads.
+    pos: Vec<u32>,
     /// Epoch-stamped column-support marks for the first pass.
     seen_stamp: Vec<u32>,
     seen_epoch: u32,
@@ -186,11 +179,9 @@ impl PlanBuilder {
     fn reserve(&mut self, n: usize, p: usize) {
         if self.local_index.len() < n {
             self.local_index.resize(n, 0);
-            self.own_map.resize(n, u32::MAX);
+            self.pos.resize(n, 0);
             // New tail entries carry stamp 0; epochs start at 1, so they
             // read as stale until written.
-            self.recv_stamp.resize(n, 0);
-            self.recv_val.resize(n, 0);
             self.seen_stamp.resize(n, 0);
         }
         if self.needed.len() < p {
@@ -206,102 +197,93 @@ impl PlanBuilder {
         }
     }
 
-    /// Advances a stamp counter, resetting the buffer on the (practically
+    /// Advances the stamp counter, resetting the marks on the (practically
     /// unreachable) u32 wraparound so stale stamps can never alias.
-    fn next_epoch(epoch: &mut u32, stamp: &mut [u32]) -> u32 {
-        if *epoch == u32::MAX {
-            stamp.fill(0);
-            *epoch = 0;
+    fn next_epoch(&mut self) -> u32 {
+        if self.seen_epoch == u32::MAX {
+            self.seen_stamp.fill(0);
+            self.seen_epoch = 0;
         }
-        *epoch += 1;
-        *epoch
+        self.seen_epoch += 1;
+        self.seen_epoch
     }
 
-    /// Builds the plan for `A · X` under `part` — same contract and bitwise
-    /// the same output as [`CommPlan::build`], at batch-sized scratch cost.
+    /// Builds the plan for `A · X` under `part` — same contract and the
+    /// same output as [`CommPlan::build`], at batch-sized scratch cost.
     pub fn build(&mut self, a: &Csr, part: &Partition) -> CommPlan {
         assert_eq!(a.n_rows(), a.n_cols(), "plan needs a square matrix");
         assert_eq!(a.n_rows(), part.n(), "partition size mismatch");
         let n = a.n_rows();
         let p = part.p();
         self.reserve(n, p);
-        let PlanBuilder {
-            local_index,
-            own_map,
-            recv_stamp,
-            recv_val,
-            epoch,
-            seen_stamp,
-            seen_epoch,
-            needed,
-        } = self;
         let members = part.members();
+        let owner = part.assignment();
 
         // Global row id → local index within its owner.
         for rows in &members {
             for (li, &v) in rows.iter().enumerate() {
-                local_index[v as usize] = li as u32;
+                self.local_index[v as usize] = li as u32;
             }
         }
 
         // First pass: per rank, split needed columns by owner. The support
-        // scan ascends over 0..n exactly like `Csr::col_support`, so the
-        // `needed` lists come out in the same (ascending) order.
-        let mut blocks: Vec<Csr> = Vec::with_capacity(p);
+        // scan ascends over 0..n, so the `needed` lists come out ascending.
         for (m, rows) in members.iter().enumerate() {
-            let a_m = a.select_rows(rows);
-            let se = PlanBuilder::next_epoch(seen_epoch, seen_stamp);
-            for i in 0..a_m.n_rows() {
-                for &c in a_m.row_indices(i) {
-                    seen_stamp[c as usize] = se;
+            let se = self.next_epoch();
+            for &r in rows {
+                for &c in a.row_indices(r as usize) {
+                    self.seen_stamp[c as usize] = se;
                 }
             }
-            for j in 0..n as u32 {
-                if seen_stamp[j as usize] == se {
-                    let owner = part.part_of(j as usize) as usize;
-                    if owner != m {
-                        needed[m][owner].push(j);
-                    }
+            for (j, (&stamp, &o)) in self.seen_stamp[..n].iter().zip(owner).enumerate() {
+                if stamp == se && o as usize != m {
+                    self.needed[m][o as usize].push(j as u32);
                 }
             }
-            blocks.push(a_m);
         }
 
+        let PlanBuilder {
+            local_index,
+            pos,
+            needed,
+            ..
+        } = self;
         let mut ranks = Vec::with_capacity(p);
         for (m, rows) in members.iter().enumerate() {
-            let a_m = &blocks[m];
-
-            // Diagonal block: own columns → local indices.
-            for (li, &v) in rows.iter().enumerate() {
-                own_map[v as usize] = li as u32;
+            // One sweep over Aₘ: owned columns land in the diagonal block
+            // at their local index, remote ones in their owner's block at
+            // their receive position. Both ascend with the global column,
+            // so every block row comes out sorted.
+            for &v in rows {
+                pos[v as usize] = local_index[v as usize];
             }
-            let a_own = a_m
-                .filter_cols(|c| part.part_of(c as usize) as usize == m)
-                .remap_cols(&own_map[..n], rows.len());
+            // Slice to `p`: the scratch may be wider from an earlier
+            // larger-p build.
+            let need = &needed[m][..p];
+            for recv in need {
+                for (k, &j) in recv.iter().enumerate() {
+                    pos[j as usize] = k as u32;
+                }
+            }
+            let block_cols: Vec<usize> = (0..p)
+                .map(|o| if o == m { rows.len() } else { need[o].len() })
+                .collect();
+            let blocks = a.split_by_owner(rows, owner, pos, &block_cols);
 
-            // Off-diagonal blocks per source peer. Slice to `p`: the
-            // scratch may be wider from an earlier larger-p build.
+            // Off-diagonal blocks per source peer; the receive set `Rₘ`
+            // (Eq. 9) is the peers with a nonempty block.
+            let mut a_own = None;
             let mut a_remote = Vec::new();
-            for (peer, need) in needed[m][..p].iter().enumerate() {
-                if peer == m || need.is_empty() {
-                    continue;
+            for (peer, block) in blocks.into_iter().enumerate() {
+                if peer == m {
+                    a_own = Some(block);
+                } else if !need[peer].is_empty() {
+                    a_remote.push(RemoteBlock {
+                        peer,
+                        rows: need[peer].clone(),
+                        a: block,
+                    });
                 }
-                let recv_rows = need.clone();
-                let e = PlanBuilder::next_epoch(epoch, recv_stamp);
-                for (pos, &j) in recv_rows.iter().enumerate() {
-                    recv_stamp[j as usize] = e;
-                    recv_val[j as usize] = pos as u32;
-                }
-                // `filter_cols` keeps exactly the freshly stamped columns,
-                // so `remap_cols` only reads live `recv_val` entries.
-                let block = a_m
-                    .filter_cols(|c| recv_stamp[c as usize] == e)
-                    .remap_cols(&recv_val[..n], recv_rows.len());
-                a_remote.push(RemoteBlock {
-                    peer,
-                    rows: recv_rows,
-                    a: block,
-                });
             }
 
             // Send sets: invert `needed` — rank m sends to n the rows n
@@ -324,7 +306,7 @@ impl PlanBuilder {
             ranks.push(RankPlan {
                 rank: m,
                 local_rows: rows.clone(),
-                a_own,
+                a_own: a_own.expect("split yields one block per rank"),
                 a_remote,
                 send,
             });

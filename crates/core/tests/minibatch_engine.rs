@@ -10,6 +10,7 @@
 //! allocation test sees real numbers; it only counts, so the equivalence
 //! tests are unaffected.
 
+use pargcn_core::baselines::cagnet::CagnetPlan;
 use pargcn_core::minibatch::{self, MinibatchEngine, MinibatchOutcome};
 use pargcn_core::plan::PlanBuilder;
 use pargcn_core::serial::SerialTrainer;
@@ -17,12 +18,13 @@ use pargcn_core::{CommPlan, GcnConfig};
 use pargcn_graph::gen::er;
 use pargcn_graph::gen::sbm::{self, SbmParams};
 use pargcn_graph::Graph;
-use pargcn_matrix::{ComputeSpec, Dense, KernelKind};
+use pargcn_matrix::{ComputeSpec, Csr, Dense, KernelKind};
 use pargcn_partition::stochastic::{sample_batches, Sampler};
 use pargcn_partition::{partition_rows, random, Method, Partition};
 use pargcn_util::allocmeter::CountingAllocator;
 use pargcn_util::qc;
 use pargcn_util::rng::Rng;
+use std::collections::BTreeSet;
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
@@ -284,11 +286,190 @@ fn skipped_batches_are_counted_apart_from_trained_volume() {
     assert_eq!(out.skipped_volume_rows, per[unlabelled_idx]);
 }
 
-/// `PlanBuilder` with scratch reused across arbitrary graph/partition
-/// streams emits plans identical (`==`, i.e. every block, row list and
-/// send set) to a fresh `CommPlan::build` per input.
+/// A repeated vertex would train one copy without in-edges (the subgraph
+/// maps each vertex to a single batch position); both paths reject it,
+/// naming the vertex and both positions.
 #[test]
-fn plan_builder_reuse_matches_fresh_builds() {
+#[should_panic(expected = "batch vertex 0 appears twice, at positions 0 and 1")]
+fn per_batch_path_rejects_a_repeated_vertex() {
+    let (graph, h0, labels, mask) = setup(200, 9);
+    let part = Partition::trivial(graph.n());
+    let config = GcnConfig::two_layer(8, 10, 4);
+    minibatch::train_spec(
+        &graph,
+        &h0,
+        &labels,
+        &mask,
+        &part,
+        &config,
+        &[vec![0, 0, 48, 90, 144, 188]],
+        7,
+        ComputeSpec::default(),
+    );
+}
+
+#[test]
+#[should_panic(expected = "batch vertex 48 appears twice, at positions 1 and 3")]
+fn engine_rejects_a_repeated_vertex() {
+    let (graph, h0, labels, mask) = setup(200, 9);
+    let a = graph.normalized_adjacency();
+    let part = partition_rows(&graph, &a, Method::Hp, 2, 0.1, 2);
+    let config = GcnConfig::two_layer(8, 10, 4);
+    let spec = ComputeSpec::default();
+    MinibatchEngine::new(&graph, &h0, &labels, &mask, &part, &config, 7, spec)
+        .train(&[vec![90, 48, 0, 48, 144]]);
+}
+
+/// Unsorted batches stay accepted, and both paths agree on them.
+#[test]
+fn unsorted_batches_train_identically_on_both_paths() {
+    let (graph, h0, labels, mask) = setup(200, 9);
+    let a = graph.normalized_adjacency();
+    let part = partition_rows(&graph, &a, Method::Hp, 3, 0.1, 2);
+    let config = GcnConfig::two_layer(8, 10, 4);
+    let mut batches = sample_batches(&graph, Sampler::UniformVertex { batch_size: 50 }, 4, 4);
+    for b in &mut batches {
+        b.reverse();
+    }
+    let spec = ComputeSpec::default();
+    let old = minibatch::train_spec(
+        &graph, &h0, &labels, &mask, &part, &config, &batches, 7, spec,
+    );
+    let new =
+        MinibatchEngine::new(&graph, &h0, &labels, &mask, &part, &config, 7, spec).train(&batches);
+    assert!(!old.losses.is_empty());
+    assert_outcomes_identical(&old, &new);
+}
+
+/// The entries of `A` split straight from Eqs. 8–9, independent of the
+/// plan code: `by_owner[m][o]` holds every entry of rank m's rows whose
+/// column rank o owns, as (local row, global column, value bits).
+struct Reference {
+    local_rows: Vec<Vec<u32>>,
+    local_index: Vec<u32>,
+    by_owner: Vec<Vec<Vec<(u32, u32, u32)>>>,
+}
+
+impl Reference {
+    fn new(a: &Csr, part: &Partition) -> Reference {
+        let p = part.p();
+        let mut local_rows = vec![Vec::new(); p];
+        let mut local_index = vec![0u32; a.n_rows()];
+        for v in 0..a.n_rows() {
+            let owned = &mut local_rows[part.part_of(v) as usize];
+            local_index[v] = owned.len() as u32;
+            owned.push(v as u32);
+        }
+        let mut by_owner = vec![vec![Vec::new(); p]; p];
+        for (r, c, v) in a.iter() {
+            let (m, o) = (part.part_of(r as usize), part.part_of(c as usize));
+            by_owner[m as usize][o as usize].push((local_index[r as usize], c, v.to_bits()));
+        }
+        Reference {
+            local_rows,
+            local_index,
+            by_owner,
+        }
+    }
+
+    /// The distinct global columns in `by_owner[m][o]`, ascending: Eq. 9's
+    /// rows rank m receives from o, and Eq. 8's rows o sends to m.
+    fn needed(&self, m: usize, o: usize) -> Vec<u32> {
+        let cols: BTreeSet<u32> = self.by_owner[m][o].iter().map(|e| e.1).collect();
+        cols.into_iter().collect()
+    }
+
+    /// Asserts `block` holds exactly `by_owner[m][o]` with column `c`
+    /// renumbered to `col(c)`, in an `n_m × n_cols` shape.
+    fn assert_block(
+        &self,
+        block: &Csr,
+        m: usize,
+        o: usize,
+        n_cols: usize,
+        col: impl Fn(u32) -> u32,
+    ) {
+        assert_eq!(
+            block.n_rows(),
+            self.local_rows[m].len(),
+            "block ({m},{o}) rows"
+        );
+        assert_eq!(block.n_cols(), n_cols, "block ({m},{o}) cols");
+        let mut want: Vec<(u32, u32, u32)> = self.by_owner[m][o]
+            .iter()
+            .map(|&(r, c, v)| (r, col(c), v))
+            .collect();
+        want.sort_unstable();
+        let got: Vec<(u32, u32, u32)> = block.iter().map(|(r, c, v)| (r, c, v.to_bits())).collect();
+        assert_eq!(got, want, "block ({m},{o}) entries");
+    }
+
+    fn assert_comm_plan(&self, plan: &CommPlan) {
+        let p = self.local_rows.len();
+        assert_eq!(
+            (plan.n, plan.p, plan.ranks.len()),
+            (self.local_index.len(), p, p)
+        );
+        for (m, rp) in plan.ranks.iter().enumerate() {
+            assert_eq!(rp.rank, m);
+            assert_eq!(rp.local_rows, self.local_rows[m]);
+            let n_m = self.local_rows[m].len();
+            self.assert_block(&rp.a_own, m, m, n_m, |c| self.local_index[c as usize]);
+            let peers = (0..p).filter(|&o| o != m);
+            let recv: Vec<(usize, Vec<u32>)> = peers
+                .clone()
+                .map(|o| (o, self.needed(m, o)))
+                .filter(|(_, rows)| !rows.is_empty())
+                .collect();
+            assert_eq!(rp.a_remote.len(), recv.len(), "rank {m} receive set");
+            for (block, (o, rows)) in rp.a_remote.iter().zip(&recv) {
+                assert_eq!((block.peer, &block.rows), (*o, rows));
+                self.assert_block(&block.a, m, *o, rows.len(), |c| {
+                    rows.binary_search(&c).unwrap() as u32
+                });
+            }
+            let send: Vec<(usize, Vec<u32>)> = peers
+                .map(|o| (o, self.needed(o, m)))
+                .filter(|(_, rows)| !rows.is_empty())
+                .map(|(o, rows)| {
+                    (
+                        o,
+                        rows.iter().map(|&j| self.local_index[j as usize]).collect(),
+                    )
+                })
+                .collect();
+            let got: Vec<(usize, Vec<u32>)> = rp
+                .send
+                .iter()
+                .map(|s| (s.peer, s.local_indices.clone()))
+                .collect();
+            assert_eq!(got, send, "rank {m} send sets");
+        }
+    }
+
+    fn assert_cagnet_plan(&self, plan: &CagnetPlan) {
+        let p = self.local_rows.len();
+        assert_eq!(
+            (plan.n, plan.p, plan.ranks.len()),
+            (self.local_index.len(), p, p)
+        );
+        for (m, rank) in plan.ranks.iter().enumerate() {
+            assert_eq!(rank.rank, m);
+            assert_eq!(rank.local_rows, self.local_rows[m]);
+            assert_eq!(rank.blocks.len(), p, "CAGNET keeps every column block");
+            for (o, block) in rank.blocks.iter().enumerate() {
+                let n_o = self.local_rows[o].len();
+                self.assert_block(block, m, o, n_o, |c| self.local_index[c as usize]);
+            }
+        }
+    }
+}
+
+/// `PlanBuilder` with scratch reused across arbitrary graph/partition
+/// streams — including small builds after large ones — emits exactly the
+/// plan Eqs. 8–9 define, as does a fresh `CommPlan::build`.
+#[test]
+fn plan_builder_reuse_matches_eq_8_9_reference() {
     // `qc::run` takes `Fn`, so the reused builder lives in a `RefCell`.
     let builder = std::cell::RefCell::new(PlanBuilder::new());
     qc::run(48, |rng| {
@@ -299,25 +480,54 @@ fn plan_builder_reuse_matches_fresh_builds() {
         let a = g.normalized_adjacency();
         let p = rng.gen_range(1usize..=n.min(6));
         let part = random::partition(n, p, rng.gen_range(0u64..1 << 40));
-        let fresh = CommPlan::build(&a, &part);
-        let reused = builder.borrow_mut().build(&a, &part);
-        assert_eq!(fresh, reused, "reused-scratch plan diverged (n={n} p={p})");
+        let reference = Reference::new(&a, &part);
+        reference.assert_comm_plan(&builder.borrow_mut().build(&a, &part));
+        reference.assert_comm_plan(&CommPlan::build(&a, &part));
         if directed {
             let at = a.transpose();
-            assert_eq!(
-                CommPlan::build(&at, &part),
-                builder.borrow_mut().build(&at, &part)
-            );
+            Reference::new(&at, &part).assert_comm_plan(&builder.borrow_mut().build(&at, &part));
         }
     });
-    // Degenerate shapes the sweep may miss: empty part, p=1.
-    let g = er::generate(8, 24, true, 2);
-    let a = g.normalized_adjacency();
-    let part = Partition::new(vec![0, 0, 1, 1, 1, 0, 1, 0], 3);
+    // Degenerate shapes the sweep may miss, built after it on the same
+    // scratch: an empty part, p = 1, and a small build after a large one.
     let mut builder = builder.into_inner();
-    assert_eq!(CommPlan::build(&a, &part), builder.build(&a, &part));
-    assert_eq!(
-        CommPlan::build(&a, &Partition::trivial(8)),
-        builder.build(&a, &Partition::trivial(8))
-    );
+    let big = er::generate(60, 240, true, 5).normalized_adjacency();
+    let big_part = random::partition(60, 6, 5);
+    Reference::new(&big, &big_part).assert_comm_plan(&builder.build(&big, &big_part));
+    let a = er::generate(8, 24, true, 2).normalized_adjacency();
+    for part in [
+        Partition::new(vec![0, 0, 1, 1, 1, 0, 1, 0], 3),
+        Partition::trivial(8),
+    ] {
+        Reference::new(&a, &part).assert_comm_plan(&builder.build(&a, &part));
+    }
+}
+
+/// `CagnetPlan::build` splits every rank's rows into all p column blocks
+/// exactly as Eqs. 8–9 partition `A`, for `Â` and for `Âᵀ` of directed
+/// graphs, p = 1..=5 and a partition with an empty part.
+#[test]
+fn cagnet_plan_matches_eq_8_9_reference() {
+    qc::run(24, |rng| {
+        let n = rng.gen_range(5usize..=50);
+        let directed = rng.gen_range(0u32..2) == 1;
+        let g = er::generate(
+            n,
+            rng.gen_range(0..=4 * n),
+            directed,
+            rng.gen_range(0u64..1 << 40),
+        );
+        let a = g.normalized_adjacency();
+        for p in 1..=5 {
+            let part = random::partition(n, p, rng.gen_range(0u64..1 << 40));
+            Reference::new(&a, &part).assert_cagnet_plan(&CagnetPlan::build(&a, &part));
+            if directed {
+                let at = a.transpose();
+                Reference::new(&at, &part).assert_cagnet_plan(&CagnetPlan::build(&at, &part));
+            }
+        }
+    });
+    let a = er::generate(8, 24, true, 2).normalized_adjacency();
+    let part = Partition::new(vec![0, 0, 1, 1, 1, 0, 1, 0], 3);
+    Reference::new(&a, &part).assert_cagnet_plan(&CagnetPlan::build(&a, &part));
 }

@@ -169,27 +169,39 @@ impl Graph {
     }
 
     /// [`Graph::induced_subgraph`] with caller-owned scratch: the global
-    /// vertex map and the triplet buffer live in `scratch` and are reused
-    /// across calls, so a steady stream of bounded-size batches builds its
-    /// subgraphs without heap allocation beyond the returned `Graph`.
+    /// vertex map lives in `scratch` and is reused across calls, so a
+    /// steady stream of bounded-size batches builds its subgraphs without
+    /// heap allocation beyond the returned `Graph`.
+    ///
+    /// Rows are emitted straight into CSR. A row's mapped columns ascend
+    /// whenever `vertices` does, so only a row of an unsorted list that
+    /// comes out of order is sorted. `vertices` must be distinct.
     pub fn induced_subgraph_into(&self, vertices: &[u32], scratch: &mut SubgraphScratch) -> Graph {
         let epoch = scratch.begin(self.n());
         for (new, &old) in vertices.iter().enumerate() {
             scratch.stamp[old as usize] = epoch;
             scratch.val[old as usize] = new as u32;
         }
-        scratch.coo.clear();
-        for (new, &old) in vertices.iter().enumerate() {
+        let mut indptr = Vec::with_capacity(vertices.len() + 1);
+        indptr.push(0);
+        let mut indices = Vec::new();
+        for &old in vertices {
+            let row_start = indices.len();
             for &nbr in self.neighbors(old as usize) {
                 if scratch.stamp[nbr as usize] == epoch {
-                    scratch
-                        .coo
-                        .push((new as u32, scratch.val[nbr as usize], 1.0));
+                    indices.push(scratch.val[nbr as usize]);
                 }
             }
+            let row = &mut indices[row_start..];
+            if row.windows(2).any(|w| w[0] > w[1]) {
+                row.sort_unstable();
+            }
+            indptr.push(indices.len());
         }
+        let k = vertices.len();
+        let values = vec![1.0; indices.len()];
         Graph {
-            adjacency: Csr::from_coo_ref(vertices.len(), vertices.len(), &scratch.coo),
+            adjacency: Csr::from_parts(k, k, indptr, indices, values),
             directed: self.directed,
         }
     }
@@ -197,14 +209,13 @@ impl Graph {
 
 /// Reusable scratch for [`Graph::induced_subgraph_into`]: an epoch-stamped
 /// global-vertex → batch-local map (`val[v]` is live iff `stamp[v]` equals
-/// the current epoch, so "clearing" between batches is a counter bump) plus
-/// the COO triplet buffer. Grow-once across calls.
+/// the current epoch, so "clearing" between batches is a counter bump).
+/// Grow-once across calls.
 #[derive(Debug, Default)]
 pub struct SubgraphScratch {
     stamp: Vec<u32>,
     val: Vec<u32>,
     epoch: u32,
-    coo: Vec<(u32, u32, f32)>,
 }
 
 impl SubgraphScratch {
@@ -289,5 +300,45 @@ mod tests {
         assert_eq!(sub.num_edges(), 2);
         assert!(sub.neighbors(0).contains(&1));
         assert!(sub.neighbors(2).is_empty());
+    }
+
+    /// The COO build the one-pass subgraph replaced.
+    fn induced_reference(g: &Graph, vertices: &[u32]) -> Csr {
+        let mut local = vec![u32::MAX; g.n()];
+        for (new, &old) in vertices.iter().enumerate() {
+            local[old as usize] = new as u32;
+        }
+        let mut coo = Vec::new();
+        for (new, &old) in vertices.iter().enumerate() {
+            for &nbr in g.neighbors(old as usize) {
+                if local[nbr as usize] != u32::MAX {
+                    coo.push((new as u32, local[nbr as usize], 1.0));
+                }
+            }
+        }
+        Csr::from_coo(vertices.len(), vertices.len(), coo)
+    }
+
+    #[test]
+    fn induced_subgraph_into_matches_coo_reference() {
+        use pargcn_util::qc;
+        use pargcn_util::rng::Rng;
+        // One scratch across the stream, as the mini-batch engine uses it.
+        let scratch = std::cell::RefCell::new(SubgraphScratch::new());
+        qc::run(64, |rng| {
+            let n = rng.gen_range(1usize..60);
+            let directed = rng.gen_bool(0.5);
+            let g = crate::gen::er::generate(n, rng.gen_range(0..4 * n), directed, rng.gen());
+            let sorted: Vec<u32> = (0..n as u32).filter(|_| rng.gen_bool(0.4)).collect();
+            let mut shuffled = sorted.clone();
+            for i in (1..shuffled.len()).rev() {
+                shuffled.swap(i, rng.gen_range(0..=i));
+            }
+            for vertices in [&sorted, &shuffled] {
+                let sub = g.induced_subgraph_into(vertices, &mut scratch.borrow_mut());
+                assert_eq!(sub.directed(), directed);
+                assert_eq!(sub.adjacency(), &induced_reference(&g, vertices));
+            }
+        });
     }
 }

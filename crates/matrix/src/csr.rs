@@ -39,17 +39,10 @@ impl Csr {
     /// # Panics
     /// Panics if any coordinate is out of bounds.
     pub fn from_coo(n_rows: usize, n_cols: usize, coo: Vec<(u32, u32, f32)>) -> Self {
-        Self::from_coo_ref(n_rows, n_cols, &coo)
-    }
-
-    /// [`Csr::from_coo`] over a borrowed triplet slice — same output, but
-    /// the caller keeps the buffer, so a mini-batch loop can refill one
-    /// scratch `Vec` per batch instead of allocating a fresh one.
-    pub fn from_coo_ref(n_rows: usize, n_cols: usize, coo: &[(u32, u32, f32)]) -> Self {
         // Pass 1: per-row counts (bounds are checked here, inline — no
         // separate validation sweep over the triplets).
         let mut indptr = vec![0usize; n_rows + 1];
-        for &(r, c, _) in coo {
+        for &(r, c, _) in &coo {
             assert!(
                 (r as usize) < n_rows && (c as usize) < n_cols,
                 "coo entry out of bounds"
@@ -65,7 +58,7 @@ impl Csr {
         let mut bucket_cols = vec![0u32; nnz];
         let mut bucket_vals = vec![0.0f32; nnz];
         let mut cursor = indptr.clone();
-        for &(r, c, v) in coo {
+        for &(r, c, v) in &coo {
             let slot = cursor[r as usize];
             bucket_cols[slot] = c;
             bucket_vals[slot] = v;
@@ -122,13 +115,15 @@ impl Csr {
         assert_eq!(indptr.len(), n_rows + 1, "indptr length");
         assert_eq!(indices.len(), values.len(), "indices/values length");
         assert_eq!(*indptr.last().unwrap(), indices.len(), "indptr tail");
-        for i in 0..n_rows {
-            assert!(indptr[i] <= indptr[i + 1], "indptr not monotone");
-            let row = &indices[indptr[i]..indptr[i + 1]];
-            for w in row.windows(2) {
-                assert!(w[0] < w[1], "columns not strictly ascending in row {i}");
-            }
-            for &c in row {
+        for (i, w) in indptr.windows(2).enumerate() {
+            assert!(w[0] <= w[1], "indptr not monotone");
+            let row = &indices[w[0]..w[1]];
+            assert!(
+                row.windows(2).all(|p| p[0] < p[1]),
+                "columns not strictly ascending in row {i}"
+            );
+            // Ascending, so the last column is the row's largest.
+            if let Some(&c) = row.last() {
                 assert!((c as usize) < n_cols, "column out of bounds");
             }
         }
@@ -343,80 +338,64 @@ impl Csr {
         }
     }
 
-    /// Keeps only entries whose column passes `keep`, preserving row structure.
-    pub fn filter_cols(&self, keep: impl Fn(u32) -> bool) -> Csr {
-        let mut indptr = Vec::with_capacity(self.n_rows + 1);
-        indptr.push(0);
-        let mut indices = Vec::new();
-        let mut values = Vec::new();
-        for i in 0..self.n_rows {
-            for (&c, &v) in self.row_indices(i).iter().zip(self.row_values(i)) {
-                if keep(c) {
-                    indices.push(c);
-                    values.push(v);
-                }
-            }
-            indptr.push(indices.len());
-        }
-        Csr {
-            n_rows: self.n_rows,
-            n_cols: self.n_cols,
-            indptr,
-            indices,
-            values,
-        }
-    }
-
-    /// Renumbers column indices through `map` (new column count `n_cols`).
-    /// Columns mapped to `u32::MAX` are dropped.
+    /// Splits the given rows by column owner in one pass: entry `(c, v)`
+    /// of each listed row goes to block `owner[c]` at column `pos[c]`.
+    /// Block `b` has `rows.len()` rows and `block_cols[b]` columns.
     ///
-    /// Used when building per-rank local blocks whose columns index into a
-    /// compact received-row buffer rather than the global vertex space.
-    pub fn remap_cols(&self, map: &[u32], n_cols: usize) -> Csr {
-        let mut indptr = Vec::with_capacity(self.n_rows + 1);
-        indptr.push(0);
-        let mut indices = Vec::new();
-        let mut values = Vec::new();
-        for i in 0..self.n_rows {
-            let start = indices.len();
-            for (&c, &v) in self.row_indices(i).iter().zip(self.row_values(i)) {
-                let m = map[c as usize];
-                if m != u32::MAX {
-                    indices.push(m);
-                    values.push(v);
-                }
+    /// This is how a rank's row block `Aₘ` becomes its per-peer column
+    /// blocks (Eqs. 8–9) without an intermediate copy. A block's rows come
+    /// out ascending — the CSR invariant — because the caller's `pos`
+    /// increases with `c` across each owner's columns; one compare per
+    /// entry checks that.
+    ///
+    /// # Panics
+    /// Panics if `pos` is not increasing within an owner's columns or a
+    /// column's position is outside its block.
+    pub fn split_by_owner(
+        &self,
+        rows: &[u32],
+        owner: &[u32],
+        pos: &[u32],
+        block_cols: &[usize],
+    ) -> Vec<Csr> {
+        let mut blocks: Vec<Csr> = block_cols
+            .iter()
+            .map(|&n_cols| Csr {
+                n_rows: rows.len(),
+                n_cols,
+                indptr: Vec::with_capacity(rows.len() + 1),
+                indices: Vec::new(),
+                values: Vec::new(),
+            })
+            .collect();
+        for block in &mut blocks {
+            block.indptr.push(0);
+        }
+        for &r in rows {
+            for (&c, &v) in self
+                .row_indices(r as usize)
+                .iter()
+                .zip(self.row_values(r as usize))
+            {
+                let block = &mut blocks[owner[c as usize] as usize];
+                let j = pos[c as usize];
+                let row_start = block.indptr[block.indptr.len() - 1];
+                let after_prev =
+                    block.indices.len() == row_start || block.indices[block.indices.len() - 1] < j;
+                assert!(
+                    (j as usize) < block.n_cols && after_prev,
+                    "split_by_owner: column {c} of row {r} maps to position {j} of block {}, \
+                     which is out of range or not after the row's previous position",
+                    owner[c as usize]
+                );
+                block.indices.push(j);
+                block.values.push(v);
             }
-            // Keep ascending order within the row if the map is not monotone.
-            let row_idx = &mut indices[start..];
-            let row_val = &mut values[start..];
-            let mut perm: Vec<usize> = (0..row_idx.len()).collect();
-            perm.sort_unstable_by_key(|&k| row_idx[k]);
-            let sorted_idx: Vec<u32> = perm.iter().map(|&k| row_idx[k]).collect();
-            let sorted_val: Vec<f32> = perm.iter().map(|&k| row_val[k]).collect();
-            row_idx.copy_from_slice(&sorted_idx);
-            row_val.copy_from_slice(&sorted_val);
-            indptr.push(indices.len());
+            for block in &mut blocks {
+                block.indptr.push(block.indices.len());
+            }
         }
-        Csr {
-            n_rows: self.n_rows,
-            n_cols,
-            indptr,
-            indices,
-            values,
-        }
-    }
-
-    /// The set of distinct columns with at least one nonzero, ascending —
-    /// the paper's `cols(Aₘ)` used to derive the receive sets (Eq. 9).
-    pub fn col_support(&self) -> Vec<u32> {
-        let mut seen = vec![false; self.n_cols];
-        for &c in &self.indices {
-            seen[c as usize] = true;
-        }
-        seen.iter()
-            .enumerate()
-            .filter_map(|(i, &s)| s.then_some(i as u32))
-            .collect()
+        blocks
     }
 
     /// Densifies; test/debug helper for small matrices.
@@ -506,19 +485,39 @@ mod tests {
     }
 
     #[test]
-    fn col_support_finds_used_columns() {
-        let a = Csr::from_coo(3, 5, vec![(0, 4, 1.0), (1, 1, 1.0), (2, 4, 1.0)]);
-        assert_eq!(a.col_support(), vec![1, 4]);
+    fn split_by_owner_routes_entries_to_owner_positions() {
+        let a = Csr::from_coo(
+            3,
+            4,
+            vec![
+                (0, 0, 1.0),
+                (0, 2, 2.0),
+                (0, 3, 3.0),
+                (2, 1, 4.0),
+                (2, 3, 5.0),
+            ],
+        );
+        // Columns 0 and 3 belong to block 0 (positions 0, 1); columns 1
+        // and 2 to block 1 (positions 0, 1). Rows 2 then 0.
+        let blocks = a.split_by_owner(&[2, 0], &[0, 1, 1, 0], &[0, 0, 1, 1], &[2, 3]);
+        assert_eq!(blocks.len(), 2);
+        assert_eq!((blocks[0].n_rows(), blocks[0].n_cols()), (2, 2));
+        assert_eq!((blocks[1].n_rows(), blocks[1].n_cols()), (2, 3));
+        assert_eq!(blocks[0].row_indices(0), &[1]);
+        assert_eq!(blocks[0].row_values(0), &[5.0]);
+        assert_eq!(blocks[0].row_indices(1), &[0, 1]);
+        assert_eq!(blocks[0].row_values(1), &[1.0, 3.0]);
+        assert_eq!(blocks[1].row_indices(0), &[0]);
+        assert_eq!(blocks[1].row_values(0), &[4.0]);
+        assert_eq!(blocks[1].row_indices(1), &[1]);
+        assert_eq!(blocks[1].row_values(1), &[2.0]);
     }
 
     #[test]
-    fn remap_cols_compacts_and_sorts() {
-        let a = Csr::from_coo(1, 4, vec![(0, 0, 1.0), (0, 2, 2.0), (0, 3, 3.0)]);
-        // Map 0→2, 2→0, 3→dropped.
-        let map = vec![2, u32::MAX, 0, u32::MAX];
-        let b = a.remap_cols(&map, 3);
-        assert_eq!(b.row_indices(0), &[0, 2]);
-        assert_eq!(b.row_values(0), &[2.0, 1.0]);
+    #[should_panic(expected = "not after the row's previous position")]
+    fn split_by_owner_rejects_decreasing_positions() {
+        let a = Csr::from_coo(1, 2, vec![(0, 0, 1.0), (0, 1, 1.0)]);
+        a.split_by_owner(&[0], &[0, 0], &[1, 0], &[2]);
     }
 
     #[test]

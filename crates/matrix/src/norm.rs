@@ -17,33 +17,52 @@ use crate::Csr;
 pub fn normalize_adjacency(a: &Csr) -> Csr {
     assert_eq!(a.n_rows(), a.n_cols(), "adjacency must be square");
     let n = a.n_rows();
-    // Ã = A + I, coalescing any existing self loops.
-    let mut coo: Vec<(u32, u32, f32)> = a.iter().collect();
-    coo.extend((0..n as u32).map(|i| (i, i, 1.0)));
-    let tilde = Csr::from_coo(n, n, coo);
-
-    // Row-sum degrees of Ã. For a directed graph this is the out-degree row
-    // sum, matching the paper's D(i,i) = Σⱼ Ã(i,j).
-    let mut deg = vec![0.0f64; n];
-    for (r, _c, v) in tilde.iter() {
-        deg[r as usize] += v as f64;
-    }
-    let inv_sqrt: Vec<f32> = deg
-        .iter()
-        .map(|&d| {
-            if d > 0.0 {
-                (1.0 / d.sqrt()) as f32
-            } else {
-                0.0
+    // Ã = A + I in one sweep over the sorted rows: the self loop merges in
+    // at its column position, or adds to an existing diagonal entry. The
+    // row-sum degree D(i,i) = Σⱼ Ã(i,j) accumulates in column order (for a
+    // directed graph, the out-degree row sum).
+    let mut indptr = Vec::with_capacity(n + 1);
+    indptr.push(0);
+    let mut indices = Vec::with_capacity(a.nnz() + n);
+    let mut values = Vec::with_capacity(a.nnz() + n);
+    let mut inv_sqrt = Vec::with_capacity(n);
+    for i in 0..n {
+        let mut deg = 0.0f64;
+        let mut diag_done = false;
+        for (&c, &v) in a.row_indices(i).iter().zip(a.row_values(i)) {
+            let mut v = v;
+            if !diag_done && c as usize >= i {
+                diag_done = true;
+                if c as usize == i {
+                    v += 1.0;
+                } else {
+                    indices.push(i as u32);
+                    values.push(1.0);
+                    deg += 1.0;
+                }
             }
-        })
-        .collect();
-
-    let scaled: Vec<(u32, u32, f32)> = tilde
-        .iter()
-        .map(|(r, c, v)| (r, c, inv_sqrt[r as usize] * v * inv_sqrt[c as usize]))
-        .collect();
-    Csr::from_coo(n, n, scaled)
+            indices.push(c);
+            values.push(v);
+            deg += v as f64;
+        }
+        if !diag_done {
+            indices.push(i as u32);
+            values.push(1.0);
+            deg += 1.0;
+        }
+        indptr.push(indices.len());
+        inv_sqrt.push(if deg > 0.0 {
+            (1.0 / deg.sqrt()) as f32
+        } else {
+            0.0
+        });
+    }
+    for i in 0..n {
+        for k in indptr[i]..indptr[i + 1] {
+            values[k] = inv_sqrt[i] * values[k] * inv_sqrt[indices[k] as usize];
+        }
+    }
+    Csr::from_parts(n, n, indptr, indices, values)
 }
 
 #[cfg(test)]

@@ -4,7 +4,7 @@
 //! patterns via the seeded `pargcn_util::qc` runner (failures print the
 //! case seed; replay with `PARGCN_QC_SEED=<seed>`).
 
-use pargcn_matrix::{gather, Csr, Dense};
+use pargcn_matrix::{gather, norm, Csr, Dense};
 use pargcn_util::qc;
 use pargcn_util::rng::{Rng, StdRng};
 
@@ -140,5 +140,68 @@ fn from_coo_iter_roundtrip() {
         let m = Csr::from_coo(r, c, coo.clone());
         let back: Vec<(u32, u32, f32)> = m.iter().collect();
         assert_eq!(coo, back);
+    });
+}
+
+/// The COO / two-sort normalization `normalize_adjacency` replaced: `Ã`
+/// assembled from triplets plus identity triplets, degrees summed over
+/// `Ã`'s sorted rows, and `Â` rebuilt from scaled triplets.
+fn normalize_reference(a: &Csr) -> Csr {
+    let n = a.n_rows();
+    let mut coo: Vec<(u32, u32, f32)> = a.iter().collect();
+    coo.extend((0..n as u32).map(|i| (i, i, 1.0)));
+    let tilde = Csr::from_coo(n, n, coo);
+    let mut deg = vec![0.0f64; n];
+    for (r, _c, v) in tilde.iter() {
+        deg[r as usize] += v as f64;
+    }
+    let inv_sqrt: Vec<f32> = deg
+        .iter()
+        .map(|&d| {
+            if d > 0.0 {
+                (1.0 / d.sqrt()) as f32
+            } else {
+                0.0
+            }
+        })
+        .collect();
+    let scaled: Vec<(u32, u32, f32)> = tilde
+        .iter()
+        .map(|(r, c, v)| (r, c, inv_sqrt[r as usize] * v * inv_sqrt[c as usize]))
+        .collect();
+    Csr::from_coo(n, n, scaled)
+}
+
+/// `Â` from the one-pass normalization is bitwise the reference's — same
+/// pattern, same value bits — over directed patterns with existing self
+/// loops, isolated vertices, explicit zeros and negative weights.
+#[test]
+fn normalize_adjacency_matches_coo_reference_bitwise() {
+    qc::run(300, |rng| {
+        let n = rng.gen_range(1usize..40);
+        let density = rng.gen_range(0.0..0.4);
+        let isolated = rng.gen_range(0..n);
+        let mut coo = Vec::new();
+        for r in 0..n {
+            for c in 0..n {
+                if r == isolated || c == isolated || !rng.gen_bool(density) {
+                    continue;
+                }
+                let v = match rng.gen_range(0u32..4) {
+                    0 => 0.0,
+                    1 => rng.gen_range(-3.0..0.0f32),
+                    2 => 1.0,
+                    _ => rng.gen_range(0.0..3.0f32),
+                };
+                coo.push((r as u32, c as u32, v));
+            }
+        }
+        let a = Csr::from_coo(n, n, coo);
+        let (got, want) = (norm::normalize_adjacency(&a), normalize_reference(&a));
+        assert_eq!(got.indptr(), want.indptr());
+        assert_eq!(got.indices(), want.indices());
+        let bits = |m: &Csr| m.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got), bits(&want), "Â value bits diverged (n={n})");
+        assert_eq!(got.row_indices(isolated), [isolated as u32]);
     });
 }

@@ -11,7 +11,7 @@
 //! | [`rng`]       | `rand`                        | graph gens, partitioners, init|
 //! | [`channel`]   | `crossbeam::channel`          | `pargcn-comm` isend/recv      |
 //! | [`json`]      | `serde` + `serde_json`        | `pargcn-bench` result files   |
-//! | [`bench`]     | `criterion`                   | `crates/bench/benches/*`      |
+//! | [`bench`](mod@bench) | `criterion`                   | `crates/bench/benches/*`      |
 //! | [`qc`]        | `proptest`                    | randomized invariant tests    |
 //! | [`pool`]      | `rayon` (scoped thread pool)  | `pargcn-matrix` kernels       |
 //! | [`allocmeter`]| `dhat`/`counting_allocator`   | comm-path no-alloc assertions |

@@ -50,6 +50,9 @@ run cargo bench -q --offline --locked -p pargcn-bench --bench comm -- --quick
 run cargo bench -q --offline --locked -p pargcn-bench --bench kernels -- --quick kernel_engine
 run cargo bench -q --offline --locked -p pargcn-bench --bench minibatch -- --quick
 run cargo fmt --check
+# Docs build warning-free, so no intra-doc link can dangle after an API
+# removal.
+run env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline --locked
 run cargo clippy --workspace --all-targets --offline --locked -- -D warnings
 
 echo "==> all checks passed"
