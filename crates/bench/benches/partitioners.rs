@@ -1,11 +1,22 @@
 //! Criterion benchmarks for the partitioning substrate: RP, GP (mini-METIS),
 //! HP (mini-PaToH), SHP, and comm-plan construction.
+//!
+//! The `hp_engine` group times `partition_rows` with HP on the benchmark
+//! graphs (coPapersDBLP/64, amazon0601/16, roadNet-CA/16) at p = 2 and 16,
+//! and prints each partition's connectivity−1 cut and imbalance next to
+//! the time, so a speed change can be read against its quality:
+//!
+//! ```text
+//! cargo bench -q --offline --locked -p pargcn-bench --bench partitioners -- --quick hp_engine
+//! ```
 
 use pargcn_core::CommPlan;
 use pargcn_graph::gen::{community, grid};
+use pargcn_graph::{Dataset, Scale};
 use pargcn_partition::stochastic::Sampler;
-use pargcn_partition::{partition_rows, Method};
+use pargcn_partition::{partition_rows, Hypergraph, Method, DEFAULT_EPSILON};
 use pargcn_util::bench::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use std::cell::OnceCell;
 
 fn bench_methods(c: &mut Criterion) {
     let mut group = c.benchmark_group("partition_10k");
@@ -43,6 +54,42 @@ fn bench_graph_families(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_hp_engine(c: &mut Criterion) {
+    let mut group = c.benchmark_group("hp_engine");
+    group.sample_size(5);
+    for (name, dataset, scale) in [
+        ("dblp64", Dataset::CoPapersDblp, 64),
+        ("amazon16", Dataset::Amazon0601, 16),
+        ("road16", Dataset::RoadNetCa, 16),
+    ] {
+        // Generated on first use, so a filter that skips the group skips
+        // the graphs too.
+        let data = OnceCell::new();
+        for p in [2usize, 16] {
+            let mut reported = false;
+            group.bench_function(BenchmarkId::new(name, p), |b| {
+                let (g, a) = data.get_or_init(|| {
+                    let g = dataset.generate(Scale(scale), 1).graph;
+                    let a = g.normalized_adjacency();
+                    (g, a)
+                });
+                if !reported {
+                    let part = partition_rows(g, a, Method::Hp, p, DEFAULT_EPSILON, 1);
+                    let h = Hypergraph::column_net_model(a);
+                    eprintln!(
+                        "hp_engine/{name}/{p}: cut {} imbalance {:.4}",
+                        h.connectivity_cut(&part),
+                        part.imbalance(h.vertex_weights())
+                    );
+                    reported = true;
+                }
+                b.iter(|| partition_rows(g, a, Method::Hp, p, DEFAULT_EPSILON, 1))
+            });
+        }
+    }
+    group.finish();
+}
+
 fn bench_plan_build(c: &mut Criterion) {
     let mut group = c.benchmark_group("comm_plan_build");
     group.sample_size(10);
@@ -61,6 +108,7 @@ criterion_group!(
     benches,
     bench_methods,
     bench_graph_families,
+    bench_hp_engine,
     bench_plan_build
 );
 criterion_main!(benches);

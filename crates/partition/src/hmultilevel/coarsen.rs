@@ -5,12 +5,13 @@
 //! shared nets, the classic PaToH heavy-connectivity heuristic. Merged
 //! vertices sum weights; pins map through the merge; single-pin nets
 //! disappear and identical nets merge with summed cost, so the coarse FM
-//! works on an equivalent but much smaller problem.
+//! works on an equivalent but much smaller problem. Coarse nets are built
+//! straight into sorted CSR, and identical ones are found by sorting
+//! pin-set fingerprints.
 
 use crate::hypergraph::Hypergraph;
 use pargcn_util::rng::SliceRandom;
 use pargcn_util::rng::StdRng;
-use std::collections::HashMap;
 
 /// Nets with more pins than this are ignored during matching (scanning a
 /// hub column's thousands of pins per candidate would dominate runtime and
@@ -114,7 +115,9 @@ pub fn coarsen_once(h: &Hypergraph, rng: &mut StdRng) -> (Hypergraph, Vec<u32>) 
     }
 
     // Coarse nets: map pins, dedup, drop singletons, merge identical nets.
-    let mut net_map: HashMap<Vec<u32>, u64> = HashMap::new();
+    let mut net_ptr = vec![0usize];
+    let mut net_pins: Vec<u32> = Vec::with_capacity(h.n_pins());
+    let mut costs = Vec::new();
     let mut scratch = Vec::new();
     for net in 0..h.n_nets() {
         scratch.clear();
@@ -122,14 +125,71 @@ pub fn coarsen_once(h: &Hypergraph, rng: &mut StdRng) -> (Hypergraph, Vec<u32>) 
         scratch.sort_unstable();
         scratch.dedup();
         if scratch.len() >= 2 {
-            *net_map.entry(scratch.clone()).or_insert(0) += h.net_cost(net);
+            net_pins.extend_from_slice(&scratch);
+            net_ptr.push(net_pins.len());
+            costs.push(h.net_cost(net));
         }
     }
-    // Deterministic net order (HashMap iteration order is not).
-    let mut entries: Vec<(Vec<u32>, u64)> = net_map.into_iter().collect();
-    entries.sort_unstable();
-    let (nets, costs): (Vec<Vec<u32>>, Vec<u64>) = entries.into_iter().unzip();
-    (Hypergraph::new(vertex_weights, nets, costs), matched)
+    let (net_ptr, net_pins, costs) = merge_identical_nets(net_ptr, net_pins, costs);
+    let coarse = Hypergraph::from_sorted_csr(vertex_weights, net_ptr, net_pins, costs);
+    (coarse, matched)
+}
+
+/// Merges identical nets of a sorted-pin CSR into their first occurrence
+/// with summed cost, keeping first-occurrence order. Nets are sorted by a
+/// pin-set fingerprint, so only nets that share a fingerprint (in practice,
+/// identical ones) have their pins compared.
+fn merge_identical_nets(
+    net_ptr: Vec<usize>,
+    mut net_pins: Vec<u32>,
+    mut costs: Vec<u64>,
+) -> (Vec<usize>, Vec<u32>, Vec<u64>) {
+    let pins = |net: u32| &net_pins[net_ptr[net as usize]..net_ptr[net as usize + 1]];
+    let mut order: Vec<(u64, u32)> = (0..costs.len() as u32)
+        .map(|net| (fingerprint(pins(net)), net))
+        .collect();
+    order.sort_unstable_by(|a, b| {
+        a.0.cmp(&b.0)
+            .then_with(|| pins(a.1).cmp(pins(b.1)))
+            .then(a.1.cmp(&b.1))
+    });
+    // duplicate_of[net] = the first occurrence `net` merges into.
+    let mut duplicate_of = vec![u32::MAX; costs.len()];
+    let mut first = 0;
+    for i in 1..order.len() {
+        let (rep, net) = (order[first], order[i]);
+        if rep.0 == net.0 && pins(rep.1) == pins(net.1) {
+            duplicate_of[net.1 as usize] = rep.1;
+        } else {
+            first = i;
+        }
+    }
+    for (net, &rep) in duplicate_of.iter().enumerate() {
+        if rep != u32::MAX {
+            costs[rep as usize] += costs[net];
+        }
+    }
+    // Compact the survivors in place, in net order.
+    let mut ptr = vec![0usize];
+    let mut kept_costs = Vec::with_capacity(costs.len());
+    for (net, &rep) in duplicate_of.iter().enumerate() {
+        if rep == u32::MAX {
+            let (start, end) = (net_ptr[net], net_ptr[net + 1]);
+            let at = *ptr.last().unwrap();
+            net_pins.copy_within(start..end, at);
+            ptr.push(at + end - start);
+            kept_costs.push(costs[net]);
+        }
+    }
+    net_pins.truncate(*ptr.last().unwrap());
+    (ptr, net_pins, kept_costs)
+}
+
+/// Order-sensitive hash of a sorted pin list (FxHash's rotate-xor-multiply).
+fn fingerprint(pins: &[u32]) -> u64 {
+    pins.iter().fold(pins.len() as u64, |h, &p| {
+        (h.rotate_left(5) ^ p as u64).wrapping_mul(0x517c_c1b7_2722_0a95)
+    })
 }
 
 #[cfg(test)]

@@ -1,4 +1,5 @@
-//! Fiduccia–Mattheyses bisection refinement for hypergraphs.
+//! Fiduccia–Mattheyses bisection refinement for hypergraphs, with exact
+//! incremental gains.
 //!
 //! For a bisection, the connectivity−1 metric reduces to the cut-net
 //! metric: a net costs `cost(n)` iff it has pins on both sides. The FM gain
@@ -9,38 +10,44 @@
 //! * `−cost(n)` for every net where `t` currently has *no* pins
 //!   (the net becomes cut).
 //!
-//! Per-net side pin counts make that gain O(incident nets) to evaluate, and
-//! the same lazy max-heap strategy as the graph FM keeps the implementation
-//! simple: stale heap keys are detected by recomputing the exact gain on
-//! pop.
+//! Gains are computed once per pass from per-net side pin counts and then
+//! kept exact, as in classic FM: moving a vertex changes a co-pin's gain
+//! only when one of the net's side counts crosses 0 or 1, so a move touches
+//! the pins of just those nets. Once a net has a locked pin on a side, that
+//! side's count cannot drop to 0 again in the pass and its lone pin, if
+//! any, is the locked one, so each net is scanned O(1) times per pass and a
+//! pass costs O(pins + updates · log n). Free vertices wait in one
+//! addressable max-heap per side, keyed by `(gain, vertex id)`, so ties
+//! break the same way on every run.
+//!
+//! Balance: a move is feasible when the target side stays within its cap,
+//! or when it strictly lowers the weight above the caps. Each pass keeps
+//! the move prefix with the least over-cap weight first and the best cut
+//! second. A pass that starts over a cap therefore ends within it whenever
+//! one of its prefixes does, and a pass that starts within the caps never
+//! leaves them or raises the cut.
 
 use crate::hypergraph::Hypergraph;
-use std::collections::BinaryHeap;
 
-/// Nets larger than this do not propagate gain updates eagerly (see the
-/// comment at the update site).
-const UPDATE_NET_CAP: usize = 32;
-
-/// Per-pass bound on lazy-heap stale-key corrections per vertex.
-const MAX_STALE_CORRECTIONS: u8 = 6;
-
-/// Vertices incident to more nets than this never receive eager gain
-/// updates (their gain recompute is itself expensive).
-const UPDATE_VERTEX_CAP: usize = 96;
-
-/// Refines side labels in place. Same contract as the graph FM.
-pub fn refine(h: &Hypergraph, side: &mut [u8], frac0: f64, epsilon: f64, max_passes: usize) {
+/// Refines side labels in place and returns the cut reduction,
+/// `cut(before) − cut(after)`. Side 0 targets weight fraction `frac0`;
+/// each side's cap is its target times `1 + epsilon`, rounded up.
+pub fn refine(h: &Hypergraph, side: &mut [u8], frac0: f64, epsilon: f64, max_passes: usize) -> i64 {
     let n = h.n_vertices();
     if n < 2 {
-        return;
+        return 0;
     }
-    let total: u64 = h.vertex_weights().iter().sum();
-    let cap0 = ((total as f64) * frac0 * (1.0 + epsilon)).ceil() as u64;
-    let cap1 = ((total as f64) * (1.0 - frac0) * (1.0 + epsilon)).ceil() as u64;
+    let weights = h.vertex_weights();
+    let total: u64 = weights.iter().sum();
+    let cap = [
+        ((total as f64) * frac0 * (1.0 + epsilon)).ceil() as u64,
+        ((total as f64) * (1.0 - frac0) * (1.0 + epsilon)).ceil() as u64,
+    ];
+    let over = |w: [u64; 2]| w[0].saturating_sub(cap[0]) + w[1].saturating_sub(cap[1]);
 
     let mut side_weight = [0u64; 2];
     for v in 0..n {
-        side_weight[side[v] as usize] += h.vertex_weights()[v];
+        side_weight[side[v] as usize] += weights[v];
     }
     // counts[net][s] = pins of `net` currently on side s.
     let mut counts = vec![[0u32; 2]; h.n_nets()];
@@ -50,89 +57,131 @@ pub fn refine(h: &Hypergraph, side: &mut [u8], frac0: f64, epsilon: f64, max_pas
         }
     }
 
-    for _pass in 0..max_passes {
-        let mut locked = vec![false; n];
-        // Bounds the lazy-exact churn: a vertex whose heap key keeps going
-        // stale (hubs on skewed graphs — every neighbor move shifts their
-        // gain) is dropped for the rest of the pass after a few corrections
-        // instead of being recomputed indefinitely. Hubs rarely move
-        // profitably anyway, and the next pass reconsiders everything.
-        let mut stale_corrections = vec![0u8; n];
-        let mut heap: BinaryHeap<(i64, u32)> = BinaryHeap::new();
-        for v in 0..n {
-            heap.push((gain(h, side, &counts, v), v as u32));
-        }
-
-        let mut log: Vec<u32> = Vec::new();
+    let mut fm = Fm {
+        h,
+        side,
+        counts,
+        // locked_on[net][s] = locked pins of `net` on side s this fm.
+        locked_on: vec![[0u32; 2]; h.n_nets()],
+        queues: GainQueues::new(n),
+    };
+    let mut log: Vec<u32> = Vec::new();
+    let mut total_gain = 0i64;
+    for _ in 0..max_passes {
+        fm.start();
+        log.clear();
         let mut cumulative = 0i64;
-        let mut best_cumulative = 0i64;
+        let mut best = (over(side_weight), 0i64);
         let mut best_len = 0usize;
 
-        while let Some((key, v)) = heap.pop() {
+        loop {
+            let feasible = |&(_, v): &(i64, u32)| {
+                let w = weights[v as usize];
+                let t = 1 - fm.side[v as usize] as usize;
+                let mut after = side_weight;
+                after[t] += w;
+                after[1 - t] -= w;
+                after[t] <= cap[t] || over(after) < over(side_weight)
+            };
+            let tops = [fm.queues.top(0), fm.queues.top(1)];
+            let Some((g, v)) = tops.into_iter().flatten().filter(feasible).max() else {
+                // Neither side's best vertex fits: drop the better one for
+                // the rest of the pass so a lighter vertex can surface.
+                match tops.into_iter().flatten().max() {
+                    Some((_, v)) => fm.queues.remove(fm.side[v as usize], v),
+                    None => break,
+                }
+                continue;
+            };
             let v = v as usize;
-            if locked[v] {
-                continue;
-            }
-            let exact = gain(h, side, &counts, v);
-            if exact != key {
-                stale_corrections[v] = stale_corrections[v].saturating_add(1);
-                if stale_corrections[v] <= MAX_STALE_CORRECTIONS {
-                    heap.push((exact, v as u32));
-                }
-                continue;
-            }
-            let from = side[v] as usize;
-            let to = 1 - from;
-            let w = h.vertex_weights()[v];
-            let cap_to = if to == 0 { cap0 } else { cap1 };
-            if side_weight[to] + w > cap_to {
-                continue;
-            }
-            apply_move(h, side, &mut counts, v);
-            side_weight[from] -= w;
-            side_weight[to] += w;
-            locked[v] = true;
-            cumulative += exact;
+            debug_assert_eq!(g, gain(h, fm.side, &fm.counts, v));
+            let from = fm.side[v] as usize;
+            cumulative += g;
+            fm.apply(v);
+            side_weight[from] -= weights[v];
+            side_weight[1 - from] += weights[v];
             log.push(v as u32);
-            if cumulative > best_cumulative {
-                best_cumulative = cumulative;
+            let now = over(side_weight);
+            if now < best.0 || (now == best.0 && cumulative > best.1) {
+                best = (now, cumulative);
                 best_len = log.len();
-            }
-            // Gains of co-pins may have changed. Propagate eagerly only
-            // through small nets: pushing every pin of a hub column after
-            // every move is quadratic on dense graphs, and the lazy-exact
-            // pop (recompute-and-re-push on stale key) already guarantees
-            // that no move is ever applied with a wrong gain — skipping a
-            // push only delays when an improved vertex gets re-examined.
-            for &net in h.nets_of(v) {
-                let pins = h.pins(net as usize);
-                if pins.len() > UPDATE_NET_CAP {
-                    continue;
-                }
-                for &u in pins {
-                    // Skip hub co-pins: recomputing a hub's gain costs
-                    // O(its incident nets) and hubs are co-pins of *many*
-                    // moved vertices — eager updates for them are what made
-                    // skewed graphs quadratic. Their original lazy entry
-                    // still gets them considered.
-                    if !locked[u as usize] && h.nets_of(u as usize).len() <= UPDATE_VERTEX_CAP {
-                        heap.push((gain(h, side, &counts, u as usize), u));
-                    }
-                }
             }
         }
 
         for &v in log.iter().skip(best_len).rev() {
             let v = v as usize;
-            let from = side[v] as usize;
-            let to = 1 - from;
-            let w = h.vertex_weights()[v];
-            apply_move(h, side, &mut counts, v);
-            side_weight[from] -= w;
-            side_weight[to] += w;
+            let from = fm.side[v] as usize;
+            apply_move(h, fm.side, &mut fm.counts, v);
+            side_weight[from] -= weights[v];
+            side_weight[1 - from] += weights[v];
         }
-        if best_cumulative <= 0 {
+        total_gain += best.1;
+        if best_len == 0 {
             break;
+        }
+    }
+    total_gain
+}
+
+/// FM state: side labels (the caller's), per-net side and locked counts,
+/// and the queues holding the exact gains of the vertices still free to
+/// move in the current pass.
+struct Fm<'a> {
+    h: &'a Hypergraph,
+    side: &'a mut [u8],
+    counts: Vec<[u32; 2]>,
+    locked_on: Vec<[u32; 2]>,
+    queues: GainQueues,
+}
+
+impl Fm<'_> {
+    /// Unlocks every vertex and queues it with a freshly computed gain.
+    fn start(&mut self) {
+        self.locked_on.fill([0; 2]);
+        let (h, side, counts) = (self.h, &*self.side, &self.counts[..]);
+        self.queues.fill(side, |v| gain(h, side, counts, v));
+    }
+
+    /// Moves and locks queued vertex `v`, updating its co-pins' gains.
+    fn apply(&mut self, v: usize) {
+        let s = self.side[v] as usize;
+        let t = 1 - s;
+        self.queues.remove(s as u8, v as u32);
+        self.side[v] = t as u8;
+        let h = self.h;
+        for &net in h.nets_of(v) {
+            let net = net as usize;
+            let cost = h.net_cost(net) as i64;
+            let [before_s, before_t] = [self.counts[net][s], self.counts[net][t]];
+            self.counts[net][s] -= 1;
+            self.counts[net][t] += 1;
+            self.locked_on[net][t] += 1;
+            // Target side: with no pins there, every co-pin (all on s) was
+            // about to cut the net and no longer is; with one free pin
+            // there, that pin was about to uncut the net and no longer is.
+            if before_t == 0 {
+                self.shift_pins(net, None, cost);
+            } else if before_t == 1 && self.locked_on[net][t] == 1 {
+                self.shift_pins(net, Some(t as u8), -cost);
+            }
+            // Source side: with no pins left, every co-pin (all on t) would
+            // now cut the net; with one free pin left, it would uncut it.
+            if before_s == 1 {
+                self.shift_pins(net, None, -cost);
+            } else if before_s == 2 && self.locked_on[net][s] == 0 {
+                self.shift_pins(net, Some(s as u8), cost);
+            }
+        }
+    }
+
+    /// Adds `delta` to the gain of every queued pin of `net` (on side
+    /// `only`, when given: the net's lone free pin there).
+    fn shift_pins(&mut self, net: usize, only: Option<u8>, delta: i64) {
+        for &u in self.h.pins(net) {
+            let s = self.side[u as usize];
+            if only.is_none_or(|only| only == s) {
+                self.queues.shift(s, u, delta);
+            }
         }
     }
 }
@@ -166,6 +215,116 @@ fn gain(h: &Hypergraph, side: &[u8], counts: &[[u32; 2]], v: usize) -> i64 {
         }
     }
     g
+}
+
+/// One addressable binary max-heap of `(gain, vertex)` entries per side.
+/// `pos[v]` is `v`'s slot in its side's heap, or `u32::MAX` once `v` has
+/// left the queue (moved and locked, or dropped as infeasible).
+struct GainQueues {
+    heaps: [Vec<(i64, u32)>; 2],
+    pos: Vec<u32>,
+}
+
+impl GainQueues {
+    fn new(n: usize) -> Self {
+        Self {
+            heaps: [Vec::with_capacity(n), Vec::with_capacity(n)],
+            pos: vec![u32::MAX; n],
+        }
+    }
+
+    /// Queues every vertex on its side's heap with key `gain(v)`.
+    fn fill(&mut self, side: &[u8], gain: impl Fn(usize) -> i64) {
+        for heap in &mut self.heaps {
+            heap.clear();
+        }
+        for (v, &s) in side.iter().enumerate() {
+            let heap = &mut self.heaps[s as usize];
+            self.pos[v] = heap.len() as u32;
+            heap.push((gain(v), v as u32));
+        }
+        for s in 0..2 {
+            for i in (0..self.heaps[s].len() / 2).rev() {
+                self.sift_down(s, i);
+            }
+        }
+    }
+
+    fn top(&self, s: usize) -> Option<(i64, u32)> {
+        self.heaps[s].first().copied()
+    }
+
+    /// Takes `v` (queued on side `s`) out of the queue.
+    fn remove(&mut self, s: u8, v: u32) {
+        let s = s as usize;
+        let i = self.pos[v as usize] as usize;
+        self.pos[v as usize] = u32::MAX;
+        let last = self.heaps[s].pop().expect("queued vertex");
+        if last.1 != v {
+            self.heaps[s][i] = last;
+            self.pos[last.1 as usize] = i as u32;
+            if i > 0 && self.heaps[s][(i - 1) / 2] < last {
+                self.sift_up(s, i);
+            } else {
+                self.sift_down(s, i);
+            }
+        }
+    }
+
+    /// Adds `delta` to the key of `v` (on side `s`) if it is still queued.
+    #[inline]
+    fn shift(&mut self, s: u8, v: u32, delta: i64) {
+        let i = self.pos[v as usize];
+        if i != u32::MAX {
+            let s = s as usize;
+            self.heaps[s][i as usize].0 += delta;
+            if delta > 0 {
+                self.sift_up(s, i as usize);
+            } else {
+                self.sift_down(s, i as usize);
+            }
+        }
+    }
+
+    fn sift_up(&mut self, s: usize, mut i: usize) -> usize {
+        let heap = &mut self.heaps[s];
+        let entry = heap[i];
+        while i > 0 {
+            let parent = (i - 1) / 2;
+            if heap[parent] >= entry {
+                break;
+            }
+            heap[i] = heap[parent];
+            self.pos[heap[i].1 as usize] = i as u32;
+            i = parent;
+        }
+        heap[i] = entry;
+        self.pos[entry.1 as usize] = i as u32;
+        i
+    }
+
+    fn sift_down(&mut self, s: usize, mut i: usize) {
+        let heap = &mut self.heaps[s];
+        let len = heap.len();
+        let entry = heap[i];
+        loop {
+            let mut child = 2 * i + 1;
+            if child >= len {
+                break;
+            }
+            if child + 1 < len && heap[child + 1] > heap[child] {
+                child += 1;
+            }
+            if heap[child] <= entry {
+                break;
+            }
+            heap[i] = heap[child];
+            self.pos[heap[i].1 as usize] = i as u32;
+            i = child;
+        }
+        heap[i] = entry;
+        self.pos[entry.1 as usize] = i as u32;
+    }
 }
 
 #[cfg(test)]
@@ -252,5 +411,18 @@ mod tests {
         // balance so FM can fix it to cut the two cheap nets instead.
         refine(&h, &mut side, 0.5, 0.1, 10);
         assert!(cut_of(&h, &side) <= 2, "cut {}", cut_of(&h, &side));
+    }
+
+    #[test]
+    fn restores_balance_from_an_over_cap_start() {
+        // Everything starts on side 0: the pass must move half the chain
+        // across even though every such move raises the cut.
+        let nets: Vec<Vec<u32>> = (0..19u32).map(|i| vec![i, i + 1]).collect();
+        let h = Hypergraph::new(vec![1; 20], nets, vec![1; 19]);
+        let mut side = vec![0u8; 20];
+        let gain = refine(&h, &mut side, 0.5, 0.1, 4);
+        let w0 = side.iter().filter(|&&s| s == 0).count();
+        assert!((9..=11).contains(&w0), "side-0 weight {w0}");
+        assert_eq!(gain, -(cut_of(&h, &side) as i64));
     }
 }

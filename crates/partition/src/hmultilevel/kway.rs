@@ -13,14 +13,13 @@
 //! * `−cost(n)` if `n` had no pin in `b` yet (λ grows).
 //!
 //! Counts are stored sparsely per net (most nets touch few parts). Hub
-//! vertices and giant nets are skipped exactly like in the bisection FM —
-//! they almost never move profitably and dominate runtime otherwise.
+//! vertices and giant nets are skipped: they almost never move profitably
+//! and dominate runtime otherwise.
 
 use crate::hypergraph::Hypergraph;
 use crate::Partition;
 
-/// Nets with more pins than this neither contribute gain candidates nor
-/// get updated eagerly (same rationale as the bisection FM's caps).
+/// Nets with more pins than this contribute no candidate target parts.
 const NET_CAP: usize = 64;
 
 /// Vertices incident to more nets than this are not considered for moves.
@@ -48,7 +47,7 @@ impl NetCounts {
         NetCounts { counts }
     }
 
-    #[inline]
+    #[cfg(test)]
     fn count(&self, net: usize, part: u32) -> u32 {
         self.counts[net]
             .iter()
@@ -94,8 +93,10 @@ pub fn refine(h: &Hypergraph, part: &mut Partition, epsilon: f64, passes: usize)
     }
 
     let mut total_gain = 0u64;
-    // Scratch: candidate target parts for the current vertex.
+    // Scratch: candidate target parts for the current vertex, and the cost
+    // of its nets touching each part.
     let mut candidates: Vec<u32> = Vec::new();
+    let mut connected = vec![0i64; p];
     for _pass in 0..passes {
         let mut pass_gain = 0u64;
         for v in 0..n {
@@ -119,11 +120,19 @@ pub fn refine(h: &Hypergraph, part: &mut Partition, epsilon: f64, passes: usize)
             if candidates.is_empty() {
                 continue;
             }
-            // Gain of leaving `from` is target-independent.
+            // One sweep of v's nets gives the gain of leaving `from` (nets
+            // where v is the last pin there) and, per part, the cost of v's
+            // nets already touching it; the rest would become cut there.
             let mut leave = 0i64;
+            let mut all = 0i64;
             for &net in nets {
-                if counts.count(net as usize, from) == 1 {
-                    leave += h.net_cost(net as usize) as i64;
+                let cost = h.net_cost(net as usize) as i64;
+                all += cost;
+                for &(q, c) in &counts.counts[net as usize] {
+                    if q == from && c == 1 {
+                        leave += cost;
+                    }
+                    connected[q as usize] += cost;
                 }
             }
             let mut best: Option<(i64, u32)> = None;
@@ -131,14 +140,14 @@ pub fn refine(h: &Hypergraph, part: &mut Partition, epsilon: f64, passes: usize)
                 if part_weight[to as usize] + weights[v] > cap {
                     continue;
                 }
-                let mut gain = leave;
-                for &net in nets {
-                    if counts.count(net as usize, to) == 0 {
-                        gain -= h.net_cost(net as usize) as i64;
-                    }
-                }
+                let gain = leave - (all - connected[to as usize]);
                 if gain > 0 && best.is_none_or(|(bg, _)| gain > bg) {
                     best = Some((gain, to));
+                }
+            }
+            for &net in nets {
+                for &(q, _) in &counts.counts[net as usize] {
+                    connected[q as usize] = 0;
                 }
             }
             if let Some((gain, to)) = best {

@@ -6,7 +6,22 @@
 //! bisection cut costs over all levels equals the k-way connectivity−1 cut
 //! (the standard PaToH-style decomposition). Each bisection runs
 //! heavy-connectivity coarsening ([`coarsen`]), greedy growing
-//! ([`initial`]), and hypergraph FM refinement ([`fm`]).
+//! ([`initial`]), and exact-gain FM refinement ([`fm`]). Coarse levels and
+//! sub-hypergraphs are built straight into sorted CSR.
+//!
+//! Vertices without nets (a quarter of the amazon0601/16 stand-in's) never
+//! affect the cut. Each bisection leaves them out of the multilevel
+//! pipeline and places them last, heaviest first, on the side further
+//! below its weight target, which also spreads their rows over the parts.
+//!
+//! Balance: a bisection of weight `W` into `k0 : k1` parts caps side 0 at
+//! `⌈W·k0/k·(1+ε)⌉` and side 1 likewise. Each bisection ends within its
+//! caps whenever one of FM's move prefixes reaches them (a pass that
+//! starts over a cap moves weight off first and keeps the least over-cap
+//! prefix) and no netless vertex outweighs the slack. Caps compound down
+//! the recursion, so the k-way imbalance is at most `(1+ε)^⌈log₂p⌉ − 1`,
+//! up to the caps' rounding to whole weight units. The final [`kway`] pass
+//! never fills a part past `⌈W/p·(1+ε)⌉`, which is within that bound.
 
 pub mod coarsen;
 pub mod fm;
@@ -44,7 +59,8 @@ impl Default for Options {
     }
 }
 
-/// Partitions `h` into `p` parts with per-bisection imbalance `epsilon`.
+/// Partitions `h` into `p` parts with per-bisection imbalance `epsilon`
+/// (k-way imbalance at most `(1+ε)^⌈log₂p⌉ − 1`, see the module docs).
 pub fn partition(h: &Hypergraph, p: usize, epsilon: f64, seed: u64) -> Partition {
     partition_with(h, p, epsilon, seed, Options::default())
 }
@@ -63,20 +79,25 @@ pub fn partition_with(
     let mut assignment = vec![0u32; n];
     let mut rng = StdRng::seed_from_u64(seed);
     let all: Vec<u32> = (0..n as u32).collect();
-    recurse(h, &all, 0, p, epsilon, opts, &mut rng, &mut assignment);
+    let top = extract_subhypergraph(h, &all);
+    recurse(&top, &all, 0, p, epsilon, opts, &mut rng, &mut assignment);
     let mut part = Partition::new(assignment, p);
     if opts.kway_passes > 0 && p > 1 {
-        kway::refine(h, &mut part, epsilon.max(0.03), opts.kway_passes);
+        kway::refine(h, &mut part, epsilon, opts.kway_passes);
     }
     part
 }
 
+/// Splits `h`, whose vertex `i` is global vertex `global[i]`, into parts
+/// `part_offset..part_offset + k`. Each side's sub-hypergraph is extracted
+/// from `h` rather than from the input, so a level of the recursion costs
+/// one sweep over the pins rather than one per part.
 // The recursion state is inherently eight-wide; bundling it into a struct
 // would only rename the problem.
 #[allow(clippy::too_many_arguments)]
 fn recurse(
     h: &Hypergraph,
-    vertices: &[u32],
+    global: &[u32],
     part_offset: u32,
     k: usize,
     epsilon: f64,
@@ -85,7 +106,7 @@ fn recurse(
     assignment: &mut [u32],
 ) {
     if k == 1 {
-        for &v in vertices {
+        for &v in global {
             assignment[v as usize] = part_offset;
         }
         return;
@@ -94,74 +115,122 @@ fn recurse(
     let k1 = k - k0;
     let frac0 = k0 as f64 / k as f64;
 
-    let sub = extract_subhypergraph(h, vertices);
-    let side = bisect(&sub, frac0, epsilon, opts, rng);
-
+    let side = bisect(h, frac0, epsilon, opts, rng);
     let mut left = Vec::new();
     let mut right = Vec::new();
-    for (local, &v) in vertices.iter().enumerate() {
-        if side[local] == 0 {
-            left.push(v);
+    for (v, &s) in side.iter().enumerate() {
+        if s == 0 {
+            left.push(v as u32);
         } else {
-            right.push(v);
+            right.push(v as u32);
         }
     }
     if left.is_empty() || right.is_empty() {
-        left.clear();
-        right.clear();
-        for (i, &v) in vertices.iter().enumerate() {
-            if i * k < vertices.len() * k0 {
-                left.push(v);
-            } else {
-                right.push(v);
-            }
-        }
+        let cut = (0..side.len())
+            .find(|&i| i * k >= side.len() * k0)
+            .unwrap_or(side.len());
+        left = (0..cut as u32).collect();
+        right = (cut as u32..side.len() as u32).collect();
     }
-    recurse(h, &left, part_offset, k0, epsilon, opts, rng, assignment);
-    recurse(
-        h,
-        &right,
-        part_offset + k0 as u32,
-        k1,
-        epsilon,
-        opts,
-        rng,
-        assignment,
-    );
+    for (local, offset, parts) in [
+        (left, part_offset, k0),
+        (right, part_offset + k0 as u32, k1),
+    ] {
+        let sub = extract_subhypergraph(h, &local);
+        let sub_global: Vec<u32> = local.iter().map(|&v| global[v as usize]).collect();
+        recurse(
+            &sub,
+            &sub_global,
+            offset,
+            parts,
+            epsilon,
+            opts,
+            rng,
+            assignment,
+        );
+    }
 }
 
-/// One multilevel bisection, returning side labels with side-0 target
-/// weight fraction `frac0`.
+/// One bisection, returning side labels with side-0 target weight
+/// fraction `frac0`. Vertices without nets never affect the cut, so only
+/// the others go through the multilevel pipeline, balanced by themselves;
+/// the netless ones then even out the two sides, heaviest first, each
+/// joining the side further below its target. (Letting FM spend the
+/// netless weight as balance slack would save a few cut nets but pile the
+/// netless rows, and their dense-layer work, onto one side.)
 fn bisect(h: &Hypergraph, frac0: f64, epsilon: f64, opts: Options, rng: &mut StdRng) -> Vec<u8> {
+    let (linked, mut netless): (Vec<u32>, Vec<u32>) =
+        (0..h.n_vertices() as u32).partition(|&v| !h.nets_of(v as usize).is_empty());
+    netless.sort_by_key(|&v| std::cmp::Reverse(h.vertex_weights()[v as usize]));
+    let mut side = vec![0u8; h.n_vertices()];
+    let mut weight = [0u64; 2];
+    if !linked.is_empty() {
+        let linked_side = if netless.is_empty() {
+            bisect_multilevel(h, frac0, epsilon, opts, rng)
+        } else {
+            let sub = extract_subhypergraph(h, &linked);
+            bisect_multilevel(&sub, frac0, epsilon, opts, rng)
+        };
+        for (&v, &s) in linked.iter().zip(&linked_side) {
+            side[v as usize] = s;
+            weight[s as usize] += h.vertex_weights()[v as usize];
+        }
+    }
+    let total: u64 = h.vertex_weights().iter().sum();
+    let target0 = total as f64 * frac0;
+    let target = [target0, total as f64 - target0];
+    for &v in &netless {
+        let s = usize::from(target[1] - weight[1] as f64 > target[0] - weight[0] as f64);
+        side[v as usize] = s as u8;
+        weight[s] += h.vertex_weights()[v as usize];
+    }
+    side
+}
+
+/// The multilevel pipeline: coarsen, bisect the coarsest level, then
+/// project and refine level by level.
+fn bisect_multilevel(
+    h: &Hypergraph,
+    frac0: f64,
+    epsilon: f64,
+    opts: Options,
+    rng: &mut StdRng,
+) -> Vec<u8> {
+    // levels[i] = (coarse hypergraph, map from the level above's vertices).
     let mut levels: Vec<(Hypergraph, Vec<u32>)> = Vec::new();
-    let mut current = h.clone();
-    while opts.coarsen && current.n_vertices() > 96 {
-        let (coarse, map) = coarsen::coarsen_once(&current, rng);
+    loop {
+        let current = levels.last().map_or(h, |(coarse, _)| coarse);
+        if !opts.coarsen || current.n_vertices() <= 96 {
+            break;
+        }
+        let (coarse, map) = coarsen::coarsen_once(current, rng);
         if coarse.n_vertices() as f64 > current.n_vertices() as f64 * 0.95 {
             break;
         }
-        levels.push((current, map));
-        current = coarse;
+        levels.push((coarse, map));
     }
 
-    let mut side = initial::greedy_bisect(&current, frac0, rng);
-    fm::refine(&current, &mut side, frac0, epsilon, opts.fm_passes_coarsest);
+    let coarsest = levels.last().map_or(h, |(coarse, _)| coarse);
+    let mut side = initial::greedy_bisect(coarsest, frac0, rng);
+    fm::refine(coarsest, &mut side, frac0, epsilon, opts.fm_passes_coarsest);
 
-    while let Some((fine, map)) = levels.pop() {
-        let mut fine_side = vec![0u8; fine.n_vertices()];
-        for v in 0..fine.n_vertices() {
-            fine_side[v] = side[map[v] as usize];
-        }
-        side = fine_side;
-        fm::refine(&fine, &mut side, frac0, epsilon, opts.fm_passes_uncoarsen);
+    while let Some((_, map)) = levels.pop() {
+        let fine = levels.last().map_or(h, |(coarse, _)| coarse);
+        side = map.iter().map(|&c| side[c as usize]).collect();
+        fm::refine(fine, &mut side, frac0, epsilon, opts.fm_passes_uncoarsen);
     }
     side
 }
 
 /// Net-splitting sub-hypergraph extraction: pins are restricted to
-/// `vertices` (renumbered); nets left with fewer than two pins can never be
-/// cut again and are dropped.
+/// `vertices` (strictly increasing, renumbered by position); nets left with
+/// fewer than two pins can never be cut again and are dropped. Renumbering
+/// keeps pin order, so the result is built straight into sorted CSR.
 pub(crate) fn extract_subhypergraph(h: &Hypergraph, vertices: &[u32]) -> Hypergraph {
+    debug_assert!(
+        vertices.windows(2).all(|w| w[0] < w[1]),
+        "vertices must be strictly increasing"
+    );
     let mut map = vec![u32::MAX; h.n_vertices()];
     for (local, &v) in vertices.iter().enumerate() {
         map[v as usize] = local as u32;
@@ -170,23 +239,25 @@ pub(crate) fn extract_subhypergraph(h: &Hypergraph, vertices: &[u32]) -> Hypergr
         .iter()
         .map(|&v| h.vertex_weights()[v as usize])
         .collect();
-    let mut nets = Vec::new();
+    let mut net_ptr = vec![0usize];
+    let mut net_pins = Vec::new();
     let mut costs = Vec::new();
-    let mut scratch = Vec::new();
     for net in 0..h.n_nets() {
-        scratch.clear();
-        for &pin in h.pins(net) {
-            let m = map[pin as usize];
-            if m != u32::MAX {
-                scratch.push(m);
-            }
-        }
-        if scratch.len() >= 2 {
-            nets.push(scratch.clone());
+        let start = net_pins.len();
+        net_pins.extend(
+            h.pins(net)
+                .iter()
+                .map(|&pin| map[pin as usize])
+                .filter(|&m| m != u32::MAX),
+        );
+        if net_pins.len() - start >= 2 {
+            net_ptr.push(net_pins.len());
             costs.push(h.net_cost(net));
+        } else {
+            net_pins.truncate(start);
         }
     }
-    Hypergraph::new(vertex_weights, nets, costs)
+    Hypergraph::from_sorted_csr(vertex_weights, net_ptr, net_pins, costs)
 }
 
 #[cfg(test)]
@@ -276,5 +347,81 @@ mod tests {
         // loses pin 0 → 1 pin → dropped.
         assert_eq!(sub.n_nets(), 1);
         assert_eq!(sub.pins(0), &[0, 1, 2]);
+    }
+
+    #[test]
+    fn netless_vertices_even_out_the_sides() {
+        // Two linked pairs of weight 6 each split cleanly; the netless
+        // vertices (weights 4, 3, 3, 1, 1) then fill both sides to 12,
+        // heaviest first.
+        let h = Hypergraph::new(
+            vec![3, 3, 3, 3, 1, 3, 4, 1, 3],
+            vec![vec![0, 1], vec![2, 3]],
+            vec![5, 5],
+        );
+        let mut rng = StdRng::seed_from_u64(1);
+        let side = bisect(&h, 0.5, 0.05, Options::default(), &mut rng);
+        assert!(side[0] == side[1] && side[2] == side[3] && side[0] != side[2]);
+        let mut weight = [0u64; 2];
+        for (v, &s) in side.iter().enumerate() {
+            weight[s as usize] += h.vertex_weights()[v];
+        }
+        assert_eq!(weight, [12, 12], "{side:?}");
+    }
+
+    #[test]
+    fn csr_subhypergraph_matches_pin_list_construction() {
+        use pargcn_util::qc;
+        use pargcn_util::rng::Rng;
+        qc::check(|rng| {
+            let n = rng.gen_range(1..60usize);
+            let nets: Vec<Vec<u32>> = (0..rng.gen_range(0..2 * n))
+                .map(|_| {
+                    (0..rng.gen_range(0..8usize))
+                        .map(|_| rng.gen_range(0..n as u32))
+                        .collect()
+                })
+                .collect();
+            let costs: Vec<u64> = nets.iter().map(|_| rng.gen_range(1..9u64)).collect();
+            let weights: Vec<u64> = (0..n).map(|_| rng.gen_range(0..5u64)).collect();
+            let h = Hypergraph::new(weights, nets, costs);
+            let vertices: Vec<u32> = (0..n as u32).filter(|_| rng.gen_bool(0.6)).collect();
+
+            // The construction this replaced: one pin list per surviving
+            // net, then `Hypergraph::new`.
+            let mut local = vec![u32::MAX; n];
+            for (i, &v) in vertices.iter().enumerate() {
+                local[v as usize] = i as u32;
+            }
+            let (mut ref_nets, mut ref_costs) = (Vec::new(), Vec::new());
+            for net in 0..h.n_nets() {
+                let pins: Vec<u32> = h
+                    .pins(net)
+                    .iter()
+                    .map(|&p| local[p as usize])
+                    .filter(|&l| l != u32::MAX)
+                    .collect();
+                if pins.len() >= 2 {
+                    ref_nets.push(pins);
+                    ref_costs.push(h.net_cost(net));
+                }
+            }
+            let ref_weights = vertices
+                .iter()
+                .map(|&v| h.vertex_weights()[v as usize])
+                .collect();
+            let expected = Hypergraph::new(ref_weights, ref_nets, ref_costs);
+
+            let sub = extract_subhypergraph(&h, &vertices);
+            assert_eq!(sub.vertex_weights(), expected.vertex_weights());
+            assert_eq!(sub.n_nets(), expected.n_nets());
+            for net in 0..sub.n_nets() {
+                assert_eq!(sub.pins(net), expected.pins(net));
+                assert_eq!(sub.net_cost(net), expected.net_cost(net));
+            }
+            for v in 0..sub.n_vertices() {
+                assert_eq!(sub.nets_of(v), expected.nets_of(v));
+            }
+        });
     }
 }

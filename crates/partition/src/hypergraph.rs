@@ -13,7 +13,8 @@ use crate::Partition;
 use pargcn_matrix::Csr;
 
 /// A hypergraph `H = (V, N)` with weighted vertices and weighted nets,
-/// stored as a net→pin CSR plus its vertex→net inverse.
+/// stored as a net→pin CSR plus its vertex→net inverse. Each net's pins
+/// are sorted and unique.
 #[derive(Clone, Debug)]
 pub struct Hypergraph {
     vertex_weights: Vec<u64>,
@@ -33,17 +34,44 @@ impl Hypergraph {
         let mut net_ptr = Vec::with_capacity(nets.len() + 1);
         net_ptr.push(0usize);
         let mut net_pins = Vec::new();
-        for pins in &nets {
-            let mut sorted: Vec<u32> = pins.clone();
-            sorted.sort_unstable();
-            sorted.dedup();
-            for &p in &sorted {
-                assert!((p as usize) < n, "pin out of range");
-            }
-            net_pins.extend_from_slice(&sorted);
+        for mut pins in nets {
+            pins.sort_unstable();
+            pins.dedup();
+            assert!(
+                pins.last().is_none_or(|&p| (p as usize) < n),
+                "pin out of range"
+            );
+            net_pins.extend_from_slice(&pins);
             net_ptr.push(net_pins.len());
         }
-        let (vtx_ptr, vtx_nets) = invert(n, &net_ptr, &net_pins);
+        Self::from_sorted_csr(vertex_weights, net_ptr, net_pins, net_costs)
+    }
+
+    /// Builds from a net → pin CSR whose pin lists are already sorted,
+    /// duplicate-free and in range: the multilevel engine's coarse and
+    /// sub-hypergraphs, which come out of their builders in that form.
+    pub(crate) fn from_sorted_csr(
+        vertex_weights: Vec<u64>,
+        net_ptr: Vec<usize>,
+        net_pins: Vec<u32>,
+        net_costs: Vec<u64>,
+    ) -> Self {
+        debug_assert_eq!(
+            net_ptr.len(),
+            net_costs.len() + 1,
+            "net cost length mismatch"
+        );
+        debug_assert!(
+            net_ptr.windows(2).all(|w| {
+                let pins = &net_pins[w[0]..w[1]];
+                pins.windows(2).all(|p| p[0] < p[1])
+                    && pins
+                        .last()
+                        .is_none_or(|&p| (p as usize) < vertex_weights.len())
+            }),
+            "pins must be sorted, unique and in range"
+        );
+        let (vtx_ptr, vtx_nets) = invert(vertex_weights.len(), &net_ptr, &net_pins);
         Self {
             vertex_weights,
             net_costs,
@@ -89,15 +117,7 @@ impl Hypergraph {
             net_pins.extend_from_slice(at.row_indices(j));
             net_ptr.push(net_pins.len());
         }
-        let (vtx_ptr, vtx_nets) = invert(n, &net_ptr, &net_pins);
-        Self {
-            vertex_weights,
-            net_costs: vec![1; n],
-            net_ptr,
-            net_pins,
-            vtx_ptr,
-            vtx_nets,
-        }
+        Self::from_sorted_csr(vertex_weights, net_ptr, net_pins, vec![1; n])
     }
 
     #[inline]

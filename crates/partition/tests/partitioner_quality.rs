@@ -124,7 +124,7 @@ fn pipeline_components_contribute() {
     );
 }
 
-/// Hub-capped FM still refines skewed (RMAT) graphs without stalling;
+/// FM still refines skewed (RMAT) graphs, hub nets and all, without stalling;
 /// bounded runtime is covered by the test's own timeout discipline.
 #[test]
 fn skewed_graph_partitioning_terminates_with_quality() {

@@ -49,6 +49,7 @@ run cargo test --release --offline --locked --manifest-path perfbench/Cargo.toml
 run cargo bench -q --offline --locked -p pargcn-bench --bench comm -- --quick
 run cargo bench -q --offline --locked -p pargcn-bench --bench kernels -- --quick kernel_engine
 run cargo bench -q --offline --locked -p pargcn-bench --bench minibatch -- --quick
+run cargo bench -q --offline --locked -p pargcn-bench --bench partitioners -- --quick hp_engine
 run cargo fmt --check
 # Docs build warning-free, so no intra-doc link can dangle after an API
 # removal.

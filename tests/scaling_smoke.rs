@@ -51,9 +51,14 @@ fn dmm_first_shrinking_layers_cost_less_modeled_comm() {
     let part = partition_rows(&data.graph, &a, Method::Hp, 8, DEFAULT_EPSILON, 1);
     let (plan, cplan) = (CommPlan::build(&a, &part), CagnetPlan::build(&a, &part));
     // Overlap off: compare the whole modeled transfer, not the part the
-    // local SpMM (which shrinks too) leaves exposed.
+    // local SpMM (which shrinks too) leaves exposed. Compute is free, so the
+    // rank that sets the phase time is the most-communicating one: DmmFirst
+    // also cuts SpMM work, and with compute priced in, the critical rank
+    // (whose comm share is reported) can change with the partition.
     let profile = MachineProfile {
         overlap: false,
+        gamma: 0.0,
+        gamma_dmm: 0.0,
         ..MachineProfile::cpu_cluster()
     };
     let mut config = GcnConfig::two_layer(32, 8, 4);
