@@ -1,8 +1,8 @@
 //! Persistent mini-batch engine vs per-batch-spawn training (DESIGN.md
 //! §11). The old path pays a fresh `CommSession` (thread spawn + join),
 //! plan construction, and workspace/pool growth once *per batch*; the
-//! engine pays them once per session and pipelines batch preparation
-//! against rank compute. For small batches the fixed per-batch cost
+//! engine pays them once per session, and its ranks prepare their own
+//! share of each batch. For small batches the fixed per-batch cost
 //! dominates, which is where the engine's gain concentrates — the
 //! acceptance figure (`results/minibatch_engine.json`) is the
 //! small-batch group at p = 4.
@@ -17,15 +17,22 @@
 //!                  steady-state cost with pools and workspaces at
 //!                  their high-water mark.
 //!
-//! The `prep` group times the preparation kernels one batch step is
-//! waiting on when prep is not hidden: the induced subgraph, `Â`, and the
-//! forward and `Âᵀ` plan builds at the `minibatch-hp-amazon` benchmark's
-//! shape (amazon0601/16 under HP at p = 2, one uniform batch of n/8
-//! vertices), plus the full-batch P2P and CAGNET plan builds of the road
-//! workloads (roadNet-CA/16, random rows, p = 2).
+//! The `prep` group times batch preparation at the `minibatch-hp-amazon`
+//! benchmark's shape (amazon0601/16 under HP at p = 2, one uniform batch
+//! of n/8 vertices): the central kernels — the induced subgraph, `Â`, and
+//! the forward and `Âᵀ` plan builds — and `rank_local`, the engine's
+//! rank-local preparation (both ranks build their rows and plans,
+//! set-up exchange included, in one session step). It also times the
+//! full-batch P2P and CAGNET plan builds of the road workloads
+//! (roadNet-CA/16, random rows) at p = 2 and p = 64, and the P2P build
+//! at p = 64 under contiguous id ranges, whose receive sets are small:
+//! there a build that scans the column space once per rank, or keeps a
+//! block per peer, would show.
 
+use pargcn_comm::CommSession;
 use pargcn_core::baselines::cagnet::CagnetPlan;
 use pargcn_core::minibatch::{self, MinibatchEngine};
+use pargcn_core::plan::RankPlanBuilder;
 use pargcn_core::{CommPlan, GcnConfig, PlanBuilder};
 use pargcn_graph::gen::sbm::{self, SbmParams};
 use pargcn_graph::{Dataset, Graph, Scale, SubgraphScratch};
@@ -33,6 +40,7 @@ use pargcn_matrix::{norm, ComputeSpec, Dense};
 use pargcn_partition::stochastic::{sample_batches, Sampler};
 use pargcn_partition::{partition_rows, Method, Partition, DEFAULT_EPSILON};
 use pargcn_util::bench::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use std::sync::Mutex;
 
 /// Ranks — the acceptance criterion's p.
 const P: usize = 4;
@@ -147,6 +155,11 @@ fn bench_prep(c: &mut Criterion) {
     let road = Dataset::RoadNetCa.generate(Scale(16), 1).graph;
     let a_road = road.normalized_adjacency();
     let road_part = partition_rows(&road, &a_road, Method::Rp, 2, DEFAULT_EPSILON, 1);
+    let road_part64 = partition_rows(&road, &a_road, Method::Rp, 64, DEFAULT_EPSILON, 1);
+    // Contiguous id ranges: the generator numbers the grid row by row, so
+    // each part talks to about two others, as under a good partitioner.
+    let n_road = road.n();
+    let road_ranges64 = Partition::new((0..n_road).map(|v| (v * 64 / n_road) as u32).collect(), 64);
 
     let mut group = c.benchmark_group("prep");
     group.bench_function("induced_subgraph_into/amazon_n8", |b| {
@@ -166,6 +179,27 @@ fn bench_prep(c: &mut Criterion) {
     });
     group.bench_function("cagnet_plan/road_rp2", |b| {
         b.iter(|| CagnetPlan::build(&a_road, &road_part))
+    });
+    group.bench_function("comm_plan/road_rp64", |b| {
+        b.iter(|| CommPlan::build(&a_road, &road_part64))
+    });
+    group.bench_function("comm_plan/road_ranges64", |b| {
+        b.iter(|| CommPlan::build(&a_road, &road_ranges64))
+    });
+    group.bench_function("cagnet_plan/road_rp64", |b| {
+        b.iter(|| CagnetPlan::build(&a_road, &road_part64))
+    });
+    // Last, so its rank threads are gone before any other row runs.
+    let mut session = CommSession::new(2);
+    let rank_builders: Vec<Mutex<RankPlanBuilder>> =
+        (0..2).map(|_| Mutex::new(RankPlanBuilder::new())).collect();
+    group.bench_function("rank_local/amazon_n8", |b| {
+        b.iter(|| {
+            session.run_step(|ctx| {
+                let mut builder = rank_builders[ctx.rank()].lock().unwrap();
+                builder.build(ctx, &graph, &part, &batch)
+            })
+        })
     });
     group.finish();
 }

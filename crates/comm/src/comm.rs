@@ -211,7 +211,8 @@ impl CommSession {
 
     /// Runs `step` on every rank like [`run_step`](Self::run_step) while
     /// the calling thread runs `main` — the hook the mini-batch engine
-    /// uses to prepare batch `t+1` while the ranks train batch `t`.
+    /// uses to check batch `t+1` while the ranks prepare and train batch
+    /// `t`.
     /// Returns the ranks' results in rank order and `main`'s result.
     ///
     /// Every rank's acknowledgement is collected before this returns *or
@@ -478,21 +479,48 @@ impl RankCtx {
     /// Panics on self-sends (local data never travels through the runtime in
     /// Algorithms 1–2) and on reserved tags.
     pub fn isend(&mut self, to: usize, tag: u32, payload: Vec<f32>) {
+        self.counters.sent_messages += 1;
+        self.counters.sent_bytes += (payload.len() * 4) as u64;
+        self.post(to, tag, payload);
+    }
+
+    /// [`isend`](Self::isend) for set-up traffic — the exchange through
+    /// which ranks build their own plans before training. It travels the
+    /// same pooled path (take the payload from [`acquire`](Self::acquire),
+    /// after an [`ensure_pool`](Self::ensure_pool) sized for it) but counts
+    /// in `setup_messages`/`setup_bytes` only, so `sent_*`, `recv_*` and
+    /// `collective_*` stay exactly the training traffic. Empty payloads
+    /// are fine: a set-up round sends one message to every peer, so no
+    /// receiver waits on a message that never comes. The receiver takes it
+    /// with [`setup_recv`](Self::setup_recv).
+    pub fn setup_send(&mut self, to: usize, tag: u32, payload: Vec<f32>) {
+        self.counters.setup_messages += 1;
+        self.counters.setup_bytes += (payload.len() * 4) as u64;
+        self.post(to, tag, payload);
+    }
+
+    /// Blocking receive of a [`setup_send`](Self::setup_send) message from
+    /// `from`. The wait counts in `comm_seconds`; the message counts in no
+    /// `recv_*` counter. Hand the payload back with
+    /// [`release`](Self::release).
+    pub fn setup_recv(&mut self, from: usize, tag: u32) -> Vec<f32> {
+        let start = Instant::now();
+        let a0 = allocmeter::current();
+        let payload = self.recv_inner(from as u32, tag);
+        self.counters.comm_path_allocs += allocmeter::current() - a0;
+        self.counters.comm_seconds += start.elapsed().as_secs_f64();
+        payload
+    }
+
+    /// The checked, metered channel send behind `isend` and `setup_send`.
+    fn post(&mut self, to: usize, tag: u32, payload: Vec<f32>) {
         assert_ne!(to, self.rank, "self-sends are a bug: local rows stay local");
         assert!(
             tag < RESERVED_TAG_BASE,
             "tag {tag} is reserved for collectives"
         );
         let a0 = allocmeter::current();
-        self.counters.sent_messages += 1;
-        self.counters.sent_bytes += (payload.len() * 4) as u64;
-        self.senders[to]
-            .send(Message {
-                from: self.rank as u32,
-                tag,
-                payload,
-            })
-            .expect("peer rank hung up");
+        self.send_internal(to, tag, payload);
         self.counters.comm_path_allocs += allocmeter::current() - a0;
     }
 
@@ -934,6 +962,28 @@ mod tests {
         let merged = CommCounters::merged(&results);
         assert_eq!(merged.collective_messages, 5);
         assert_eq!(merged.collective_bytes, 5 * 16);
+    }
+
+    #[test]
+    fn setup_traffic_counts_apart_from_training_traffic() {
+        let results = CommSession::new(2).run_step(|ctx| {
+            let other = 1 - ctx.rank();
+            let mut payload = ctx.acquire(other, 3);
+            payload.extend_from_slice(&[1.0, 2.0, 3.0]);
+            ctx.setup_send(other, 9, payload);
+            ctx.setup_send(other, 10, Vec::new());
+            let got = ctx.setup_recv(other, 9);
+            assert_eq!(got, vec![1.0, 2.0, 3.0]);
+            ctx.release(other, got);
+            assert!(ctx.setup_recv(other, 10).is_empty());
+            ctx.counters().clone()
+        });
+        for c in &results {
+            assert_eq!((c.setup_messages, c.setup_bytes), (2, 12));
+            assert_eq!((c.sent_messages, c.sent_bytes), (0, 0));
+            assert_eq!((c.recv_messages, c.recv_bytes), (0, 0));
+            assert_eq!((c.collective_messages, c.collective_bytes), (0, 0));
+        }
     }
 
     #[test]

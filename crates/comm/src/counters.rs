@@ -19,6 +19,15 @@ pub struct CommCounters {
     pub collective_messages: u64,
     /// Bytes attributed to collectives.
     pub collective_bytes: u64,
+    /// Set-up messages sent with [`RankCtx::setup_send`]: the exchange
+    /// through which ranks build their plans, counted at the sender and
+    /// kept out of `sent_*`, `recv_*` and `collective_*`, so those stay
+    /// exactly the training traffic the plans predict.
+    ///
+    /// [`RankCtx::setup_send`]: crate::RankCtx::setup_send
+    pub setup_messages: u64,
+    /// Payload bytes of the set-up messages.
+    pub setup_bytes: u64,
     /// Heap allocations performed *inside* the runtime's hot-path methods
     /// (`acquire`/`isend`/`recv*`/`release`/`allreduce_sum`/`broadcast`)
     /// on this rank's thread. Only counts when
@@ -56,6 +65,8 @@ impl CommCounters {
             out.recv_bytes += c.recv_bytes;
             out.collective_messages += c.collective_messages;
             out.collective_bytes += c.collective_bytes;
+            out.setup_messages += c.setup_messages;
+            out.setup_bytes += c.setup_bytes;
             out.comm_path_allocs += c.comm_path_allocs;
             out.comm_seconds += c.comm_seconds;
             out.compute_seconds += c.compute_seconds;
@@ -84,10 +95,13 @@ mod tests {
         let b = CommCounters {
             sent_messages: 3,
             recv_bytes: 50,
+            setup_messages: 4,
+            setup_bytes: 64,
             ..Default::default()
         };
         let m = CommCounters::merged(&[a, b]);
         assert_eq!(m.sent_messages, 5);
+        assert_eq!((m.setup_messages, m.setup_bytes), (4, 64));
         assert_eq!(m.sent_bytes, 100);
         assert_eq!(m.recv_bytes, 50);
         assert_eq!(m.compute_seconds, 0.0);

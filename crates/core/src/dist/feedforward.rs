@@ -148,9 +148,7 @@ pub fn spmm_exchange_into(
     let mut next = 0;
     while next < n_blocks {
         while let Some((from, payload)) = ctx.try_recv_any(tag) {
-            let slot = scratch.slot_of(from);
-            debug_assert!(scratch.arrived[slot].is_none(), "duplicate block payload");
-            scratch.arrived[slot] = Some(payload);
+            scratch.file(ctx.rank(), from, tag, payload);
         }
         let mut progressed = false;
         while next < n_blocks {
@@ -165,9 +163,7 @@ pub fn spmm_exchange_into(
             // Nothing in order yet: park until any planned payload lands
             // rather than spinning over try_recv.
             let (from, payload) = ctx.recv_any(tag);
-            let slot = scratch.slot_of(from);
-            debug_assert!(scratch.arrived[slot].is_none(), "duplicate block payload");
-            scratch.arrived[slot] = Some(payload);
+            scratch.file(ctx.rank(), from, tag, payload);
         }
     }
 }

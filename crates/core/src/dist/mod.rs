@@ -88,3 +88,6 @@ pub struct RankState<'a, X = RankPlan> {
 pub const TAG_FWD: u32 = 0;
 /// Base tag for backpropagation layer messages.
 pub const TAG_BWD: u32 = 4096;
+/// Base tag of the two set-up rounds of the rank-local plan build
+/// ([`crate::plan::RankPlanBuilder`]), clear of every layer's tags.
+pub const TAG_SETUP: u32 = 3 * TAG_BWD;

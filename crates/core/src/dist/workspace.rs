@@ -27,8 +27,12 @@ pub struct ExchangeScratch {
     /// `arrived[i]` buffers the payload of remote block `i` until every
     /// earlier block has been folded (plan-order accumulation).
     pub(crate) arrived: Vec<Option<Vec<f32>>>,
-    /// Peer rank → remote-block index for the current exchange.
-    pub(crate) peer_slot: Vec<u32>,
+    /// Peer rank → remote-block index for the current exchange;
+    /// `u32::MAX` for every peer outside its receive set.
+    peer_slot: Vec<u32>,
+    /// The peers `peer_slot` currently keys, so the next `begin` unkeys
+    /// exactly them.
+    keyed: Vec<usize>,
     /// One broadcast stage's rows, grown once to the largest block.
     pub(crate) stage: Vec<f32>,
 }
@@ -39,25 +43,47 @@ impl ExchangeScratch {
         ExchangeScratch {
             arrived: Vec::new(),
             peer_slot: vec![u32::MAX; p],
+            keyed: Vec::with_capacity(p),
             stage: Vec::new(),
         }
     }
 
-    /// Re-keys the scratch for an exchange over `plan`. Allocation-free
+    /// Re-keys the scratch for an exchange over `plan`, unkeying the
+    /// previous exchange's peers first (O(previous receive set)), so a
+    /// peer outside this plan never maps to a stale slot. Allocation-free
     /// once `arrived` has grown to the largest receive set.
     pub(crate) fn begin(&mut self, plan: &RankPlan) {
+        for peer in self.keyed.drain(..) {
+            self.peer_slot[peer] = u32::MAX;
+        }
         self.arrived.clear();
         self.arrived.resize_with(plan.a_remote.len(), || None);
         for (i, block) in plan.a_remote.iter().enumerate() {
             self.peer_slot[block.peer] = i as u32;
+            self.keyed.push(block.peer);
         }
     }
 
-    #[inline]
-    pub(crate) fn slot_of(&self, peer: usize) -> usize {
+    /// Files a payload that reached `rank` from `peer` under `tag` into
+    /// its remote block's slot.
+    ///
+    /// # Panics
+    /// Panics, naming the rank, peer and tag, if `peer` is outside the
+    /// exchange's receive set or its block already holds a payload — a
+    /// plan mismatch that would otherwise fold rows into the wrong block.
+    pub(crate) fn file(&mut self, rank: usize, peer: usize, tag: u32, payload: Vec<f32>) {
         let s = self.peer_slot[peer];
-        debug_assert_ne!(s, u32::MAX, "message from a peer outside the plan");
-        s as usize
+        assert!(
+            s != u32::MAX,
+            "rank {rank}: message from peer {peer} under tag {tag}, \
+             which is outside this exchange's receive set"
+        );
+        let slot = &mut self.arrived[s as usize];
+        assert!(
+            slot.is_none(),
+            "rank {rank}: second payload from peer {peer} under tag {tag} in one exchange"
+        );
+        *slot = Some(payload);
     }
 }
 
@@ -184,4 +210,60 @@ pub fn prewarm_comm_pools<X: SpmmExchange>(
     let per_epoch =
         config.layers() * (plan_f.inbound_per_sweep() + plan_b.inbound_per_sweep() + 2 * log2p + 2);
     ctx.reserve_queues(2 * per_epoch + 8);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::plan::RemoteBlock;
+    use pargcn_matrix::Csr;
+
+    fn plan_receiving_from(peers: &[usize]) -> RankPlan {
+        RankPlan {
+            rank: 0,
+            local_rows: Vec::new(),
+            a_own: Csr::identity(0),
+            a_remote: peers
+                .iter()
+                .map(|&peer| RemoteBlock {
+                    peer,
+                    rows: Vec::new(),
+                    a: Csr::identity(0),
+                })
+                .collect(),
+            send: Vec::new(),
+        }
+    }
+
+    /// Peer 1 was in the previous exchange's receive set, not in this
+    /// one's: its message must not land in the slot it used to key.
+    #[test]
+    #[should_panic(
+        expected = "rank 0: message from peer 1 under tag 7, which is outside this exchange's receive set"
+    )]
+    fn a_peer_of_the_previous_plan_is_rejected() {
+        let mut scratch = ExchangeScratch::new(3);
+        scratch.begin(&plan_receiving_from(&[1, 2]));
+        scratch.begin(&plan_receiving_from(&[2]));
+        scratch.file(0, 1, 7, vec![1.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "rank 0: second payload from peer 2 under tag 7")]
+    fn a_second_payload_from_one_peer_is_rejected() {
+        let mut scratch = ExchangeScratch::new(3);
+        scratch.begin(&plan_receiving_from(&[2]));
+        scratch.file(0, 2, 7, vec![1.0]);
+        scratch.file(0, 2, 7, vec![2.0]);
+    }
+
+    #[test]
+    fn begin_rekeys_the_slots() {
+        let mut scratch = ExchangeScratch::new(3);
+        scratch.begin(&plan_receiving_from(&[1, 2]));
+        scratch.begin(&plan_receiving_from(&[2, 0]));
+        scratch.file(1, 0, 7, vec![0.5]);
+        scratch.file(1, 2, 7, vec![2.5]);
+        assert_eq!(scratch.arrived, vec![Some(vec![2.5]), Some(vec![0.5])]);
+    }
 }

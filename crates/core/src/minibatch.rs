@@ -10,12 +10,13 @@
 
 use crate::dist::trainer::{train_with_plans_spec, RankData, RankSlot};
 use crate::model::{GcnConfig, Params};
-use crate::plan::{CommPlan, PlanBuilder};
+use crate::plan::{CommPlan, RankPlanBuilder};
 use pargcn_comm::{CommCounters, CommSession, RankCtx};
-use pargcn_graph::{Graph, SubgraphScratch};
+use pargcn_graph::Graph;
 use pargcn_matrix::{gather, norm, ComputeSpec, Dense};
 use pargcn_partition::{metrics, Partition};
 use std::sync::Mutex;
+use std::time::Instant;
 
 /// Restriction of a global partition to a batch's vertices: part ids keep
 /// their meaning (rank `m` still owns its vertices), rows renumber to the
@@ -140,51 +141,14 @@ pub fn train_spec(
     }
 }
 
-/// Everything one batch needs to train, built ahead of time into the
-/// engine's double buffer: plans, per-rank data slices, and bookkeeping.
-/// Prep is a pure function of the batch (graph, features, partition,
-/// config are fixed), which is why building batch t+1 while the ranks
-/// train batch t cannot change any result.
-struct BatchPrep {
-    plan_f: CommPlan,
-    /// `None` for undirected graphs (backward reuses `plan_f`).
-    plan_b: Option<CommPlan>,
-    /// Per-rank data slices (grow-once).
-    locals: Vec<RankData>,
-    mask_total: f64,
-    /// False when the batch sampled no labelled vertex: no step runs.
-    trainable: bool,
-    volume: u64,
-}
-
-impl BatchPrep {
-    fn empty(p: usize, width: usize) -> BatchPrep {
-        BatchPrep {
-            plan_f: CommPlan {
-                ranks: Vec::new(),
-                n: 0,
-                p,
-            },
-            plan_b: None,
-            locals: (0..p)
-                .map(|_| RankData {
-                    h0: Dense::zeros(0, width),
-                    labels: Vec::new(),
-                    mask: Vec::new(),
-                })
-                .collect(),
-            mask_total: 1.0,
-            trainable: false,
-            volume: 0,
-        }
-    }
-
-    fn backward_rank(&self, m: usize) -> &crate::plan::RankPlan {
-        match &self.plan_b {
-            Some(pb) => &pb.ranks[m],
-            None => &self.plan_f.ranks[m],
-        }
-    }
+/// One rank's engine state that persists across the batch stream: its
+/// training slot, its plan-builder scratch and its data slice.
+struct EngineRank {
+    slot: RankSlot,
+    builder: RankPlanBuilder,
+    /// The rank's feature, label and mask rows of the current batch
+    /// (grow-once).
+    data: RankData,
 }
 
 /// Persistent mini-batch training engine (DESIGN.md §11).
@@ -192,38 +156,86 @@ impl BatchPrep {
 /// [`train_spec`] pays full startup cost per batch: a fresh
 /// [`CommSession`] respawns all `p` rank threads and kernel pools,
 /// re-prewarms the comm pools, reallocates an `EpochWorkspace`, and
-/// `CommPlan::build` zeroes O(n·p) scratch — all wrapped around a
-/// *single* training step. The engine hoists every one of those out of
-/// the loop, running every batch as one step of the same per-rank slot
-/// the full-batch trainer uses:
+/// builds every plan centrally — all wrapped around a *single* training
+/// step. The engine hoists the fixed costs out of the loop and moves the
+/// preparation into the ranks, running every batch as one step of the
+/// same per-rank slot the full-batch trainer uses:
 ///
 /// * a [`CommSession`] keeps the rank threads, channels, buffer pools and
 ///   counters alive across the whole batch stream;
-/// * per-rank kernel pools are built once;
-/// * a [`PlanBuilder`] and [`SubgraphScratch`] reuse their maps, and each
-///   rank's workspace grows once to the high-water batch;
-/// * batch *t+1*'s subgraph, normalized adjacency, plan, and data slices
-///   are prepared on the main thread *while the ranks train batch t*
-///   ([`CommSession::run_step_overlapped`], double buffer). Prep is a
-///   pure function of the batch, so the pipelining cannot change results.
+/// * per-rank kernel pools are built once, and each rank's workspace
+///   grows once to the high-water batch;
+/// * each rank prepares its own share of batch *t* at the start of that
+///   batch's step, on its own thread: its rows of the induced subgraph
+///   and of `Â`, its forward and `Âᵀ` plans through a two-round set-up
+///   exchange with its peers ([`RankPlanBuilder`]), and its feature,
+///   label and mask rows;
+/// * the calling thread only checks batch *t+1* and counts its labelled
+///   vertices while the ranks train batch *t*
+///   ([`CommSession::run_step_overlapped`]), then publishes it.
 ///
 /// Outputs are bitwise identical to [`train_spec`] (equivalence suite in
-/// `tests/minibatch_engine.rs`); only the per-batch overhead changes.
+/// `tests/minibatch_engine.rs`): the rank-local plans are `==` to the
+/// central ones and `Â` matches bit for bit. The set-up exchange counts
+/// in `CommCounters::setup_*` only, so the training counters are exactly
+/// the plans' traffic.
 pub struct MinibatchEngine<'a> {
+    inputs: Inputs<'a>,
+    session: CommSession,
+    ranks: Vec<Mutex<EngineRank>>,
+}
+
+/// The engine's fixed inputs, read by every rank step.
+struct Inputs<'a> {
     graph: &'a Graph,
     h0: &'a Dense,
     labels: &'a [u32],
     mask: &'a [bool],
     part: &'a Partition,
     config: &'a GcnConfig,
-    session: CommSession,
-    slots: Vec<Mutex<RankSlot>>,
-    builder: PlanBuilder,
-    scratch: SubgraphScratch,
-    preps: (BatchPrep, BatchPrep),
-    /// Which of `preps` holds the batch being trained (the other is the
-    /// build target); flips every batch.
-    cur: usize,
+}
+
+impl Inputs<'_> {
+    /// One rank's step on `batch`: build its plans and, when `trainable`,
+    /// gather its rows and train. Returns the loss (`NaN` when not
+    /// trained) and the rows its forward plan sends per sweep. The
+    /// preparation's time is split into the counters' comm and compute
+    /// seconds like the training step's.
+    fn rank_step(
+        &self,
+        ctx: &mut RankCtx,
+        rank: &mut EngineRank,
+        batch: &[u32],
+        trainable: bool,
+        mask_total: f64,
+    ) -> (f64, u64) {
+        let comm_before = ctx.counters().comm_seconds;
+        let start = Instant::now();
+        let (plan_f, plan_b) = rank.builder.build(ctx, self.graph, self.part, batch);
+        let data = &mut rank.data;
+        if trainable {
+            data.h0.resize_rows(plan_f.local_rows.len());
+            data.labels.clear();
+            data.mask.clear();
+            for (li, &pos) in plan_f.local_rows.iter().enumerate() {
+                let v = batch[pos as usize] as usize;
+                data.h0.row_mut(li).copy_from_slice(self.h0.row(v));
+                data.labels.push(self.labels[v]);
+                data.mask.push(self.mask[v]);
+            }
+        }
+        let wall = start.elapsed().as_secs_f64();
+        ctx.add_compute_seconds(wall - (ctx.counters().comm_seconds - comm_before));
+        let volume = plan_f.sent_rows();
+        if !trainable {
+            return (f64::NAN, volume);
+        }
+        let plan_b = plan_b.as_ref().unwrap_or(&plan_f);
+        let loss = rank
+            .slot
+            .step(ctx, &plan_f, plan_b, data, mask_total, self.config, true);
+        (loss, volume)
+    }
 }
 
 impl<'a> MinibatchEngine<'a> {
@@ -247,94 +259,76 @@ impl<'a> MinibatchEngine<'a> {
         assert_eq!(part.n(), graph.n(), "partition size mismatch");
         let p = part.p();
         let init = config.init_params(param_seed);
-        let slots = (0..p)
-            .map(|_| Mutex::new(RankSlot::new(0, config, init.clone(), p, spec)))
+        let ranks = (0..p)
+            .map(|_| {
+                Mutex::new(EngineRank {
+                    slot: RankSlot::new(0, config, init.clone(), p, spec),
+                    builder: RankPlanBuilder::new(),
+                    data: RankData {
+                        h0: Dense::zeros(0, h0.cols()),
+                        labels: Vec::new(),
+                        mask: Vec::new(),
+                    },
+                })
+            })
             .collect();
         MinibatchEngine {
-            graph,
-            h0,
-            labels,
-            mask,
-            part,
-            config,
+            inputs: Inputs {
+                graph,
+                h0,
+                labels,
+                mask,
+                part,
+                config,
+            },
             session: CommSession::new(p),
-            slots,
-            builder: PlanBuilder::new(),
-            scratch: SubgraphScratch::new(),
-            preps: (
-                BatchPrep::empty(p, h0.cols()),
-                BatchPrep::empty(p, h0.cols()),
-            ),
-            cur: 0,
+            ranks,
         }
     }
 
-    /// Trains one step per batch, pipelining each batch's preparation
-    /// under the previous batch's training step. May be called repeatedly
-    /// — parameters and optimizer state carry across calls, so a stream
-    /// of `train` calls behaves like one long batch list.
+    /// Trains one step per batch; each batch's step starts with the
+    /// ranks preparing it, while the calling thread checks the next
+    /// batch. May be called repeatedly — parameters and optimizer state
+    /// carry across calls, so a stream of `train` calls behaves like one
+    /// long batch list.
     pub fn train(&mut self, batches: &[Vec<u32>]) -> MinibatchOutcome {
         let mut losses = Vec::with_capacity(batches.len());
         let mut total_volume = 0u64;
         let mut skipped_batches = 0usize;
         let mut skipped_volume = 0u64;
-        // Split the engine into disjoint borrows: the step closure reads
-        // `slots` + the active prep while `prepare_batch` refills the
-        // builder scratch and the build prep.
         let MinibatchEngine {
-            graph,
-            h0,
-            labels,
-            mask,
-            part,
-            config,
+            inputs,
             session,
-            slots,
-            builder,
-            scratch,
-            preps,
-            cur,
+            ranks,
         } = self;
-
-        if let Some(first) = batches.first() {
-            let build = if *cur == 0 {
-                &mut preps.0
-            } else {
-                &mut preps.1
+        let (graph, mask) = (inputs.graph, inputs.mask);
+        let check = |batch: &[u32]| -> usize {
+            assert_in_graph(batch, graph.n());
+            batch.iter().filter(|&&v| mask[v as usize]).count()
+        };
+        let mut masked = batches.first().map(|b| check(b));
+        for (t, batch) in batches.iter().enumerate() {
+            let labelled = masked.expect("every published batch was checked");
+            // A batch without a labelled vertex has no gradient: its ranks
+            // only build the plans, for the volume it would have sent.
+            let trainable = labelled > 0;
+            let mask_total = labelled.max(1) as f64;
+            let step = |ctx: &mut RankCtx| {
+                let mut rank = ranks[ctx.rank()].lock().expect("rank slot poisoned");
+                inputs.rank_step(ctx, &mut rank, batch, trainable, mask_total)
             };
-            prepare_batch(
-                graph, h0, labels, mask, part, builder, scratch, first, build,
-            );
-        }
-        for t in 0..batches.len() {
-            let (active, build) = if *cur == 0 {
-                (&preps.0, &mut preps.1)
-            } else {
-                (&preps.1, &mut preps.0)
-            };
-            let mut prepare_next = || {
-                if let Some(next) = batches.get(t + 1) {
-                    prepare_batch(graph, h0, labels, mask, part, builder, scratch, next, build);
-                }
-            };
-            if active.trainable {
-                let step = |ctx: &mut RankCtx| {
-                    let m = ctx.rank();
-                    let mut slot = slots[m].lock().expect("rank slot poisoned");
-                    let (rp_f, rp_b) = (&active.plan_f.ranks[m], active.backward_rank(m));
-                    let data = &active.locals[m];
-                    slot.step(ctx, rp_f, rp_b, data, active.mask_total, config, true)
-                };
-                // Ranks train batch t while this thread prepares t+1.
-                let (rank_losses, ()) = session.run_step_overlapped(step, prepare_next);
-                total_volume += active.volume;
-                losses.push(rank_losses[0]);
+            // Ranks prepare and train batch t while this thread checks t+1.
+            let (results, next) =
+                session.run_step_overlapped(step, || batches.get(t + 1).map(|b| check(b)));
+            masked = next;
+            let volume: u64 = results.iter().map(|r| r.1).sum();
+            if trainable {
+                total_volume += volume;
+                losses.push(results[0].0);
             } else {
                 skipped_batches += 1;
-                skipped_volume += active.volume;
-                prepare_next();
+                skipped_volume += volume;
             }
-            *cur ^= 1;
         }
         MinibatchOutcome {
             losses,
@@ -347,9 +341,10 @@ impl<'a> MinibatchEngine<'a> {
 
     /// The current (replicated) parameters.
     pub fn params(&self) -> Params {
-        self.slots[0]
+        self.ranks[0]
             .lock()
             .expect("rank slot poisoned")
+            .slot
             .params
             .clone()
     }
@@ -364,48 +359,6 @@ impl<'a> MinibatchEngine<'a> {
     /// measurement window sees steady state only).
     pub fn reset_counters(&mut self) {
         self.session.run_step(|ctx| ctx.reset_counters());
-    }
-}
-
-/// Builds everything batch `batch` needs into `prep` (grow-once where the
-/// buffers allow it). Pure in the engine's fixed inputs: no training
-/// state is read, so prep for batch t+1 can run while batch t trains.
-#[allow(clippy::too_many_arguments)]
-fn prepare_batch(
-    graph: &Graph,
-    h0: &Dense,
-    labels: &[u32],
-    mask: &[bool],
-    part: &Partition,
-    builder: &mut PlanBuilder,
-    scratch: &mut SubgraphScratch,
-    batch: &[u32],
-    prep: &mut BatchPrep,
-) {
-    assert_in_graph(batch, graph.n());
-    let sub = graph.induced_subgraph_into(batch, scratch);
-    let a = norm::normalize_adjacency(sub.adjacency());
-    let sub_part = restrict_partition(part, batch);
-    prep.plan_f = builder.build(&a, &sub_part);
-    prep.plan_b = if sub.directed() {
-        Some(builder.build(&a.transpose(), &sub_part))
-    } else {
-        None
-    };
-    prep.volume = prep.plan_f.total_volume_rows();
-    let masked = batch.iter().filter(|&&v| mask[v as usize]).count();
-    prep.trainable = masked > 0;
-    prep.mask_total = masked.max(1) as f64;
-    for (rp, local) in prep.plan_f.ranks.iter().zip(&mut prep.locals) {
-        local.h0.resize_rows(rp.local_rows.len());
-        local.labels.clear();
-        local.mask.clear();
-        for (li, &lr) in rp.local_rows.iter().enumerate() {
-            let v = batch[lr as usize] as usize;
-            local.h0.row_mut(li).copy_from_slice(h0.row(v));
-            local.labels.push(labels[v]);
-            local.mask.push(mask[v]);
-        }
     }
 }
 

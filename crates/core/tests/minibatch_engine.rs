@@ -531,3 +531,31 @@ fn cagnet_plan_matches_eq_8_9_reference() {
     let part = Partition::new(vec![0, 0, 1, 1, 1, 0, 1, 0], 3);
     Reference::new(&a, &part).assert_cagnet_plan(&CagnetPlan::build(&a, &part));
 }
+
+/// Sparse rows at many ranks: most ranks hold too few nonzeros to sweep
+/// the column space and take `PlanBuilder`'s counting-sort path, while
+/// a skewed partition's big part sweeps — both must give the Eq. 8–9
+/// plan, and every plan must verify.
+#[test]
+fn plan_builder_matches_eq_8_9_reference_at_many_ranks() {
+    let mut builder = PlanBuilder::new();
+    for (directed, seed) in [(true, 3u64), (false, 4)] {
+        let a = er::generate(3000, 4000, directed, seed).normalized_adjacency();
+        for p in [16usize, 64] {
+            let even = random::partition(3000, p, seed);
+            // Part 0 takes every vertex whose random part is below p/2.
+            let skewed = Partition::new(
+                even.assignment()
+                    .iter()
+                    .map(|&o| if (o as usize) < p / 2 { 0 } else { o })
+                    .collect(),
+                p,
+            );
+            for part in [even, skewed] {
+                let plan = builder.build(&a, &part);
+                plan.verify();
+                Reference::new(&a, &part).assert_comm_plan(&plan);
+            }
+        }
+    }
+}
