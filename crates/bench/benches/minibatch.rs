@@ -24,10 +24,8 @@
 //! rank-local preparation (both ranks build their rows and plans,
 //! set-up exchange included, in one session step). It also times the
 //! full-batch P2P and CAGNET plan builds of the road workloads
-//! (roadNet-CA/16, random rows) at p = 2 and p = 64, and the P2P build
-//! at p = 64 under contiguous id ranges, whose receive sets are small:
-//! there a build that scans the column space once per rank, or keeps a
-//! block per peer, would show.
+//! (roadNet-CA/16, random rows) at p = 2, and the P2P build at p = 64,
+//! where the central build's per-rank cost shows.
 
 use pargcn_comm::CommSession;
 use pargcn_core::baselines::cagnet::CagnetPlan;
@@ -156,10 +154,6 @@ fn bench_prep(c: &mut Criterion) {
     let a_road = road.normalized_adjacency();
     let road_part = partition_rows(&road, &a_road, Method::Rp, 2, DEFAULT_EPSILON, 1);
     let road_part64 = partition_rows(&road, &a_road, Method::Rp, 64, DEFAULT_EPSILON, 1);
-    // Contiguous id ranges: the generator numbers the grid row by row, so
-    // each part talks to about two others, as under a good partitioner.
-    let n_road = road.n();
-    let road_ranges64 = Partition::new((0..n_road).map(|v| (v * 64 / n_road) as u32).collect(), 64);
 
     let mut group = c.benchmark_group("prep");
     group.bench_function("induced_subgraph_into/amazon_n8", |b| {
@@ -182,12 +176,6 @@ fn bench_prep(c: &mut Criterion) {
     });
     group.bench_function("comm_plan/road_rp64", |b| {
         b.iter(|| CommPlan::build(&a_road, &road_part64))
-    });
-    group.bench_function("comm_plan/road_ranges64", |b| {
-        b.iter(|| CommPlan::build(&a_road, &road_ranges64))
-    });
-    group.bench_function("cagnet_plan/road_rp64", |b| {
-        b.iter(|| CagnetPlan::build(&a_road, &road_part64))
     });
     // Last, so its rank threads are gone before any other row runs.
     let mut session = CommSession::new(2);

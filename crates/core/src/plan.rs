@@ -202,22 +202,24 @@ impl CommPlan {
 /// build is tested against, and the builder of the full-batch plans and
 /// of the per-batch path [`crate::minibatch::train_spec`] (DESIGN.md §11).
 ///
-/// Its first pass finds every rank's remote columns in O(nnz + n) for
-/// all p ranks together. Epoch-stamped marks dedupe each rank's columns
-/// (so "clearing" the marks for the next rank is a counter increment). A
-/// rank with many rows reads its marks back in one sweep of the column
-/// space; the other ranks' `(column, rank)` pairs are ordered by one
-/// shared counting sort, so no rank pays a sweep of n for a handful of
-/// rows. Each rank's split then keeps only its own block and its
-/// receive blocks ([`Csr::split_by_block`]).
+/// A plan build needs two length-n maps (global row → local index, and
+/// the per-rank column position fed to [`Csr::split_by_owner`]) plus the
+/// p×p `needed` matrix. `PlanBuilder` keeps them alive across builds:
 ///
-/// The length-n maps are grow-once. Every entry a build *reads* is
-/// written earlier in the same build (all n vertices for `local_index`;
-/// for rank m's split, its owned columns and its receive
-/// sets — exactly the columns of `Aₘ` — for `pos`), so stale entries
-/// from prior builds are never observed. Emitted plans do not depend on
-/// the scratch's history (the qc suite in `tests/minibatch_engine.rs`
-/// checks a reused builder against a reference built from Eqs. 8–9).
+/// * `local_index` and `pos` are plain grow-once vectors. Every entry a
+///   build *reads* is written earlier in the same build (all n vertices
+///   for `local_index`; for rank m's split, its owned columns and its
+///   receive sets — exactly the columns of `Aₘ` — for `pos`), so stale
+///   entries from prior builds are never observed.
+/// * the column-support scan is epoch-stamped: `seen_stamp[c]` is live
+///   only when it equals the current epoch, so "clearing" the marks for
+///   the next rank is a counter increment, not an O(n) fill.
+/// * the p×p `needed` matrix keeps its inner vectors' capacity.
+///
+/// Emitted plans do not depend on the scratch's history (the qc suite in
+/// `tests/minibatch_engine.rs` checks a reused builder against a
+/// reference built from Eqs. 8–9); the per-build scratch cost is
+/// O(touched), i.e. batch-sized for batch-sized graphs.
 #[derive(Debug, Default)]
 pub struct PlanBuilder {
     /// Global row id → local index within its owner; fully rewritten per build.
@@ -226,17 +228,9 @@ pub struct PlanBuilder {
     /// owner: the local index for owned columns, the receive position for
     /// remote ones. Rewritten per rank for the columns it reads.
     pos: Vec<u32>,
-    /// Epoch-stamped column marks deduping each rank's remote columns.
+    /// Epoch-stamped column-support marks for the first pass.
     seen_stamp: Vec<u32>,
     seen_epoch: u32,
-    /// `(remote column, reading rank)` pairs of the first pass.
-    pairs: Vec<(u32, u32)>,
-    /// Counting-sort cursors: after the scatter, `col_end[c]` is the end
-    /// of column `c`'s readers in `readers`. Written in full by every
-    /// build that sorts.
-    col_end: Vec<u32>,
-    /// The reading ranks of every remote column, grouped by column.
-    readers: Vec<u32>,
     /// needed[m][o] = ascending global columns of Aₘ owned by rank o ≠ m.
     needed: Vec<Vec<Vec<u32>>>,
 }
@@ -280,77 +274,6 @@ impl PlanBuilder {
         self.seen_epoch
     }
 
-    /// Fills `needed`: per rank, its distinct remote columns split by
-    /// owner, each list ascending.
-    ///
-    /// A rank with at least n²/(4·nnz) rows — a quarter of n nonzeros at
-    /// the average row length — marks its columns and reads them back in
-    /// one ascending sweep of the column space; the others collect
-    /// `(column, rank)` pairs for one shared counting sort on the column.
-    /// At most 4·nnz/n ranks sweep, so the pass is O(nnz + n) for all p
-    /// ranks together.
-    fn collect_needed(&mut self, a: &Csr, members: &[Vec<u32>], owner: &[u32]) {
-        let n = a.n_rows();
-        self.pairs.clear();
-        for (m, rows) in members.iter().enumerate() {
-            let se = self.next_epoch();
-            let need = &mut self.needed[m];
-            if 4 * rows.len() * a.nnz() >= n * n {
-                for &r in rows {
-                    for &c in a.row_indices(r as usize) {
-                        self.seen_stamp[c as usize] = se;
-                    }
-                }
-                for (j, (&stamp, &o)) in self.seen_stamp[..n].iter().zip(owner).enumerate() {
-                    if stamp == se && o as usize != m {
-                        need[o as usize].push(j as u32);
-                    }
-                }
-            } else {
-                for &r in rows {
-                    for &c in a.row_indices(r as usize) {
-                        let c = c as usize;
-                        if owner[c] as usize != m && self.seen_stamp[c] != se {
-                            self.seen_stamp[c] = se;
-                            self.pairs.push((c as u32, m as u32));
-                        }
-                    }
-                }
-            }
-        }
-        if self.pairs.is_empty() {
-            return;
-        }
-        // Counting sort on the column: per-column counts, exclusive
-        // starts, then a scatter that leaves each cursor at its column's
-        // end. The sweep over the columns then appends to every list in
-        // column order.
-        let col_end = &mut self.col_end;
-        col_end.clear();
-        col_end.resize(n, 0);
-        for &(c, _) in &self.pairs {
-            col_end[c as usize] += 1;
-        }
-        let mut start = 0u32;
-        for x in col_end.iter_mut() {
-            let count = *x;
-            *x = start;
-            start += count;
-        }
-        self.readers.resize(self.pairs.len(), 0);
-        for &(c, m) in &self.pairs {
-            self.readers[col_end[c as usize] as usize] = m;
-            col_end[c as usize] += 1;
-        }
-        let mut begin = 0usize;
-        for (c, (&end, &o)) in col_end.iter().zip(owner).enumerate() {
-            for &m in &self.readers[begin..end as usize] {
-                self.needed[m as usize][o as usize].push(c as u32);
-            }
-            begin = end as usize;
-        }
-    }
-
     /// Builds the plan for `A · X` under `part` — same contract and the
     /// same output as [`CommPlan::build`], at batch-sized scratch cost.
     pub fn build(&mut self, a: &Csr, part: &Partition) -> CommPlan {
@@ -368,7 +291,22 @@ impl PlanBuilder {
                 self.local_index[v as usize] = li as u32;
             }
         }
-        self.collect_needed(a, &members, owner);
+
+        // First pass: per rank, split needed columns by owner. The support
+        // scan ascends over 0..n, so the `needed` lists come out ascending.
+        for (m, rows) in members.iter().enumerate() {
+            let se = self.next_epoch();
+            for &r in rows {
+                for &c in a.row_indices(r as usize) {
+                    self.seen_stamp[c as usize] = se;
+                }
+            }
+            for (j, (&stamp, &o)) in self.seen_stamp[..n].iter().zip(owner).enumerate() {
+                if stamp == se && o as usize != m {
+                    self.needed[m][o as usize].push(j as u32);
+                }
+            }
+        }
 
         let PlanBuilder {
             local_index,
@@ -377,51 +315,42 @@ impl PlanBuilder {
             ..
         } = self;
         let mut ranks = Vec::with_capacity(p);
-        let mut block_of = vec![u32::MAX; p];
-        let mut block_cols = Vec::with_capacity(p);
         for (m, rows) in members.iter().enumerate() {
             // One sweep over Aₘ: owned columns land in the diagonal block
             // at their local index, remote ones in their owner's block at
-            // their receive position. Both ascend with the
-            // global column, so every block row comes out sorted.
+            // their receive position. Both ascend with the global column,
+            // so every block row comes out sorted.
             for &v in rows {
                 pos[v as usize] = local_index[v as usize];
             }
             // Slice to `p`: the scratch may be wider from an earlier
             // larger-p build.
             let need = &needed[m][..p];
-            // Blocks in owner order: the diagonal block and the receive
-            // set's.
-            block_of.fill(u32::MAX);
-            block_cols.clear();
-            for (o, recv) in need.iter().enumerate() {
-                if o != m && recv.is_empty() {
-                    continue;
-                }
-                block_of[o] = block_cols.len() as u32;
-                block_cols.push(if o == m { rows.len() } else { recv.len() });
-                if o != m {
-                    for (k, &j) in recv.iter().enumerate() {
-                        pos[j as usize] = k as u32;
-                    }
+            for recv in need {
+                for (k, &j) in recv.iter().enumerate() {
+                    pos[j as usize] = k as u32;
                 }
             }
-            let mut blocks = a.split_by_block(rows, owner, &block_of, pos, &block_cols);
-            let a_own = blocks.remove(block_of[m] as usize);
-
-            // Off-diagonal blocks per source peer, ascending; the receive
-            // set `Rₘ` (Eq. 9) is the peers with a nonempty block.
-            let a_remote = need
-                .iter()
-                .enumerate()
-                .filter(|&(o, recv)| o != m && !recv.is_empty())
-                .zip(blocks)
-                .map(|((peer, recv), a)| RemoteBlock {
-                    peer,
-                    rows: recv.clone(),
-                    a,
-                })
+            let block_cols: Vec<usize> = (0..p)
+                .map(|o| if o == m { rows.len() } else { need[o].len() })
                 .collect();
+            let blocks = a.split_by_owner(rows, owner, pos, &block_cols);
+
+            // Off-diagonal blocks per source peer; the receive set `Rₘ`
+            // (Eq. 9) is the peers with a nonempty block.
+            let mut a_own = None;
+            let mut a_remote = Vec::new();
+            for (peer, block) in blocks.into_iter().enumerate() {
+                if peer == m {
+                    a_own = Some(block);
+                } else if !need[peer].is_empty() {
+                    a_remote.push(RemoteBlock {
+                        peer,
+                        rows: need[peer].clone(),
+                        a: block,
+                    });
+                }
+            }
 
             // Send sets: invert `needed` — rank m sends to n the rows n
             // needs from m (Eq. 8: the diagonal of Xₘₙ).
@@ -443,7 +372,7 @@ impl PlanBuilder {
             ranks.push(RankPlan {
                 rank: m,
                 local_rows: rows.clone(),
-                a_own,
+                a_own: a_own.expect("split yields one block per rank"),
                 a_remote,
                 send,
             });

@@ -254,9 +254,9 @@ impl RankPlanBuilder {
                 (_, true) => 3 * blocks[b].indices.len(),
                 (_, false) => self.recv[o].len(),
             };
-            // Both rounds' payloads to `o` may be in flight at once, and
-            // round 2's holds at most one value per own row.
-            ctx.ensure_pool(o, 2, len.max(n_m));
+            // Round 2's reply to `o` is sized once round 1 arrives, so the
+            // pool follows the real traffic.
+            ctx.ensure_pool(o, 1, len);
             let mut payload = ctx.acquire(o, len);
             if b != usize::MAX {
                 let recv = &self.recv[o];
@@ -292,6 +292,9 @@ impl RankPlanBuilder {
             };
             ctx.release(s, payload);
             // Round 2: `inv_j` for exactly the columns `s` reads from here.
+            // The round-1 payload to `s` may still be in flight, so this
+            // needs a resident buffer of its own.
+            ctx.ensure_pool(s, 1, local_indices.len());
             let mut reply = ctx.acquire(s, local_indices.len());
             reply.extend(local_indices.iter().map(|&r| self.inv[r as usize]));
             ctx.setup_send(s, TAG_INV, reply);

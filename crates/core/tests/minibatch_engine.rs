@@ -1,5 +1,5 @@
 //! The persistent mini-batch engine's correctness contract (DESIGN.md
-//! §11): the long-lived session + pooled plan builder + pipelined prep
+//! §11): the long-lived session + rank-local batch preparation
 //! must be a pure performance change. Losses, parameters, predictions,
 //! and the volume/skip accounting all have to match the per-batch-spawn
 //! path **bitwise**, for every rank count and kernel engine, and the
@@ -185,10 +185,11 @@ fn steady_state_batches_do_not_allocate_on_the_comm_path() {
     );
 }
 
-/// A panic on the calling thread while a step is in flight — here
-/// `prepare_batch` rejecting batch 1 while the ranks train batch 0 — must
-/// leave the engine usable: batch 0's step completes on every rank before
-/// the panic propagates, and the next `train` call continues the stream.
+/// A panic on the calling thread while a step is in flight — here its
+/// `assert_in_graph` check rejecting batch 1 while the ranks train batch
+/// 0 — must leave the engine usable: batch 0's step completes on every
+/// rank before the panic propagates, and the next `train` call continues
+/// the stream.
 #[test]
 fn engine_recovers_from_a_panic_while_preparing_the_next_batch() {
     let (graph, h0, labels, mask) = setup(200, 9);
@@ -530,32 +531,4 @@ fn cagnet_plan_matches_eq_8_9_reference() {
     let a = er::generate(8, 24, true, 2).normalized_adjacency();
     let part = Partition::new(vec![0, 0, 1, 1, 1, 0, 1, 0], 3);
     Reference::new(&a, &part).assert_cagnet_plan(&CagnetPlan::build(&a, &part));
-}
-
-/// Sparse rows at many ranks: most ranks hold too few nonzeros to sweep
-/// the column space and take `PlanBuilder`'s counting-sort path, while
-/// a skewed partition's big part sweeps — both must give the Eq. 8–9
-/// plan, and every plan must verify.
-#[test]
-fn plan_builder_matches_eq_8_9_reference_at_many_ranks() {
-    let mut builder = PlanBuilder::new();
-    for (directed, seed) in [(true, 3u64), (false, 4)] {
-        let a = er::generate(3000, 4000, directed, seed).normalized_adjacency();
-        for p in [16usize, 64] {
-            let even = random::partition(3000, p, seed);
-            // Part 0 takes every vertex whose random part is below p/2.
-            let skewed = Partition::new(
-                even.assignment()
-                    .iter()
-                    .map(|&o| if (o as usize) < p / 2 { 0 } else { o })
-                    .collect(),
-                p,
-            );
-            for part in [even, skewed] {
-                let plan = builder.build(&a, &part);
-                plan.verify();
-                Reference::new(&a, &part).assert_comm_plan(&plan);
-            }
-        }
-    }
 }

@@ -358,39 +358,6 @@ impl Csr {
         pos: &[u32],
         block_cols: &[usize],
     ) -> Vec<Csr> {
-        self.split_into(rows, owner, pos, block_cols, |o| o as usize)
-    }
-
-    /// [`Csr::split_by_owner`] into blocks for a subset of the owners:
-    /// entry `(c, v)` goes to block `block_of[owner[c]]`. Owners whose
-    /// columns the rows never touch may map anywhere (the P2P plan maps
-    /// them to `u32::MAX`), so a rank pays for the blocks it keeps only.
-    ///
-    /// # Panics
-    /// As [`Csr::split_by_owner`], and if an entry's owner maps to no block.
-    pub fn split_by_block(
-        &self,
-        rows: &[u32],
-        owner: &[u32],
-        block_of: &[u32],
-        pos: &[u32],
-        block_cols: &[usize],
-    ) -> Vec<Csr> {
-        self.split_into(rows, owner, pos, block_cols, |o| {
-            block_of[o as usize] as usize
-        })
-    }
-
-    /// The split behind both entry points: entry `(c, v)` goes to block
-    /// `block(owner[c])`.
-    fn split_into(
-        &self,
-        rows: &[u32],
-        owner: &[u32],
-        pos: &[u32],
-        block_cols: &[usize],
-        block: impl Fn(u32) -> usize,
-    ) -> Vec<Csr> {
         let mut blocks: Vec<Csr> = block_cols
             .iter()
             .map(|&n_cols| Csr {
@@ -410,21 +377,16 @@ impl Csr {
                 .iter()
                 .zip(self.row_values(r as usize))
             {
-                let b = block(owner[c as usize]);
-                let Some(block) = blocks.get_mut(b) else {
-                    panic!(
-                        "split_by_owner: column {c} of row {r} has owner {}, which maps to no block",
-                        owner[c as usize]
-                    );
-                };
+                let block = &mut blocks[owner[c as usize] as usize];
                 let j = pos[c as usize];
                 let row_start = block.indptr[block.indptr.len() - 1];
                 let after_prev =
                     block.indices.len() == row_start || block.indices[block.indices.len() - 1] < j;
                 assert!(
                     (j as usize) < block.n_cols && after_prev,
-                    "split_by_owner: column {c} of row {r} maps to position {j} of block {b}, \
-                     which is out of range or not after the row's previous position"
+                    "split_by_owner: column {c} of row {r} maps to position {j} of block {}, \
+                     which is out of range or not after the row's previous position",
+                    owner[c as usize]
                 );
                 block.indices.push(j);
                 block.values.push(v);
