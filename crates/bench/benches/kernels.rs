@@ -4,6 +4,7 @@
 //! (multithreaded) kernel variants at 1/2/4 threads plus the bare pool
 //! dispatch overhead.
 
+use pargcn_core::activations::Activation;
 use pargcn_graph::gen::{grid, rmat};
 use pargcn_matrix::{gather, norm, ComputeCtx, Dense, KernelKind};
 use pargcn_util::bench::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
@@ -139,7 +140,8 @@ fn bench_pool_overhead(c: &mut Criterion) {
 
 /// Naive vs blocked kernel engine head-to-head on GCN-typical skinny
 /// shapes (`n × {16,64,128}` features), single thread — the single-core
-/// arithmetic headroom the blocked engine exists for. `blocked` runs on
+/// arithmetic headroom the blocked engine exists for — plus the fused
+/// forward transform at one and two threads. `blocked` runs on
 /// AVX2 lanes where the CPU has them; `scalar` is the same engine on its
 /// portable fallback, so the `scalar`/`blocked` ratio is what the lanes
 /// buy. Throughput is in multiply-add elements, so
@@ -195,6 +197,25 @@ fn bench_kernel_engine(c: &mut Criterion) {
             &rows,
             |b, _| b.iter(|| cctx.matmul_bt_into(std::hint::black_box(&g), &w, &mut s)),
         );
+    }
+
+    // The forward layer's fused transform H = σ(A·W), written in place at
+    // the road rank shape, serial and on a two-thread pool (where every
+    // chunk runs the epilogue on its own rows).
+    let a = Dense::random(rows, 32, &mut rng);
+    let w = Dense::random(32, 32, &mut rng);
+    let mut h = Dense::zeros(rows, 32);
+    group.throughput(Throughput::Elements((rows * 32 * 32) as u64));
+    for t in [1usize, 2] {
+        for kernel in [KernelKind::Naive, KernelKind::Blocked] {
+            let cctx = ComputeCtx::with_threads(t).with_kernel(kernel);
+            let shape = format!("{}_t{t}_{rows}x32x32", kernel.name());
+            group.bench_with_input(BenchmarkId::new("transform_relu", &shape), &t, |b, _| {
+                b.iter(|| {
+                    Activation::Relu.transform_into(&cctx, std::hint::black_box(&a), &w, &mut h)
+                })
+            });
+        }
     }
 
     // Forward DMM H·W: tall-skinny × small square.

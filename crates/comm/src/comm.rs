@@ -747,24 +747,59 @@ impl RankCtx {
 
     /// Broadcast from `root`: on the root `buf` is the source, elsewhere it
     /// is overwritten (capacity reused — a warm caller buffer means no
-    /// allocation). Binomial tree, O(log p) rounds; used by the CAGNET
-    /// baseline's turn-wise broadcasts.
+    /// allocation). A [`broadcast_lend`](Self::broadcast_lend) that copies
+    /// the lent payload out.
     pub fn broadcast(&mut self, root: usize, buf: &mut Vec<f32>) {
+        if self.rank == root {
+            self.broadcast_lend(root, buf, |payload| payload);
+        } else {
+            self.broadcast_lend(root, &[], |payload| {
+                buf.clear();
+                buf.extend_from_slice(&payload);
+                payload
+            });
+        }
+    }
+
+    /// Broadcast from `root` that lends the block instead of copying it
+    /// out. The root sends `data` down the binomial tree (O(log p)
+    /// rounds) and `fold` does not run: the root has the block in hand.
+    /// Every other rank ignores `data`, receives its parent's pooled
+    /// payload, forwards it to its own children, hands it to `fold`, and
+    /// releases what `fold` returns — the same buffer — back to the
+    /// parent's pool. Used by the CAGNET baseline's turn-wise broadcasts,
+    /// which fold each stage's block straight from the payload.
+    ///
+    /// The payload is held through `fold`, but released before this call
+    /// returns, so a rank never holds more than one lent payload. `fold`
+    /// counts as compute: its time is not in `comm_seconds` and its
+    /// allocations are not in `comm_path_allocs`.
+    pub fn broadcast_lend(
+        &mut self,
+        root: usize,
+        data: &[f32],
+        fold: impl FnOnce(Vec<f32>) -> Vec<f32>,
+    ) {
+        if self.p == 1 {
+            return;
+        }
         let start = Instant::now();
         let a0 = allocmeter::current();
-        if self.p > 1 {
-            let vrank = (self.rank + self.p - root) % self.p;
-            if vrank != 0 {
-                let parent = (vrank - lowbit(vrank) + root) % self.p;
-                let res = self.recv_inner(parent as u32, TAG_BROADCAST);
-                buf.clear();
-                buf.extend_from_slice(&res);
-                self.release_unmetered(parent, res);
-            }
-            self.tree_fanout(root, TAG_BROADCAST, buf);
-        }
+        let vrank = (self.rank + self.p - root) % self.p;
+        let lent = (vrank != 0).then(|| {
+            let parent = (vrank - lowbit(vrank) + root) % self.p;
+            (parent, self.recv_inner(parent as u32, TAG_BROADCAST))
+        });
+        let block = lent.as_ref().map_or(data, |(_, payload)| payload);
+        self.tree_fanout(root, TAG_BROADCAST, block);
         self.counters.comm_path_allocs += allocmeter::current() - a0;
         self.counters.comm_seconds += start.elapsed().as_secs_f64();
+        if let Some((parent, payload)) = lent {
+            let payload = fold(payload);
+            let a0 = allocmeter::current();
+            self.release_unmetered(parent, payload);
+            self.counters.comm_path_allocs += allocmeter::current() - a0;
+        }
     }
 
     /// The ranks a [`broadcast`](Self::broadcast) from `root` forwards to
@@ -908,6 +943,50 @@ mod tests {
                     assert_eq!(r, &vec![root as f32, 42.0]);
                 }
             }
+        }
+    }
+
+    /// Every non-root folds the root's block exactly once, from a pooled
+    /// payload that goes back to its parent's pool; the root never folds.
+    /// Repeated sweeps over every root then run on recycled buffers.
+    #[test]
+    fn broadcast_lend_folds_the_payload_once_and_returns_it() {
+        let p = 5;
+        let results = CommSession::new(p).run_step(|ctx| {
+            for root in 0..p {
+                for child in ctx.broadcast_children(root).collect::<Vec<_>>() {
+                    ctx.prewarm(child, 1, 3);
+                }
+            }
+            let mut folded = Vec::new();
+            for sweep in 0..3 {
+                for root in 0..p {
+                    let block = [root as f32, sweep as f32, 7.0];
+                    let data: &[f32] = if ctx.rank() == root { &block } else { &[] };
+                    let mut calls = 0;
+                    ctx.broadcast_lend(root, data, |payload| {
+                        calls += 1;
+                        folded.push(payload.clone());
+                        payload
+                    });
+                    assert_eq!(calls, usize::from(ctx.rank() != root));
+                }
+                // Returns made visible before the next sweep's acquires.
+                ctx.barrier();
+            }
+            let stats = ctx.pool_stats();
+            (folded, stats.acquires - stats.hits)
+        });
+        for (rank, (folded, misses)) in results.iter().enumerate() {
+            let expected: Vec<Vec<f32>> = (0..3)
+                .flat_map(|sweep| {
+                    (0..p)
+                        .filter(move |&root| root != rank)
+                        .map(move |root| vec![root as f32, sweep as f32, 7.0])
+                })
+                .collect();
+            assert_eq!(folded, &expected, "rank {rank}");
+            assert_eq!(*misses, 0, "rank {rank}: lent payloads did not come back");
         }
     }
 

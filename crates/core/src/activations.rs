@@ -1,4 +1,13 @@
 //! Activation functions `σ` and their derivatives `σ'` (paper Eq. 1–3).
+//!
+//! Every activation here has `σ′` exactly recoverable from `σ`'s output:
+//! `σ′(σ(v))` and `σ′(v)` are the same bits for every `v`, NaN and `-0.0`
+//! included (the `sigma_prime_reads_the_same_off_the_output` property
+//! below). So backpropagation reads `σ′` off the stored activations `H`
+//! and the distributed layer loop never keeps the pre-activations `Z`.
+//! An activation added later whose `σ′` cannot be read off its output
+//! bit for bit (GELU, which is not monotone, for one) must bring `Z`
+//! back for its layer.
 
 use pargcn_matrix::{ComputeCtx, Dense};
 use pargcn_util::pool::Pool;
@@ -19,7 +28,8 @@ fn relu(v: f32) -> f32 {
 }
 
 /// `σ′(v)` of [`Activation::Relu`]: `1.0` where `v > 0`, else `0.0`
-/// (NaN included).
+/// (NaN included). Since `v > 0 ⇔ max(v, 0) > 0`, it reads the same off
+/// `relu(v)`.
 #[inline]
 fn relu_slope(v: f32) -> f32 {
     if v > 0.0 {
@@ -27,11 +37,6 @@ fn relu_slope(v: f32) -> f32 {
     } else {
         0.0
     }
-}
-
-#[inline]
-fn identity(v: f32) -> f32 {
-    v
 }
 
 #[inline]
@@ -48,7 +53,7 @@ impl Activation {
         }
     }
 
-    /// `σ'(Z)`, element-wise.
+    /// `σ'(Z)`, element-wise. Equally `σ′` read off `H = σ(Z)`.
     pub fn derivative(&self, z: &Dense) -> Dense {
         match self {
             Activation::Relu => z.map(relu_slope),
@@ -65,22 +70,13 @@ impl Activation {
         }
     }
 
-    /// [`Activation::apply`] into a caller-provided `out` (same shape,
-    /// never reallocates); pooled, bitwise identical to serial. The
-    /// aggregate-last (DmmFirst) forward pass uses it after the exchange.
-    pub fn apply_into_pool(&self, z: &Dense, out: &mut Dense, pool: &Pool) {
+    /// `Z ← σ(Z)` in place; pooled, bitwise identical to serial. The
+    /// aggregate-last (DmmFirst) forward pass runs it on the exchange's
+    /// output, which thereby becomes `H`.
+    pub fn apply_in_place(&self, z: &mut Dense, pool: &Pool) {
         match self {
-            Activation::Relu => z.map_into_pool(out, pool, relu),
-            Activation::Identity => out.copy_from(z),
-        }
-    }
-
-    /// [`Activation::derivative`] into a caller-provided `out`; pooled,
-    /// bitwise identical to serial.
-    pub fn derivative_into_pool(&self, z: &Dense, out: &mut Dense, pool: &Pool) {
-        match self {
-            Activation::Relu => z.map_into_pool(out, pool, relu_slope),
-            Activation::Identity => z.map_into_pool(out, pool, unit_slope),
+            Activation::Relu => z.map_inplace_pool(pool, relu),
+            Activation::Identity => {}
         }
     }
 
@@ -93,42 +89,36 @@ impl Activation {
     }
 
     /// The forward layer's transform and activation in one pass:
-    /// `Z = A·W` and `H = σ(Z)`, with `σ` applied as the GEMM stores `Z`.
-    /// Bitwise identical to `ctx.matmul_into(a, w, z, false)` followed by
-    /// [`Activation::apply_into_pool`].
-    pub fn transform_into(
-        &self,
-        ctx: &ComputeCtx,
-        a: &Dense,
-        w: &Dense,
-        z: &mut Dense,
-        h: &mut Dense,
-    ) {
+    /// `H = σ(A·W)`, with `σ` applied in place as the GEMM stores each
+    /// block of rows (`Z` is never kept). Bitwise identical to
+    /// `ctx.matmul_into(a, w, h, false)` followed by `σ` in place.
+    pub fn transform_into(&self, ctx: &ComputeCtx, a: &Dense, w: &Dense, h: &mut Dense) {
         match self {
-            Activation::Relu => ctx.matmul_map_into(a, w, z, h, relu),
-            Activation::Identity => ctx.matmul_map_into(a, w, z, h, identity),
+            Activation::Relu => ctx.matmul_map_into(a, w, h, relu),
+            Activation::Identity => ctx.matmul_into(a, w, h, false),
         }
     }
 
     /// The backward layer's input gradient in one pass:
-    /// `G = (A·Wᵀ) ⊙ σ′(Z)`, multiplied (not selected, so `-0.0` and NaN
-    /// come out as before) as the GEMM stores it. Bitwise identical to
-    /// `ctx.matmul_bt_into(a, w, g)`, then
-    /// [`Activation::derivative_into_pool`] and `hadamard_assign`.
-    pub fn backprop_into(&self, ctx: &ComputeCtx, a: &Dense, w: &Dense, z: &Dense, g: &mut Dense) {
+    /// `G = (A·Wᵀ) ⊙ σ′(Z)`, with `σ′` read off this layer's output
+    /// `h = σ(Z)`, multiplied (not selected, so `-0.0` and NaN come out as
+    /// before) as the GEMM stores it. Bitwise identical to
+    /// `ctx.matmul_bt_into(a, w, g)`, then `g ⊙= derivative(Z)`.
+    pub fn backprop_into(&self, ctx: &ComputeCtx, a: &Dense, w: &Dense, h: &Dense, g: &mut Dense) {
         match self {
-            Activation::Relu => ctx.matmul_bt_scale_into(a, w, z, relu_slope, g),
-            Activation::Identity => ctx.matmul_bt_scale_into(a, w, z, unit_slope, g),
+            Activation::Relu => ctx.matmul_bt_scale_into(a, w, h, relu_slope, g),
+            Activation::Identity => ctx.matmul_bt_scale_into(a, w, h, unit_slope, g),
         }
     }
 
-    /// `g = grad ⊙ σ′(z)`, the output layer's gradient seed (Alg. 2 line
-    /// 2); bitwise the derivative-then-Hadamard sequence it replaces.
-    pub fn seed_into(&self, z: &Dense, grad: &Dense, g: &mut Dense) {
+    /// `g = grad ⊙ σ′(Z)` with `σ′` read off the output `h = σ(Z)`: the
+    /// output layer's gradient seed (Alg. 2 line 2); bitwise the
+    /// derivative-then-Hadamard sequence it replaces. `grad` is only read.
+    pub fn seed_into(&self, h: &Dense, grad: &Dense, g: &mut Dense) {
         g.copy_from(grad);
         match self {
-            Activation::Relu => g.mul_map_assign(z, relu_slope),
-            Activation::Identity => g.mul_map_assign(z, unit_slope),
+            Activation::Relu => g.mul_map_assign(h, relu_slope),
+            Activation::Identity => g.mul_map_assign(h, unit_slope),
         }
     }
 }
@@ -137,15 +127,16 @@ impl Activation {
 mod tests {
     use super::*;
     use pargcn_matrix::KernelKind;
+    use pargcn_util::qc;
     use pargcn_util::rng::{Rng, SeedableRng, StdRng};
 
     const ACTIVATIONS: [Activation; 2] = [Activation::Relu, Activation::Identity];
 
     /// Every engine a layer can run on, named: naive, blocked as
     /// dispatched (AVX2 lanes where the CPU has them) and blocked on its
-    /// scalar fallback, each with one and two threads.
+    /// scalar fallback, each with one and four threads.
     fn engines() -> Vec<(String, ComputeCtx)> {
-        [1, 2]
+        [1, 4]
             .into_iter()
             .flat_map(|t| {
                 let naive = ComputeCtx::with_threads(t).with_kernel(KernelKind::Naive);
@@ -168,12 +159,13 @@ mod tests {
             .collect()
     }
 
-    /// Signed values, one in sixteen an exact zero and one in `nan_in` a
-    /// NaN.
+    /// Signed values, one in sixteen an exact zero of either sign and one
+    /// in `nan_in` a NaN.
     fn operand(rng: &mut StdRng, r: usize, c: usize, nan_in: u32) -> Dense {
         Dense::from_fn(r, c, |_, _| match rng.gen_range(0..16 * nan_in) {
             x if x < 16 => f32::NAN,
             x if x % 16 == 3 => 0.0,
+            x if x % 16 == 5 => -0.0,
             _ => rng.gen_range(-1.0..1.0f32),
         })
     }
@@ -183,6 +175,43 @@ mod tests {
     const SHAPES: [(usize, usize, usize); 4] =
         [(37, 32, 16), (61, 16, 32), (5, 3, 19), (700, 32, 32)];
 
+    /// The floats `σ′` must read the same off `σ`'s output: both zeros,
+    /// both extreme subnormals, both infinities, NaN and the extremes of
+    /// the normal range.
+    const SPECIALS: [f32; 12] = [
+        0.0,
+        -0.0,
+        f32::from_bits(1),
+        -f32::from_bits(1),
+        f32::from_bits(0x007f_ffff),
+        -f32::from_bits(0x007f_ffff),
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        f32::NAN,
+        f32::MIN_POSITIVE,
+        f32::MAX,
+        f32::MIN,
+    ];
+
+    #[test]
+    fn sigma_prime_reads_the_same_off_the_output() {
+        qc::check(|rng| {
+            let v = Dense::from_fn(8, 16, |i, j| match (i * 16 + j) % 4 {
+                _ if i == 0 && j < SPECIALS.len() => SPECIALS[j],
+                0 => f32::from_bits(rng.gen::<u32>()),
+                1 => -f32::from_bits(rng.gen::<u32>() >> 9),
+                _ => rng.gen_range(-4.0..4.0f32),
+            });
+            for act in ACTIVATIONS {
+                let from_output = act.derivative(&act.apply(&v));
+                let from_input = act.derivative(&v);
+                // No NaN canonicalisation: σ′ is 0 or 1, never NaN.
+                let raw = |d: &Dense| d.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(raw(&from_output), raw(&from_input), "{act:?}");
+            }
+        });
+    }
+
     #[test]
     fn fused_forward_matches_matmul_then_apply_bitwise() {
         let mut rng = StdRng::seed_from_u64(11);
@@ -191,16 +220,17 @@ mod tests {
             let w = operand(&mut rng, k, n, 64);
             for (engine, ctx) in engines() {
                 for act in ACTIVATIONS {
-                    let mut z_ref = Dense::zeros(m, n);
-                    let mut h_ref = Dense::zeros(m, n);
-                    ctx.matmul_into(&a, &w, &mut z_ref, false);
-                    act.apply_into_pool(&z_ref, &mut h_ref, ctx.pool());
                     let mut z = Dense::zeros(m, n);
-                    let mut h = Dense::zeros(m, n);
-                    act.transform_into(&ctx, &a, &w, &mut z, &mut h);
+                    ctx.matmul_into(&a, &w, &mut z, false);
+                    let h_ref = act.apply(&z);
+                    // Stale contents must not leak into the output.
+                    let mut h = operand(&mut rng, m, n, 4);
+                    act.transform_into(&ctx, &a, &w, &mut h);
                     let what = format!("{act:?} {m}x{k}x{n} {engine}");
-                    assert_eq!(bits(&z_ref), bits(&z), "Z {what}");
                     assert_eq!(bits(&h_ref), bits(&h), "H {what}");
+                    let mut dmm_first = z.clone();
+                    act.apply_in_place(&mut dmm_first, ctx.pool());
+                    assert_eq!(bits(&h_ref), bits(&dmm_first), "in place {what}");
                 }
             }
         }
@@ -213,17 +243,16 @@ mod tests {
             let ag = operand(&mut rng, m, k, 256);
             let w = operand(&mut rng, n, k, 256);
             // Pre-activations with negatives (σ′ = 0 on a negative S gives
-            // -0.0), exact zeros and NaN (σ′(NaN) = 0 times S).
+            // -0.0), zeros of both signs and NaN (σ′(NaN) = 0 times S).
             let z = operand(&mut rng, m, n, 4);
             for (engine, ctx) in engines() {
                 for act in ACTIVATIONS {
                     let mut g_ref = Dense::zeros(m, n);
-                    let mut deriv = Dense::zeros(m, n);
                     ctx.matmul_bt_into(&ag, &w, &mut g_ref);
-                    act.derivative_into_pool(&z, &mut deriv, ctx.pool());
-                    g_ref.hadamard_assign(&deriv);
+                    g_ref.hadamard_assign(&act.derivative(&z));
+                    let h = act.apply(&z);
                     let mut g = Dense::zeros(m, n);
-                    act.backprop_into(&ctx, &ag, &w, &z, &mut g);
+                    act.backprop_into(&ctx, &ag, &w, &h, &mut g);
                     let what = format!("{act:?} {m}x{k}x{n} {engine}");
                     assert_eq!(bits(&g_ref), bits(&g), "G {what}");
                     if act == Activation::Relu && m * n > 100 {
@@ -241,11 +270,10 @@ mod tests {
         let z = operand(&mut rng, 40, 16, 4);
         let grad = operand(&mut rng, 40, 16, 4);
         for act in ACTIVATIONS {
-            let mut g_ref = Dense::zeros(40, 16);
-            act.derivative_into_pool(&z, &mut g_ref, &Pool::new(1));
+            let mut g_ref = act.derivative_pool(&z, &Pool::new(1));
             g_ref.hadamard_assign(&grad);
             let mut g = Dense::zeros(40, 16);
-            act.seed_into(&z, &grad, &mut g);
+            act.seed_into(&act.apply(&z), &grad, &mut g);
             assert_eq!(bits(&g_ref), bits(&g), "{act:?}");
         }
     }

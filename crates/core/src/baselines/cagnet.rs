@@ -74,9 +74,10 @@ impl CagnetPlan {
 }
 
 /// One broadcast-based SpMM sweep: `p` stages, stage `b` broadcasting
-/// rank `b`'s whole block and folding it in against `blocks[b]`. The stage
-/// payload lives in `scratch` and is reused across stages, layers and
-/// epochs.
+/// rank `b`'s whole block and folding it in against `blocks[b]`, in
+/// ascending `b`. Nothing is staged: the root multiplies its own block
+/// straight from `x_local` and broadcasts from it, and every other rank
+/// folds the pooled payload it was lent ([`RankCtx::broadcast_lend`]).
 impl SpmmExchange for CagnetRank {
     fn local_rows(&self) -> &[u32] {
         &self.local_rows
@@ -88,33 +89,44 @@ impl SpmmExchange for CagnetRank {
         x_local: &Dense,
         _tag: u32,
         cctx: &ComputeCtx,
-        scratch: &mut ExchangeScratch,
+        _scratch: &mut ExchangeScratch,
         ax: &mut Dense,
     ) {
         let d = x_local.cols();
         assert_eq!(ax.rows(), self.n_local(), "exchange accumulator rows");
         assert_eq!(ax.cols(), d, "exchange accumulator cols");
         ax.fill_zero();
-        let stage = &mut scratch.stage;
         for (b, block) in self.blocks.iter().enumerate() {
-            stage.clear();
             if b == self.rank {
-                stage.extend_from_slice(x_local.data());
+                ctx.broadcast_lend(b, x_local.data(), |payload| payload);
+                cctx.spmm_into(block, x_local, ax, true);
+            } else {
+                ctx.broadcast_lend(b, &[], |payload| {
+                    let xb = Dense::from_vec(block.n_cols(), d, payload);
+                    cctx.spmm_into(block, &xb, ax, true);
+                    xb.into_vec()
+                });
             }
-            ctx.broadcast(b, stage);
-            let xb = Dense::from_vec(block.n_cols(), d, std::mem::take(stage));
-            cctx.spmm_into(block, &xb, ax, true);
-            *stage = xb.into_vec();
         }
     }
 
     /// A sweep forwards stage `b`'s block to this rank's children in the
-    /// tree rooted at `b`, and no rank gets more than one sweep of stages
-    /// ahead of a destination, so a destination gets one buffer per stage
-    /// that sends to it, sized for the largest such block. An allreduce
-    /// hop to a tree neighbour (at most one in flight) can still be
-    /// travelling when the next sweep starts, so those destinations get
-    /// one more, allreduce-sized.
+    /// tree rooted at `b`, so a destination gets one buffer per stage that
+    /// sends to it, sized for the largest such block. That is enough
+    /// because no buffer to a destination is still out when its next use
+    /// comes, one sweep later. A destination `c` releases stage `b`'s
+    /// payload after folding it and before it enters stage `b + 1`;
+    /// holding it through the fold delays the release but never past
+    /// that point. For this rank to reach stage `b` of the next sweep it
+    /// must first pass stage `c` of the next sweep if `b > c`, or of this
+    /// sweep if `b < c` (stage `c` itself sends nothing to `c`, its root),
+    /// and `c`'s block reaches it only after `c` has entered that stage,
+    /// so `c` has released stage `b`'s payload by then. The release
+    /// travels on the return channel ahead of every message `c` sends
+    /// after it, so this rank's `acquire`, which drains returns first,
+    /// finds it. An allreduce hop to a tree neighbour (at most one in
+    /// flight) can still be travelling when the next sweep starts, so
+    /// those destinations get one more, allreduce-sized.
     fn ensure_pools(&self, ctx: &mut RankCtx, width: usize, allreduce_len: usize) {
         let mut need = vec![(0usize, 0usize); self.blocks.len()];
         for (b, block) in self.blocks.iter().enumerate() {

@@ -11,7 +11,8 @@
 //!    per pass) and accumulates the off-diagonal products (lines 7–9),
 //!    releasing every payload back to its sender's pool;
 //! 4. applies the replicated `Wᵏ` (pure local DMM) and the activation
-//!    (line 10) — one pass, the activation applied as the GEMM stores.
+//!    (line 10) — one pass, the activation applied in place as the GEMM
+//!    stores `Hᵏ`.
 //!
 //! One deviation from the paper's literal pseudocode: lines 6/9 write
 //! `(AₘH)Wᵏ` per contribution; we accumulate `AₘH` first and apply `Wᵏ`
@@ -27,42 +28,41 @@ use crate::plan::RankPlan;
 use pargcn_comm::RankCtx;
 use pargcn_matrix::{gather, ComputeCtx, Dense};
 
-/// Runs the full feedforward pass into `ws.z`/`ws.h` (`Z¹…Z^L`, `H¹…H^L`).
-/// Local kernels (SpMM/DMM/activation) run on the rank's thread pool.
+/// Runs the full feedforward pass into `ws.h` (`H¹…H^L`; `ws.ax` is the
+/// exchange accumulator). Local kernels (SpMM/DMM/activation) run on the
+/// rank's thread pool.
 pub fn run<X: SpmmExchange>(ctx: &mut RankCtx, st: &RankState<'_, X>, ws: &mut EpochWorkspace) {
     let cctx = &st.ctx;
-    let layers = st.config.layers();
-    for k in 1..=layers {
+    let n = st.plan_f.n_local();
+    let EpochWorkspace {
+        exchange, h, ax, ..
+    } = ws;
+    for k in 1..=st.config.layers() {
         let w = &st.params.weights[k - 1];
         let tag = TAG_FWD + k as u32;
-        let EpochWorkspace {
-            exchange,
-            z,
-            h,
-            mid,
-            ..
-        } = ws;
-        let h_prev: &Dense = if k == 1 { st.h0 } else { &h[k - 2] };
+        let (done, rest) = h.split_at_mut(k - 1);
+        let h_prev: &Dense = if k == 1 { st.h0 } else { &done[k - 2] };
+        let h_k = &mut rest[0];
         let act = st.config.activation(k);
         match st.config.order {
             LayerOrder::SpmmFirst => {
-                let ax = &mut mid[k - 1];
+                ax.reshape(n, h_prev.cols());
                 st.plan_f
                     .exchange_into(ctx, h_prev, tag, cctx, exchange, ax);
-                // Line 10 in one pass: `Zᵏ` and `Hᵏ = σ(Zᵏ)` from the
-                // same GEMM store.
-                act.transform_into(cctx, ax, w, &mut z[k - 1], &mut h[k - 1]);
+                // Line 10 in one pass: `Hᵏ = σ(Zᵏ)` stored as the GEMM
+                // produces `Zᵏ`, which is never kept.
+                act.transform_into(cctx, ax, w, h_k);
             }
             LayerOrder::DmmFirst => {
                 // §4.4: transform locally first, then aggregate with the
                 // *same* communication pattern (messages carry d_out-wide
-                // rows instead of d_in-wide ones). The aggregate IS `Zᵏ`,
-                // so the exchange accumulates straight into it, and the
-                // activation is a pass of its own.
-                cctx.matmul_into(h_prev, w, &mut mid[k - 1], false);
-                st.plan_f
-                    .exchange_into(ctx, &mid[k - 1], tag, cctx, exchange, &mut z[k - 1]);
-                act.apply_into_pool(&z[k - 1], &mut h[k - 1], cctx.pool());
+                // rows instead of d_in-wide ones). The aggregate is `Zᵏ`,
+                // so the exchange accumulates straight into `Hᵏ`'s buffer
+                // and the activation runs over it in place.
+                ax.reshape(n, w.cols());
+                cctx.matmul_into(h_prev, w, ax, false);
+                st.plan_f.exchange_into(ctx, ax, tag, cctx, exchange, h_k);
+                act.apply_in_place(h_k, cctx.pool());
             }
         }
     }

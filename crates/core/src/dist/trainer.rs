@@ -111,7 +111,7 @@ impl RankSlot {
         train: bool,
     ) -> f64 {
         prewarm_comm_pools(ctx, plan_f, plan_b, config);
-        self.ws.resize_for_plan(plan_f);
+        self.ws.resize_for_plan(plan_f, config);
         let mut st = RankState {
             plan_f,
             plan_b,

@@ -1,14 +1,29 @@
 //! Persistent per-rank training workspaces.
 //!
-//! Every buffer one rank needs across a training run — the `A·X`
-//! accumulators of the SpMM exchange, the arrived-payload slots, the
-//! forward intermediates `Z`/`H`, the backward gradient-flow matrices —
-//! is allocated *once* here and reused across layers, epochs,
-//! feedforward and backpropagation. Together with the comm runtime's
-//! payload pools (`pargcn_comm::bufpool`, pre-warmed by
+//! Every buffer one rank needs across a training run — the activations
+//! `H`, the one exchange accumulator, the arrived-payload slots, the one
+//! gradient-flow buffer — is allocated *once* here and reused across
+//! layers, epochs, feedforward and backpropagation. Together with the
+//! comm runtime's payload pools (`pargcn_comm::bufpool`, pre-warmed by
 //! [`prewarm_comm_pools`]) this makes the steady-state epoch loop free of
 //! heap allocation on its communication path, which the
 //! counting-allocator test (`no_alloc_steady_state`) pins down.
+//!
+//! The workspace keeps only what is live across a phase (DESIGN.md §9):
+//!
+//! * `h[k−1]` holds `Hᵏ` for every layer — backward reads each layer's
+//!   input and, for `σ′`, its output. `Zᵏ` is never stored: every
+//!   [`Activation`](crate::activations::Activation) reads `σ′` off `Hᵏ`
+//!   bit for bit.
+//! * `ax` is the one exchange accumulator of both directions: a layer's
+//!   `Â·H^{k−1}` (SpmmFirst) or local `H^{k−1}·Wᵏ` (DmmFirst) dies in the
+//!   layer's transform or exchange, and a backward `(Â'Gᵏ)ₘ` dies once
+//!   `ΔWᵏ` and `G^{k−1}` are formed, before the next layer's exchange.
+//! * `g` is the one gradient-flow buffer: `Gᵏ` is dead once its exchange
+//!   has returned, so `G^{k−1}` overwrites it.
+//!
+//! `ax` and `g` change width from use to use with [`Dense::reshape`],
+//! which keeps the allocation and zero-fills only a grown tail.
 
 use super::SpmmExchange;
 use crate::model::GcnConfig;
@@ -16,11 +31,12 @@ use crate::plan::RankPlan;
 use pargcn_comm::RankCtx;
 use pargcn_matrix::{ComputeCtx, Dense};
 
-/// Scratch state of one in-flight exchange: for [`spmm_exchange_into`], a
-/// slot per remote block for payloads that arrived out of plan order plus
-/// the peer → slot map; for the CAGNET broadcasts, the stage payload.
-/// Reused across every exchange of a run (forward and backward plans may
-/// have different receive sets; `begin` re-keys it).
+/// Scratch state of one in-flight point-to-point exchange
+/// ([`spmm_exchange_into`]): a slot per remote block for payloads that
+/// arrived out of plan order, plus the peer → slot map. Reused across
+/// every exchange of a run (forward and backward plans may have
+/// different receive sets; `begin` re-keys it). The CAGNET broadcasts
+/// need none: they fold each lent payload as it arrives.
 ///
 /// [`spmm_exchange_into`]: super::feedforward::spmm_exchange_into
 pub struct ExchangeScratch {
@@ -33,8 +49,6 @@ pub struct ExchangeScratch {
     /// The peers `peer_slot` currently keys, so the next `begin` unkeys
     /// exactly them.
     keyed: Vec<usize>,
-    /// One broadcast stage's rows, grown once to the largest block.
-    pub(crate) stage: Vec<f32>,
 }
 
 impl ExchangeScratch {
@@ -44,7 +58,6 @@ impl ExchangeScratch {
             arrived: Vec::new(),
             peer_slot: vec![u32::MAX; p],
             keyed: Vec::with_capacity(p),
-            stage: Vec::new(),
         }
     }
 
@@ -91,25 +104,22 @@ impl ExchangeScratch {
 pub struct EpochWorkspace {
     /// Exchange scratch shared by every layer in both directions.
     pub exchange: ExchangeScratch,
-    /// Forward pre-activations: `z[k−1]` holds `Zᵏₘ`.
-    pub z: Vec<Dense>,
     /// Forward activations: `h[k−1]` holds `Hᵏₘ` (`H⁰ₘ` stays in
     /// [`RankState::h0`](super::RankState::h0) — it never changes, so it
-    /// is never copied).
+    /// is never copied). After a forward pass `h[L−1]` holds the logits.
     pub h: Vec<Dense>,
-    /// Forward intermediates between exchange and transform, each
-    /// [`GcnConfig::forward_width`] wide: `mid[k−1]` holds this rank's
-    /// block of `Â·H^{k-1}` (SpmmFirst) or the local `H^{k-1}·Wᵏ` it
-    /// sends (DmmFirst, which aggregates straight into `z`).
-    pub mid: Vec<Dense>,
-    /// Backward exchange accumulators: `ax_b[k−1]` holds `(Â'Gᵏ)ₘ`.
-    pub ax_b: Vec<Dense>,
-    /// Backward gradient flow: `g[k−1]` holds `Gᵏ`.
-    pub g: Vec<Dense>,
+    /// The exchange accumulator of every layer in both directions, as
+    /// wide as the widest: this rank's block of `Â·H^{k−1}` (SpmmFirst),
+    /// the local `H^{k−1}·Wᵏ` it sends (DmmFirst, which aggregates
+    /// straight into `h[k−1]`), or `(Â'Gᵏ)ₘ` backward.
+    pub(crate) ax: Dense,
+    /// Backward gradient flow, as wide as the widest layer: `Gᵏ` until
+    /// its exchange returns, then `G^{k−1}`.
+    pub(crate) g: Dense,
     /// Parameter-gradient partials/sums: `dw[k−1]` holds `ΔWᵏ`.
     pub dw: Vec<Dense>,
     /// Output-layer loss gradient `∇_{H^L} Jₘ`, computed in place by the
-    /// one-pass loss.
+    /// one-pass loss. Forward and backward never write it.
     pub grad: Dense,
 }
 
@@ -133,44 +143,48 @@ impl EpochWorkspace {
         // kernel calls stay allocation-free (DESIGN.md §9).
         let dmax = dims.iter().copied().max().unwrap_or(0);
         cctx.reserve_pack(dmax * dmax);
-        let zeros = |d: usize| Dense::zeros(n, d);
         EpochWorkspace {
             exchange: ExchangeScratch::new(p),
-            z: (1..=layers).map(|k| zeros(dims[k])).collect(),
-            h: (1..=layers).map(|k| zeros(dims[k])).collect(),
-            mid: (1..=layers)
-                .map(|k| zeros(config.forward_width(k)))
-                .collect(),
-            ax_b: (1..=layers).map(|k| zeros(dims[k])).collect(),
-            g: (1..=layers).map(|k| zeros(dims[k])).collect(),
+            h: (1..=layers).map(|k| Dense::zeros(n, dims[k])).collect(),
+            ax: Dense::zeros(n, Self::ax_width(config)),
+            g: Dense::zeros(n, Self::g_width(config)),
             dw: (1..=layers)
                 .map(|k| Dense::zeros(dims[k - 1], dims[k]))
                 .collect(),
-            grad: zeros(dims[layers]),
+            grad: Dense::zeros(n, dims[layers]),
         }
+    }
+
+    /// Width of [`EpochWorkspace::ax`]: the widest forward exchange
+    /// ([`GcnConfig::forward_width`]) or backward `dₖ`.
+    fn ax_width(config: &GcnConfig) -> usize {
+        (1..=config.layers())
+            .map(|k| config.forward_width(k).max(config.dims[k]))
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// Width of [`EpochWorkspace::g`]: the widest `Gᵏ`, `k = 1…L`.
+    fn g_width(config: &GcnConfig) -> usize {
+        config.dims[1..].iter().copied().max().unwrap_or(0)
     }
 
     /// Re-dimensions every row-sized buffer for a plan with a different
     /// local row count (a no-op for the same count; the mini-batch engine
     /// gets a new count every batch). Column widths are fixed by the
-    /// model config, `dw` is row-count-independent, and `exchange` is
-    /// re-keyed by its own `begin`; everything row-sized grows once to the
-    /// high-water batch and is fully overwritten before being read (the
-    /// same argument that makes cross-epoch reuse bitwise safe), so
-    /// steady-state batches of bounded size allocate nothing.
-    pub fn resize_for_plan(&mut self, plan: &impl SpmmExchange) {
+    /// model config (`ax` and `g` at their widest), `dw` is
+    /// row-count-independent, and `exchange` is re-keyed by its own
+    /// `begin`; everything row-sized grows once to the high-water batch
+    /// and is fully overwritten before being read (the same argument that
+    /// makes cross-epoch reuse bitwise safe), so steady-state batches of
+    /// bounded size allocate nothing.
+    pub fn resize_for_plan(&mut self, plan: &impl SpmmExchange, config: &GcnConfig) {
         let n = plan.n_local();
-        for m in self
-            .z
-            .iter_mut()
-            .chain(self.h.iter_mut())
-            .chain(self.mid.iter_mut())
-            .chain(self.ax_b.iter_mut())
-            .chain(self.g.iter_mut())
-        {
-            m.resize_rows(n);
+        for m in self.h.iter_mut().chain([&mut self.grad]) {
+            m.reshape(n, m.cols());
         }
-        self.grad.resize_rows(n);
+        self.ax.reshape(n, Self::ax_width(config));
+        self.g.reshape(n, Self::g_width(config));
     }
 }
 
@@ -215,8 +229,54 @@ pub fn prewarm_comm_pools<X: SpmmExchange>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::LayerOrder;
     use crate::plan::RemoteBlock;
     use pargcn_matrix::Csr;
+
+    /// Floats of every row-sized buffer: all but `dw` and the exchange
+    /// scratch.
+    fn row_floats(ws: &EpochWorkspace) -> usize {
+        ws.h.iter()
+            .chain([&ws.ax, &ws.g, &ws.grad])
+            .map(|m| m.data().len())
+            .sum()
+    }
+
+    /// `n·(Σₖ dₖ + widest accumulator + max dₖ + d_L)`: the activations,
+    /// one exchange accumulator, one gradient buffer and the loss
+    /// gradient, for both orders and for 2 and 3 layers.
+    #[test]
+    fn footprint_is_h_one_accumulator_one_gradient_and_the_loss_gradient() {
+        use LayerOrder::{DmmFirst, SpmmFirst};
+        let cases = [
+            // The perfbench model: 128 floats a row.
+            (vec![32, 32, 16], SpmmFirst, 48 + 32 + 32 + 16),
+            (vec![32, 32, 16], DmmFirst, 48 + 32 + 32 + 16),
+            // A wide input: SpmmFirst's first exchange carries `d₀`.
+            (vec![40, 8, 3], SpmmFirst, 11 + 40 + 8 + 3),
+            (vec![40, 8, 3], DmmFirst, 11 + 8 + 8 + 3),
+            (vec![3, 8, 30, 2], SpmmFirst, 40 + 30 + 30 + 2),
+            (vec![3, 8, 30, 2], DmmFirst, 40 + 30 + 30 + 2),
+            (vec![50, 6, 4, 9], SpmmFirst, 19 + 50 + 9 + 9),
+            (vec![50, 6, 4, 9], DmmFirst, 19 + 9 + 9 + 9),
+        ];
+        for (dims, order, per_row) in cases {
+            let config = GcnConfig {
+                dims: dims.clone(),
+                order,
+                ..GcnConfig::two_layer(1, 1, 1)
+            };
+            let cctx = ComputeCtx::serial();
+            let mut ws = EpochWorkspace::with_rows(10, &config, 2, &cctx);
+            assert_eq!(row_floats(&ws), 10 * per_row, "{dims:?} {order:?}");
+            let plan = RankPlan {
+                local_rows: (0..7).collect(),
+                ..plan_receiving_from(&[])
+            };
+            ws.resize_for_plan(&plan, &config);
+            assert_eq!(row_floats(&ws), 7 * per_row, "{dims:?} {order:?} resized");
+        }
+    }
 
     fn plan_receiving_from(peers: &[usize]) -> RankPlan {
         RankPlan {

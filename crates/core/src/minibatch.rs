@@ -214,7 +214,7 @@ impl Inputs<'_> {
         let (plan_f, plan_b) = rank.builder.build(ctx, self.graph, self.part, batch);
         let data = &mut rank.data;
         if trainable {
-            data.h0.resize_rows(plan_f.local_rows.len());
+            data.h0.reshape(plan_f.local_rows.len(), data.h0.cols());
             data.labels.clear();
             data.mask.clear();
             for (li, &pos) in plan_f.local_rows.iter().enumerate() {

@@ -25,8 +25,9 @@ use pargcn_matrix::{ComputeCtx, Csr, Dense};
 pub struct SerialTrainer {
     /// Normalized adjacency `Â`.
     a: Csr,
-    /// `Âᵀ`, used by backpropagation when the graph is directed (§3.1).
-    a_back: Csr,
+    /// `Âᵀ`, kept only for a directed graph (§3.1); backpropagation of an
+    /// undirected one multiplies by the symmetric `Â` itself.
+    a_t: Option<Csr>,
     config: GcnConfig,
     pub params: Params,
     opt_state: OptimizerState,
@@ -45,32 +46,22 @@ impl SerialTrainer {
     /// Builds the trainer from a graph; parameters are Glorot-initialized
     /// from `param_seed`.
     pub fn new(graph: &Graph, config: GcnConfig, param_seed: u64) -> Self {
-        let a = graph.normalized_adjacency();
-        let a_back = if graph.directed() {
-            a.transpose()
-        } else {
-            a.clone()
-        };
         let params = config.init_params(param_seed);
-        let opt_state = OptimizerState::new(config.optimizer, &config.shapes());
-        Self {
-            a,
-            a_back,
+        Self::from_adjacency(
+            graph.normalized_adjacency(),
+            graph.directed(),
             config,
             params,
-            opt_state,
-            ctx: ComputeCtx::for_ranks(1, None),
-        }
+        )
     }
 
     /// Builds directly from a normalized adjacency (used by mini-batch
     /// training on subgraphs).
     pub fn from_adjacency(a: Csr, directed: bool, config: GcnConfig, params: Params) -> Self {
-        let a_back = if directed { a.transpose() } else { a.clone() };
         let opt_state = OptimizerState::new(config.optimizer, &config.shapes());
         Self {
+            a_t: directed.then(|| a.transpose()),
             a,
-            a_back,
             config,
             params,
             opt_state,
@@ -87,6 +78,11 @@ impl SerialTrainer {
 
     pub fn config(&self) -> &GcnConfig {
         &self.config
+    }
+
+    /// `Â'` of backpropagation: `Âᵀ` for a directed graph, else `Â`.
+    fn a_back(&self) -> &Csr {
+        self.a_t.as_ref().unwrap_or(&self.a)
     }
 
     /// Feedforward (paper Eq. 1): returns all intermediates.
@@ -130,7 +126,7 @@ impl SerialTrainer {
             match self.config.order {
                 LayerOrder::SpmmFirst => {
                     // ΔWᵏ = (H^{k-1})ᵀ (Âᵀ Gᵏ)   (Eq. 4; Âᵀ for directed)
-                    let ag = cctx.spmm(&self.a_back, &g);
+                    let ag = cctx.spmm(self.a_back(), &g);
                     delta_w[k - 1] = cctx.matmul_at(&state.h[k - 1], &ag);
                     if k > 1 {
                         // Sᵏ = (ÂᵀGᵏ)(Wᵏ)ᵀ; G^{k-1} = Sᵏ ⊙ σ'(Z^{k-1})  (Eq. 3)
@@ -146,7 +142,7 @@ impl SerialTrainer {
                 LayerOrder::DmmFirst => {
                     // Z = Â(HW): dJ/d(HW) = ÂᵀG, ΔW = Hᵀ(ÂᵀG),
                     // dJ/dH = (ÂᵀG)Wᵀ — same shapes, same comm pattern.
-                    let ag = cctx.spmm(&self.a_back, &g);
+                    let ag = cctx.spmm(self.a_back(), &g);
                     delta_w[k - 1] = cctx.matmul_at(&state.h[k - 1], &ag);
                     if k > 1 {
                         let s = cctx.matmul_bt(&ag, w);

@@ -222,34 +222,34 @@ impl ComputeCtx {
         out
     }
 
-    /// `z = a × b` and `h = f(z)` (the forward layer's transform and
-    /// activation) on the selected engine; the blocked engine applies `f`
-    /// as it stores `z`. Bitwise identical to [`ComputeCtx::matmul_into`]
-    /// followed by [`Dense::map_into_pool`], and metered like the GEMM
-    /// alone.
+    /// `out = f(a × b)` (the forward layer's `H = σ(A·W)`, written in
+    /// place of the product) on the selected engine; the blocked engine
+    /// applies `f` as it stores each block of rows. Bitwise identical to
+    /// [`ComputeCtx::matmul_into`] followed by [`Dense::map_inplace_pool`],
+    /// and metered like the GEMM alone.
     pub fn matmul_map_into(
         &self,
         a: &Dense,
         b: &Dense,
-        z: &mut Dense,
-        h: &mut Dense,
+        out: &mut Dense,
         f: impl Fn(f32) -> f32 + Sync,
     ) {
         self.add_flops(2 * (a.rows() * a.cols() * b.cols()) as u64);
         match self.kernel {
             KernelKind::Naive => {
-                a.matmul_into_pool(b, z, false, self.pool());
-                z.map_into_pool(h, self.pool(), f);
+                a.matmul_into_pool(b, out, false, self.pool());
+                out.map_inplace_pool(self.pool(), f);
             }
             KernelKind::Blocked => {
                 let mut pack = self.scratch.pack.lock().unwrap();
-                gemm::matmul_map_into(a, b, z, h, f, &mut pack, self.pool(), self.lanes);
+                gemm::matmul_map_into(a, b, out, f, &mut pack, self.pool(), self.lanes);
             }
         }
     }
 
-    /// `out = (a × bᵀ) ⊙ f(z)` (the backward layer's `S ⊙ σ′(Z)`) on the
-    /// selected engine; the blocked engine multiplies as it stores.
+    /// `out = (a × bᵀ) ⊙ f(z)` (the backward layer's `S ⊙ σ′`, with `σ′`
+    /// read off `H`) on the selected engine; the blocked engine multiplies
+    /// as it stores.
     /// Bitwise identical to [`ComputeCtx::matmul_bt_into`] followed by
     /// `out ⊙= f(z)`, and metered like the GEMM alone.
     pub fn matmul_bt_scale_into(

@@ -83,13 +83,15 @@ impl Dense {
         self.cols
     }
 
-    /// Changes the row count in place, keeping the column width and the
-    /// allocation (grow-once under a high-water mark). New rows are zeroed;
-    /// surviving rows keep their stale contents — callers that reuse a
-    /// workspace across batches must fully overwrite before reading.
-    pub fn resize_rows(&mut self, rows: usize) {
-        self.data.resize(rows * self.cols, 0.0);
+    /// Re-dimensions the matrix in place to `rows × cols`, keeping the
+    /// allocation (grow-once under a high-water mark). Only the floats
+    /// past the old length are zeroed; the rest keep their stale contents,
+    /// now read in the new shape — callers that reuse one buffer across
+    /// shapes must fully overwrite it before reading.
+    pub fn reshape(&mut self, rows: usize, cols: usize) {
+        self.data.resize(rows * cols, 0.0);
         self.rows = rows;
+        self.cols = cols;
     }
 
     /// Borrow of the underlying row-major data.
@@ -552,40 +554,6 @@ impl Dense {
             cols: self.cols,
             data,
         }
-    }
-
-    /// [`Dense::map`] writing into a caller-provided `out` of the same
-    /// shape (the allocation-free form).
-    pub fn map_into(&self, out: &mut Dense, f: impl Fn(f32) -> f32) {
-        assert_eq!(
-            (self.rows, self.cols),
-            (out.rows, out.cols),
-            "map_into shape mismatch"
-        );
-        for (o, &v) in out.data.iter_mut().zip(&self.data) {
-            *o = f(v);
-        }
-    }
-
-    /// Pooled [`Dense::map_into`]; bitwise identical to serial for any
-    /// thread count (element-wise, disjoint writes).
-    pub fn map_into_pool(&self, out: &mut Dense, pool: &Pool, f: impl Fn(f32) -> f32 + Sync) {
-        if pool.threads() == 1 || self.data.len() < crate::ctx::MIN_PARALLEL_WORK {
-            self.map_into(out, f);
-            return;
-        }
-        assert_eq!(
-            (self.rows, self.cols),
-            (out.rows, out.cols),
-            "map_into shape mismatch"
-        );
-        let ranges = even_chunks(self.rows, pool.threads());
-        pool.run_disjoint_rows(&mut out.data, self.cols, &ranges, |chunk, slice| {
-            let start = ranges[chunk].start * self.cols;
-            for (k, o) in slice.iter_mut().enumerate() {
-                *o = f(self.data[start + k]);
-            }
-        });
     }
 
     /// Pooled [`Dense::map`]; bitwise identical to serial for any thread

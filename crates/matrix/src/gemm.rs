@@ -30,8 +30,8 @@
 //! output columns (see [`matmul_at_into`]).
 //!
 //! The layer loop's element-wise epilogues ride along in the stores:
-//! [`matmul_map_into`] writes `Z` and `H = σ(Z)` in one pass, and
-//! [`matmul_bt_scale_into`] multiplies `S` by `σ′(Z)` as it is stored.
+//! [`matmul_map_into`] writes `H = σ(A·W)` in place of the product, and
+//! [`matmul_bt_scale_into`] multiplies `S` by `σ′` as it is stored.
 //! Each block of output rows gets its epilogue while it is still in L1,
 //! with the same scalar operations as the separate passes, so the fused
 //! and unfused forms have the same bits.
@@ -456,71 +456,66 @@ pub fn matmul_into(
     pool: &Pool,
     lanes: Option<Avx2>,
 ) {
+    ab_product(a, b, out, accumulate, pack, pool, lanes, &|_, _| {});
+}
+
+/// `out = f(a × b)` — the forward layer's `H = σ(A·W)` — with `f`
+/// applied to each block of output rows as it is stored, on the pooled
+/// path too (every chunk runs the epilogue on its own rows). `f` reads
+/// each product exactly once, so this is bitwise [`matmul_into`]
+/// followed by [`Dense::map_inplace_pool`].
+pub fn matmul_map_into(
+    a: &Dense,
+    b: &Dense,
+    out: &mut Dense,
+    f: impl Fn(f32) -> f32 + Sync,
+    pack: &mut PackBuf,
+    pool: &Pool,
+    lanes: Option<Avx2>,
+) {
+    let epi = |_, rows: &mut [f32]| {
+        for v in rows {
+            *v = f(*v);
+        }
+    };
+    ab_product(a, b, out, false, pack, pool, lanes, &epi);
+}
+
+/// `out (+)= a × b`, handing each block of finished output rows to
+/// `epi(first_row, rows)`; on the naive fallback (see [`skip_matters`])
+/// `epi` runs once over the whole output.
+#[allow(clippy::too_many_arguments)]
+fn ab_product(
+    a: &Dense,
+    b: &Dense,
+    out: &mut Dense,
+    accumulate: bool,
+    pack: &mut PackBuf,
+    pool: &Pool,
+    lanes: Option<Avx2>,
+    epi: &(impl Fn(usize, &mut [f32]) + Sync),
+) {
     assert_eq!(a.cols(), b.rows(), "matmul dimension mismatch");
     assert_eq!(out.rows(), a.rows(), "matmul output rows mismatch");
     assert_eq!(out.cols(), b.cols(), "matmul output cols mismatch");
     if skip_matters(b, out, accumulate) {
         a.matmul_into_pool(b, out, accumulate, pool);
+        epi(0, out.data_mut());
         return;
     }
     let (m, k, n) = (a.rows(), a.cols(), b.cols());
     let bp = layout(b, false, pack, lanes);
-    let out = out.data_mut();
     product(
         a.data(),
         m,
         k,
         bp,
         n,
-        out,
+        out.data_mut(),
         accumulate,
         pool,
         lanes,
-        &|_, _| {},
-    );
-}
-
-/// `z = a × b` and `h = f(z)` — the forward layer's transform and
-/// activation — with `f` applied to each block of `z` rows as it is
-/// stored. Bitwise identical to [`matmul_into`] followed by
-/// [`Dense::map_into_pool`]; with a multi-thread pool (or the naive
-/// fallback) that is also how it runs.
-#[allow(clippy::too_many_arguments)]
-pub fn matmul_map_into(
-    a: &Dense,
-    b: &Dense,
-    z: &mut Dense,
-    h: &mut Dense,
-    f: impl Fn(f32) -> f32 + Sync,
-    pack: &mut PackBuf,
-    pool: &Pool,
-    lanes: Option<Avx2>,
-) {
-    let (m, k, n) = (a.rows(), a.cols(), b.cols());
-    assert_eq!(k, b.rows(), "matmul dimension mismatch");
-    assert_eq!((z.rows(), z.cols()), (m, n), "matmul output shape mismatch");
-    assert_eq!((h.rows(), h.cols()), (m, n), "activation shape mismatch");
-    if !runs_inline(pool, m * k * n) || skip_matters(b, z, false) {
-        matmul_into(a, b, z, false, pack, pool, lanes);
-        z.map_into_pool(h, pool, f);
-        return;
-    }
-    let bp = layout(b, false, pack, lanes);
-    let h = h.data_mut();
-    rows(
-        lanes,
-        a.data(),
-        m,
-        k,
-        bp,
-        n,
-        z.data_mut(),
-        false,
-        &mut |i, z_rows| {
-            for (hv, &zv) in h[i * n..].iter_mut().zip(z_rows.iter()) {
-                *hv = f(zv);
-            }
-        },
+        epi,
     );
 }
 
@@ -540,7 +535,7 @@ pub fn matmul_bt_into(
 }
 
 /// `out = (a × bᵀ) ⊙ f(z)` — the backward layer's `S = (Â'G)·Wᵀ` times
-/// `σ′(Z)` — multiplying each block of output rows as it is stored. The
+/// `σ′`, read off `H` — multiplying each block of output rows as it is stored. The
 /// product is multiplied by `f(z)` rather than selected by it, so it is
 /// bitwise [`matmul_bt_into`] followed by `out ⊙= f(z)`, `-0.0` and NaN
 /// included.
