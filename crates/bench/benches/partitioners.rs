@@ -1,10 +1,14 @@
-//! Criterion benchmarks for the partitioning substrate: RP, GP (mini-METIS),
-//! HP (mini-PaToH), SHP, and comm-plan construction.
+//! Criterion benchmarks for the partitioning substrate: RP, GP (the
+//! §4.3.1 graph model), HP (the column-net model), SHP, and comm-plan
+//! construction.
 //!
-//! The `hp_engine` group times `partition_rows` with HP on the benchmark
-//! graphs (coPapersDBLP/64, amazon0601/16, roadNet-CA/16) at p = 2 and 16,
-//! and prints each partition's connectivity−1 cut and imbalance next to
-//! the time, so a speed change can be read against its quality:
+//! The `hp_engine` group times `partition_rows` on the benchmark graphs
+//! (coPapersDBLP/64, amazon0601/16, roadNet-CA/16) at p = 2 and 16, with
+//! HP (`<graph>/<p>`) and with GP (`gp_<graph>/<p>`), which runs the same
+//! multilevel engine on the graph model's 2-pin nets. Each row prints its
+//! partition's model cut (connectivity−1; for GP that is the edge cut) and
+//! imbalance next to the time, so a speed change can be read against its
+//! quality:
 //!
 //! ```text
 //! cargo bench -q --offline --locked -p pargcn-bench --bench partitioners -- --quick hp_engine
@@ -65,26 +69,31 @@ fn bench_hp_engine(c: &mut Criterion) {
         // Generated on first use, so a filter that skips the group skips
         // the graphs too.
         let data = OnceCell::new();
-        for p in [2usize, 16] {
-            let mut reported = false;
-            group.bench_function(BenchmarkId::new(name, p), |b| {
-                let (g, a) = data.get_or_init(|| {
-                    let g = dataset.generate(Scale(scale), 1).graph;
-                    let a = g.normalized_adjacency();
-                    (g, a)
+        for (method, model, prefix) in [
+            (Method::Hp, Hypergraph::column_net_model as fn(&_) -> _, ""),
+            (Method::Gp, Hypergraph::graph_model, "gp_"),
+        ] {
+            for p in [2usize, 16] {
+                let mut reported = false;
+                group.bench_function(BenchmarkId::new(format!("{prefix}{name}"), p), |b| {
+                    let (g, a) = data.get_or_init(|| {
+                        let g = dataset.generate(Scale(scale), 1).graph;
+                        let a = g.normalized_adjacency();
+                        (g, a)
+                    });
+                    if !reported {
+                        let part = partition_rows(g, a, method, p, DEFAULT_EPSILON, 1);
+                        let h = model(a);
+                        eprintln!(
+                            "hp_engine/{prefix}{name}/{p}: cut {} imbalance {:.4}",
+                            h.connectivity_cut(&part),
+                            part.imbalance(h.vertex_weights())
+                        );
+                        reported = true;
+                    }
+                    b.iter(|| partition_rows(g, a, method, p, DEFAULT_EPSILON, 1))
                 });
-                if !reported {
-                    let part = partition_rows(g, a, Method::Hp, p, DEFAULT_EPSILON, 1);
-                    let h = Hypergraph::column_net_model(a);
-                    eprintln!(
-                        "hp_engine/{name}/{p}: cut {} imbalance {:.4}",
-                        h.connectivity_cut(&part),
-                        part.imbalance(h.vertex_weights())
-                    );
-                    reported = true;
-                }
-                b.iter(|| partition_rows(g, a, Method::Hp, p, DEFAULT_EPSILON, 1))
-            });
+            }
         }
     }
     group.finish();

@@ -38,6 +38,11 @@ pub struct BufPoolStats {
 pub struct BufPool {
     /// `free[d]` holds recycled buffers for messages to rank `d`.
     free: Vec<Vec<Vec<f32>>>,
+    /// Buffers ever created for messages to rank `d`. At a
+    /// scheduling-dependent peak all of them can be resident at once, so
+    /// `free[d]` keeps room for this many and `put` never grows it on the
+    /// comm path.
+    created: Vec<usize>,
     acquires: u64,
     hits: u64,
 }
@@ -47,6 +52,7 @@ impl BufPool {
     pub fn new(p: usize) -> Self {
         BufPool {
             free: vec![Vec::new(); p],
+            created: vec![0; p],
             acquires: 0,
             hits: 0,
         }
@@ -85,8 +91,17 @@ impl BufPool {
                 b.reserve_exact(len);
                 b
             }
-            None => Vec::with_capacity(len),
+            None => self.create(to, len),
         }
+    }
+
+    /// A fresh buffer of capacity `len` for destination `to`, with room
+    /// made in `free[to]` for its eventual return.
+    fn create(&mut self, to: usize, len: usize) -> Vec<f32> {
+        self.created[to] += 1;
+        let list = &mut self.free[to];
+        list.reserve(self.created[to].saturating_sub(list.len()));
+        Vec::with_capacity(len)
     }
 
     /// Returns a buffer to the free list for destination `to`.
@@ -96,15 +111,11 @@ impl BufPool {
     }
 
     /// Pre-allocates `count` buffers of capacity `len` for destination
-    /// `to`, so later `acquire`s hit without touching the heap. The free
-    /// list itself is over-reserved: at a scheduling-dependent peak every
-    /// buffer ever created for `to` can be resident at once, and the
-    /// list growing to hold them would itself be a heap allocation on
-    /// the comm path.
+    /// `to`, so later `acquire`s hit without touching the heap.
     pub fn prewarm(&mut self, to: usize, count: usize, len: usize) {
-        self.free[to].reserve(2 * count + 2);
         for _ in 0..count {
-            self.free[to].push(Vec::with_capacity(len));
+            let buf = self.create(to, len);
+            self.free[to].push(buf);
         }
     }
 
@@ -117,7 +128,6 @@ impl BufPool {
     /// re-ensure per step and keep the analytic steady-state guarantee
     /// without accreting buffers the way repeated `prewarm` would.
     pub fn ensure(&mut self, to: usize, count: usize, len: usize) {
-        self.free[to].reserve(2 * count + 2);
         let fitting = self.free[to].iter().filter(|b| b.capacity() >= len).count();
         for _ in fitting..count {
             let largest_small = (0..self.free[to].len())
@@ -125,7 +135,10 @@ impl BufPool {
                 .max_by_key(|&i| self.free[to][i].capacity());
             match largest_small {
                 Some(i) => self.free[to][i].reserve_exact(len),
-                None => self.free[to].push(Vec::with_capacity(len)),
+                None => {
+                    let buf = self.create(to, len);
+                    self.free[to].push(buf);
+                }
             }
         }
     }
@@ -208,6 +221,20 @@ mod tests {
         // A larger count accretes only the shortfall.
         pool.ensure(0, 3, 64);
         assert_eq!(pool.stats().free_buffers, 3);
+    }
+
+    #[test]
+    fn returns_never_grow_a_free_list() {
+        let mut pool = BufPool::new(2);
+        pool.prewarm(1, 2, 8);
+        // Two hits, then five fresh buffers made on misses.
+        let bufs: Vec<Vec<f32>> = (0..7).map(|_| pool.acquire(1, 8)).collect();
+        let room = pool.free[1].capacity();
+        for b in bufs {
+            pool.put(1, b);
+        }
+        assert_eq!(pool.free[1].capacity(), room);
+        assert_eq!(pool.stats().free_buffers, 7);
     }
 
     #[test]

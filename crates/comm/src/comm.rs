@@ -42,6 +42,13 @@ const TAG_ALLREDUCE: u32 = RESERVED_TAG_BASE;
 const TAG_BROADCAST: u32 = RESERVED_TAG_BASE + 1;
 const TAG_GATHER: u32 = RESERVED_TAG_BASE + 2;
 
+/// Messages each rank's mailbox, return channel and pending queue have
+/// room for from the start. The collectives queue at most ⌈log₂p⌉ + 1
+/// messages per call, so a few rounds of small exchanges interleaved with
+/// them (`runtime_stress`) never grow a queue on the comm path; callers
+/// with bigger exchanges add room with [`RankCtx::reserve_queues`].
+const QUEUE_ROOM: usize = 64;
+
 struct Message {
     from: u32,
     tag: u32,
@@ -163,6 +170,7 @@ impl CommSession {
                         barrier,
                         counters: CommCounters::default(),
                     };
+                    ctx.reserve_queues(QUEUE_ROOM);
                     while let Ok(step) = job_rx.recv() {
                         // SAFETY: the submitter's `InFlight` guard blocks
                         // until this rank's `done` message below, so the

@@ -1,5 +1,6 @@
 //! Multilevel hypergraph partitioner minimizing the connectivity−1 metric
-//! (the HP model's engine — a from-scratch stand-in for PaToH, DESIGN.md §1).
+//! (a from-scratch stand-in for PaToH, DESIGN.md §1). It is the one engine
+//! behind HP, SHP and GP, whose graph model arrives as 2-pin nets.
 //!
 //! Recursive bisection with net splitting: a net cut at one level is
 //! restricted to each side and re-partitioned deeper, so the sum of

@@ -5,14 +5,17 @@
 //! adjacency/feature/gradient matrices:
 //!
 //! * **RP** — [`random`]: uniform random rows, the balance baseline;
-//! * **GP** — [`gmultilevel`] over the [`graph_model::WeightedGraph`]
-//!   §4.3.1 model (the METIS/DistDGL approach, which *overestimates*
-//!   communication volume);
-//! * **HP** — [`hmultilevel`] over the [`hypergraph::Hypergraph`]
+//! * **GP** — [`hmultilevel`] over [`Hypergraph::graph_model`], the §4.3.1
+//!   graph model as a hypergraph of 2-pin nets (the METIS/DistDGL
+//!   approach, whose edge cut *overestimates* communication volume);
+//! * **HP** — [`hmultilevel`] over [`Hypergraph::column_net_model`], the
 //!   column-net model of §4.3.2, whose connectivity−1 cut equals the exact
 //!   point-to-point communication volume;
 //! * **SHP** — [`stochastic`]: the §4.3.3 stochastic hypergraph built from
 //!   sampled mini-batches, minimizing *expected* mini-batch volume.
+//!
+//! GP and HP share one multilevel engine, so Table 2 compares the two
+//! objectives rather than two partitioners.
 //!
 //! [`metrics`] computes the exact per-processor send volumes and message
 //! counts of the parallel SpMM under any partition — the ground truth that
@@ -33,8 +36,7 @@
 //! assert_eq!(h.connectivity_cut(&part), stats.total_rows);
 //! ```
 
-pub mod gmultilevel;
-pub mod graph_model;
+mod graph_model;
 pub mod hmultilevel;
 pub mod hypergraph;
 pub mod metrics;
@@ -54,7 +56,8 @@ use pargcn_matrix::Csr;
 pub enum Method {
     /// Random partitioning.
     Rp,
-    /// Graph partitioning (METIS-style over the §4.3.1 model).
+    /// Graph partitioning: the §4.3.1 edge-cut model (METIS-style),
+    /// partitioned by the same engine as HP.
     Gp,
     /// Hypergraph partitioning (PaToH-style over the §4.3.2 column-net model).
     Hp,
@@ -102,14 +105,8 @@ pub fn partition_rows(
     assert_eq!(a.n_rows(), graph.n(), "matrix/graph size mismatch");
     match method {
         Method::Rp => random::partition(a.n_rows(), p, seed),
-        Method::Gp => {
-            let model = graph_model::WeightedGraph::graph_model(a);
-            gmultilevel::partition(&model, p, epsilon, seed)
-        }
-        Method::Hp => {
-            let model = Hypergraph::column_net_model(a);
-            hmultilevel::partition(&model, p, epsilon, seed)
-        }
+        Method::Gp => hmultilevel::partition(&Hypergraph::graph_model(a), p, epsilon, seed),
+        Method::Hp => hmultilevel::partition(&Hypergraph::column_net_model(a), p, epsilon, seed),
         Method::Shp { sampler, batches } => {
             stochastic::partition(graph, sampler, batches, p, epsilon, seed)
         }
@@ -160,5 +157,68 @@ mod tests {
             (v_hp as f64) <= v_gp as f64 * 1.3,
             "HP {v_hp} should be comparable or better than GP {v_gp}"
         );
+    }
+
+    /// GP on a road grid: the partition and the graph model it cut.
+    fn gp_on_grid(
+        n: usize,
+        seed: u64,
+        p: usize,
+        epsilon: f64,
+        part_seed: u64,
+    ) -> (Partition, Hypergraph) {
+        let g = grid::road_network(n, seed);
+        let a = g.normalized_adjacency();
+        let part = partition_rows(&g, &a, Method::Gp, p, epsilon, part_seed);
+        (part, Hypergraph::graph_model(&a))
+    }
+
+    #[test]
+    fn gp_produces_valid_balanced_partition() {
+        let (part, h) = gp_on_grid(900, 1, 4, 0.05, 7);
+        assert_eq!(part.p(), 4);
+        assert!(part.all_parts_nonempty());
+        let imb = part.imbalance(h.vertex_weights());
+        assert!(imb < 0.25, "imbalance {imb}");
+    }
+
+    #[test]
+    fn gp_beats_random_on_a_grid() {
+        let (part, h) = gp_on_grid(1600, 2, 8, 0.05, 3);
+        let cut = h.connectivity_cut(&part);
+        let rand_cut = h.connectivity_cut(&random::partition(part.n(), 8, 3));
+        assert!(
+            (cut as f64) < rand_cut as f64 * 0.4,
+            "multilevel cut {cut} not well below random cut {rand_cut}"
+        );
+    }
+
+    #[test]
+    fn gp_single_part_is_trivial() {
+        let (part, _) = gp_on_grid(100, 3, 1, 0.05, 0);
+        assert!(part.assignment().iter().all(|&a| a == 0));
+    }
+
+    #[test]
+    fn gp_handles_non_power_of_two_parts() {
+        let (part, h) = gp_on_grid(900, 4, 5, 0.1, 1);
+        assert!(part.all_parts_nonempty());
+        assert!(part.imbalance(h.vertex_weights()) < 0.5);
+    }
+
+    #[test]
+    fn gp_deterministic_given_seed() {
+        let (first, _) = gp_on_grid(400, 5, 4, 0.05, 9);
+        let (second, _) = gp_on_grid(400, 5, 4, 0.05, 9);
+        assert_eq!(first, second);
+    }
+
+    #[test]
+    fn gp_disconnected_graph_is_fine() {
+        // Two disjoint triangles plus isolated vertices.
+        let g = Graph::from_edges(8, false, &[(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)]);
+        let a = g.normalized_adjacency();
+        let part = partition_rows(&g, &a, Method::Gp, 2, 0.1, 0);
+        assert!(part.all_parts_nonempty());
     }
 }

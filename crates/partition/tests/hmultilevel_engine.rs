@@ -124,7 +124,7 @@ fn coarse_nets_match_hashmap_reference() {
 
 /// At p = 16 the k-way imbalance stays within the documented bound
 /// (1+ε)^⌈log₂p⌉ − 1, plus one weight unit per level for the caps'
-/// rounding.
+/// rounding, on both the HP column-net model and GP's 2-pin graph model.
 #[test]
 fn p16_imbalance_within_documented_bound() {
     let epsilon: f64 = 0.01;
@@ -135,17 +135,22 @@ fn p16_imbalance_within_documented_bound() {
         ("copurchase", community::copurchase(6000, 6.0, true, 3)),
         ("coauthor", community::coauthor(3000, 16.0, 4)),
     ] {
-        let h = Hypergraph::column_net_model(&g.normalized_adjacency());
-        let total: u64 = h.vertex_weights().iter().sum();
-        let rounding = levels as f64 * p as f64 / total as f64;
-        let bound = (1.0 + epsilon).powi(levels) * (1.0 + rounding) - 1.0;
-        for seed in 1..=3 {
-            let part = hmultilevel::partition(&h, p, epsilon, seed);
-            let imb = part.imbalance(h.vertex_weights());
-            assert!(
-                imb <= bound,
-                "{name} seed {seed}: imbalance {imb:.4} over the bound {bound:.4}"
-            );
+        let a = g.normalized_adjacency();
+        for (model, h) in [
+            ("HP", Hypergraph::column_net_model(&a)),
+            ("GP", Hypergraph::graph_model(&a)),
+        ] {
+            let total: u64 = h.vertex_weights().iter().sum();
+            let rounding = levels as f64 * p as f64 / total as f64;
+            let bound = (1.0 + epsilon).powi(levels) * (1.0 + rounding) - 1.0;
+            for seed in 1..=3 {
+                let part = hmultilevel::partition(&h, p, epsilon, seed);
+                let imb = part.imbalance(h.vertex_weights());
+                assert!(
+                    imb <= bound,
+                    "{model} {name} seed {seed}: imbalance {imb:.4} over the bound {bound:.4}"
+                );
+            }
         }
     }
 }

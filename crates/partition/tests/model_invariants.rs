@@ -10,7 +10,6 @@
 //! print the case seed for replay via `PARGCN_QC_SEED=<seed>`.
 
 use pargcn_matrix::{norm, Csr};
-use pargcn_partition::graph_model::WeightedGraph;
 use pargcn_partition::{metrics, Hypergraph, Partition};
 use pargcn_util::qc;
 use pargcn_util::rng::{Rng, StdRng};
@@ -55,14 +54,15 @@ fn graph_cut_overestimates_volume() {
     qc::check(|rng| {
         let a = adjacency(rng, 24);
         let part = arbitrary_partition(rng, 24, 5);
-        let g = WeightedGraph::graph_model(&a);
+        let g = Hypergraph::graph_model(&a);
         let stats = metrics::spmm_comm_stats(&a, &part);
         // Each cut undirected edge claims 2 row transfers (one each way);
-        // the graph model's estimate of the volume is 2 × edge cut.
+        // the graph model's estimate of the volume is 2 × edge cut, and
+        // its 2-pin nets' connectivity−1 cut is that edge cut.
         assert!(
-            2 * g.edge_cut(&part) >= stats.total_rows,
+            2 * g.connectivity_cut(&part) >= stats.total_rows,
             "graph model estimate {} below true volume {}",
-            2 * g.edge_cut(&part),
+            2 * g.connectivity_cut(&part),
             stats.total_rows
         );
     });
@@ -132,7 +132,7 @@ fn figure2_overcount_example() {
 
     let h = Hypergraph::column_net_model(&a);
     let stats = metrics::spmm_comm_stats(&a, &part);
-    let g = WeightedGraph::graph_model(&a);
+    let g = Hypergraph::graph_model(&a);
 
     // True volume for v3's row: sent to parts {2} once → net n3 contributes
     // λ−1 = 1... plus the reverse rows v4,v5 each sent to part 1.
@@ -144,5 +144,5 @@ fn figure2_overcount_example() {
     let true_cross_12 = 3;
     assert_eq!(stats.total_rows, true_cross_12);
     assert!(cross_12_estimate > true_cross_12);
-    assert!(2 * g.edge_cut(&part) > stats.total_rows);
+    assert!(2 * g.connectivity_cut(&part) > stats.total_rows);
 }

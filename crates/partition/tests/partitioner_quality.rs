@@ -3,8 +3,7 @@
 //! graph family, and the ablation options must behave monotonically.
 
 use pargcn_graph::gen::{community, er, grid, rmat};
-use pargcn_partition::graph_model::WeightedGraph;
-use pargcn_partition::{gmultilevel, hmultilevel, metrics, random, Hypergraph};
+use pargcn_partition::{hmultilevel, metrics, partition_rows, random, Hypergraph, Method};
 
 /// A 2×k grid of two well-separated clusters must be cut at the bridge.
 #[test]
@@ -42,10 +41,11 @@ fn gp_finds_the_bottleneck_cut() {
     }
     edges.push((5, 17));
     let g = pargcn_graph::Graph::from_edges(24, false, &edges);
-    let model = WeightedGraph::graph_model(&g.normalized_adjacency());
-    let part = gmultilevel::partition(&model, 2, 0.1, 1);
+    let a = g.normalized_adjacency();
+    let model = Hypergraph::graph_model(&a);
+    let part = partition_rows(&g, &a, Method::Gp, 2, 0.1, 1);
     assert_eq!(
-        model.edge_cut(&part),
+        model.connectivity_cut(&part),
         1,
         "the single bridge edge is the optimum"
     );

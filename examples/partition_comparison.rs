@@ -7,7 +7,6 @@
 //! ```
 
 use pargcn_graph::Dataset;
-use pargcn_partition::graph_model::WeightedGraph;
 use pargcn_partition::stochastic::Sampler;
 use pargcn_partition::{metrics, partition_rows, Hypergraph, Method, DEFAULT_EPSILON};
 
@@ -25,7 +24,7 @@ fn main() {
     );
 
     let hypergraph = Hypergraph::column_net_model(&a);
-    let graph_model = WeightedGraph::graph_model(&a);
+    let graph_model = Hypergraph::graph_model(&a);
 
     println!(
         "{:<6} {:>12} {:>10} {:>12} {:>14} {:>12}",
@@ -45,7 +44,7 @@ fn main() {
         let part = partition_rows(&data.graph, &a, method, p, DEFAULT_EPSILON, 1);
         let stats = metrics::spmm_comm_stats(&a, &part);
         let hcut = hypergraph.connectivity_cut(&part);
-        let gcut_estimate = 2 * graph_model.edge_cut(&part);
+        let gcut_estimate = 2 * graph_model.connectivity_cut(&part);
         println!(
             "{:<6} {:>12} {:>10} {:>12.4} {:>14} {:>12}",
             method.name(),
