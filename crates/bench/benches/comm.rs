@@ -77,8 +77,9 @@ fn bench_allreduce(c: &mut Criterion) {
     group.finish();
 }
 
-/// `BATCH` broadcasts of a 1024-float block from rank 0 at several rank
-/// counts (the CAGNET baseline's inner loop).
+/// `BATCH` lent broadcasts of a 1024-float block from rank 0 at several
+/// rank counts (the CAGNET baseline's inner loop, which folds each block
+/// straight from the payload).
 fn bench_broadcast(c: &mut Criterion) {
     let len = 1024;
     let mut group = c.benchmark_group("comm_broadcast_1k_x200");
@@ -88,15 +89,16 @@ fn bench_broadcast(c: &mut Criterion) {
             b.iter(|| {
                 CommSession::new(p).run_step(|ctx| {
                     ctx.prewarm_collectives(2, len);
-                    let mut buf = if ctx.rank() == 0 {
-                        vec![1.0f32; len]
-                    } else {
-                        Vec::new()
-                    };
+                    let block = vec![1.0f32; len];
+                    let data: &[f32] = if ctx.rank() == 0 { &block } else { &[] };
+                    let mut folded = 0.0f32;
                     for _ in 0..BATCH {
-                        ctx.broadcast(0, &mut buf);
+                        ctx.broadcast_lend(0, data, |payload| {
+                            folded += payload[len - 1];
+                            payload
+                        });
                     }
-                    buf[0]
+                    folded
                 })
             })
         });
@@ -126,7 +128,7 @@ fn bench_spmm_exchange(c: &mut Criterion) {
             b.iter(|| {
                 CommSession::new(p).run_step(|ctx| {
                     let rp = &plan.ranks[ctx.rank()];
-                    let cctx = ComputeCtx::for_ranks(p, Some(1));
+                    let cctx = ComputeCtx::serial();
                     let x = &locals[ctx.rank()];
                     for ss in &rp.send {
                         ctx.prewarm(ss.peer, 2, ss.local_indices.len() * x.cols());

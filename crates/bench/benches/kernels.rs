@@ -12,9 +12,9 @@ use pargcn_util::pool::Pool;
 use pargcn_util::rng::SeedableRng;
 use pargcn_util::rng::StdRng;
 
-/// Thread counts exercised by the `_pool` kernel benchmarks. The `t = 1`
-/// rows measure the pooled entry points' serial fallback, so the gap to
-/// the plain kernels is the dispatch overhead, not the algorithm.
+/// Thread counts exercised by the threaded naive-kernel benchmarks. The
+/// `t = 1` rows measure the pooled entry points' serial fallback, so the
+/// gap to the plain kernels is the dispatch overhead, not the algorithm.
 const THREADS: [usize; 3] = [1, 2, 4];
 
 fn bench_spmm(c: &mut Criterion) {
@@ -84,9 +84,9 @@ fn bench_spmm_threads(c: &mut Criterion) {
     let h = Dense::random(a.n_cols(), d, &mut rng);
     group.throughput(Throughput::Elements((a.nnz() * d) as u64));
     for t in THREADS {
-        let pool = Pool::new(t);
+        let cctx = ComputeCtx::with_threads(t).with_kernel(KernelKind::Naive);
         group.bench_with_input(BenchmarkId::new("rmat_10k_d64", t), &t, |b, _| {
-            b.iter(|| a.spmm_pool(std::hint::black_box(&h), &pool))
+            b.iter(|| cctx.spmm(&a, std::hint::black_box(&h)))
         });
     }
     group.finish();
@@ -103,15 +103,15 @@ fn bench_dmm_threads(c: &mut Criterion) {
     let g = Dense::random(rows, n, &mut rng);
     group.throughput(Throughput::Elements((rows * k * n) as u64));
     for t in THREADS {
-        let pool = Pool::new(t);
+        let cctx = ComputeCtx::with_threads(t).with_kernel(KernelKind::Naive);
         group.bench_with_input(BenchmarkId::new("matmul_10000x64x16", t), &t, |b, _| {
-            b.iter(|| a.matmul_pool(std::hint::black_box(&w), &pool))
+            b.iter(|| cctx.matmul(&a, std::hint::black_box(&w)))
         });
         group.bench_with_input(BenchmarkId::new("matmul_at_10000x64x16", t), &t, |b, _| {
-            b.iter(|| a.matmul_at_pool(std::hint::black_box(&g), &pool))
+            b.iter(|| cctx.matmul_at(&a, std::hint::black_box(&g)))
         });
         group.bench_with_input(BenchmarkId::new("matmul_bt_10000x16x64", t), &t, |b, _| {
-            b.iter(|| g.matmul_bt_pool(std::hint::black_box(&w), &pool))
+            b.iter(|| cctx.matmul_bt(&g, std::hint::black_box(&w)))
         });
     }
     group.finish();

@@ -17,7 +17,6 @@ use pargcn_core::baselines::cagnet::CagnetPlan;
 use pargcn_core::{CommPlan, GcnConfig};
 use pargcn_graph::{Dataset, GraphData, Scale};
 use pargcn_matrix::{Csr, KernelKind};
-use pargcn_partition::stochastic::Sampler;
 use pargcn_partition::{partition_rows, Method, Partition, DEFAULT_EPSILON};
 use pargcn_util::json::{self, Json};
 
@@ -189,18 +188,6 @@ pub fn build_cagnet_plans(data: &GraphData, a: &Csr, part: &Partition) -> (Cagne
         f.clone()
     };
     (f, b)
-}
-
-/// The SHP method configured like the paper's Fig. 5 run, scaled to the
-/// instance: batch size ≈ n/16 (paper: 20K of 335K ≈ n/17), `batches`
-/// sampled batches merged into the stochastic hypergraph.
-pub fn shp_method(n: usize, batches: usize) -> Method {
-    Method::Shp {
-        sampler: Sampler::UniformVertex {
-            batch_size: (n / 16).max(8),
-        },
-        batches,
-    }
 }
 
 /// Formats a count with thousands separators for table output.

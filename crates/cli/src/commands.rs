@@ -20,7 +20,7 @@ pub const USAGE: &str = "pargcn — distributed-memory GCN training (paper repro
 USAGE:
   pargcn info      --dataset <name> [--scale <div>] [--seed <n>]
   pargcn info      --list true
-  pargcn partition --dataset <name> --method <rp|gp|hp|shp|bp> --p <n>
+  pargcn partition --dataset <name> --method <rp|gp|hp|shp> --p <n>
                    [--epsilon 0.01] [--scale <div>] [--seed <n>] [--out <file>]
   pargcn train     --dataset <name> [--method hp] [--p 4] [--epochs 30]
                    [--hidden 16] [--lr 0.1] [--optimizer sgd|adam]
@@ -59,7 +59,6 @@ fn method(name: &str, n: usize) -> Result<Method, ParseError> {
         "rp" => Ok(Method::Rp),
         "gp" => Ok(Method::Gp),
         "hp" => Ok(Method::Hp),
-        "bp" => Ok(Method::Bp),
         "shp" => Ok(Method::Shp {
             sampler: Sampler::UniformVertex {
                 batch_size: (n / 16).max(8),
@@ -67,7 +66,7 @@ fn method(name: &str, n: usize) -> Result<Method, ParseError> {
             batches: 200,
         }),
         other => Err(ParseError(format!(
-            "unknown method '{other}' (rp|gp|hp|shp|bp)"
+            "unknown method '{other}' (rp|gp|hp|shp)"
         ))),
     }
 }
@@ -432,7 +431,8 @@ mod tests {
     #[test]
     fn method_lookup() {
         assert_eq!(method("hp", 100).unwrap(), Method::Hp);
-        assert_eq!(method("BP", 100).unwrap(), Method::Bp);
+        let err = method("BP", 100).unwrap_err();
+        assert_eq!(err.0, "unknown method 'bp' (rp|gp|hp|shp)");
         assert!(matches!(method("shp", 100).unwrap(), Method::Shp { .. }));
         assert!(method("xx", 100).is_err());
     }

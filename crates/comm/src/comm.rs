@@ -9,7 +9,7 @@
 //! * [`RankCtx::recv`] blocks until a message with matching `(source, tag)`
 //!   arrives, buffering non-matching arrivals (MPI tag matching);
 //! * channel FIFO order per sender gives MPI's non-overtaking guarantee;
-//! * [`RankCtx::allreduce_sum`] and [`RankCtx::broadcast`] run over a
+//! * [`RankCtx::allreduce_sum`] and [`RankCtx::broadcast_lend`] run over a
 //!   binomial tree — O(log p) rounds — with a *fixed* combine order
 //!   (children folded in ascending rank order), so results are bitwise
 //!   deterministic run to run.
@@ -19,9 +19,8 @@
 //! Message payloads are pooled like MPI persistent requests: a sender
 //! [`acquire`](RankCtx::acquire)s a buffer keyed by destination, and the
 //! receiver hands the payload back over a dedicated *return channel* with
-//! [`release`](RankCtx::release) (or implicitly via
-//! [`recv_into`](RankCtx::recv_into)), where it rejoins the sender's
-//! free list. After the pools are warm, no message round-trip — p2p or
+//! [`release`](RankCtx::release) (a lent broadcast payload goes back by
+//! itself), where it rejoins the sender's free list. After the pools are warm, no message round-trip — p2p or
 //! collective — touches the heap; `CommCounters::comm_path_allocs`
 //! measures exactly that (see `pargcn_util::allocmeter`) and the
 //! steady-state tests assert it is zero.
@@ -32,7 +31,7 @@ use pargcn_util::allocmeter;
 use pargcn_util::channel::{unbounded, Receiver, Sender};
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Barrier, Mutex};
+use std::sync::Mutex;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -40,7 +39,6 @@ use std::time::Instant;
 pub const RESERVED_TAG_BASE: u32 = u32::MAX - 16;
 const TAG_ALLREDUCE: u32 = RESERVED_TAG_BASE;
 const TAG_BROADCAST: u32 = RESERVED_TAG_BASE + 1;
-const TAG_GATHER: u32 = RESERVED_TAG_BASE + 2;
 
 /// Messages each rank's mailbox, return channel and pending queue have
 /// room for from the start. The collectives queue at most ⌈log₂p⌉ + 1
@@ -140,7 +138,6 @@ impl CommSession {
             returns.push(s);
             return_rxs.push(Some(r));
         }
-        let barrier = Arc::new(Barrier::new(p));
         let (done_tx, done_rx) = unbounded();
         let mut jobs = Vec::with_capacity(p);
         let mut handles = Vec::with_capacity(p);
@@ -151,7 +148,6 @@ impl CommSession {
             let return_rx = ret_slot.take().expect("return receiver taken once");
             let senders = senders.clone();
             let returns = returns.clone();
-            let barrier = Arc::clone(&barrier);
             let done_tx = done_tx.clone();
             let (job_tx, job_rx) = unbounded::<ErasedStep>();
             jobs.push(job_tx);
@@ -167,10 +163,12 @@ impl CommSession {
                         return_rx,
                         pool: BufPool::new(p),
                         pending: Vec::new(),
-                        barrier,
                         counters: CommCounters::default(),
                     };
                     ctx.reserve_queues(QUEUE_ROOM);
+                    // Ready: `new` returns only once every rank has
+                    // reserved, so no first message finds a queue unsized.
+                    let _ = done_tx.send(None);
                     while let Ok(step) = job_rx.recv() {
                         // SAFETY: the submitter's `InFlight` guard blocks
                         // until this rank's `done` message below, so the
@@ -190,6 +188,10 @@ impl CommSession {
                 })
                 .expect("spawn rank thread");
             handles.push(handle);
+        }
+        drop(done_tx);
+        for _ in 0..p {
+            let _ = done_rx.recv();
         }
         CommSession {
             p,
@@ -339,7 +341,6 @@ pub struct RankCtx {
     pool: BufPool,
     /// Arrived messages not yet claimed by a matching `recv`.
     pending: Vec<Message>,
-    barrier: Arc<Barrier>,
     counters: CommCounters,
 }
 
@@ -396,7 +397,7 @@ impl RankCtx {
     /// Takes a cleared payload buffer with capacity for `len` floats for a
     /// message to rank `to`, recycling returned buffers when possible.
     /// Pair with [`isend`](Self::isend); the receiver sends the buffer
-    /// back via [`release`](Self::release) / [`recv_into`](Self::recv_into).
+    /// back via [`release`](Self::release).
     pub fn acquire(&mut self, to: usize, len: usize) -> Vec<f32> {
         let a0 = allocmeter::current();
         self.drain_returns();
@@ -406,20 +407,11 @@ impl RankCtx {
     }
 
     /// Hands a received payload buffer back to the rank that sent it
-    /// (`from`), where it rejoins that rank's free list. Self-returns
-    /// (e.g. a root's own gather contribution) go straight to the pool.
+    /// (`from`), where it rejoins that rank's free list. Self-returns go
+    /// straight to the pool.
     pub fn release(&mut self, from: usize, buf: Vec<f32>) {
         let a0 = allocmeter::current();
-        if from == self.rank {
-            self.pool.put(from, buf);
-        } else {
-            // The receiver ignoring returns (rank exited) is fine: the
-            // buffer is simply dropped with the channel.
-            let _ = self.returns[from].send(ReturnMsg {
-                from: self.rank as u32,
-                buf,
-            });
-        }
+        self.release_unmetered(from, buf);
         self.counters.comm_path_allocs += allocmeter::current() - a0;
     }
 
@@ -512,12 +504,8 @@ impl RankCtx {
     /// `recv_*` counter. Hand the payload back with
     /// [`release`](Self::release).
     pub fn setup_recv(&mut self, from: usize, tag: u32) -> Vec<f32> {
-        let start = Instant::now();
-        let a0 = allocmeter::current();
-        let payload = self.recv_inner(from as u32, tag);
-        self.counters.comm_path_allocs += allocmeter::current() - a0;
-        self.counters.comm_seconds += start.elapsed().as_secs_f64();
-        payload
+        self.wait_for(|m| m.from == from as u32 && m.tag == tag)
+            .payload
     }
 
     /// The checked, metered channel send behind `isend` and `setup_send`.
@@ -534,69 +522,11 @@ impl RankCtx {
 
     /// Blocking receive of the next message with matching source and tag.
     /// The returned payload is owned by the caller; hand it back with
-    /// [`release`](Self::release) (or use [`recv_into`](Self::recv_into))
-    /// to keep the sender's pool warm.
+    /// [`release`](Self::release) to keep the sender's pool warm.
     pub fn recv(&mut self, from: usize, tag: u32) -> Vec<f32> {
-        let start = Instant::now();
-        let a0 = allocmeter::current();
-        let payload = self.recv_inner(from as u32, tag);
-        self.counters.comm_path_allocs += allocmeter::current() - a0;
-        self.counters.comm_seconds += start.elapsed().as_secs_f64();
-        self.counters.recv_messages += 1;
-        self.counters.recv_bytes += (payload.len() * 4) as u64;
-        payload
-    }
-
-    /// Blocking receive that copies the payload into `buf` (cleared
-    /// first, capacity reused) and recycles the payload buffer back to
-    /// the sender's pool. With a warm `buf` this allocates nothing.
-    pub fn recv_into(&mut self, from: usize, tag: u32, buf: &mut Vec<f32>) {
-        let start = Instant::now();
-        let a0 = allocmeter::current();
-        let payload = self.recv_inner(from as u32, tag);
-        self.counters.recv_messages += 1;
-        self.counters.recv_bytes += (payload.len() * 4) as u64;
-        buf.clear();
-        buf.extend_from_slice(&payload);
-        self.release_unmetered(from, payload);
-        self.counters.comm_path_allocs += allocmeter::current() - a0;
-        self.counters.comm_seconds += start.elapsed().as_secs_f64();
-    }
-
-    /// Non-blocking [`recv_into`](Self::recv_into): returns `false` (and
-    /// leaves `buf` untouched) if no matching message has arrived yet.
-    pub fn try_recv_into(&mut self, from: usize, tag: u32, buf: &mut Vec<f32>) -> bool {
-        let a0 = allocmeter::current();
-        let got = match self.try_recv_match(|m| m.from == from as u32 && m.tag == tag) {
-            Some(m) => {
-                self.counters.recv_messages += 1;
-                self.counters.recv_bytes += (m.payload.len() * 4) as u64;
-                buf.clear();
-                buf.extend_from_slice(&m.payload);
-                self.release_unmetered(from, m.payload);
-                true
-            }
-            None => false,
-        };
-        self.counters.comm_path_allocs += allocmeter::current() - a0;
-        got
-    }
-
-    /// Non-blocking probe-and-receive: returns a matching message if one has
-    /// already arrived. Used by the trainer to drain whichever remote block
-    /// lands first (Algorithm 1 lines 7–9 iterate the receive set in any
-    /// completion order).
-    pub fn try_recv(&mut self, from: usize, tag: u32) -> Option<Vec<f32>> {
-        let a0 = allocmeter::current();
-        let got = self
-            .try_recv_match(|m| m.from == from as u32 && m.tag == tag)
-            .map(|m| {
-                self.counters.recv_messages += 1;
-                self.counters.recv_bytes += (m.payload.len() * 4) as u64;
-                m.payload
-            });
-        self.counters.comm_path_allocs += allocmeter::current() - a0;
-        got
+        let m = self.wait_for(|m| m.from == from as u32 && m.tag == tag);
+        self.count_recv(&m);
+        m.payload
     }
 
     /// Non-blocking receive of the next message with tag `tag` from *any*
@@ -605,72 +535,67 @@ impl RankCtx {
     /// of probing every peer individually.
     pub fn try_recv_any(&mut self, tag: u32) -> Option<(usize, Vec<f32>)> {
         let a0 = allocmeter::current();
-        let got = self.try_recv_match(|m| m.tag == tag).map(|m| {
-            self.counters.recv_messages += 1;
-            self.counters.recv_bytes += (m.payload.len() * 4) as u64;
-            (m.from as usize, m.payload)
-        });
+        let got = self.take(false, |m| m.tag == tag);
         self.counters.comm_path_allocs += allocmeter::current() - a0;
-        got
+        let m = got?;
+        self.count_recv(&m);
+        Some((m.from as usize, m.payload))
     }
 
     /// Blocking receive of the next message with tag `tag` from any
     /// source. The blocking complement of [`try_recv_any`](Self::try_recv_any).
     pub fn recv_any(&mut self, tag: u32) -> (usize, Vec<f32>) {
-        let start = Instant::now();
-        let a0 = allocmeter::current();
-        let m = if let Some(pos) = self.pending.iter().position(|m| m.tag == tag) {
-            // `remove`, not `swap_remove`: `pending` is kept in arrival
-            // order so two same-(source, tag) messages are claimed in the
-            // order they were sent (the MPI non-overtaking guarantee).
-            self.pending.remove(pos)
-        } else {
-            loop {
-                let m = self.receiver.recv().expect("peer rank hung up");
-                if m.tag == tag {
-                    break m;
-                }
-                self.pending.push(m);
-            }
-        };
-        self.counters.comm_path_allocs += allocmeter::current() - a0;
-        self.counters.comm_seconds += start.elapsed().as_secs_f64();
-        self.counters.recv_messages += 1;
-        self.counters.recv_bytes += (m.payload.len() * 4) as u64;
+        let m = self.wait_for(|m| m.tag == tag);
+        self.count_recv(&m);
         (m.from as usize, m.payload)
     }
 
-    /// First pending or already-delivered message satisfying `matches`.
-    fn try_recv_match(&mut self, matches: impl Fn(&Message) -> bool) -> Option<Message> {
+    fn count_recv(&mut self, m: &Message) {
+        self.counters.recv_messages += 1;
+        self.counters.recv_bytes += (m.payload.len() * 4) as u64;
+    }
+
+    /// Blocking [`take`](Self::take), metered: the wait counts in
+    /// `comm_seconds`, queue growth in `comm_path_allocs`.
+    fn wait_for(&mut self, matches: impl Fn(&Message) -> bool) -> Message {
+        let start = Instant::now();
+        let a0 = allocmeter::current();
+        let m = self
+            .take(true, matches)
+            .expect("blocking take returns a message");
+        self.counters.comm_path_allocs += allocmeter::current() - a0;
+        self.counters.comm_seconds += start.elapsed().as_secs_f64();
+        m
+    }
+
+    /// The first pending or delivered message satisfying `matches`,
+    /// buffering the others in arrival order. With `block` it waits for
+    /// one; without, it returns `None` once the mailbox is empty.
+    fn take(&mut self, block: bool, matches: impl Fn(&Message) -> bool) -> Option<Message> {
         if let Some(pos) = self.pending.iter().position(&matches) {
-            // Order-preserving removal — see `recv_any`.
+            // `remove`, not `swap_remove`: `pending` is kept in arrival
+            // order so two same-(source, tag) messages are claimed in the
+            // order they were sent (the MPI non-overtaking guarantee).
             return Some(self.pending.remove(pos));
         }
-        while let Ok(m) = self.receiver.try_recv() {
+        loop {
+            let m = if block {
+                self.receiver.recv().expect("peer rank hung up")
+            } else {
+                self.receiver.try_recv().ok()?
+            };
             if matches(&m) {
                 return Some(m);
             }
             self.pending.push(m);
         }
-        None
     }
 
+    /// Unmetered blocking receive for the collectives, which meter the
+    /// whole call themselves.
     fn recv_inner(&mut self, from: u32, tag: u32) -> Vec<f32> {
-        if let Some(pos) = self
-            .pending
-            .iter()
-            .position(|m| m.from == from && m.tag == tag)
-        {
-            // Order-preserving removal — see `recv_any`.
-            return self.pending.remove(pos).payload;
-        }
-        loop {
-            let m = self.receiver.recv().expect("peer rank hung up");
-            if m.from == from && m.tag == tag {
-                return m.payload;
-            }
-            self.pending.push(m);
-        }
+        let m = self.take(true, |m| m.from == from && m.tag == tag);
+        m.expect("blocking take returns a message").payload
     }
 
     /// [`release`](Self::release) without the alloc metering (for use
@@ -679,6 +604,8 @@ impl RankCtx {
         if from == self.rank {
             self.pool.put(from, buf);
         } else {
+            // The sender ignoring returns (rank exited) is fine: the
+            // buffer is simply dropped with the channel.
             let _ = self.returns[from].send(ReturnMsg {
                 from: self.rank as u32,
                 buf,
@@ -696,13 +623,6 @@ impl RankCtx {
         self.send_internal(to, tag, payload);
         self.counters.collective_messages += 1;
         self.counters.collective_bytes += (data.len() * 4) as u64;
-    }
-
-    /// Synchronizes all ranks.
-    pub fn barrier(&mut self) {
-        let start = Instant::now();
-        self.barrier.wait();
-        self.counters.comm_seconds += start.elapsed().as_secs_f64();
     }
 
     /// Allreduce-sum over `buf` (Algorithm 2 line 13: `ΔW` aggregation).
@@ -753,22 +673,6 @@ impl RankCtx {
         self.counters.comm_seconds += start.elapsed().as_secs_f64();
     }
 
-    /// Broadcast from `root`: on the root `buf` is the source, elsewhere it
-    /// is overwritten (capacity reused — a warm caller buffer means no
-    /// allocation). A [`broadcast_lend`](Self::broadcast_lend) that copies
-    /// the lent payload out.
-    pub fn broadcast(&mut self, root: usize, buf: &mut Vec<f32>) {
-        if self.rank == root {
-            self.broadcast_lend(root, buf, |payload| payload);
-        } else {
-            self.broadcast_lend(root, &[], |payload| {
-                buf.clear();
-                buf.extend_from_slice(&payload);
-                payload
-            });
-        }
-    }
-
     /// Broadcast from `root` that lends the block instead of copying it
     /// out. The root sends `data` down the binomial tree (O(log p)
     /// rounds) and `fold` does not run: the root has the block in hand.
@@ -810,7 +714,7 @@ impl RankCtx {
         }
     }
 
-    /// The ranks a [`broadcast`](Self::broadcast) from `root` forwards to
+    /// The ranks a [`broadcast_lend`](Self::broadcast_lend) from `root` forwards to
     /// from this rank: its children in the binomial tree rooted at `root`.
     /// Callers size their payload pools from it.
     pub fn broadcast_children(&self, root: usize) -> impl Iterator<Item = usize> {
@@ -823,36 +727,6 @@ impl RankCtx {
         for child in tree_children(self.rank, root, self.p) {
             self.send_pooled(child, tag, data);
         }
-    }
-
-    /// Gathers each rank's buffer to `root`, returning `Some(vec-of-bufs)`
-    /// in rank order at the root and `None` elsewhere. Payload buffers
-    /// become the result, so this path allocates by design (it is used
-    /// once per run, not per epoch); messages are counted at the sender
-    /// like every other collective.
-    pub fn gather(&mut self, root: usize, buf: Vec<f32>) -> Option<Vec<Vec<f32>>> {
-        let start = Instant::now();
-        let out = if self.rank == root {
-            let mut all: Vec<Vec<f32>> = Vec::with_capacity(self.p);
-            for from in 0..self.p {
-                if from == root {
-                    // Reuse the sentinel below to keep `all` in rank order
-                    // without cloning the root's own contribution.
-                    all.push(Vec::new());
-                } else {
-                    all.push(self.recv_inner(from as u32, TAG_GATHER));
-                }
-            }
-            all[root] = buf;
-            Some(all)
-        } else {
-            self.counters.collective_messages += 1;
-            self.counters.collective_bytes += (buf.len() * 4) as u64;
-            self.send_internal(root, TAG_GATHER, buf);
-            None
-        };
-        self.counters.comm_seconds += start.elapsed().as_secs_f64();
-        out
     }
 
     /// Internal send without the user-facing counter/tag policy.
@@ -870,6 +744,7 @@ impl RankCtx {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Barrier;
 
     #[test]
     fn ring_exchange() {
@@ -917,20 +792,27 @@ mod tests {
         }
     }
 
+    /// What each rank's fold saw when `root` lends `block` over the tree:
+    /// the block on every non-root, nothing on the root (it never folds).
+    fn lent_blocks(p: usize, root: usize, block: &[f32]) -> Vec<Vec<f32>> {
+        CommSession::new(p).run_step(|ctx| {
+            let data: &[f32] = if ctx.rank() == root { block } else { &[] };
+            let mut seen = Vec::new();
+            ctx.broadcast_lend(root, data, |payload| {
+                seen.extend_from_slice(&payload);
+                payload
+            });
+            seen
+        })
+    }
+
     #[test]
     fn broadcast_delivers_to_all() {
         // Root 1 exercises the virtual-rank rotation of the tree.
-        let results = CommSession::new(3).run_step(|ctx| {
-            let mut buf = if ctx.rank() == 1 {
-                vec![3.5, 4.5]
-            } else {
-                Vec::new()
-            };
-            ctx.broadcast(1, &mut buf);
-            buf
-        });
-        for r in &results {
-            assert_eq!(r, &vec![3.5, 4.5]);
+        let block = [3.5, 4.5];
+        for (rank, seen) in lent_blocks(3, 1, &block).iter().enumerate() {
+            let expect: &[f32] = if rank == 1 { &[] } else { &block };
+            assert_eq!(seen, expect, "rank {rank}");
         }
     }
 
@@ -938,17 +820,10 @@ mod tests {
     fn broadcast_from_every_root() {
         for p in [2usize, 5, 8] {
             for root in 0..p {
-                let results = CommSession::new(p).run_step(|ctx| {
-                    let mut buf = if ctx.rank() == root {
-                        vec![root as f32, 42.0]
-                    } else {
-                        Vec::new()
-                    };
-                    ctx.broadcast(root, &mut buf);
-                    buf
-                });
-                for r in &results {
-                    assert_eq!(r, &vec![root as f32, 42.0]);
+                let block = [root as f32, 42.0];
+                for (rank, seen) in lent_blocks(p, root, &block).iter().enumerate() {
+                    let expect: &[f32] = if rank == root { &[] } else { &block };
+                    assert_eq!(seen, expect, "p {p} root {root} rank {rank}");
                 }
             }
         }
@@ -960,32 +835,41 @@ mod tests {
     #[test]
     fn broadcast_lend_folds_the_payload_once_and_returns_it() {
         let p = 5;
-        let results = CommSession::new(p).run_step(|ctx| {
+        let mut session = CommSession::new(p);
+        session.run_step(|ctx| {
             for root in 0..p {
                 for child in ctx.broadcast_children(root).collect::<Vec<_>>() {
                     ctx.prewarm(child, 1, 3);
                 }
             }
-            let mut folded = Vec::new();
-            for sweep in 0..3 {
-                for root in 0..p {
-                    let block = [root as f32, sweep as f32, 7.0];
-                    let data: &[f32] = if ctx.rank() == root { &block } else { &[] };
-                    let mut calls = 0;
-                    ctx.broadcast_lend(root, data, |payload| {
-                        calls += 1;
-                        folded.push(payload.clone());
-                        payload
-                    });
-                    assert_eq!(calls, usize::from(ctx.rank() != root));
-                }
-                // Returns made visible before the next sweep's acquires.
-                ctx.barrier();
-            }
-            let stats = ctx.pool_stats();
-            (folded, stats.acquires - stats.hits)
         });
-        for (rank, (folded, misses)) in results.iter().enumerate() {
+        // One sweep per step: a step ends only when every rank is done, so
+        // each sweep's returns are back before the next sweep acquires.
+        let sweeps: Vec<Vec<Vec<Vec<f32>>>> = (0..3)
+            .map(|sweep| {
+                session.run_step(|ctx| {
+                    let mut folded = Vec::new();
+                    for root in 0..p {
+                        let block = [root as f32, sweep as f32, 7.0];
+                        let data: &[f32] = if ctx.rank() == root { &block } else { &[] };
+                        let mut calls = 0;
+                        ctx.broadcast_lend(root, data, |payload| {
+                            calls += 1;
+                            folded.push(payload.clone());
+                            payload
+                        });
+                        assert_eq!(calls, usize::from(ctx.rank() != root));
+                    }
+                    folded
+                })
+            })
+            .collect();
+        let misses = session.run_step(|ctx| {
+            let stats = ctx.pool_stats();
+            stats.acquires - stats.hits
+        });
+        for (rank, misses) in misses.iter().enumerate() {
+            let folded: Vec<Vec<f32>> = sweeps.iter().flat_map(|s| s[rank].clone()).collect();
             let expected: Vec<Vec<f32>> = (0..3)
                 .flat_map(|sweep| {
                     (0..p)
@@ -993,16 +877,9 @@ mod tests {
                         .map(move |root| vec![root as f32, sweep as f32, 7.0])
                 })
                 .collect();
-            assert_eq!(folded, &expected, "rank {rank}");
+            assert_eq!(folded, expected, "rank {rank}");
             assert_eq!(*misses, 0, "rank {rank}: lent payloads did not come back");
         }
-    }
-
-    #[test]
-    fn gather_collects_in_rank_order() {
-        let results = CommSession::new(3).run_step(|ctx| ctx.gather(0, vec![ctx.rank() as f32]));
-        assert_eq!(results[0], Some(vec![vec![0.0], vec![1.0], vec![2.0]]));
-        assert_eq!(results[1], None);
     }
 
     #[test]
@@ -1038,12 +915,9 @@ mod tests {
             assert_eq!(merged.collective_bytes, 2 * (p as u64 - 1) * 12);
         }
         let results = CommSession::new(6).run_step(|ctx| {
-            let mut buf = if ctx.rank() == 2 {
-                vec![7.0; 4]
-            } else {
-                vec![]
-            };
-            ctx.broadcast(2, &mut buf);
+            let block = [7.0; 4];
+            let data: &[f32] = if ctx.rank() == 2 { &block } else { &[] };
+            ctx.broadcast_lend(2, data, |payload| payload);
             ctx.counters().clone()
         });
         let merged = CommCounters::merged(&results);
@@ -1075,25 +949,26 @@ mod tests {
 
     #[test]
     fn try_recv_returns_none_before_arrival() {
-        CommSession::new(2).run_step(|ctx| {
+        let mut session = CommSession::new(2);
+        // Nothing is sent in the first step.
+        session.run_step(|ctx| {
             if ctx.rank() == 1 {
-                // Nothing sent yet (rank 0 waits on a barrier first).
-                assert!(ctx.try_recv(0, 3).is_none());
+                assert!(ctx.try_recv_any(3).is_none());
             }
-            ctx.barrier();
+        });
+        session.run_step(|ctx| {
             if ctx.rank() == 0 {
                 ctx.isend(1, 3, vec![9.0]);
             } else {
                 // Spin until it lands.
                 loop {
-                    if let Some(m) = ctx.try_recv(0, 3) {
-                        assert_eq!(m, vec![9.0]);
+                    if let Some(m) = ctx.try_recv_any(3) {
+                        assert_eq!(m, (0, vec![9.0]));
                         break;
                     }
                     std::thread::yield_now();
                 }
             }
-            ctx.barrier();
         });
     }
 
@@ -1139,40 +1014,23 @@ mod tests {
     }
 
     #[test]
-    fn recv_into_reuses_caller_capacity() {
-        CommSession::new(2).run_step(|ctx| {
-            if ctx.rank() == 0 {
-                for i in 0..4u32 {
-                    ctx.isend(1, i, vec![i as f32; 8]);
-                }
-            } else {
-                let mut buf: Vec<f32> = Vec::with_capacity(8);
-                let cap_ptr = buf.as_ptr();
-                for i in 0..4u32 {
-                    ctx.recv_into(0, i, &mut buf);
-                    assert_eq!(buf, vec![i as f32; 8]);
-                }
-                // Same backing storage the whole way through.
-                assert_eq!(buf.as_ptr(), cap_ptr);
-            }
-        });
-    }
-
-    #[test]
     fn released_payloads_return_to_the_sender_pool() {
-        CommSession::new(2).run_step(|ctx| {
-            let other = 1 - ctx.rank();
-            // Round 0 allocates; after the payload travels there and back,
-            // round 2's acquire must be served from the pool.
-            for round in 0..4u32 {
+        let mut session = CommSession::new(2);
+        // Round 0 allocates; after the payload travels there and back,
+        // round 2's acquire must be served from the pool. One round per
+        // step, so each return is back before the next round acquires.
+        for round in 0..4u32 {
+            session.run_step(|ctx| {
+                let other = 1 - ctx.rank();
                 let mut payload = ctx.acquire(other, 16);
                 payload.extend_from_slice(&[round as f32; 16]);
                 ctx.isend(other, round, payload);
-                let mut scratch = Vec::new();
-                ctx.recv_into(other, round, &mut scratch);
-                assert_eq!(scratch, vec![round as f32; 16]);
-                ctx.barrier(); // make the return visible before next acquire
-            }
+                let got = ctx.recv(other, round);
+                assert_eq!(got, vec![round as f32; 16]);
+                ctx.release(other, got);
+            });
+        }
+        session.run_step(|ctx| {
             let stats = ctx.pool_stats();
             assert_eq!(stats.acquires, 4);
             assert!(stats.hits >= 2, "pool should serve later rounds: {stats:?}");
@@ -1184,8 +1042,7 @@ mod tests {
         let results = CommSession::new(1).run_step(|ctx| {
             let mut buf = vec![5.0];
             ctx.allreduce_sum(&mut buf);
-            ctx.broadcast(0, &mut buf);
-            ctx.barrier();
+            ctx.broadcast_lend(0, &[7.0], |_| unreachable!("a lone root never folds"));
             buf
         });
         assert_eq!(results[0], vec![5.0]);
@@ -1227,8 +1084,9 @@ mod tests {
             payload.resize(32, ctx.rank() as f32);
             ctx.isend(other, 0, payload);
             let got = ctx.recv(other, 0);
+            // The step ends once both ranks are done, so the returns are
+            // back before the next step's acquire.
             ctx.release(other, got);
-            ctx.barrier(); // returns visible before the next step's acquire
         });
         let stats = session.run_step(|ctx| {
             let other = 1 - ctx.rank();

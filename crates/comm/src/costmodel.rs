@@ -86,7 +86,7 @@ impl MachineProfile {
 
     /// Time to transfer `messages` messages totalling `bytes`.
     #[inline]
-    pub fn transfer_time(&self, messages: u64, bytes: u64) -> f64 {
+    fn transfer_time(&self, messages: u64, bytes: u64) -> f64 {
         self.alpha * messages as f64 + self.beta * bytes as f64
     }
 
@@ -115,7 +115,7 @@ impl MachineProfile {
     }
 
     /// Log-tree broadcast time for `bytes` over `p` ranks (matches the
-    /// runtime's binomial-tree `RankCtx::broadcast`: p−1 messages in
+    /// runtime's binomial-tree `RankCtx::broadcast_lend`: p−1 messages in
     /// ⌈log₂ p⌉ rounds).
     pub fn broadcast_time(&self, bytes: u64, p: usize) -> f64 {
         if p <= 1 {

@@ -29,7 +29,7 @@ pub struct CommCounters {
     /// Payload bytes of the set-up messages.
     pub setup_bytes: u64,
     /// Heap allocations performed *inside* the runtime's hot-path methods
-    /// (`acquire`/`isend`/`recv*`/`release`/`allreduce_sum`/`broadcast`)
+    /// (`acquire`/`isend`/`recv*`/`release`/`allreduce_sum`/`broadcast_lend`)
     /// on this rank's thread. Only counts when
     /// `pargcn_util::allocmeter::CountingAllocator` is the installed
     /// global allocator (test binaries opt in); always 0 otherwise. The

@@ -6,7 +6,7 @@
 //! the same semantics the algorithm needs: ranks, tags, **non-blocking
 //! sends** ([`RankCtx::isend`]), blocking tag/source-matched receives
 //! ([`RankCtx::recv`]), and the collectives (binomial-tree allreduce and
-//! broadcast, barrier). Every byte and message is counted per rank exactly
+//! broadcast). Every byte and message is counted per rank exactly
 //! as an MPI profiler would ([`counters::CommCounters`]). Payload buffers
 //! are recycled through per-rank pools ([`bufpool::BufPool`]) with return
 //! channels — MPI persistent requests in spirit — so the steady-state

@@ -79,9 +79,11 @@ fn collectives_do_not_steal_p2p_messages() {
         let mut buf = vec![1.0f32];
         ctx.allreduce_sum(&mut buf);
         assert_eq!(buf[0], 4.0);
-        let mut b = if me == 2 { vec![7.0, 8.0] } else { Vec::new() };
-        ctx.broadcast(2, &mut b);
-        assert_eq!(b, vec![7.0, 8.0]);
+        let data: &[f32] = if me == 2 { &[7.0, 8.0] } else { &[] };
+        ctx.broadcast_lend(2, data, |payload| {
+            assert_eq!(payload, [7.0, 8.0]);
+            payload
+        });
         let m = ctx.recv(prev, 3);
         assert_eq!(m[0], prev as f32);
     });
@@ -142,13 +144,15 @@ fn empty_payloads() {
 /// Buffer recycling under adversarial load: 16 ranks exchange two tags
 /// received in the *opposite* order they were sent (exercising the
 /// pending-message buffering), interleaved with allreduces and rotating-
-/// root broadcasts, for many rounds. Every payload is validated (no loss,
-/// no corruption), the pools must serve the steady-state rounds from
-/// resident buffers, and — because this binary installs the counting
-/// allocator — the post-warmup rounds must be *amortized* allocation-free:
-/// a handful of queue/pool high-water-mark growths are tolerated (the
-/// rotating roots make peak per-destination demand scheduling-dependent),
-/// but anything per-message would be hundreds of counts and fails. The
+/// root lent broadcasts (CAGNET's collective), for many rounds. Every
+/// payload is validated (no loss, no corruption), every lent broadcast
+/// payload goes back to its parent's pool, the pools must serve the
+/// steady-state rounds from resident buffers, and — because this binary
+/// installs the counting allocator — the post-warmup rounds must be
+/// *amortized* allocation-free: a handful of queue/pool high-water-mark
+/// growths are tolerated (the rotating roots make peak per-destination
+/// demand scheduling-dependent), but anything per-message would be
+/// hundreds of counts and fails. The
 /// strict-zero contract for the trainer's structured traffic is pinned
 /// separately by `pargcn-core`'s `no_alloc_steady_state` test.
 #[test]
@@ -168,10 +172,12 @@ fn pooled_buffers_recycle_under_reordered_load() {
         let value = |from: usize, round: usize, tag: u32, k: usize| {
             (from * 100_000 + round * 1_000 + tag as usize + k) as f32
         };
-        let mut bcast: Vec<f32> = Vec::new();
+        let mut warm = ctx.pool_stats();
+        let mut folds = 0;
         for round in 0..rounds {
             if round == warmup {
                 ctx.reset_counters();
+                warm = ctx.pool_stats();
             }
             for &t in &targets {
                 for tag in [100u32, 200u32] {
@@ -187,12 +193,13 @@ fn pooled_buffers_recycle_under_reordered_load() {
             ctx.allreduce_sum(&mut acc);
             assert_eq!(acc[0], p as f32);
             let root = round % warmup;
-            bcast.clear();
-            if me == root {
-                bcast.extend([round as f32; 4]);
-            }
-            ctx.broadcast(root, &mut bcast);
-            assert_eq!(bcast, [round as f32; 4]);
+            let block = [round as f32; 4];
+            let data: &[f32] = if me == root { &block } else { &[] };
+            ctx.broadcast_lend(root, data, |payload| {
+                assert_eq!(payload, block, "round {round}: corrupt broadcast");
+                folds += 1;
+                payload
+            });
             // Receive tag 200 *before* tag 100 — the runtime must hold the
             // earlier-sent tag-100 payloads aside without losing them.
             for &s in &sources {
@@ -206,9 +213,17 @@ fn pooled_buffers_recycle_under_reordered_load() {
                 }
             }
         }
-        (ctx.pool_stats(), ctx.counters().comm_path_allocs)
+        let stats = ctx.pool_stats();
+        let misses = (stats.acquires - warm.acquires) - (stats.hits - warm.hits);
+        let roots = (0..rounds).filter(|r| r % warmup == me).count();
+        assert_eq!(
+            folds,
+            rounds - roots,
+            "rank {me}: a lent broadcast was not folded"
+        );
+        (stats, misses, ctx.counters().comm_path_allocs)
     });
-    for (rank, (stats, allocs)) in outcomes.iter().enumerate() {
+    for (rank, (stats, misses, allocs)) in outcomes.iter().enumerate() {
         // After warmup every point-to-point acquire (4 per round) hits.
         assert!(
             stats.hits >= ((rounds - warmup) * 4) as u64,
@@ -221,6 +236,13 @@ fn pooled_buffers_recycle_under_reordered_load() {
             stats.free_buffers <= 16,
             "rank {rank}: {} resident buffers — pool is accreting",
             stats.free_buffers
+        );
+        // Each lent payload went back to its parent's pool: had one not,
+        // the parent's next broadcast hop to that child would miss, every
+        // round (point-to-point and collective acquires share the pools).
+        assert!(
+            *misses <= 8,
+            "rank {rank}: {misses} pool misses after warmup — payloads not returned"
         );
         // 9 post-warmup rounds × ~14 metered runtime calls per rank: any
         // per-message allocation would land in the hundreds.
@@ -255,19 +277,5 @@ fn tree_allreduce_is_bitwise_deterministic_across_runs() {
     }
     for attempt in 0..2 {
         assert_eq!(run(), first, "attempt {attempt}: allreduce not repeatable");
-    }
-}
-
-/// Gather returns rank-ordered buffers of heterogeneous lengths.
-#[test]
-fn gather_heterogeneous_lengths() {
-    let results = CommSession::new(4).run_step(|ctx| {
-        let buf = vec![ctx.rank() as f32; ctx.rank()]; // rank r sends r floats
-        ctx.gather(2, buf)
-    });
-    let gathered = results[2].as_ref().unwrap();
-    for (r, b) in gathered.iter().enumerate() {
-        assert_eq!(b.len(), r);
-        assert!(b.iter().all(|&x| x == r as f32));
     }
 }

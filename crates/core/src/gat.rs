@@ -19,7 +19,16 @@
 //! Inference (forward) only: training GAT end-to-end needs gradients
 //! through the attention softmax, which the paper does not evaluate either;
 //! the point being demonstrated is the *communication* claim.
+//!
+//! The exchange is the GCN trainer's send side and pooled payloads, but
+//! not its [`SpmmExchange`]: that trait folds each arrival into `Â·X` and
+//! hands back only the sum, while attention needs the raw remote rows of
+//! `P` — every neighbour's score enters the softmax before any row is
+//! weighted. So [`forward_distributed`] keeps the received payloads as
+//! row blocks until the layer's attention is done, then releases them to
+//! their senders' pools, sized once for the widest layer.
 
+use crate::dist::SpmmExchange;
 use crate::plan::{CommPlan, RankPlan};
 use pargcn_comm::{CommCounters, CommSession, RankCtx};
 use pargcn_graph::Graph;
@@ -109,7 +118,9 @@ pub fn forward_serial(layer: &GatLayer, pattern: &Csr, h: &Dense) -> Dense {
 
 /// Per-rank distributed GAT layer forward: the same exchange as the GCN
 /// trainer (here of the *transformed* rows `P`, DmmFirst-style), then local
-/// attention. `tag` must be unique per layer within a forward pass.
+/// attention. `tag` must be unique per layer within a forward pass, and
+/// the payload pools must fit `d_out`-wide rows ([`SpmmExchange::ensure_pools`]),
+/// as [`forward_distributed`] sizes them.
 pub fn forward_rank(
     ctx: &mut RankCtx,
     rp: &RankPlan,
@@ -120,13 +131,15 @@ pub fn forward_rank(
     let p_local = h_local.matmul(&layer.w);
     let d = p_local.cols();
 
-    // Send the needed transformed rows — same selectors, same peers.
-    let mut payload = Vec::new();
+    // Send the needed transformed rows — same selectors, same peers, each
+    // payload taken from its destination's pool.
     for ss in &rp.send {
+        let mut payload = ctx.acquire(ss.peer, ss.local_indices.len() * d);
         gather::gather_rows_into(&p_local, &ss.local_indices, &mut payload);
-        ctx.isend(ss.peer, tag, std::mem::take(&mut payload));
+        ctx.isend(ss.peer, tag, payload);
     }
-    // Receive the remote transformed rows.
+    // Receive the remote transformed rows; they go back to their senders'
+    // pools once the attention below is done with them.
     let p_remote: Vec<Dense> = rp
         .a_remote
         .iter()
@@ -187,6 +200,9 @@ pub fn forward_rank(
             }
         }
     }
+    for (blk, pr) in rp.a_remote.iter().zip(p_remote) {
+        ctx.release(blk.peer, pr.into_vec());
+    }
     out
 }
 
@@ -212,6 +228,8 @@ pub fn forward_distributed(
     }
     let results: Vec<R> = CommSession::new(part.p()).run_step(|ctx| {
         let rp = &plan.ranks[ctx.rank()];
+        let widest = layers.iter().map(|l| l.w.cols()).max().unwrap_or(0);
+        rp.ensure_pools(ctx, widest, 0);
         let mut h = locals[ctx.rank()].clone();
         for (k, layer) in layers.iter().enumerate() {
             h = forward_rank(ctx, rp, layer, &h, k as u32);

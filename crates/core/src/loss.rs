@@ -1,24 +1,15 @@
-//! Loss functions: masked softmax cross-entropy (node classification, the
-//! paper's workload) and squared error (used by gradient-check tests).
+//! The loss: masked softmax cross-entropy (node classification, the
+//! paper's workload), and the accuracy of its predictions.
 //!
-//! Both provide the loss value `J` and the gradient `∇_{H^L} J` that seeds
+//! The loss provides the value `J` and the gradient `∇_{H^L} J` that seeds
 //! backpropagation (paper Eq. 2). Gradients are zero outside the training
 //! mask, so only labelled vertices drive updates — the transductive GCN
 //! setting of Kipf & Welling.
 
 use pargcn_matrix::Dense;
 
-/// Row-wise softmax with the max-subtraction trick for stability.
-pub fn softmax_rows(h: &Dense) -> Dense {
-    let mut out = h.clone();
-    for i in 0..out.rows() {
-        softmax_in_place(out.row_mut(i));
-    }
-    out
-}
-
-/// One row's softmax in place: the max-subtracted exponentials, divided
-/// by their sum when it is positive.
+/// One row's softmax in place: the max-subtracted exponentials (the
+/// stability trick), divided by their sum when it is positive.
 fn softmax_in_place(row: &mut [f32]) {
     let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
     let mut sum = 0.0f32;
@@ -89,28 +80,6 @@ pub fn softmax_cross_entropy_into(
     loss / count
 }
 
-/// Masked mean squared error against a dense target: `J = (1/2|mask|)·Σ‖h−t‖²`.
-/// Simple and smooth, which makes finite-difference gradient checks tight.
-pub fn squared_error(h: &Dense, target: &Dense, mask: &[bool]) -> (f64, Dense) {
-    assert_eq!(h.rows(), target.rows());
-    assert_eq!(h.cols(), target.cols());
-    let count = mask.iter().filter(|&&m| m).count().max(1) as f64;
-    let mut grad = Dense::zeros(h.rows(), h.cols());
-    let mut loss = 0.0f64;
-    for (i, &masked) in mask.iter().enumerate().take(h.rows()) {
-        if !masked {
-            continue;
-        }
-        let g = grad.row_mut(i);
-        for (j, gj) in g.iter_mut().enumerate() {
-            let d = h.get(i, j) - target.get(i, j);
-            loss += 0.5 * (d as f64) * (d as f64);
-            *gj = d / count as f32;
-        }
-    }
-    (loss / count, grad)
-}
-
 /// Classification accuracy of `h`'s row-argmax against `labels`, over rows
 /// where `mask` is true.
 pub fn accuracy(h: &Dense, labels: &[u32], mask: &[bool]) -> f64 {
@@ -135,6 +104,15 @@ pub fn accuracy(h: &Dense, labels: &[u32], mask: &[bool]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Row-wise softmax of `h`, one [`softmax_in_place`] per row.
+    fn softmax_rows(h: &Dense) -> Dense {
+        let mut out = h.clone();
+        for i in 0..out.rows() {
+            softmax_in_place(out.row_mut(i));
+        }
+        out
+    }
 
     #[test]
     fn softmax_rows_sum_to_one() {
@@ -252,24 +230,6 @@ mod tests {
         let h = Dense::from_vec(2, 2, vec![1.0, 0.0, 0.0, 1.0]);
         let (_, grad) = softmax_cross_entropy(&h, &[0, 1], &[true, false]);
         assert_eq!(grad.row(1), &[0.0, 0.0]);
-    }
-
-    #[test]
-    fn squared_error_gradient_matches_finite_difference() {
-        let h = Dense::from_vec(1, 2, vec![0.4, -0.6]);
-        let t = Dense::from_vec(1, 2, vec![1.0, 0.0]);
-        let (_, grad) = squared_error(&h, &t, &[true]);
-        let eps = 1e-3f32;
-        for j in 0..2 {
-            let mut hp = h.clone();
-            hp.set(0, j, h.get(0, j) + eps);
-            let mut hm = h.clone();
-            hm.set(0, j, h.get(0, j) - eps);
-            let (lp, _) = squared_error(&hp, &t, &[true]);
-            let (lm, _) = squared_error(&hm, &t, &[true]);
-            let fd = ((lp - lm) / (2.0 * eps as f64)) as f32;
-            assert!((fd - grad.get(0, j)).abs() < 1e-3);
-        }
     }
 
     #[test]

@@ -66,17 +66,6 @@ pub fn simulate_epoch(
     costmodel::epoch_time(&phases, collectives)
 }
 
-/// The collective (`ΔW` allreduce) part of a simulated epoch's time — the
-/// component the paper calls "negligible cost compared to the communication
-/// costs incurred in parallel SpMM" (§1). Grows as `log p` regardless of
-/// partition quality, so comparisons of partition-driven communication
-/// should subtract it.
-pub fn collective_seconds(config: &GcnConfig, profile: &MachineProfile, p: usize) -> f64 {
-    (1..=config.layers())
-        .map(|k| profile.allreduce_time((config.dims[k - 1] * config.dims[k] * 4) as u64, p))
-        .sum()
-}
-
 /// Cost-model time of one *serial* epoch on a single node — the role the
 /// DGL baseline plays in the paper's speedup columns.
 pub fn simulate_serial_epoch(

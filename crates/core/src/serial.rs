@@ -13,7 +13,7 @@ use crate::loss;
 use crate::model::{GcnConfig, LayerOrder, Params};
 use crate::optim::OptimizerState;
 use pargcn_graph::Graph;
-use pargcn_matrix::{ComputeCtx, Csr, Dense};
+use pargcn_matrix::{ComputeCtx, ComputeSpec, Csr, Dense};
 
 /// Serial full-batch GCN trainer.
 ///
@@ -65,7 +65,7 @@ impl SerialTrainer {
             config,
             params,
             opt_state,
-            ctx: ComputeCtx::for_ranks(1, None),
+            ctx: ComputeCtx::for_ranks_spec(1, ComputeSpec::default()),
         }
     }
 
@@ -159,22 +159,18 @@ impl SerialTrainer {
         delta_w
     }
 
-    /// Applies the parameter update (Eq. 5 for SGD; Adam when configured).
-    pub fn apply_gradients(&mut self, delta_w: &[Dense]) {
-        for (layer, (w, dw)) in self.params.weights.iter_mut().zip(delta_w).enumerate() {
-            self.opt_state
-                .apply(layer, w, dw, self.config.learning_rate);
-        }
-        self.opt_state.advance();
-    }
-
     /// One full-batch training epoch with masked softmax cross-entropy.
     /// Returns the epoch loss.
     pub fn train_epoch(&mut self, h0: &Dense, labels: &[u32], mask: &[bool]) -> f64 {
         let state = self.forward(h0);
         let (j, grad) = loss::softmax_cross_entropy(&state.h[self.config.layers()], labels, mask);
         let delta_w = self.backward(&state, &grad);
-        self.apply_gradients(&delta_w);
+        // The parameter update: Eq. 5 for SGD; Adam when configured.
+        for (layer, (w, dw)) in self.params.weights.iter_mut().zip(&delta_w).enumerate() {
+            self.opt_state
+                .apply(layer, w, dw, self.config.learning_rate);
+        }
+        self.opt_state.advance();
         j
     }
 

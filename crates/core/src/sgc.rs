@@ -16,13 +16,13 @@ use crate::loss;
 use crate::plan::CommPlan;
 use pargcn_comm::{CommCounters, CommSession};
 use pargcn_graph::Graph;
-use pargcn_matrix::{gather, Csr, Dense};
+use pargcn_matrix::{gather, ComputeCtx, ComputeSpec, Csr, Dense};
 use pargcn_partition::Partition;
 use pargcn_util::rng::SeedableRng;
 use pargcn_util::rng::StdRng;
 
 /// Serial K-hop propagation: `Â^K · H`.
-pub fn propagate_serial(a: &Csr, h0: &Dense, k: usize) -> Dense {
+fn propagate_serial(a: &Csr, h0: &Dense, k: usize) -> Dense {
     let mut h = h0.clone();
     for _ in 0..k {
         h = a.spmm(&h);
@@ -115,7 +115,7 @@ pub fn train_distributed(
         let m = ctx.rank();
         let rp = &plan.ranks[m];
         let (h_local, l_local, m_local) = &locals[m];
-        let cctx = pargcn_matrix::ComputeCtx::for_ranks(part.p(), None);
+        let cctx = ComputeCtx::for_ranks_spec(part.p(), ComputeSpec::default());
 
         // K-hop propagation: the only point-to-point communication. The
         // sweeps ping-pong between two persistent buffers over a single

@@ -54,7 +54,10 @@ fn dist_trainer_epochs_bitwise_equal_across_thread_counts() {
             &config,
             3,
             99,
-            ComputeSpec::threads(Some(t)),
+            ComputeSpec {
+                threads: Some(t),
+                kernel: None,
+            },
         );
         let losses: Vec<u64> = out.losses.iter().map(|l| l.to_bits()).collect();
         let preds = dense_bits(&out.predictions);
@@ -114,7 +117,10 @@ fn cagnet_trainer_bitwise_equal_across_thread_counts() {
             &config,
             2,
             13,
-            ComputeSpec::threads(Some(t)),
+            ComputeSpec {
+                threads: Some(t),
+                kernel: None,
+            },
         );
         let losses: Vec<u64> = out.losses.iter().map(|l| l.to_bits()).collect();
         let preds = dense_bits(&out.predictions);

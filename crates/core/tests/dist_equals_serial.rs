@@ -288,7 +288,7 @@ fn cagnet_epoch_counters(
             mask: &m_local,
             mask_total: g.n() as f64,
             opt_state: OptimizerState::new(config.optimizer, &config.shapes()),
-            ctx: ComputeCtx::for_ranks(p, Some(1)),
+            ctx: ComputeCtx::serial(),
         };
         let mut ws = EpochWorkspace::new(st.plan_f, config, p, &st.ctx);
         epoch_step(ctx, &mut st, &mut ws);

@@ -1,8 +1,9 @@
 //! The PR's headline contract, pinned by a counting global allocator:
 //! once the payload pools are warm, a full training epoch performs **zero
 //! heap allocations inside the communication runtime** — every `acquire`,
-//! `isend`, `recv*`, `release`, `allreduce_sum` and `broadcast` runs on
-//! recycled buffers (DESIGN.md §9).
+//! `isend`, `recv*`, `release`, `allreduce_sum` and `broadcast_lend` runs
+//! on recycled buffers (DESIGN.md §9). GAT inference's exchange is held
+//! to the same contract from its first message.
 //!
 //! This binary installs [`pargcn_util::allocmeter::CountingAllocator`] as
 //! the global allocator, which makes `CommCounters::comm_path_allocs`
@@ -15,6 +16,7 @@ use pargcn_comm::CommSession;
 use pargcn_core::baselines::cagnet::CagnetPlan;
 use pargcn_core::dist::trainer::epoch_step;
 use pargcn_core::dist::{prewarm_comm_pools, EpochWorkspace, RankState, SpmmExchange};
+use pargcn_core::gat::{self, GatLayer};
 use pargcn_core::optim::OptimizerState;
 use pargcn_core::{CommPlan, GcnConfig};
 use pargcn_graph::gen::er;
@@ -116,7 +118,7 @@ fn epoch_allocs<X: SpmmExchange + Sync>(
             mask: m_local,
             mask_total,
             opt_state: OptimizerState::new(config.optimizer, &config.shapes()),
-            ctx: ComputeCtx::for_ranks(p, Some(1)),
+            ctx: ComputeCtx::serial(),
         };
         prewarm_comm_pools(ctx, st.plan_f, st.plan_b, config);
         let mut ws = EpochWorkspace::new(st.plan_f, config, p, &st.ctx);
@@ -185,6 +187,60 @@ fn cagnet_steady_state_epochs_do_not_allocate_on_the_comm_path() {
                 a.pool_misses
             );
         }
+    }
+}
+
+/// GAT inference sends pooled payloads and releases what it receives.
+/// Three two-layer passes run on the two buffers per peer that
+/// `ensure_pools` sizes for the widest layer, so every payload after the
+/// second layer rides on one a peer released. The pass still matches the
+/// serial oracle, and nothing allocates inside the comm runtime.
+#[test]
+fn gat_forward_does_not_allocate_on_the_comm_path() {
+    let pr = problem(4, false);
+    let layers = [GatLayer::init(8, 16, 1), GatLayer::init(16, 4, 2)];
+    let serial = gat::forward_serial_multi(&pr.graph, &pr.h0, &layers);
+    let (dist, _) = gat::forward_distributed(&pr.graph, &pr.h0, &layers, &pr.part);
+    assert!(
+        dist.approx_eq(&serial, 2e-3),
+        "GAT diverged, max diff {}",
+        dist.max_abs_diff(&serial)
+    );
+
+    let a = pr.graph.normalized_adjacency();
+    let plan = CommPlan::build(&a, &pr.part);
+    let passes = 3;
+    let outcomes = CommSession::new(pr.part.p()).run_step(|ctx| {
+        let rp = &plan.ranks[ctx.rank()];
+        rp.ensure_pools(ctx, 16, 0);
+        let h0 = gather::gather_rows(&pr.h0, &rp.local_rows);
+        for _ in 0..passes {
+            let mut h = h0.clone();
+            for (k, layer) in layers.iter().enumerate() {
+                h = gat::forward_rank(ctx, rp, layer, &h, k as u32);
+            }
+        }
+        (
+            rp.send.len(),
+            ctx.pool_stats(),
+            ctx.counters().comm_path_allocs,
+        )
+    });
+    assert!(
+        outcomes.iter().any(|&(sends, ..)| sends > 0),
+        "test graph/partition produced no communication"
+    );
+    for (rank, (sends, pool, allocs)) in outcomes.iter().enumerate() {
+        let payloads = (passes * layers.len() * sends) as u64;
+        assert_eq!(pool.acquires, payloads, "rank {rank}: payloads not pooled");
+        assert_eq!(
+            pool.hits, pool.acquires,
+            "rank {rank}: released payloads did not come back to the pool"
+        );
+        assert_eq!(
+            *allocs, 0,
+            "rank {rank}: GAT's exchange allocated {allocs} times inside the comm runtime"
+        );
     }
 }
 

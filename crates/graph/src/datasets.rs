@@ -128,7 +128,7 @@ impl Dataset {
     }
 
     /// Scaled vertex count under `scale`.
-    pub fn scaled_vertices(&self, scale: Scale) -> usize {
+    fn scaled_vertices(&self, scale: Scale) -> usize {
         let (v, _, _) = self.paper_properties();
         (v / scale.0 as usize).max(16)
     }

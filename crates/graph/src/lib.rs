@@ -1,4 +1,4 @@
-//! Graph types, synthetic dataset generators, and IO for distributed GCN
+//! Graph types and synthetic dataset generators for distributed GCN
 //! training.
 //!
 //! The paper evaluates on eleven real-world graphs (its Table 1) spanning
@@ -25,7 +25,6 @@ pub mod analysis;
 pub mod datasets;
 pub mod gen;
 pub mod graph;
-pub mod io;
 
 pub use datasets::{Dataset, GraphData, Scale};
 pub use graph::{DegreeStats, Graph, SubgraphScratch};

@@ -6,6 +6,7 @@
 //! the paper's 1-D partitioning uses: row `A(i,:)` and the task of computing
 //! `Z(i,:)` live on the same processor.
 
+use crate::dense::run_rows;
 use crate::Dense;
 use pargcn_util::pool::{weighted_chunks, Pool};
 
@@ -240,7 +241,7 @@ impl Csr {
     /// SpMM: `self × h` where `h` is dense. `self` is `m×k`, `h` is `k×d`.
     pub fn spmm(&self, h: &Dense) -> Dense {
         let mut out = Dense::zeros(self.n_rows, h.cols());
-        self.spmm_into(h, &mut out, false);
+        self.spmm_rows(h, &mut out, false, None);
         out
     }
 
@@ -248,31 +249,7 @@ impl Csr {
     /// Algorithm 1 line 9, where remote contributions `Âₘ·H_{nm}` are folded
     /// into the partially-computed local product.
     pub fn spmm_into(&self, h: &Dense, out: &mut Dense, accumulate: bool) {
-        assert_eq!(self.n_cols, h.rows(), "spmm dimension mismatch");
-        assert_eq!(out.rows(), self.n_rows, "spmm output rows mismatch");
-        assert_eq!(out.cols(), h.cols(), "spmm output cols mismatch");
-        if !accumulate {
-            out.fill_zero();
-        }
-        let d = h.cols();
-        for i in 0..self.n_rows {
-            let cols = self.row_indices(i);
-            let vals = self.row_values(i);
-            let out_row = &mut out.data_mut()[i * d..(i + 1) * d];
-            for (&c, &v) in cols.iter().zip(vals) {
-                let h_row = h.row(c as usize);
-                for (o, &x) in out_row.iter_mut().zip(h_row) {
-                    *o += v * x;
-                }
-            }
-        }
-    }
-
-    /// Pooled [`Csr::spmm`]; see [`Csr::spmm_into_pool`].
-    pub fn spmm_pool(&self, h: &Dense, pool: &Pool) -> Dense {
-        let mut out = Dense::zeros(self.n_rows, h.cols());
-        self.spmm_into_pool(h, &mut out, true, pool);
-        out
+        self.spmm_rows(h, out, accumulate, None);
     }
 
     /// Pooled [`Csr::spmm_into`]: output rows are split across the pool's
@@ -287,28 +264,24 @@ impl Csr {
     /// realizes that same order, so all of them are bitwise identical to
     /// each other at any thread count (see DESIGN.md §10).
     pub fn spmm_into_pool(&self, h: &Dense, out: &mut Dense, accumulate: bool, pool: &Pool) {
-        let d = h.cols();
-        if pool.threads() == 1 || self.nnz() * d < crate::ctx::MIN_PARALLEL_WORK {
-            self.spmm_into(h, out, accumulate);
-            return;
-        }
+        self.spmm_rows(h, out, accumulate, Some(pool));
+    }
+
+    fn spmm_rows(&self, h: &Dense, out: &mut Dense, accumulate: bool, pool: Option<&Pool>) {
         assert_eq!(self.n_cols, h.rows(), "spmm dimension mismatch");
         assert_eq!(out.rows(), self.n_rows, "spmm output rows mismatch");
         assert_eq!(out.cols(), h.cols(), "spmm output cols mismatch");
         if !accumulate {
             out.fill_zero();
         }
-        let ranges = weighted_chunks(&self.indptr, pool.threads());
-        pool.run_disjoint_rows(out.data_mut(), d, &ranges, |chunk, out_rows| {
-            let rows = &ranges[chunk];
-            for i in rows.clone() {
-                let cols = self.row_indices(i);
-                let vals = self.row_values(i);
-                let local = i - rows.start;
-                let out_row = &mut out_rows[local * d..(local + 1) * d];
-                for (&c, &v) in cols.iter().zip(vals) {
-                    let h_row = h.row(c as usize);
-                    for (o, &x) in out_row.iter_mut().zip(h_row) {
+        let d = h.cols();
+        let work = self.nnz() * d;
+        let split = |t| weighted_chunks(&self.indptr, t);
+        run_rows(pool, work, out.data_mut(), d, split, |rows, out| {
+            for (local, i) in rows.enumerate() {
+                let out_row = &mut out[local * d..(local + 1) * d];
+                for (&c, &v) in self.row_indices(i).iter().zip(self.row_values(i)) {
+                    for (o, &x) in out_row.iter_mut().zip(h.row(c as usize)) {
                         *o += v * x;
                     }
                 }

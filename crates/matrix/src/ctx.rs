@@ -75,25 +75,14 @@ impl KernelKind {
 }
 
 /// Explicit per-rank compute configuration for the training entry points
-/// (`None` fields fall back to the env-driven defaults: `PARGCN_THREADS`
-/// and `PARGCN_KERNEL`).
+/// and [`ComputeCtx::for_ranks_spec`] (`None` fields fall back to the
+/// env-driven defaults: `PARGCN_THREADS` and `PARGCN_KERNEL`).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ComputeSpec {
     /// Kernel thread-pool size per rank.
     pub threads: Option<usize>,
     /// Kernel engine.
     pub kernel: Option<KernelKind>,
-}
-
-impl ComputeSpec {
-    /// Spec with only a thread count (kernel from env) — what the legacy
-    /// `_threads` entry points build.
-    pub fn threads(threads: Option<usize>) -> Self {
-        ComputeSpec {
-            threads,
-            kernel: None,
-        }
-    }
 }
 
 /// State shared by every clone of one context: the packing scratch of
@@ -134,13 +123,9 @@ impl ComputeCtx {
     }
 
     /// A context for one of `ranks` simulated processors sharing the
-    /// machine: `threads` if given, else `PARGCN_THREADS`, else
-    /// `available_parallelism / ranks` (see [`auto_threads`]).
-    pub fn for_ranks(ranks: usize, threads: Option<usize>) -> Self {
-        Self::for_ranks_spec(ranks, ComputeSpec::threads(threads))
-    }
-
-    /// As [`ComputeCtx::for_ranks`] with an explicit kernel choice.
+    /// machine: `spec.threads` if given, else `PARGCN_THREADS`, else
+    /// `available_parallelism / ranks` (see [`auto_threads`]); the kernel
+    /// engine is `spec.kernel` if given, else `PARGCN_KERNEL`.
     pub fn for_ranks_spec(ranks: usize, spec: ComputeSpec) -> Self {
         let mut ctx = Self::with_threads(auto_threads(ranks, spec.threads));
         if let Some(kernel) = spec.kernel {
@@ -346,7 +331,11 @@ mod tests {
 
     #[test]
     fn explicit_threads_win() {
-        assert_eq!(ComputeCtx::for_ranks(4, Some(3)).threads(), 3);
+        let spec = ComputeSpec {
+            threads: Some(3),
+            kernel: None,
+        };
+        assert_eq!(ComputeCtx::for_ranks_spec(4, spec).threads(), 3);
     }
 
     #[test]

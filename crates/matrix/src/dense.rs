@@ -6,8 +6,10 @@
 //! order so the inner loop streams contiguously over rows of the right-hand
 //! operand, which vectorizes well for skinny matrices.
 
+use crate::ctx::MIN_PARALLEL_WORK;
 use pargcn_util::pool::{even_chunks, Pool};
 use pargcn_util::rng::Rng;
+use std::ops::Range;
 
 /// A row-major dense `f32` matrix.
 #[derive(Clone, PartialEq)]
@@ -150,9 +152,8 @@ impl Dense {
 
     /// `self × b` (DMM). `self` is `m×k`, `b` is `k×n`, result `m×n`.
     pub fn matmul(&self, b: &Dense) -> Dense {
-        assert_eq!(self.cols, b.rows, "matmul dimension mismatch");
         let mut out = Dense::zeros(self.rows, b.cols);
-        self.matmul_into(b, &mut out, false);
+        self.gemm(b, &mut out, false, None);
         out
     }
 
@@ -161,45 +162,17 @@ impl Dense {
     /// Writing into a caller-provided buffer lets the per-epoch training loop
     /// reuse allocations (the feature blocks are recomputed every layer).
     pub fn matmul_into(&self, b: &Dense, out: &mut Dense, accumulate: bool) {
-        assert_eq!(self.cols, b.rows, "matmul dimension mismatch");
-        assert_eq!(out.rows, self.rows, "matmul output rows mismatch");
-        assert_eq!(out.cols, b.cols, "matmul output cols mismatch");
-        if !accumulate {
-            out.fill_zero();
-        }
-        let n = b.cols;
-        for i in 0..self.rows {
-            let a_row = self.row(i);
-            let out_row = &mut out.data[i * n..(i + 1) * n];
-            for (k, &aik) in a_row.iter().enumerate() {
-                if aik == 0.0 {
-                    continue;
-                }
-                let b_row = &b.data[k * n..(k + 1) * n];
-                for (o, &bv) in out_row.iter_mut().zip(b_row) {
-                    *o += aik * bv;
-                }
-            }
-        }
-    }
-
-    /// Pooled [`Dense::matmul`]; see [`Dense::matmul_into_pool`].
-    pub fn matmul_pool(&self, b: &Dense, pool: &Pool) -> Dense {
-        assert_eq!(self.cols, b.rows, "matmul dimension mismatch");
-        let mut out = Dense::zeros(self.rows, b.cols);
-        self.matmul_into_pool(b, &mut out, true, pool);
-        out
+        self.gemm(b, out, accumulate, None);
     }
 
     /// Pooled [`Dense::matmul_into`]: output rows are split evenly across
-    /// the pool's threads. Each chunk runs the serial inner loops over its
-    /// disjoint output rows, so the result is bitwise identical to
-    /// [`Dense::matmul_into`] at any thread count.
+    /// the pool's threads, each chunk running the serial loop body over
+    /// its own rows.
     pub fn matmul_into_pool(&self, b: &Dense, out: &mut Dense, accumulate: bool, pool: &Pool) {
-        if pool.threads() == 1 || self.rows * self.cols * b.cols < crate::ctx::MIN_PARALLEL_WORK {
-            self.matmul_into(b, out, accumulate);
-            return;
-        }
+        self.gemm(b, out, accumulate, Some(pool));
+    }
+
+    fn gemm(&self, b: &Dense, out: &mut Dense, accumulate: bool, pool: Option<&Pool>) {
         assert_eq!(self.cols, b.rows, "matmul dimension mismatch");
         assert_eq!(out.rows, self.rows, "matmul output rows mismatch");
         assert_eq!(out.cols, b.cols, "matmul output cols mismatch");
@@ -207,19 +180,16 @@ impl Dense {
             out.fill_zero();
         }
         let n = b.cols;
-        let ranges = even_chunks(self.rows, pool.threads());
-        pool.run_disjoint_rows(&mut out.data, n, &ranges, |chunk, out_rows| {
-            let rows = &ranges[chunk];
-            for i in rows.clone() {
-                let a_row = self.row(i);
-                let local = i - rows.start;
-                let out_row = &mut out_rows[local * n..(local + 1) * n];
-                for (k, &aik) in a_row.iter().enumerate() {
+        let work = self.rows * self.cols * n;
+        let split = |t| even_chunks(self.rows, t);
+        run_rows(pool, work, &mut out.data, n, split, |rows, out| {
+            for (local, i) in rows.enumerate() {
+                let out_row = &mut out[local * n..(local + 1) * n];
+                for (k, &aik) in self.row(i).iter().enumerate() {
                     if aik == 0.0 {
                         continue;
                     }
-                    let b_row = &b.data[k * n..(k + 1) * n];
-                    for (o, &bv) in out_row.iter_mut().zip(b_row) {
+                    for (o, &bv) in out_row.iter_mut().zip(b.row(k)) {
                         *o += aik * bv;
                     }
                 }
@@ -231,210 +201,78 @@ impl Dense {
     ///
     /// Used in backpropagation for `S = (ÂG)·Wᵀ` without materializing `Wᵀ`.
     pub fn matmul_bt(&self, b: &Dense) -> Dense {
-        assert_eq!(self.cols, b.cols, "matmul_bt dimension mismatch");
         let mut out = Dense::zeros(self.rows, b.rows);
-        for i in 0..self.rows {
-            let a_row = self.row(i);
-            for j in 0..b.rows {
-                let b_row = b.row(j);
-                let mut acc = 0.0f32;
-                for (&x, &y) in a_row.iter().zip(b_row) {
-                    acc += x * y;
-                }
-                out.data[i * b.rows + j] = acc;
-            }
-        }
+        self.gemm_bt(b, &mut out, None);
         out
     }
 
-    /// [`Dense::matmul_bt`] writing into a caller-provided `out`
-    /// (overwritten, never reallocated) — the allocation-free form the
-    /// persistent training workspaces use.
-    pub fn matmul_bt_into(&self, b: &Dense, out: &mut Dense) {
-        assert_eq!(self.cols, b.cols, "matmul_bt dimension mismatch");
-        assert_eq!(
-            (out.rows, out.cols),
-            (self.rows, b.rows),
-            "matmul_bt_into output shape mismatch"
-        );
-        for i in 0..self.rows {
-            let a_row = &self.data[i * self.cols..(i + 1) * self.cols];
-            for j in 0..b.rows {
-                let b_row = b.row(j);
-                let mut acc = 0.0f32;
-                for (&x, &y) in a_row.iter().zip(b_row) {
-                    acc += x * y;
-                }
-                out.data[i * b.rows + j] = acc;
-            }
-        }
-    }
-
-    /// Pooled [`Dense::matmul_bt_into`]; bitwise identical to serial.
+    /// `out = self × bᵀ` (overwritten, never reallocated), output rows
+    /// split evenly across the pool's threads. Each output element is one
+    /// dot product, computed by exactly one thread in the serial order.
     pub fn matmul_bt_into_pool(&self, b: &Dense, out: &mut Dense, pool: &Pool) {
-        if pool.threads() == 1 || self.rows * self.cols * b.rows < crate::ctx::MIN_PARALLEL_WORK {
-            self.matmul_bt_into(b, out);
-            return;
-        }
+        self.gemm_bt(b, out, Some(pool));
+    }
+
+    fn gemm_bt(&self, b: &Dense, out: &mut Dense, pool: Option<&Pool>) {
         assert_eq!(self.cols, b.cols, "matmul_bt dimension mismatch");
         assert_eq!(
             (out.rows, out.cols),
             (self.rows, b.rows),
-            "matmul_bt_into output shape mismatch"
+            "matmul_bt output shape mismatch"
         );
         let n = b.rows;
-        let ranges = even_chunks(self.rows, pool.threads());
-        pool.run_disjoint_rows(&mut out.data, n, &ranges, |chunk, out_rows| {
-            let rows = &ranges[chunk];
-            for i in rows.clone() {
+        let work = self.rows * self.cols * n;
+        let split = |t| even_chunks(self.rows, t);
+        run_rows(pool, work, &mut out.data, n, split, |rows, out| {
+            for (local, i) in rows.enumerate() {
                 let a_row = self.row(i);
-                let local = i - rows.start;
                 for j in 0..n {
-                    let b_row = b.row(j);
                     let mut acc = 0.0f32;
-                    for (&x, &y) in a_row.iter().zip(b_row) {
+                    for (&x, &y) in a_row.iter().zip(b.row(j)) {
                         acc += x * y;
                     }
-                    out_rows[local * n + j] = acc;
+                    out[local * n + j] = acc;
                 }
             }
         });
-    }
-
-    /// Pooled [`Dense::matmul_bt`]: output rows split evenly; bitwise
-    /// identical to the serial kernel at any thread count (each output
-    /// element is one dot product, computed by exactly one thread with the
-    /// serial accumulation order).
-    pub fn matmul_bt_pool(&self, b: &Dense, pool: &Pool) -> Dense {
-        if pool.threads() == 1 || self.rows * self.cols * b.rows < crate::ctx::MIN_PARALLEL_WORK {
-            return self.matmul_bt(b);
-        }
-        assert_eq!(self.cols, b.cols, "matmul_bt dimension mismatch");
-        let mut out = Dense::zeros(self.rows, b.rows);
-        let n = b.rows;
-        let ranges = even_chunks(self.rows, pool.threads());
-        pool.run_disjoint_rows(&mut out.data, n, &ranges, |chunk, out_rows| {
-            let rows = &ranges[chunk];
-            for i in rows.clone() {
-                let a_row = self.row(i);
-                let local = i - rows.start;
-                for j in 0..n {
-                    let b_row = b.row(j);
-                    let mut acc = 0.0f32;
-                    for (&x, &y) in a_row.iter().zip(b_row) {
-                        acc += x * y;
-                    }
-                    out_rows[local * n + j] = acc;
-                }
-            }
-        });
-        out
     }
 
     /// `selfᵀ × b`. `self` is `n×m`, `b` is `n×k`, result `m×k`.
     ///
     /// Used for the parameter gradient `ΔWᵏ = (H^{k-1})ᵀ (Â Gᵏ)` (paper Eq. 4).
     pub fn matmul_at(&self, b: &Dense) -> Dense {
-        assert_eq!(self.rows, b.rows, "matmul_at dimension mismatch");
         let mut out = Dense::zeros(self.cols, b.cols);
-        for i in 0..self.rows {
-            let a_row = self.row(i);
-            let b_row = b.row(i);
-            for (j, &aij) in a_row.iter().enumerate() {
-                if aij == 0.0 {
-                    continue;
-                }
-                let out_row = &mut out.data[j * b.cols..(j + 1) * b.cols];
-                for (o, &bv) in out_row.iter_mut().zip(b_row) {
-                    *o += aij * bv;
-                }
-            }
-        }
+        self.gemm_at(b, &mut out, None);
         out
     }
 
-    /// Pooled [`Dense::matmul_at`], the parameter-gradient kernel `ΔW =
-    /// selfᵀ × b`. Parallelism is over *output* rows (columns of `self`):
-    /// each thread sweeps all input rows `i` in ascending order but only
-    /// touches its own disjoint slice of output columns `j`, so every
-    /// output element accumulates its `i`-terms in exactly the serial order
-    /// — bitwise identical to [`Dense::matmul_at`] at any thread count,
-    /// with no per-thread partial buffers or cross-thread reduction at all.
-    pub fn matmul_at_pool(&self, b: &Dense, pool: &Pool) -> Dense {
-        if pool.threads() == 1 || self.rows * self.cols * b.cols < crate::ctx::MIN_PARALLEL_WORK {
-            return self.matmul_at(b);
-        }
-        assert_eq!(self.rows, b.rows, "matmul_at dimension mismatch");
-        let mut out = Dense::zeros(self.cols, b.cols);
-        let k = b.cols;
-        let ranges = even_chunks(self.cols, pool.threads());
-        pool.run_disjoint_rows(&mut out.data, k, &ranges, |chunk, out_rows| {
-            let js = &ranges[chunk];
-            for i in 0..self.rows {
-                let a_row = self.row(i);
-                let b_row = b.row(i);
-                for j in js.clone() {
-                    let aij = a_row[j];
-                    if aij == 0.0 {
-                        continue;
-                    }
-                    let local = j - js.start;
-                    let out_row = &mut out_rows[local * k..(local + 1) * k];
-                    for (o, &bv) in out_row.iter_mut().zip(b_row) {
-                        *o += aij * bv;
-                    }
-                }
-            }
-        });
-        out
-    }
-
-    /// [`Dense::matmul_at`] into a caller-provided buffer: `out = selfᵀ × b`.
-    pub fn matmul_at_into(&self, b: &Dense, out: &mut Dense) {
-        assert_eq!(self.rows, b.rows, "matmul_at dimension mismatch");
-        assert_eq!(out.rows, self.cols, "matmul_at output rows mismatch");
-        assert_eq!(out.cols, b.cols, "matmul_at output cols mismatch");
-        out.fill_zero();
-        for i in 0..self.rows {
-            let a_row = self.row(i);
-            let b_row = b.row(i);
-            for (j, &aij) in a_row.iter().enumerate() {
-                if aij == 0.0 {
-                    continue;
-                }
-                let out_row = &mut out.data[j * b.cols..(j + 1) * b.cols];
-                for (o, &bv) in out_row.iter_mut().zip(b_row) {
-                    *o += aij * bv;
-                }
-            }
-        }
-    }
-
-    /// Pooled [`Dense::matmul_at_into`]: same output-row split as
-    /// [`Dense::matmul_at_pool`], so bitwise identical to the serial kernel
-    /// at any thread count.
+    /// `out = selfᵀ × b`, the parameter-gradient kernel. Parallelism is
+    /// over *output* rows (columns of `self`): each thread sweeps all input
+    /// rows `i` in ascending order but only touches its own output rows
+    /// `j`, so every output element accumulates its `i`-terms in exactly
+    /// the serial order, with no per-thread partial buffers or
+    /// cross-thread reduction at all.
     pub fn matmul_at_into_pool(&self, b: &Dense, out: &mut Dense, pool: &Pool) {
-        if pool.threads() == 1 || self.rows * self.cols * b.cols < crate::ctx::MIN_PARALLEL_WORK {
-            return self.matmul_at_into(b, out);
-        }
+        self.gemm_at(b, out, Some(pool));
+    }
+
+    fn gemm_at(&self, b: &Dense, out: &mut Dense, pool: Option<&Pool>) {
         assert_eq!(self.rows, b.rows, "matmul_at dimension mismatch");
         assert_eq!(out.rows, self.cols, "matmul_at output rows mismatch");
         assert_eq!(out.cols, b.cols, "matmul_at output cols mismatch");
         out.fill_zero();
         let k = b.cols;
-        let ranges = even_chunks(self.cols, pool.threads());
-        pool.run_disjoint_rows(&mut out.data, k, &ranges, |chunk, out_rows| {
-            let js = &ranges[chunk];
+        let work = self.rows * self.cols * k;
+        let split = |t| even_chunks(self.cols, t);
+        run_rows(pool, work, &mut out.data, k, split, |js, out| {
             for i in 0..self.rows {
-                let a_row = self.row(i);
                 let b_row = b.row(i);
-                for j in js.clone() {
-                    let aij = a_row[j];
+                for (local, j) in js.clone().enumerate() {
+                    let aij = self.data[i * self.cols + j];
                     if aij == 0.0 {
                         continue;
                     }
-                    let local = j - js.start;
-                    let out_row = &mut out_rows[local * k..(local + 1) * k];
+                    let out_row = &mut out[local * k..(local + 1) * k];
                     for (o, &bv) in out_row.iter_mut().zip(b_row) {
                         *o += aij * bv;
                     }
@@ -525,52 +363,44 @@ impl Dense {
     }
 
     /// Applies `f` to every element, in place.
-    pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32) {
-        for v in &mut self.data {
-            *v = f(*v);
-        }
+    pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32 + Sync) {
+        self.map_rows(None, f);
     }
 
     /// Pooled [`Dense::map_inplace`]: rows split evenly across threads.
-    /// Element-wise, so trivially bitwise identical to serial.
     pub fn map_inplace_pool(&mut self, pool: &Pool, f: impl Fn(f32) -> f32 + Sync) {
-        if pool.threads() == 1 || self.data.len() < crate::ctx::MIN_PARALLEL_WORK {
-            self.map_inplace(f);
-            return;
-        }
-        let ranges = even_chunks(self.rows, pool.threads());
-        pool.run_disjoint_rows(&mut self.data, self.cols, &ranges, |_, slice| {
-            for v in slice {
-                *v = f(*v);
-            }
-        });
+        self.map_rows(Some(pool), f);
     }
 
     /// A new matrix with `f` applied to every element.
-    pub fn map(&self, f: impl Fn(f32) -> f32) -> Dense {
-        let data = self.data.iter().map(|&v| f(v)).collect();
-        Dense {
-            rows: self.rows,
-            cols: self.cols,
-            data,
-        }
+    pub fn map(&self, f: impl Fn(f32) -> f32 + Sync) -> Dense {
+        let mut out = self.clone();
+        out.map_rows(None, f);
+        out
     }
 
-    /// Pooled [`Dense::map`]; bitwise identical to serial for any thread
-    /// count (element-wise, disjoint writes).
+    /// Pooled [`Dense::map`].
     pub fn map_pool(&self, pool: &Pool, f: impl Fn(f32) -> f32 + Sync) -> Dense {
-        if pool.threads() == 1 || self.data.len() < crate::ctx::MIN_PARALLEL_WORK {
-            return self.map(&f);
-        }
-        let mut out = Dense::zeros(self.rows, self.cols);
-        let ranges = even_chunks(self.rows, pool.threads());
-        pool.run_disjoint_rows(&mut out.data, self.cols, &ranges, |chunk, slice| {
-            let start = ranges[chunk].start * self.cols;
-            for (k, o) in slice.iter_mut().enumerate() {
-                *o = f(self.data[start + k]);
-            }
-        });
+        let mut out = self.clone();
+        out.map_rows(Some(pool), f);
         out
+    }
+
+    fn map_rows(&mut self, pool: Option<&Pool>, f: impl Fn(f32) -> f32 + Sync) {
+        let (rows, cols) = (self.rows, self.cols);
+        let split = |t| even_chunks(rows, t);
+        run_rows(
+            pool,
+            rows * cols,
+            &mut self.data,
+            cols,
+            split,
+            |_, slice| {
+                for v in slice {
+                    *v = f(*v);
+                }
+            },
+        );
     }
 
     /// Frobenius norm, accumulated in `f64`.
@@ -623,6 +453,34 @@ impl Dense {
     /// (equivalent to [`crate::gather::gather_rows`]).
     pub fn select_rows(&self, idx: &[u32]) -> Dense {
         crate::gather::gather_rows(self, idx)
+    }
+}
+
+/// Runs a naive kernel's one loop body, `body(rows, out_rows)`, over the
+/// output rows of `out` (`width` floats each): once over all rows when
+/// there is no pool, the pool is serial or `work` (≈ inner-loop
+/// multiply-adds) is below [`MIN_PARALLEL_WORK`]; otherwise once per chunk
+/// of `split(threads)` on the pool. Chunks own disjoint output rows and
+/// each output element is computed by one call in the body's order, so
+/// the result is bitwise the serial one at any thread count.
+pub(crate) fn run_rows(
+    pool: Option<&Pool>,
+    work: usize,
+    out: &mut [f32],
+    width: usize,
+    split: impl FnOnce(usize) -> Vec<Range<usize>>,
+    body: impl Fn(Range<usize>, &mut [f32]) + Sync,
+) {
+    match pool {
+        Some(pool) if pool.threads() > 1 && work >= MIN_PARALLEL_WORK => {
+            let ranges = split(pool.threads());
+            pool.run_disjoint_rows(out, width, &ranges, |chunk, rows| {
+                body(ranges[chunk].clone(), rows)
+            });
+        }
+        // Zero-width rows hold no output, so there is nothing to run.
+        _ if width > 0 => body(0..out.len() / width, out),
+        _ => {}
     }
 }
 

@@ -44,18 +44,6 @@ pub fn scatter_rows(src: &Dense, idx: &[u32], dst: &mut Dense) {
     }
 }
 
-/// Adds `src` row `k` into `dst` row `idx[k]` (scatter-accumulate).
-pub fn scatter_add_rows(src: &Dense, idx: &[u32], dst: &mut Dense) {
-    assert_eq!(src.rows(), idx.len(), "scatter index length mismatch");
-    assert_eq!(src.cols(), dst.cols(), "scatter width mismatch");
-    for (k, &i) in idx.iter().enumerate() {
-        let s = src.row(k);
-        for (d, &v) in dst.row_mut(i as usize).iter_mut().zip(s) {
-            *d += v;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -105,15 +93,6 @@ mod tests {
             assert_eq!(dst.row(i as usize), h.row(i as usize));
         }
         assert_eq!(dst.row(1), &[0.0; 4]);
-    }
-
-    #[test]
-    fn scatter_add_accumulates() {
-        let g = Dense::from_vec(1, 2, vec![1.0, 2.0]);
-        let mut dst = Dense::from_vec(2, 2, vec![1.0, 1.0, 1.0, 1.0]);
-        scatter_add_rows(&g, &[1], &mut dst);
-        scatter_add_rows(&g, &[1], &mut dst);
-        assert_eq!(dst.row(1), &[3.0, 5.0]);
     }
 
     #[test]

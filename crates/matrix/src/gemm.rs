@@ -519,7 +519,7 @@ fn ab_product(
     );
 }
 
-/// Blocked [`Dense::matmul_bt_into`]: `out = a × bᵀ` (`a` is `m×k`, `b`
+/// Blocked [`Dense::matmul_bt_into_pool`]: `out = a × bᵀ` (`a` is `m×k`, `b`
 /// is `n×k`). The transpose happens inside the pack — no `Bᵀ` is ever
 /// materialized for the scalar panels — or as one small transposing
 /// copy for the lanes.
@@ -594,7 +594,7 @@ fn bt_product(
     );
 }
 
-/// Blocked [`Dense::matmul_at_into`]: `out = aᵀ × b` (`a` is `r×m`, `b`
+/// Blocked [`Dense::matmul_at_into_pool`]: `out = aᵀ × b` (`a` is `r×m`, `b`
 /// is `r×n`, result `m×n`). Pack-free input-row-blocked outer product
 /// (see `at_rows`, or its lanes, whose row blocks are sized to stay in
 /// L1); parallelism splits the output rows exactly like the naive pooled

@@ -1,18 +1,24 @@
-//! Bitwise determinism of the pooled kernels.
+//! Bitwise determinism of the naive kernel engine under a thread pool.
 //!
-//! The contract (DESIGN.md, hybrid rank×thread section): every `_pool`
-//! kernel produces output **bitwise identical** to its serial counterpart
-//! at any thread count, because chunks write disjoint output rows with the
-//! serial inner loops and nothing is reduced across threads. These tests
-//! pin that down over qc-seeded shapes, including empty rows, skewed
-//! (hub-heavy) sparsity, and row counts far above the chunk count.
+//! The contract (DESIGN.md, hybrid rank×thread section): every naive
+//! kernel dispatched through a [`ComputeCtx`] produces output **bitwise
+//! identical** to its serial counterpart at any thread count, because
+//! chunks write disjoint output rows with the serial loop body and nothing
+//! is reduced across threads. These tests pin that down over qc-seeded
+//! shapes, including empty rows, skewed (hub-heavy) sparsity, and row
+//! counts far above the chunk count.
 
-use pargcn_matrix::{Csr, Dense};
+use pargcn_matrix::{ComputeCtx, Csr, Dense, KernelKind};
 use pargcn_util::pool::Pool;
 use pargcn_util::qc;
 use pargcn_util::rng::{Rng, SeedableRng, StdRng};
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 7];
+
+/// The naive engine on `t` threads.
+fn naive(t: usize) -> ComputeCtx {
+    ComputeCtx::with_threads(t).with_kernel(KernelKind::Naive)
+}
 
 fn bits(d: &Dense) -> Vec<u32> {
     d.data().iter().map(|v| v.to_bits()).collect()
@@ -49,15 +55,11 @@ fn spmm_bitwise_equal_across_thread_counts() {
         let h = Dense::random(cols, d, rng);
         let expected = bits(&a.spmm(&h));
         for t in THREAD_COUNTS {
-            let pool = Pool::new(t);
-            assert_eq!(
-                bits(&a.spmm_pool(&h, &pool)),
-                expected,
-                "spmm at {t} threads"
-            );
+            let ctx = naive(t);
+            assert_eq!(bits(&ctx.spmm(&a, &h)), expected, "spmm at {t} threads");
             // The accumulate path too.
             let mut out = a.spmm(&h);
-            a.spmm_into_pool(&h, &mut out, true, &pool);
+            ctx.spmm_into(&a, &h, &mut out, true);
             let mut twice = a.spmm(&h);
             a.spmm_into(&h, &mut twice, true);
             assert_eq!(bits(&out), bits(&twice), "spmm accumulate at {t} threads");
@@ -75,9 +77,8 @@ fn matmul_bitwise_equal_across_thread_counts() {
         let b = Dense::random(k, n, rng);
         let expected = bits(&a.matmul(&b));
         for t in THREAD_COUNTS {
-            let pool = Pool::new(t);
             assert_eq!(
-                bits(&a.matmul_pool(&b, &pool)),
+                bits(&naive(t).matmul(&a, &b)),
                 expected,
                 "matmul at {t} threads"
             );
@@ -95,9 +96,8 @@ fn matmul_bt_bitwise_equal_across_thread_counts() {
         let b = Dense::random(n, k, rng);
         let expected = bits(&a.matmul_bt(&b));
         for t in THREAD_COUNTS {
-            let pool = Pool::new(t);
             assert_eq!(
-                bits(&a.matmul_bt_pool(&b, &pool)),
+                bits(&naive(t).matmul_bt(&a, &b)),
                 expected,
                 "matmul_bt at {t} threads"
             );
@@ -115,9 +115,8 @@ fn matmul_at_bitwise_equal_across_thread_counts() {
         let b = Dense::random(n, k, rng);
         let expected = bits(&a.matmul_at(&b));
         for t in THREAD_COUNTS {
-            let pool = Pool::new(t);
             assert_eq!(
-                bits(&a.matmul_at_pool(&b, &pool)),
+                bits(&naive(t).matmul_at(&a, &b)),
                 expected,
                 "matmul_at at {t} threads"
             );
@@ -152,7 +151,6 @@ fn rows_far_exceeding_chunk_count() {
     let h = Dense::random(500, 16, &mut rng);
     let expected = bits(&a.spmm(&h));
     for t in THREAD_COUNTS {
-        let pool = Pool::new(t);
-        assert_eq!(bits(&a.spmm_pool(&h, &pool)), expected);
+        assert_eq!(bits(&naive(t).spmm(&a, &h)), expected);
     }
 }

@@ -98,7 +98,7 @@ impl Hypergraph {
     /// `dmm_row_cost ≈ 2·d_in·d_out·flops_ratio / (2·d_spmm)` folds the
     /// row-count constraint into the single weight — the cheap scalarized
     /// form of multi-constraint partitioning.
-    pub fn column_net_model_weighted(a: &Csr, dmm_row_cost: f64) -> Self {
+    fn column_net_model_weighted(a: &Csr, dmm_row_cost: f64) -> Self {
         assert_eq!(
             a.n_rows(),
             a.n_cols(),

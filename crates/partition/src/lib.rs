@@ -42,7 +42,6 @@ pub mod hypergraph;
 pub mod metrics;
 pub mod partition;
 pub mod random;
-pub mod rcm;
 pub mod stochastic;
 
 pub use hypergraph::Hypergraph;
@@ -67,9 +66,6 @@ pub enum Method {
         sampler: stochastic::Sampler,
         batches: usize,
     },
-    /// Block partitioning: RCM ordering + contiguous weight-balanced blocks
-    /// (the cheap renumber-and-chunk alternative; see [`rcm`]).
-    Bp,
 }
 
 impl Method {
@@ -79,7 +75,6 @@ impl Method {
             Method::Gp => "GP",
             Method::Hp => "HP",
             Method::Shp { .. } => "SHP",
-            Method::Bp => "BP",
         }
     }
 }
@@ -110,7 +105,6 @@ pub fn partition_rows(
         Method::Shp { sampler, batches } => {
             stochastic::partition(graph, sampler, batches, p, epsilon, seed)
         }
-        Method::Bp => rcm::partition(a, p),
     }
 }
 

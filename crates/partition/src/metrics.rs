@@ -85,16 +85,6 @@ pub fn spmm_comm_stats(a: &Csr, part: &Partition) -> CommStats {
     }
 }
 
-/// Per-processor computational load: nonzeros of the locally-owned rows
-/// (proportional to the SpMM multiply–add count of the rank's tasks).
-pub fn compute_loads(a: &Csr, part: &Partition) -> Vec<u64> {
-    let mut loads = vec![0u64; part.p()];
-    for i in 0..a.n_rows() {
-        loads[part.part_of(i) as usize] += a.row_nnz(i) as u64;
-    }
-    loads
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -148,15 +138,6 @@ mod tests {
             spmm_comm_stats(&a, &part).total_rows,
             h.connectivity_cut(&part)
         );
-    }
-
-    #[test]
-    fn compute_loads_sum_to_nnz() {
-        let a = sample_matrix();
-        let part = Partition::new(vec![0, 1, 1, 2], 3);
-        let loads = compute_loads(&a, &part);
-        assert_eq!(loads.iter().sum::<u64>(), a.nnz() as u64);
-        assert_eq!(loads, vec![1, 4, 2]);
     }
 
     #[test]

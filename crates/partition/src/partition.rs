@@ -61,7 +61,7 @@ impl Partition {
     }
 
     /// Sum of `weights` per part. `W(Vₘ)` of §3.2.
-    pub fn part_weights(&self, weights: &[u64]) -> Vec<u64> {
+    fn part_weights(&self, weights: &[u64]) -> Vec<u64> {
         assert_eq!(weights.len(), self.n(), "weights length mismatch");
         let mut w = vec![0u64; self.p];
         for (v, &a) in self.assignment.iter().enumerate() {

@@ -81,7 +81,7 @@ pub fn sample_batches(graph: &Graph, sampler: Sampler, count: usize, seed: u64) 
 /// (weighted by their full-batch SpMM work, valid when every vertex is
 /// equally likely to be sampled, §4.3.3); nets come from each batch
 /// subgraph's column-net model, mapped back to global vertex ids.
-pub fn build_stochastic_hypergraph(graph: &Graph, batches: &[Vec<u32>]) -> Hypergraph {
+fn build_stochastic_hypergraph(graph: &Graph, batches: &[Vec<u32>]) -> Hypergraph {
     let n = graph.n();
     let full = norm::normalize_adjacency(graph.adjacency());
     let vertex_weights: Vec<u64> = (0..n).map(|i| full.row_nnz(i) as u64).collect();

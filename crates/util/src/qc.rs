@@ -22,7 +22,7 @@ pub const DEFAULT_CASES: usize = 64;
 
 /// Derives the RNG seed for case `i` of a run with base seed `base`
 /// (SplitMix64 finalizer, so neighbouring cases are uncorrelated).
-pub fn case_seed(base: u64, i: u64) -> u64 {
+fn case_seed(base: u64, i: u64) -> u64 {
     let mut z = base ^ i.wrapping_mul(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -70,19 +70,14 @@ pub fn check(property: impl Fn(&mut StdRng)) {
     run(DEFAULT_CASES, property);
 }
 
-/// Random vector of the given length drawn from `gen`.
-pub fn vec_of<T>(rng: &mut StdRng, len: usize, mut gen: impl FnMut(&mut StdRng) -> T) -> Vec<T> {
-    (0..len).map(|_| gen(rng)).collect()
-}
-
 /// Random vector with a length drawn uniformly from `len_range`.
 pub fn sized_vec_of<T>(
     rng: &mut StdRng,
     len_range: std::ops::Range<usize>,
-    gen: impl FnMut(&mut StdRng) -> T,
+    mut gen: impl FnMut(&mut StdRng) -> T,
 ) -> Vec<T> {
     let len = rng.gen_range(len_range);
-    vec_of(rng, len, gen)
+    (0..len).map(|_| gen(rng)).collect()
 }
 
 #[cfg(test)]

@@ -253,7 +253,7 @@ impl<R: RngCore + ?Sized> Rng for R {}
 /// Standard normal `f32` via Box–Muller (used for Gaussian feature
 /// synthesis; one of the two variates is discarded to keep the draw
 /// count per call fixed, which keeps downstream streams aligned).
-pub fn standard_normal<R: RngCore + ?Sized>(rng: &mut R) -> f32 {
+fn standard_normal<R: RngCore + ?Sized>(rng: &mut R) -> f32 {
     let u1 = unit_f64(rng).max(f64::EPSILON);
     let u2 = unit_f64(rng);
     ((-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()) as f32

@@ -56,5 +56,7 @@ run cargo fmt --check
 # removal.
 run env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline --locked
 run cargo clippy --workspace --all-targets --offline --locked -- -D warnings
+# Non-test source lines per crate, for information only: not a gate.
+run scripts/loc.sh
 
 echo "==> all checks passed"
