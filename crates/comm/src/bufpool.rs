@@ -12,9 +12,10 @@
 //! (sender → destination) pair has at most one message in flight, and at
 //! most one buffer from the previous layer still travelling back, so two
 //! resident buffers per destination cover the demand — no cross-peer
-//! stealing can leave a destination short. The trainer pre-warms exactly
-//! that (`RankCtx::prewarm`), and the counting-allocator test pins the
-//! resulting zero-allocation steady state down.
+//! stealing can leave a destination short. The trainers top every pool up
+//! to exactly that at each step boundary (`RankCtx::ensure_pool`, through
+//! `pargcn_core`'s `prewarm_comm_pools`), and the counting-allocator test
+//! pins the resulting zero-allocation steady state down.
 //!
 //! Within a destination's list, `acquire` picks the smallest buffer whose
 //! capacity already fits (so small control payloads don't burn the big

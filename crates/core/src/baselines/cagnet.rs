@@ -9,11 +9,11 @@
 //! data movement the point-to-point algorithm eliminates.
 //!
 //! Only the exchange differs: [`CagnetRank`] implements [`SpmmExchange`]
-//! and trains through the point-to-point trainer's layer loop
-//! ([`crate::dist::trainer::epoch_step`]), so every optimizer, layer
-//! order and the allocation-free steady state carry over (tested).
+//! and trains on the point-to-point run's [`Trainer`](crate::dist::Trainer)
+//! and layer loop, so every optimizer, layer order and the
+//! allocation-free steady state carry over (tested).
 
-use crate::dist::trainer::train_with_plans_spec;
+use crate::dist::trainer::train_full_batch;
 use crate::dist::{DistOutcome, ExchangeScratch, SpmmExchange};
 use crate::model::GcnConfig;
 use pargcn_comm::costmodel::{self, MachineProfile, PhaseTime};
@@ -155,8 +155,8 @@ impl SpmmExchange for CagnetRank {
 }
 
 /// Full-batch training with the broadcast algorithm: the point-to-point
-/// trainer's loop over [`CagnetPlan`]s, with the same `spec` semantics
-/// (see [`crate::dist::train_full_batch_spec`]).
+/// run's [`Trainer`](crate::dist::Trainer) over [`CagnetPlan`]s, with the
+/// same `spec` semantics (see [`crate::dist::train_full_batch_spec`]).
 // The training entry points take the full problem description by design;
 // a config struct would just rename the nine pieces.
 #[allow(clippy::too_many_arguments)]
@@ -171,22 +171,9 @@ pub fn train_full_batch_spec(
     param_seed: u64,
     spec: ComputeSpec,
 ) -> DistOutcome {
-    let a = graph.normalized_adjacency();
-    let plan_f = CagnetPlan::build(&a, part);
-    let plan_b = graph
-        .directed()
-        .then(|| CagnetPlan::build(&a.transpose(), part));
-    let init = config.init_params(param_seed);
-    train_with_plans_spec(
-        &plan_f.ranks,
-        &plan_b.as_ref().unwrap_or(&plan_f).ranks,
-        h0,
-        labels,
-        mask,
-        config,
-        epochs,
-        init,
-        spec,
+    let build = |a: &Csr| CagnetPlan::build(a, part).ranks;
+    train_full_batch(
+        graph, h0, labels, mask, config, epochs, param_seed, spec, build,
     )
 }
 

@@ -1,6 +1,6 @@
 //! The distributed training algorithms: Algorithm 1 (parallel feedforward)
 //! and Algorithm 2 (parallel backpropagation) over the message-passing
-//! runtime, orchestrated by [`trainer`].
+//! runtime, run by [`Trainer`], the one owner of a run's ranks.
 //!
 //! The layer loop ([`feedforward::run`], [`backprop::run`],
 //! [`trainer::epoch_step`]) is written once, generic over how a rank
@@ -13,7 +13,7 @@ pub mod feedforward;
 pub mod trainer;
 pub mod workspace;
 
-pub use trainer::{train_full_batch_spec, DistOutcome};
+pub use trainer::{train_full_batch_spec, DistOutcome, TrainState, Trainer};
 pub use workspace::{prewarm_comm_pools, EpochWorkspace, ExchangeScratch};
 
 use crate::model::{GcnConfig, Params};

@@ -1,19 +1,17 @@
-//! Orchestration of distributed training: the per-rank slot and step
-//! that full-batch training and the mini-batch engine both run through,
-//! and the full-batch entry, which builds the plans, distributes the
-//! data, runs the epochs on a rank session, and assembles global results.
+//! [`Trainer`], the one owner of a distributed run's rank session and of
+//! what each rank keeps across steps, and the full-batch entry over it.
 
 use super::workspace::{prewarm_comm_pools, EpochWorkspace};
 use super::{backprop, feedforward, RankState, SpmmExchange};
 use crate::loss;
 use crate::model::{GcnConfig, Params};
 use crate::optim::OptimizerState;
-use crate::plan::CommPlan;
+use crate::plan::{CommPlan, RankPlan, RankPlanBuilder};
 use pargcn_comm::{CommCounters, CommSession, RankCtx};
 use pargcn_graph::Graph;
-use pargcn_matrix::{gather, ComputeCtx, ComputeSpec, Dense};
+use pargcn_matrix::{gather, ComputeCtx, ComputeSpec, Csr, Dense};
 use pargcn_partition::Partition;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
 
 /// Global results of a distributed training run.
@@ -37,91 +35,65 @@ impl DistOutcome {
     }
 }
 
-/// One rank's slice of the training data: the features, labels and
-/// training mask of its owned rows, in local row order.
-pub(crate) struct RankData {
+/// What a run carries from step to step besides its plans and rows: the
+/// replicated parameters and optimizer state.
+#[derive(Clone, Debug)]
+pub struct TrainState {
+    pub params: Params,
+    pub opt_state: OptimizerState,
+}
+
+impl TrainState {
+    /// `config.init_params(param_seed)` and a fresh optimizer state.
+    pub fn new(config: &GcnConfig, param_seed: u64) -> TrainState {
+        TrainState {
+            params: config.init_params(param_seed),
+            opt_state: OptimizerState::new(config.optimizer, &config.shapes()),
+        }
+    }
+}
+
+/// What one rank keeps across steps. Only that rank's thread, or the
+/// caller between steps, locks it.
+pub(crate) struct RankSlot<X> {
+    /// Replicated parameters and optimizer state (lock-step across slots).
+    state: TrainState,
+    cctx: ComputeCtx,
+    /// Grow-once layer workspace, row-resized to every step's plan.
+    ws: EpochWorkspace,
+    /// The forward plan, and the `Âᵀ` plan of a directed graph.
+    pub(crate) plan_f: X,
+    pub(crate) plan_b: Option<X>,
+    /// Features, labels and mask of `plan_f`'s rows, and the global count
+    /// of masked vertices.
     pub(crate) h0: Dense,
     pub(crate) labels: Vec<u32>,
     pub(crate) mask: Vec<bool>,
+    pub(crate) mask_total: f64,
+    /// A batch stream's plan-builder scratch.
+    pub(crate) builder: RankPlanBuilder,
 }
 
-impl RankData {
-    /// Gathers the owned `rows` of the global data.
-    pub(crate) fn gather(rows: &[u32], h0: &Dense, labels: &[u32], mask: &[bool]) -> RankData {
-        RankData {
-            h0: gather::gather_rows(h0, rows),
-            labels: rows.iter().map(|&v| labels[v as usize]).collect(),
-            mask: rows.iter().map(|&v| mask[v as usize]).collect(),
-        }
-    }
-}
-
-/// One rank's training state that persists across steps — of a
-/// full-batch run's epochs or of the mini-batch engine's batch stream.
-/// Each trainer keeps one per rank behind an uncontended `Mutex` that
-/// only that rank's thread (or the caller, between steps) touches.
-pub(crate) struct RankSlot {
-    /// Replicated parameters (lock-step across slots).
-    pub(crate) params: Params,
-    /// Replicated optimizer state.
-    opt_state: OptimizerState,
-    /// The rank's kernel thread pool, built once.
-    cctx: ComputeCtx,
-    /// Grow-once layer workspace, row-resized to every step's plan.
-    pub(crate) ws: EpochWorkspace,
-}
-
-impl RankSlot {
-    /// A slot for one of `p` ranks starting from `params`, its workspace
-    /// allocated on the calling thread for `n_local` rows.
-    pub(crate) fn new(
-        n_local: usize,
-        config: &GcnConfig,
-        params: Params,
-        p: usize,
-        spec: ComputeSpec,
-    ) -> RankSlot {
-        let cctx = ComputeCtx::for_ranks_spec(p, spec);
-        RankSlot {
-            params,
-            opt_state: OptimizerState::new(config.optimizer, &config.shapes()),
-            ws: EpochWorkspace::with_rows(n_local, config, p, &cctx),
-            cctx,
-        }
-    }
-
-    /// One step on this rank over the exchanges `plan_f`/`plan_b` and the
-    /// rank's `data`: an [`epoch_step`] returning the global loss, or with
-    /// `train == false` only the forward pass, which leaves the output
-    /// logits in `ws.h[L−1]` (and returns `NaN`). Pools and workspace are
-    /// topped up to the plan first (idempotent, a no-op once the stream's
-    /// high-water plan has been seen). The step's wall time is split into
-    /// the counters' comm and compute seconds (`comm + compute == wall`
-    /// per rank, the fig4a split), and its kernel FLOPs are credited.
-    // The step takes one rank's whole problem by design.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn step<X: SpmmExchange>(
-        &mut self,
-        ctx: &mut RankCtx,
-        plan_f: &X,
-        plan_b: &X,
-        data: &RankData,
-        mask_total: f64,
-        config: &GcnConfig,
-        train: bool,
-    ) -> f64 {
-        prewarm_comm_pools(ctx, plan_f, plan_b, config);
-        self.ws.resize_for_plan(plan_f, config);
+impl<X: SpmmExchange> RankSlot<X> {
+    /// One [`epoch_step`] over the slot's plans and rows, returning the
+    /// global loss; with `train == false` only the forward pass, leaving
+    /// the logits in `ws.h[L−1]`. Pools and workspace are first topped up
+    /// to the plan (idempotent). The wall time is split into the counters'
+    /// comm and compute seconds, and the kernel FLOPs are credited.
+    pub(crate) fn step(&mut self, ctx: &mut RankCtx, config: &GcnConfig, train: bool) -> f64 {
+        let plan_b = self.plan_b.as_ref().unwrap_or(&self.plan_f);
+        prewarm_comm_pools(ctx, &self.plan_f, plan_b, config);
+        self.ws.resize_for_plan(&self.plan_f, config);
         let mut st = RankState {
-            plan_f,
+            plan_f: &self.plan_f,
             plan_b,
             config,
-            params: std::mem::take(&mut self.params),
-            h0: &data.h0,
-            labels: &data.labels,
-            mask: &data.mask,
-            mask_total,
-            opt_state: std::mem::take(&mut self.opt_state),
+            params: std::mem::take(&mut self.state.params),
+            h0: &self.h0,
+            labels: &self.labels,
+            mask: &self.mask,
+            mask_total: self.mask_total,
+            opt_state: std::mem::take(&mut self.state.opt_state),
             ctx: self.cctx.clone(),
         };
         let comm_before = ctx.counters().comm_seconds;
@@ -135,10 +107,150 @@ impl RankSlot {
         let wall = start.elapsed().as_secs_f64();
         ctx.add_compute_seconds(wall - (ctx.counters().comm_seconds - comm_before));
         ctx.add_compute_flops(st.ctx.take_flops());
-        self.params = st.params;
-        self.opt_state = st.opt_state;
+        self.state = TrainState {
+            params: st.params,
+            opt_state: st.opt_state,
+        };
         loss
     }
+}
+
+/// The one owner of a distributed GCN run (§4.1): the [`CommSession`]
+/// whose rank threads live for the whole run, and per rank its
+/// parameters, optimizer state, kernel pool, workspace, rows and current
+/// plans. `X` is the exchange: point-to-point [`RankPlan`] or CAGNET's
+/// [`CagnetRank`](crate::baselines::cagnet::CagnetRank).
+///
+/// A full-batch run calls [`Trainer::step`] once per epoch. The
+/// [`MinibatchEngine`](crate::minibatch::MinibatchEngine) steps one too,
+/// each rank first rebuilding its plans and rows for the next batch.
+pub struct Trainer<'a, X = RankPlan> {
+    pub(crate) config: &'a GcnConfig,
+    session: CommSession,
+    slots: Vec<Mutex<RankSlot<X>>>,
+    /// Training steps run so far.
+    steps: usize,
+}
+
+impl<'a, X: SpmmExchange + Send> Trainer<'a, X> {
+    /// A run on `plan_f.len()` ranks from `start`: `plan_f[m]` is rank
+    /// `m`'s forward exchange and `plan_b[m]` its backward one (`None`:
+    /// the forward plans, for an undirected `Â`). Each rank's rows and
+    /// workspace are allocated here, on the calling thread, not in a rank
+    /// thread's allocator arena.
+    // A run takes the whole problem description by design.
+    #[allow(clippy::too_many_arguments)]
+    pub fn new(
+        plan_f: Vec<X>,
+        plan_b: Option<Vec<X>>,
+        h0: &Dense,
+        labels: &[u32],
+        mask: &[bool],
+        config: &'a GcnConfig,
+        start: TrainState,
+        spec: ComputeSpec,
+    ) -> Trainer<'a, X> {
+        let (p, n) = (plan_f.len(), h0.rows());
+        let plan_rows: usize = plan_f.iter().map(|rp| rp.n_local()).sum();
+        assert_eq!(plan_rows, n, "feature rows mismatch");
+        assert_eq!(labels.len(), n, "labels mismatch");
+        assert_eq!(mask.len(), n, "mask mismatch");
+        let mask_total = mask.iter().filter(|&&m| m).count().max(1) as f64;
+        let mut plan_b = plan_b.map(|b| {
+            assert_eq!(b.len(), p, "plan rank counts differ");
+            b.into_iter()
+        });
+        let slots = plan_f.into_iter().map(|plan_f| {
+            let rows = plan_f.local_rows();
+            let cctx = ComputeCtx::for_ranks_spec(p, spec);
+            Mutex::new(RankSlot {
+                state: start.clone(),
+                ws: EpochWorkspace::new(&plan_f, config, p, &cctx),
+                cctx,
+                h0: gather::gather_rows(h0, rows),
+                labels: rows.iter().map(|&v| labels[v as usize]).collect(),
+                mask: rows.iter().map(|&v| mask[v as usize]).collect(),
+                mask_total,
+                plan_b: plan_b.as_mut().and_then(Iterator::next),
+                plan_f,
+                builder: RankPlanBuilder::new(),
+            })
+        });
+        Trainer {
+            config,
+            slots: slots.collect(),
+            session: CommSession::new(p),
+            steps: 0,
+        }
+    }
+
+    /// One training step over every rank's current plans and rows (in a
+    /// full-batch run, one epoch). Returns the global loss.
+    ///
+    /// # Panics
+    /// Panics, naming the step, if the global loss is not finite.
+    pub fn step(&mut self) -> f64 {
+        let config = self.config;
+        let losses = self.run(|ctx, slot| slot.step(ctx, config, true), || ()).0;
+        self.finish_step(losses[0])
+    }
+
+    /// The forward pass with the current parameters: the logits of every
+    /// rank's current rows, in global row order.
+    pub fn predict(&mut self) -> Dense {
+        let config = self.config;
+        self.run(|ctx, slot| slot.step(ctx, config, false), || ());
+        let layers = config.layers();
+        let slots: Vec<_> = self.slots.iter().map(lock).collect();
+        let n = slots.iter().map(|s| s.plan_f.n_local()).sum();
+        let mut predictions = Dense::zeros(n, config.dims[layers]);
+        for s in &slots {
+            gather::scatter_rows(&s.ws.h[layers - 1], s.plan_f.local_rows(), &mut predictions);
+        }
+        predictions
+    }
+
+    /// The current (replicated) parameters and optimizer state.
+    pub fn state(&self) -> TrainState {
+        lock(&self.slots[0]).state.clone()
+    }
+
+    /// Per-rank communication counters since the start (or the last
+    /// [`Trainer::reset_counters`]).
+    pub fn counters(&mut self) -> Vec<CommCounters> {
+        self.session.run_step(|ctx| ctx.counters().clone())
+    }
+
+    /// Zeroes every rank's counters, e.g. after warm-up steps.
+    pub fn reset_counters(&mut self) {
+        self.session.run_step(|ctx| ctx.reset_counters());
+    }
+
+    /// Runs `f` on every rank's slot in one session step while the
+    /// calling thread runs `main`.
+    pub(crate) fn run<R: Send, T>(
+        &mut self,
+        f: impl Fn(&mut RankCtx, &mut RankSlot<X>) -> R + Sync,
+        main: impl FnOnce() -> T,
+    ) -> (Vec<R>, T) {
+        let slots = &self.slots;
+        let step = |ctx: &mut RankCtx| f(ctx, &mut lock(&slots[ctx.rank()]));
+        self.session.run_step_overlapped(step, main)
+    }
+
+    /// Counts a training step with global loss `loss`, panicking with the
+    /// step's index if it is not finite.
+    pub(crate) fn finish_step(&mut self, loss: f64) -> f64 {
+        let t = self.steps;
+        assert!(loss.is_finite(), "step {t}: the global loss is {loss}");
+        self.steps += 1;
+        loss
+    }
+}
+
+/// Locks one rank's slot, poisoned only by a panic in that rank's step.
+fn lock<X>(slot: &Mutex<RankSlot<X>>) -> MutexGuard<'_, RankSlot<X>> {
+    slot.lock().expect("rank slot poisoned")
 }
 
 /// Trains an L-layer GCN for `epochs` full-batch epochs on `p` ranks
@@ -168,98 +280,39 @@ pub fn train_full_batch_spec(
     param_seed: u64,
     spec: ComputeSpec,
 ) -> DistOutcome {
-    let a = graph.normalized_adjacency();
-    let plan_f = CommPlan::build(&a, part);
-    let plan_b = graph
-        .directed()
-        .then(|| CommPlan::build(&a.transpose(), part));
-    let init = config.init_params(param_seed);
-    train_with_plans_spec(
-        &plan_f.ranks,
-        &plan_b.as_ref().unwrap_or(&plan_f).ranks,
-        h0,
-        labels,
-        mask,
-        config,
-        epochs,
-        init,
-        spec,
+    let build = |a: &Csr| CommPlan::build(a, part).ranks;
+    train_full_batch(
+        graph, h0, labels, mask, config, epochs, param_seed, spec, build,
     )
 }
 
-/// The full-batch training core behind every trainer but the mini-batch
-/// engine: one [`CommSession`] runs `epochs` [`RankSlot::step`]s over
-/// prebuilt per-rank plans (`plan_f[m]`/`plan_b[m]` are rank `m`'s
-/// forward/backward exchanges) from explicit initial parameters, then one
-/// forward-only step for the predictions.
+/// The full-batch run of either exchange: `build` makes the per-rank
+/// plans of `Â` and, for a directed graph, of `Âᵀ`; one [`Trainer`] runs
+/// `epochs` steps, then one prediction pass.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn train_with_plans_spec<X: SpmmExchange + Sync>(
-    plan_f: &[X],
-    plan_b: &[X],
+pub(crate) fn train_full_batch<X: SpmmExchange + Send>(
+    graph: &Graph,
     h0: &Dense,
     labels: &[u32],
     mask: &[bool],
     config: &GcnConfig,
     epochs: usize,
-    init: Params,
+    param_seed: u64,
     spec: ComputeSpec,
+    build: impl Fn(&Csr) -> Vec<X>,
 ) -> DistOutcome {
-    let p = plan_f.len();
-    let n = h0.rows();
-    assert_eq!(plan_b.len(), p, "plan rank counts differ");
-    let plan_rows: usize = plan_f.iter().map(|rp| rp.n_local()).sum();
-    assert_eq!(plan_rows, n, "feature rows mismatch");
-    assert_eq!(labels.len(), n, "labels mismatch");
-    assert_eq!(mask.len(), n, "mask mismatch");
-    let mask_total = mask.iter().filter(|&&m| m).count().max(1) as f64;
-
-    // Slice every rank's local data and allocate its layer workspace on
-    // the calling thread. The rank threads live for this call only, and
-    // memory they allocate stays resident in their allocator arenas after
-    // it is freed, out of the caller's reach.
-    let (data, slots): (Vec<RankData>, Vec<Mutex<RankSlot>>) = plan_f
-        .iter()
-        .map(|rp| {
-            let data = RankData::gather(rp.local_rows(), h0, labels, mask);
-            let slot = RankSlot::new(rp.n_local(), config, init.clone(), p, spec);
-            (data, Mutex::new(slot))
-        })
-        .unzip();
-
-    let mut session = CommSession::new(p);
-    let step = |train: bool| {
-        let (slots, data) = (&slots, &data);
-        move |ctx: &mut RankCtx| {
-            let m = ctx.rank();
-            let mut slot = slots[m].lock().expect("rank slot poisoned");
-            slot.step(
-                ctx, &plan_f[m], &plan_b[m], &data[m], mask_total, config, train,
-            )
-        }
+    let (plan_f, plan_b) = {
+        let a = graph.normalized_adjacency();
+        (build(&a), graph.directed().then(|| build(&a.transpose())))
     };
-    let losses = (0..epochs)
-        .map(|_| session.run_step(step(true))[0])
-        .collect();
-    // Final predictions with the trained parameters (left in `ws.h`).
-    session.run_step(step(false));
-    let counters = session.run_step(|ctx| ctx.counters().clone());
-
-    let params = slots[0].lock().expect("rank slot poisoned").params.clone();
-
-    // Assemble global predictions.
-    let classes = config.dims[config.layers()];
-    let mut predictions = Dense::zeros(n, classes);
-    for (rp, slot) in plan_f.iter().zip(&slots) {
-        let slot = slot.lock().expect("rank slot poisoned");
-        gather::scatter_rows(
-            &slot.ws.h[config.layers() - 1],
-            rp.local_rows(),
-            &mut predictions,
-        );
-    }
+    let start = TrainState::new(config, param_seed);
+    let mut trainer = Trainer::new(plan_f, plan_b, h0, labels, mask, config, start, spec);
+    let losses = (0..epochs).map(|_| trainer.step()).collect();
+    let predictions = trainer.predict();
+    let counters = trainer.counters();
     DistOutcome {
         losses,
-        params,
+        params: trainer.state().params,
         predictions,
         // Each step splits its wall time into comm + compute seconds.
         rank_seconds: counters
@@ -272,9 +325,9 @@ pub(crate) fn train_with_plans_spec<X: SpmmExchange + Sync>(
 
 /// One full training epoch for one rank — forward pass, global loss,
 /// backpropagation/update — over the persistent workspace. Returns the
-/// global loss (identical on every rank). The trainer loop is just this
-/// in a loop; tests (e.g. the steady-state allocation test) drive epochs
-/// individually through it.
+/// global loss (identical on every rank). Every [`Trainer::step`] runs
+/// it on each rank; tests (e.g. the steady-state allocation test) drive
+/// epochs individually through it.
 pub fn epoch_step<X: SpmmExchange>(
     ctx: &mut RankCtx,
     st: &mut RankState<'_, X>,

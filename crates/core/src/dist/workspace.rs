@@ -129,11 +129,7 @@ impl EpochWorkspace {
     /// compute context's kernel packing scratch for the run's widest
     /// operands. Called once per run, before the first epoch.
     pub fn new(plan: &impl SpmmExchange, config: &GcnConfig, p: usize, cctx: &ComputeCtx) -> Self {
-        Self::with_rows(plan.n_local(), config, p, cctx)
-    }
-
-    /// [`EpochWorkspace::new`] for a plan of `n` local rows.
-    pub(crate) fn with_rows(n: usize, config: &GcnConfig, p: usize, cctx: &ComputeCtx) -> Self {
+        let n = plan.n_local();
         let dims = &config.dims;
         let layers = config.layers();
         // The blocked GEMM engine packs (or, on AVX2 lanes, transposes)
@@ -267,13 +263,13 @@ mod tests {
                 ..GcnConfig::two_layer(1, 1, 1)
             };
             let cctx = ComputeCtx::serial();
-            let mut ws = EpochWorkspace::with_rows(10, &config, 2, &cctx);
-            assert_eq!(row_floats(&ws), 10 * per_row, "{dims:?} {order:?}");
-            let plan = RankPlan {
-                local_rows: (0..7).collect(),
+            let plan = |n: u32| RankPlan {
+                local_rows: (0..n).collect(),
                 ..plan_receiving_from(&[])
             };
-            ws.resize_for_plan(&plan, &config);
+            let mut ws = EpochWorkspace::new(&plan(10), &config, 2, &cctx);
+            assert_eq!(row_floats(&ws), 10 * per_row, "{dims:?} {order:?}");
+            ws.resize_for_plan(&plan(7), &config);
             assert_eq!(row_floats(&ws), 7 * per_row, "{dims:?} {order:?} resized");
         }
     }

@@ -71,7 +71,10 @@ pub fn softmax_cross_entropy_into(
         g.copy_from_slice(h.row(i));
         softmax_in_place(g);
         let y = label as usize;
-        loss -= (g[y].max(1e-12) as f64).ln();
+        // Clamped away from 0, but a NaN stays NaN (`f32::max` would drop
+        // it), so a poisoned row shows in the loss.
+        let p = if g[y] < 1e-12 { 1e-12 } else { g[y] };
+        loss -= (p as f64).ln();
         for (j, gv) in g.iter_mut().enumerate() {
             let indicator = if j == y { 1.0 } else { 0.0 };
             *gv = (*gv - indicator) / count as f32;
@@ -184,7 +187,8 @@ mod tests {
                 continue;
             }
             let y = labels[i] as usize;
-            let p = probs.get(i, y).max(1e-12);
+            let p = probs.get(i, y);
+            let p = if p < 1e-12 { 1e-12 } else { p };
             loss -= (p as f64).ln();
             let g = grad.row_mut(i);
             for (j, gv) in g.iter_mut().enumerate() {

@@ -8,14 +8,13 @@
 //! volume a partition induces — the quantity Fig. 5 compares between HP
 //! and SHP.
 
-use crate::dist::trainer::{train_with_plans_spec, RankData, RankSlot};
+use crate::dist::trainer::{RankSlot, TrainState, Trainer};
 use crate::model::{GcnConfig, Params};
-use crate::plan::{CommPlan, RankPlanBuilder};
-use pargcn_comm::{CommCounters, CommSession, RankCtx};
+use crate::plan::{CommPlan, RankPlan};
+use pargcn_comm::{CommCounters, RankCtx};
 use pargcn_graph::Graph;
-use pargcn_matrix::{gather, norm, ComputeSpec, Dense};
+use pargcn_matrix::{gather, norm, ComputeSpec, Csr, Dense};
 use pargcn_partition::{metrics, Partition};
-use std::sync::Mutex;
 use std::time::Instant;
 
 /// Restriction of a global partition to a batch's vertices: part ids keep
@@ -73,9 +72,9 @@ pub struct MinibatchOutcome {
 
 /// Trains over the given mini-batches (one step each), distributing every
 /// batch across the same `part.p()` ranks under the global partition,
-/// with `spec` (thread count and kernel engine) applied to every batch
-/// step. Spawns the ranks afresh per batch; [`MinibatchEngine`] trains
-/// the same stream bitwise identically without the per-batch startup.
+/// with `spec` applied to every batch step. The per-batch reference path:
+/// each batch gets central plans and a [`Trainer`] of its own, and the
+/// parameters and optimizer state carry from batch to batch.
 // The training entry points take the full problem description by design;
 // a config struct would just rename the nine pieces.
 #[allow(clippy::too_many_arguments)]
@@ -90,7 +89,7 @@ pub fn train_spec(
     param_seed: u64,
     spec: ComputeSpec,
 ) -> MinibatchOutcome {
-    let mut params = config.init_params(param_seed);
+    let mut state = TrainState::new(config, param_seed);
     let mut losses = Vec::with_capacity(batches.len());
     let mut total_volume = 0u64;
     let mut skipped_batches = 0usize;
@@ -101,9 +100,6 @@ pub fn train_spec(
         let a = norm::normalize_adjacency(sub.adjacency());
         let sub_part = restrict_partition(part, batch);
         let plan_f = CommPlan::build(&a, &sub_part);
-        let plan_b = sub
-            .directed()
-            .then(|| CommPlan::build(&a.transpose(), &sub_part));
 
         let m_batch: Vec<bool> = batch.iter().map(|&v| mask[v as usize]).collect();
         if !m_batch.iter().any(|&m| m) {
@@ -116,126 +112,53 @@ pub fn train_spec(
             continue;
         }
         total_volume += plan_f.total_volume_rows();
+        let plan_b = sub
+            .directed()
+            .then(|| CommPlan::build(&a.transpose(), &sub_part).ranks);
         let h_batch = gather::gather_rows(h0, batch);
         let l_batch: Vec<u32> = batch.iter().map(|&v| labels[v as usize]).collect();
-        let out = train_with_plans_spec(
-            &plan_f.ranks,
-            &plan_b.as_ref().unwrap_or(&plan_f).ranks,
+        let mut trainer = Trainer::new(
+            plan_f.ranks,
+            plan_b,
             &h_batch,
             &l_batch,
             &m_batch,
             config,
-            1,
-            params,
+            state,
             spec,
         );
-        params = out.params;
-        losses.push(out.losses[0]);
+        losses.push(trainer.step());
+        state = trainer.state();
     }
     MinibatchOutcome {
         losses,
-        params,
+        params: state.params,
         total_volume_rows: total_volume,
         skipped_batches,
         skipped_volume_rows: skipped_volume,
     }
 }
 
-/// One rank's engine state that persists across the batch stream: its
-/// training slot, its plan-builder scratch and its data slice.
-struct EngineRank {
-    slot: RankSlot,
-    builder: RankPlanBuilder,
-    /// The rank's feature, label and mask rows of the current batch
-    /// (grow-once).
-    data: RankData,
-}
-
-/// Persistent mini-batch training engine (DESIGN.md §11).
+/// Persistent mini-batch training engine (DESIGN.md §11): the batch
+/// stream as steps of one [`Trainer`], whose rank threads, pools and
+/// grow-once workspaces live across the stream, where [`train_spec`]
+/// starts a session per batch. At the start of batch *t*'s step each rank
+/// builds its own rows and plans of the batch
+/// ([`RankPlanBuilder`](crate::plan::RankPlanBuilder), two set-up rounds
+/// that count only in `CommCounters::setup_*`) and gathers its rows; the
+/// calling thread meanwhile checks batch *t+1*.
 ///
-/// [`train_spec`] pays full startup cost per batch: a fresh
-/// [`CommSession`] respawns all `p` rank threads and kernel pools,
-/// re-prewarms the comm pools, reallocates an `EpochWorkspace`, and
-/// builds every plan centrally — all wrapped around a *single* training
-/// step. The engine hoists the fixed costs out of the loop and moves the
-/// preparation into the ranks, running every batch as one step of the
-/// same per-rank slot the full-batch trainer uses:
-///
-/// * a [`CommSession`] keeps the rank threads, channels, buffer pools and
-///   counters alive across the whole batch stream;
-/// * per-rank kernel pools are built once, and each rank's workspace
-///   grows once to the high-water batch;
-/// * each rank prepares its own share of batch *t* at the start of that
-///   batch's step, on its own thread: its rows of the induced subgraph
-///   and of `Â`, its forward and `Âᵀ` plans through a two-round set-up
-///   exchange with its peers ([`RankPlanBuilder`]), and its feature,
-///   label and mask rows;
-/// * the calling thread only checks batch *t+1* and counts its labelled
-///   vertices while the ranks train batch *t*
-///   ([`CommSession::run_step_overlapped`]), then publishes it.
-///
-/// Outputs are bitwise identical to [`train_spec`] (equivalence suite in
-/// `tests/minibatch_engine.rs`): the rank-local plans are `==` to the
-/// central ones and `Â` matches bit for bit. The set-up exchange counts
-/// in `CommCounters::setup_*` only, so the training counters are exactly
-/// the plans' traffic.
+/// Losses, parameters and volumes are bitwise those of [`train_spec`],
+/// under SGD and Adam alike (`tests/minibatch_engine.rs`): the rank-local
+/// plans are `==` to the central ones, and both paths carry the
+/// optimizer state across batches.
 pub struct MinibatchEngine<'a> {
-    inputs: Inputs<'a>,
-    session: CommSession,
-    ranks: Vec<Mutex<EngineRank>>,
-}
-
-/// The engine's fixed inputs, read by every rank step.
-struct Inputs<'a> {
+    trainer: Trainer<'a>,
     graph: &'a Graph,
     h0: &'a Dense,
     labels: &'a [u32],
     mask: &'a [bool],
     part: &'a Partition,
-    config: &'a GcnConfig,
-}
-
-impl Inputs<'_> {
-    /// One rank's step on `batch`: build its plans and, when `trainable`,
-    /// gather its rows and train. Returns the loss (`NaN` when not
-    /// trained) and the rows its forward plan sends per sweep. The
-    /// preparation's time is split into the counters' comm and compute
-    /// seconds like the training step's.
-    fn rank_step(
-        &self,
-        ctx: &mut RankCtx,
-        rank: &mut EngineRank,
-        batch: &[u32],
-        trainable: bool,
-        mask_total: f64,
-    ) -> (f64, u64) {
-        let comm_before = ctx.counters().comm_seconds;
-        let start = Instant::now();
-        let (plan_f, plan_b) = rank.builder.build(ctx, self.graph, self.part, batch);
-        let data = &mut rank.data;
-        if trainable {
-            data.h0.reshape(plan_f.local_rows.len(), data.h0.cols());
-            data.labels.clear();
-            data.mask.clear();
-            for (li, &pos) in plan_f.local_rows.iter().enumerate() {
-                let v = batch[pos as usize] as usize;
-                data.h0.row_mut(li).copy_from_slice(self.h0.row(v));
-                data.labels.push(self.labels[v]);
-                data.mask.push(self.mask[v]);
-            }
-        }
-        let wall = start.elapsed().as_secs_f64();
-        ctx.add_compute_seconds(wall - (ctx.counters().comm_seconds - comm_before));
-        let volume = plan_f.sent_rows();
-        if !trainable {
-            return (f64::NAN, volume);
-        }
-        let plan_b = plan_b.as_ref().unwrap_or(&plan_f);
-        let loss = rank
-            .slot
-            .step(ctx, &plan_f, plan_b, data, mask_total, self.config, true);
-        (loss, volume)
-    }
 }
 
 impl<'a> MinibatchEngine<'a> {
@@ -257,32 +180,26 @@ impl<'a> MinibatchEngine<'a> {
         assert_eq!(labels.len(), graph.n(), "labels mismatch");
         assert_eq!(mask.len(), graph.n(), "mask mismatch");
         assert_eq!(part.n(), graph.n(), "partition size mismatch");
-        let p = part.p();
-        let init = config.init_params(param_seed);
-        let ranks = (0..p)
-            .map(|_| {
-                Mutex::new(EngineRank {
-                    slot: RankSlot::new(0, config, init.clone(), p, spec),
-                    builder: RankPlanBuilder::new(),
-                    data: RankData {
-                        h0: Dense::zeros(0, h0.cols()),
-                        labels: Vec::new(),
-                        mask: Vec::new(),
-                    },
-                })
+        // Every rank starts with no rows; each step brings its batch's.
+        let plans = (0..part.p())
+            .map(|rank| RankPlan {
+                rank,
+                local_rows: Vec::new(),
+                a_own: Csr::identity(0),
+                a_remote: Vec::new(),
+                send: Vec::new(),
             })
             .collect();
+        let no_rows = Dense::zeros(0, h0.cols());
+        let start = TrainState::new(config, param_seed);
+        let trainer = Trainer::new(plans, None, &no_rows, &[], &[], config, start, spec);
         MinibatchEngine {
-            inputs: Inputs {
-                graph,
-                h0,
-                labels,
-                mask,
-                part,
-                config,
-            },
-            session: CommSession::new(p),
-            ranks,
+            trainer,
+            graph,
+            h0,
+            labels,
+            mask,
+            part,
         }
     }
 
@@ -297,11 +214,15 @@ impl<'a> MinibatchEngine<'a> {
         let mut skipped_batches = 0usize;
         let mut skipped_volume = 0u64;
         let MinibatchEngine {
-            inputs,
-            session,
-            ranks,
+            trainer,
+            graph,
+            h0,
+            labels,
+            mask,
+            part,
         } = self;
-        let (graph, mask) = (inputs.graph, inputs.mask);
+        let (graph, h0, labels, mask, part) = (*graph, *h0, *labels, *mask, *part);
+        let config = trainer.config;
         let check = |batch: &[u32]| -> usize {
             assert_in_graph(batch, graph.n());
             batch.iter().filter(|&&v| mask[v as usize]).count()
@@ -312,19 +233,45 @@ impl<'a> MinibatchEngine<'a> {
             // A batch without a labelled vertex has no gradient: its ranks
             // only build the plans, for the volume it would have sent.
             let trainable = labelled > 0;
-            let mask_total = labelled.max(1) as f64;
-            let step = |ctx: &mut RankCtx| {
-                let mut rank = ranks[ctx.rank()].lock().expect("rank slot poisoned");
-                inputs.rank_step(ctx, &mut rank, batch, trainable, mask_total)
+            // One rank's step: build its plans and, when `trainable`,
+            // gather its rows, keep both in its slot and train. Returns the
+            // loss (`NaN` when not trained) and the rows its forward plan
+            // sends per sweep. The preparation's time is split into the
+            // counters' comm and compute seconds like the training step's.
+            let step = |ctx: &mut RankCtx, slot: &mut RankSlot<RankPlan>| {
+                let comm_before = ctx.counters().comm_seconds;
+                let start = Instant::now();
+                let (plan_f, plan_b) = slot.builder.build(ctx, graph, part, batch);
+                let volume = plan_f.sent_rows();
+                if trainable {
+                    slot.h0.reshape(plan_f.local_rows.len(), slot.h0.cols());
+                    slot.labels.clear();
+                    slot.mask.clear();
+                    for (li, &pos) in plan_f.local_rows.iter().enumerate() {
+                        let v = batch[pos as usize] as usize;
+                        slot.h0.row_mut(li).copy_from_slice(h0.row(v));
+                        slot.labels.push(labels[v]);
+                        slot.mask.push(mask[v]);
+                    }
+                    slot.mask_total = labelled as f64;
+                    (slot.plan_f, slot.plan_b) = (plan_f, plan_b);
+                }
+                let wall = start.elapsed().as_secs_f64();
+                ctx.add_compute_seconds(wall - (ctx.counters().comm_seconds - comm_before));
+                let loss = if trainable {
+                    slot.step(ctx, config, true)
+                } else {
+                    f64::NAN
+                };
+                (loss, volume)
             };
             // Ranks prepare and train batch t while this thread checks t+1.
-            let (results, next) =
-                session.run_step_overlapped(step, || batches.get(t + 1).map(|b| check(b)));
+            let (results, next) = trainer.run(step, || batches.get(t + 1).map(|b| check(b)));
             masked = next;
             let volume: u64 = results.iter().map(|r| r.1).sum();
             if trainable {
                 total_volume += volume;
-                losses.push(results[0].0);
+                losses.push(trainer.finish_step(results[0].0));
             } else {
                 skipped_batches += 1;
                 skipped_volume += volume;
@@ -341,24 +288,19 @@ impl<'a> MinibatchEngine<'a> {
 
     /// The current (replicated) parameters.
     pub fn params(&self) -> Params {
-        self.ranks[0]
-            .lock()
-            .expect("rank slot poisoned")
-            .slot
-            .params
-            .clone()
+        self.trainer.state().params
     }
 
     /// Per-rank communication counters, accumulated since the engine was
     /// created (or last [`MinibatchEngine::reset_counters`]).
     pub fn counters(&mut self) -> Vec<CommCounters> {
-        self.session.run_step(|ctx| ctx.counters().clone())
+        self.trainer.counters()
     }
 
     /// Zeroes every rank's counters (e.g. after warm-up batches, so a
     /// measurement window sees steady state only).
     pub fn reset_counters(&mut self) {
-        self.session.run_step(|ctx| ctx.reset_counters());
+        self.trainer.reset_counters();
     }
 }
 

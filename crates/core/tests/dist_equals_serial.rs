@@ -554,3 +554,33 @@ fn empty_rank_participates_correctly() {
     let config = GcnConfig::two_layer(4, 5, 2);
     assert_equivalent(&g, &config, &part, 3, 43);
 }
+
+/// A NaN feature row poisons the first forward pass: the trainer stops at
+/// that step and names it, instead of training on garbage. The model has
+/// one (identity) layer, so the NaN reaches the logits; a ReLU layer would
+/// map it to 0 in the forward pass.
+#[test]
+#[should_panic(expected = "step 0: the global loss is NaN")]
+fn a_non_finite_loss_panics_naming_the_step() {
+    let g = er::generate(40, 160, false, 4);
+    let part = pargcn_partition::random::partition(g.n(), 2, 1);
+    let mut h0 = Dense::random(g.n(), 6, &mut StdRng::seed_from_u64(3));
+    h0.row_mut(7).fill(f32::NAN);
+    let labels: Vec<u32> = (0..g.n()).map(|i| (i % 3) as u32).collect();
+    let mask = vec![true; g.n()];
+    let config = GcnConfig {
+        dims: vec![6, 3],
+        ..GcnConfig::two_layer(6, 8, 3)
+    };
+    train_full_batch_spec(
+        &g,
+        &h0,
+        &labels,
+        &mask,
+        &part,
+        &config,
+        3,
+        1,
+        ComputeSpec::default(),
+    );
+}

@@ -12,9 +12,10 @@
 
 use pargcn_core::baselines::cagnet::CagnetPlan;
 use pargcn_core::minibatch::{self, MinibatchEngine, MinibatchOutcome};
+use pargcn_core::optim::Optimizer;
 use pargcn_core::plan::PlanBuilder;
 use pargcn_core::serial::SerialTrainer;
-use pargcn_core::{CommPlan, GcnConfig};
+use pargcn_core::{CommPlan, GcnConfig, LayerOrder};
 use pargcn_graph::gen::er;
 use pargcn_graph::gen::sbm::{self, SbmParams};
 use pargcn_graph::Graph;
@@ -79,15 +80,15 @@ fn predictions_from(
         .predict(h0)
 }
 
-fn equivalence_at(p: usize, kernel: KernelKind) {
+fn equivalence_at(p: usize, kernel: Option<KernelKind>, config: &GcnConfig) {
     let (graph, h0, labels, mask) = setup(240, 3);
     let a = graph.normalized_adjacency();
     let part = partition_rows(&graph, &a, Method::Hp, p, 0.1, 1);
-    let config = GcnConfig::two_layer(8, 12, 4);
+    let config = config.clone();
     let batches = batches_with_unlabelled(&graph, &mask, 12);
     let spec = ComputeSpec {
         threads: Some(2),
-        kernel: Some(kernel),
+        kernel,
     };
 
     let old = minibatch::train_spec(
@@ -108,14 +109,34 @@ fn equivalence_at(p: usize, kernel: KernelKind) {
 
 #[test]
 fn engine_matches_per_batch_path_p2() {
-    equivalence_at(2, KernelKind::Naive);
-    equivalence_at(2, KernelKind::Blocked);
+    let config = GcnConfig::two_layer(8, 12, 4);
+    equivalence_at(2, Some(KernelKind::Naive), &config);
+    equivalence_at(2, Some(KernelKind::Blocked), &config);
 }
 
 #[test]
 fn engine_matches_per_batch_path_p4() {
-    equivalence_at(4, KernelKind::Naive);
-    equivalence_at(4, KernelKind::Blocked);
+    let config = GcnConfig::two_layer(8, 12, 4);
+    equivalence_at(4, Some(KernelKind::Naive), &config);
+    equivalence_at(4, Some(KernelKind::Blocked), &config);
+}
+
+/// Adam's moments and step count carry from batch to batch on both
+/// paths, so the streams agree bitwise past the first batches, for both
+/// layer orders (the kernel engine is `PARGCN_KERNEL`'s).
+#[test]
+fn engine_matches_per_batch_path_under_adam() {
+    for order in [LayerOrder::SpmmFirst, LayerOrder::DmmFirst] {
+        let config = GcnConfig {
+            order,
+            optimizer: Optimizer::adam(),
+            learning_rate: 0.01,
+            ..GcnConfig::two_layer(8, 12, 4)
+        };
+        for p in [2, 4] {
+            equivalence_at(p, None, &config);
+        }
+    }
 }
 
 /// Splitting a batch stream across several `train` calls must behave like

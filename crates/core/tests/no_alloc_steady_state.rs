@@ -12,17 +12,19 @@
 //! reach its steady footprint, the counters reset, and three more epochs
 //! must then report zero comm-path allocations on every rank.
 
-use pargcn_comm::CommSession;
+use pargcn_comm::{CommCounters, CommSession};
 use pargcn_core::baselines::cagnet::CagnetPlan;
 use pargcn_core::dist::trainer::epoch_step;
-use pargcn_core::dist::{prewarm_comm_pools, EpochWorkspace, RankState, SpmmExchange};
+use pargcn_core::dist::{
+    prewarm_comm_pools, EpochWorkspace, RankState, SpmmExchange, TrainState, Trainer,
+};
 use pargcn_core::gat::{self, GatLayer};
 use pargcn_core::optim::OptimizerState;
 use pargcn_core::{CommPlan, GcnConfig};
 use pargcn_graph::gen::er;
 use pargcn_graph::gen::sbm::{self, SbmParams};
 use pargcn_graph::Graph;
-use pargcn_matrix::{gather, ComputeCtx, Dense};
+use pargcn_matrix::{gather, ComputeCtx, ComputeSpec, Dense};
 use pargcn_partition::{partition_rows, Method, Partition};
 use pargcn_util::allocmeter::CountingAllocator;
 
@@ -188,6 +190,67 @@ fn cagnet_steady_state_epochs_do_not_allocate_on_the_comm_path() {
             );
         }
     }
+}
+
+/// The full-batch `Trainer` path itself, P2P and CAGNET, on directed and
+/// undirected graphs: on one session, every `step()` after the first
+/// performs zero comm-path allocations on every rank.
+#[test]
+fn trainer_steps_do_not_allocate_on_the_comm_path() {
+    for directed in [false, true] {
+        let pr = problem(4, directed);
+        let a = pr.graph.normalized_adjacency();
+        let at = directed.then(|| a.transpose());
+        let p2p = Trainer::new(
+            CommPlan::build(&a, &pr.part).ranks,
+            at.as_ref().map(|at| CommPlan::build(at, &pr.part).ranks),
+            &pr.h0,
+            &pr.labels,
+            &pr.mask,
+            &pr.config,
+            TrainState::new(&pr.config, 3),
+            ComputeSpec::default(),
+        );
+        assert_trainer_steps_free(p2p, "p2p", directed);
+        let cagnet = Trainer::new(
+            CagnetPlan::build(&a, &pr.part).ranks,
+            at.as_ref().map(|at| CagnetPlan::build(at, &pr.part).ranks),
+            &pr.h0,
+            &pr.labels,
+            &pr.mask,
+            &pr.config,
+            TrainState::new(&pr.config, 3),
+            ComputeSpec::default(),
+        );
+        assert_trainer_steps_free(cagnet, "cagnet", directed);
+    }
+}
+
+/// One warm-up `step()`, then three more with the counters reset.
+fn assert_trainer_steps_free<X: SpmmExchange + Send>(
+    mut trainer: Trainer<'_, X>,
+    name: &str,
+    directed: bool,
+) {
+    trainer.step();
+    trainer.reset_counters();
+    for _ in 0..3 {
+        trainer.step();
+    }
+    let counters = trainer.counters();
+    for (rank, c) in counters.iter().enumerate() {
+        assert_eq!(
+            c.comm_path_allocs, 0,
+            "{name} (directed: {directed}) rank {rank}: steady-state steps allocated {} times \
+             inside the comm runtime",
+            c.comm_path_allocs
+        );
+    }
+    let traffic = CommCounters::merged(&counters);
+    assert!(
+        traffic.sent_messages + traffic.collective_messages > 0,
+        "{name}: the steps exchanged nothing — the assertion above is vacuous"
+    );
 }
 
 /// GAT inference sends pooled payloads and releases what it receives.

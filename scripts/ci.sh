@@ -29,8 +29,8 @@ run cargo test --release -q --offline --locked -p pargcn-util
 # from debug builds.
 run cargo test --release -q --offline --locked -p pargcn-matrix
 # Kernel-engine parity: the bitwise-determinism suites, the golden
-# training bits and the allocation contract must hold under both
-# compute engines
+# training bits, distributed ≡ serial and the allocation contract must
+# hold under both compute engines
 # (PARGCN_KERNEL selects naive vs blocked GEMM/SpMM; every result is
 # bitwise engine-independent — DESIGN.md §10).
 for kernel in naive blocked; do
@@ -40,7 +40,7 @@ for kernel in naive blocked; do
     run env PARGCN_KERNEL=$kernel \
         cargo test -q --offline --locked -p pargcn-core \
         --test determinism_threads --test no_alloc_steady_state \
-        --test minibatch_engine --test golden_bits
+        --test minibatch_engine --test golden_bits --test dist_equals_serial
 done
 # The benchmark crate is its own workspace built against the public
 # training API; test it so an API change cannot silently break it.
