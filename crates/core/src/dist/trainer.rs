@@ -128,8 +128,8 @@ pub struct Trainer<'a, X = RankPlan> {
     pub(crate) config: &'a GcnConfig,
     session: CommSession,
     slots: Vec<Mutex<RankSlot<X>>>,
-    /// Training steps run so far.
-    steps: usize,
+    /// Training steps run so far (or by a per-batch stream's trainers).
+    pub(crate) steps: usize,
 }
 
 impl<'a, X: SpmmExchange + Send> Trainer<'a, X> {
@@ -190,9 +190,14 @@ impl<'a, X: SpmmExchange + Send> Trainer<'a, X> {
     /// # Panics
     /// Panics, naming the step, if the global loss is not finite.
     pub fn step(&mut self) -> f64 {
+        self.step_of(None)
+    }
+
+    /// [`Trainer::step`], naming the caller's `batch` too if it panics.
+    pub(crate) fn step_of(&mut self, batch: Option<usize>) -> f64 {
         let config = self.config;
         let losses = self.run(|ctx, slot| slot.step(ctx, config, true), || ()).0;
-        self.finish_step(losses[0])
+        self.finish_step(losses[0], batch)
     }
 
     /// The forward pass with the current parameters: the logits of every
@@ -238,11 +243,14 @@ impl<'a, X: SpmmExchange + Send> Trainer<'a, X> {
         self.session.run_step_overlapped(step, main)
     }
 
-    /// Counts a training step with global loss `loss`, panicking with the
-    /// step's index if it is not finite.
-    pub(crate) fn finish_step(&mut self, loss: f64) -> f64 {
+    /// Counts a training step with global loss `loss`; panics naming the
+    /// step (and the caller's `batch`) if it is not finite.
+    pub(crate) fn finish_step(&mut self, loss: f64, batch: Option<usize>) -> f64 {
         let t = self.steps;
-        assert!(loss.is_finite(), "step {t}: the global loss is {loss}");
+        if !loss.is_finite() {
+            let of_batch = batch.map(|i| format!(" (batch {i})")).unwrap_or_default();
+            panic!("step {t}{of_batch}: the global loss is {loss}");
+        }
         self.steps += 1;
         loss
     }

@@ -219,6 +219,17 @@ mod tests {
         // A stale buffer: every element must be overwritten.
         let mut grad = Dense::from_fn(n, c, |_, _| 9.0);
         let loss = softmax_cross_entropy_into(&h, &labels, &mask, count, &mut grad);
+        // A masked-in NaN row makes both losses NaN ...
+        let has_nan = |i: usize| h.row(i).iter().any(|v| v.is_nan());
+        assert!((0..n).any(|i| mask[i] && has_nan(i)));
+        assert!(loss_ref.is_nan() && loss.is_nan());
+        // ... and without the NaN rows every other row's term, the
+        // underflow and huge-logit rows included, agrees bit for bit.
+        let finite: Vec<bool> = (0..n).map(|i| mask[i] && !has_nan(i)).collect();
+        let (loss_ref, _) = softmax_then_gradient_loop(&h, &labels, &finite, count);
+        let mut scratch = Dense::zeros(n, c);
+        let loss = softmax_cross_entropy_into(&h, &labels, &finite, count, &mut scratch);
+        assert!(loss.is_finite());
         assert_eq!(loss_ref.to_bits(), loss.to_bits());
         let bits = |d: &Dense| -> Vec<u32> {
             d.data()

@@ -74,7 +74,8 @@ pub struct MinibatchOutcome {
 /// batch across the same `part.p()` ranks under the global partition,
 /// with `spec` applied to every batch step. The per-batch reference path:
 /// each batch gets central plans and a [`Trainer`] of its own, and the
-/// parameters and optimizer state carry from batch to batch.
+/// parameters and optimizer state carry from batch to batch. A
+/// non-finite loss panics, naming the step and the index in `batches`.
 // The training entry points take the full problem description by design;
 // a config struct would just rename the nine pieces.
 #[allow(clippy::too_many_arguments)]
@@ -94,7 +95,7 @@ pub fn train_spec(
     let mut total_volume = 0u64;
     let mut skipped_batches = 0usize;
     let mut skipped_volume = 0u64;
-    for batch in batches {
+    for (i, batch) in batches.iter().enumerate() {
         assert_in_graph(batch, graph.n());
         let sub = graph.induced_subgraph(batch);
         let a = norm::normalize_adjacency(sub.adjacency());
@@ -127,7 +128,8 @@ pub fn train_spec(
             state,
             spec,
         );
-        losses.push(trainer.step());
+        trainer.steps = losses.len();
+        losses.push(trainer.step_of(Some(i)));
         state = trainer.state();
     }
     MinibatchOutcome {
@@ -207,7 +209,7 @@ impl<'a> MinibatchEngine<'a> {
     /// ranks preparing it, while the calling thread checks the next
     /// batch. May be called repeatedly — parameters and optimizer state
     /// carry across calls, so a stream of `train` calls behaves like one
-    /// long batch list.
+    /// long batch list. A non-finite loss panics as in [`train_spec`].
     pub fn train(&mut self, batches: &[Vec<u32>]) -> MinibatchOutcome {
         let mut losses = Vec::with_capacity(batches.len());
         let mut total_volume = 0u64;
@@ -271,7 +273,7 @@ impl<'a> MinibatchEngine<'a> {
             let volume: u64 = results.iter().map(|r| r.1).sum();
             if trainable {
                 total_volume += volume;
-                losses.push(trainer.finish_step(results[0].0));
+                losses.push(trainer.finish_step(results[0].0, Some(t)));
             } else {
                 skipped_batches += 1;
                 skipped_volume += volume;

@@ -342,6 +342,48 @@ fn engine_rejects_a_repeated_vertex() {
         .train(&[vec![90, 48, 0, 48, 144]]);
 }
 
+/// A stream whose third batch holds a NaN feature row, after a trained
+/// batch and an unlabelled (skipped) one. The model has one (identity)
+/// layer, so the NaN reaches the logits.
+fn poisoned_stream() -> (Graph, Dense, Vec<u32>, Vec<bool>, Vec<Vec<u32>>) {
+    let (graph, mut h0, labels, mask) = setup(200, 9);
+    let poisoned = (100..200).find(|&v| mask[v]).expect("a labelled vertex");
+    h0.row_mut(poisoned).fill(f32::NAN);
+    let unlabelled: Vec<u32> = (0..100).filter(|&v| !mask[v as usize]).collect();
+    let batches = vec![(0..100).collect(), unlabelled, (100..200).collect()];
+    (graph, h0, labels, mask, batches)
+}
+
+/// Both paths name the trained step and the caller's batch index, which
+/// differ once a batch was skipped.
+#[test]
+#[should_panic(expected = "step 1 (batch 2): the global loss is NaN")]
+fn engine_panics_on_a_non_finite_loss_naming_the_batch() {
+    let (graph, h0, labels, mask, batches) = poisoned_stream();
+    let part = random::partition(graph.n(), 2, 1);
+    let config = GcnConfig {
+        dims: vec![8, 4],
+        ..GcnConfig::two_layer(8, 10, 4)
+    };
+    let spec = ComputeSpec::default();
+    MinibatchEngine::new(&graph, &h0, &labels, &mask, &part, &config, 7, spec).train(&batches);
+}
+
+#[test]
+#[should_panic(expected = "step 1 (batch 2): the global loss is NaN")]
+fn per_batch_path_panics_on_a_non_finite_loss_naming_the_batch() {
+    let (graph, h0, labels, mask, batches) = poisoned_stream();
+    let part = random::partition(graph.n(), 2, 1);
+    let config = GcnConfig {
+        dims: vec![8, 4],
+        ..GcnConfig::two_layer(8, 10, 4)
+    };
+    let spec = ComputeSpec::default();
+    minibatch::train_spec(
+        &graph, &h0, &labels, &mask, &part, &config, &batches, 7, spec,
+    );
+}
+
 /// Unsorted batches stay accepted, and both paths agree on them.
 #[test]
 fn unsorted_batches_train_identically_on_both_paths() {
