@@ -9,8 +9,7 @@ use pargcn_graph::gen::{grid, rmat};
 use pargcn_matrix::{gather, norm, ComputeCtx, Dense, KernelKind};
 use pargcn_util::bench::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use pargcn_util::pool::Pool;
-use pargcn_util::rng::SeedableRng;
-use pargcn_util::rng::StdRng;
+use pargcn_util::rng::{Rng, SeedableRng, StdRng};
 
 /// Thread counts exercised by the threaded naive-kernel benchmarks. The
 /// `t = 1` rows measure the pooled entry points' serial fallback, so the
@@ -269,6 +268,43 @@ fn bench_kernel_engine(c: &mut Criterion) {
     group.finish();
 }
 
+/// The masked softmax cross-entropy at one rank's road shape (61,600
+/// rows × 16 classes, every row labelled as in the perfbench workloads):
+/// `naive` runs the scalar rows, `blocked` eight rows per AVX2 register
+/// where the CPU has them. Both give the same bits. Throughput is in
+/// logits.
+fn bench_loss(c: &mut Criterion) {
+    let mut group = c.benchmark_group("loss");
+    let (rows, classes) = (61_600usize, 16usize);
+    let mut rng = StdRng::seed_from_u64(7);
+    let h = Dense::from_fn(rows, classes, |_, _| rng.gen_range(-6.0..6.0f32));
+    let labels: Vec<u32> = (0..rows)
+        .map(|_| rng.gen_range(0..classes as u32))
+        .collect();
+    let mask = vec![true; rows];
+    let mut grad = Dense::zeros(rows, classes);
+    group.throughput(Throughput::Elements((rows * classes) as u64));
+    for kernel in [KernelKind::Naive, KernelKind::Blocked] {
+        let cctx = ComputeCtx::serial().with_kernel(kernel);
+        group.bench_with_input(
+            BenchmarkId::new("road_rank", kernel.name()),
+            &rows,
+            |b, _| {
+                b.iter(|| {
+                    cctx.softmax_cross_entropy_into(
+                        std::hint::black_box(&h),
+                        &labels,
+                        &mask,
+                        rows as f64,
+                        &mut grad,
+                    )
+                })
+            },
+        );
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_spmm,
@@ -278,6 +314,7 @@ criterion_group!(
     bench_spmm_threads,
     bench_dmm_threads,
     bench_pool_overhead,
-    bench_kernel_engine
+    bench_kernel_engine,
+    bench_loss
 );
 criterion_main!(benches);

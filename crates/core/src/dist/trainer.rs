@@ -3,7 +3,6 @@
 
 use super::workspace::{prewarm_comm_pools, EpochWorkspace};
 use super::{backprop, feedforward, RankState, SpmmExchange};
-use crate::loss;
 use crate::model::{GcnConfig, Params};
 use crate::optim::OptimizerState;
 use crate::plan::{CommPlan, RankPlan, RankPlanBuilder};
@@ -72,6 +71,9 @@ pub(crate) struct RankSlot<X> {
     pub(crate) mask_total: f64,
     /// A batch stream's plan-builder scratch.
     pub(crate) builder: RankPlanBuilder,
+    /// The lowest layer `k` whose allreduced `ΔWᵏ` held a NaN or ±∞ in
+    /// the last training step (the same on every rank).
+    non_finite_dw: Option<usize>,
 }
 
 impl<X: SpmmExchange> RankSlot<X> {
@@ -104,6 +106,13 @@ impl<X: SpmmExchange> RankSlot<X> {
             feedforward::run(ctx, &st, &mut self.ws);
             f64::NAN
         };
+        // `ws.dw` still holds the allreduced gradients the update applied.
+        self.non_finite_dw = train
+            .then(|| {
+                let bad = |dw: &Dense| dw.data().iter().any(|v| !v.is_finite());
+                self.ws.dw.iter().position(bad).map(|k| k + 1)
+            })
+            .flatten();
         let wall = start.elapsed().as_secs_f64();
         ctx.add_compute_seconds(wall - (ctx.counters().comm_seconds - comm_before));
         ctx.add_compute_flops(st.ctx.take_flops());
@@ -174,6 +183,7 @@ impl<'a, X: SpmmExchange + Send> Trainer<'a, X> {
                 plan_b: plan_b.as_mut().and_then(Iterator::next),
                 plan_f,
                 builder: RankPlanBuilder::new(),
+                non_finite_dw: None,
             })
         });
         Trainer {
@@ -188,7 +198,10 @@ impl<'a, X: SpmmExchange + Send> Trainer<'a, X> {
     /// full-batch run, one epoch). Returns the global loss.
     ///
     /// # Panics
-    /// Panics, naming the step, if the global loss is not finite.
+    /// Panics, naming the step, if the global loss is not finite, or else
+    /// naming the step and the lowest layer `k` if an allreduced `ΔWᵏ`
+    /// holds a NaN or ±∞ (a NaN feature under a ReLU layer never reaches
+    /// the loss: `max(NaN, 0)` is 0).
     pub fn step(&mut self) -> f64 {
         self.step_of(None)
     }
@@ -244,12 +257,16 @@ impl<'a, X: SpmmExchange + Send> Trainer<'a, X> {
     }
 
     /// Counts a training step with global loss `loss`; panics naming the
-    /// step (and the caller's `batch`) if it is not finite.
+    /// step (and the caller's `batch`) if it is not finite, or if a
+    /// rank's slot recorded a non-finite `ΔW`.
     pub(crate) fn finish_step(&mut self, loss: f64, batch: Option<usize>) -> f64 {
         let t = self.steps;
+        let of_batch = || batch.map(|i| format!(" (batch {i})")).unwrap_or_default();
         if !loss.is_finite() {
-            let of_batch = batch.map(|i| format!(" (batch {i})")).unwrap_or_default();
-            panic!("step {t}{of_batch}: the global loss is {loss}");
+            panic!("step {t}{}: the global loss is {loss}", of_batch());
+        }
+        if let Some(k) = lock(&self.slots[0]).non_finite_dw {
+            panic!("step {t}{}: ΔW{k} is non-finite", of_batch());
         }
         self.steps += 1;
         loss
@@ -342,7 +359,7 @@ pub fn epoch_step<X: SpmmExchange>(
     ws: &mut EpochWorkspace,
 ) -> f64 {
     feedforward::run(ctx, st, ws);
-    let loss_local = loss::softmax_cross_entropy_into(
+    let loss_local = st.ctx.softmax_cross_entropy_into(
         &ws.h[st.config.layers() - 1],
         st.labels,
         st.mask,

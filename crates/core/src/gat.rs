@@ -32,6 +32,7 @@ use crate::dist::SpmmExchange;
 use crate::plan::{CommPlan, RankPlan};
 use pargcn_comm::{CommCounters, CommSession, RankCtx};
 use pargcn_graph::Graph;
+use pargcn_matrix::softmax::exp;
 use pargcn_matrix::{gather, Csr, Dense};
 use pargcn_partition::Partition;
 use pargcn_util::rng::StdRng;
@@ -103,7 +104,7 @@ pub fn forward_serial(layer: &GatLayer, pattern: &Csr, h: &Dense) -> Dense {
             .map(|&j| layer.lrelu(s_src_i + s_dst[j as usize]))
             .collect();
         let max = logits.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        let exps: Vec<f32> = logits.iter().map(|&e| (e - max).exp()).collect();
+        let exps: Vec<f32> = logits.iter().map(|&e| exp(e - max)).collect();
         let denom: f32 = exps.iter().sum();
         let row = out.row_mut(i);
         for (&j, &w) in cols.iter().zip(&exps) {
@@ -179,12 +180,12 @@ pub fn forward_rank(
             continue;
         }
         let max = logits.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        let denom: f32 = logits.iter().map(|&e| (e - max).exp()).sum();
+        let denom: f32 = logits.iter().map(|&e| exp(e - max)).sum();
 
         let row = out.row_mut(i);
         let mut cursor = 0usize;
         for &j in rp.a_own.row_indices(i) {
-            let alpha = (logits[cursor] - max).exp() / denom;
+            let alpha = exp(logits[cursor] - max) / denom;
             cursor += 1;
             for (o, &pv) in row.iter_mut().zip(p_local.row(j as usize)) {
                 *o += alpha * pv;
@@ -192,7 +193,7 @@ pub fn forward_rank(
         }
         for (blk, pr) in rp.a_remote.iter().zip(&p_remote) {
             for &j in blk.a.row_indices(i) {
-                let alpha = (logits[cursor] - max).exp() / denom;
+                let alpha = exp(logits[cursor] - max) / denom;
                 cursor += 1;
                 for (o, &pv) in row.iter_mut().zip(pr.row(j as usize)) {
                     *o += alpha * pv;

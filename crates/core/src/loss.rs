@@ -6,81 +6,27 @@
 //! mask, so only labelled vertices drive updates — the transductive GCN
 //! setting of Kipf & Welling.
 
-use pargcn_matrix::Dense;
+use pargcn_matrix::{ComputeCtx, Dense};
 
-/// One row's softmax in place: the max-subtracted exponentials (the
-/// stability trick), divided by their sum when it is positive.
-fn softmax_in_place(row: &mut [f32]) {
-    let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-    let mut sum = 0.0f32;
-    for v in row.iter_mut() {
-        *v = (*v - max).exp();
-        sum += *v;
-    }
-    if sum > 0.0 {
-        for v in row.iter_mut() {
-            *v /= sum;
-        }
-    }
-}
-
-/// Masked softmax cross-entropy.
+/// Masked softmax cross-entropy on `ctx`'s engine.
 ///
 /// Returns `(J, ∇_{H} J)` where
 /// `J = (1/|mask|) Σ_{i∈mask} −log softmax(H(i,:))[yᵢ]` and the gradient is
 /// `(softmax(H(i,:)) − onehot(yᵢ))/|mask|` on masked rows, zero elsewhere.
-pub fn softmax_cross_entropy(h: &Dense, labels: &[u32], mask: &[bool]) -> (f64, Dense) {
-    let count = mask.iter().filter(|&&m| m).count().max(1) as f64;
-    let mut grad = Dense::zeros(h.rows(), h.cols());
-    let loss = softmax_cross_entropy_into(h, labels, mask, count, &mut grad);
-    (loss, grad)
-}
-
-/// [`softmax_cross_entropy`] into a caller-owned `grad` (overwritten),
-/// normalised by `count` instead of the local mask size. A rank passes
-/// the *global* masked count, so allreducing the per-rank values yields
-/// the serial loss; the training loop passes its workspace buffer, so
-/// the loss path allocates nothing (§9).
-///
-/// One pass over the rows: each masked row's softmax is computed in its
-/// `grad` row and turned into the gradient there, with the same `exp`,
-/// `ln` and divisions in the same order as a separate softmax pass
-/// followed by a gradient loop, so the bits are those of that sequence.
-/// Unmasked rows are zeroed.
-pub fn softmax_cross_entropy_into(
+/// The training loops call [`ComputeCtx::softmax_cross_entropy_into`]
+/// instead, with a caller-owned gradient and the *global* masked count,
+/// so allreducing the per-rank values yields the serial loss and the loss
+/// path allocates nothing (§9).
+pub fn softmax_cross_entropy(
+    ctx: &ComputeCtx,
     h: &Dense,
     labels: &[u32],
     mask: &[bool],
-    count: f64,
-    grad: &mut Dense,
-) -> f64 {
-    assert_eq!(h.rows(), labels.len(), "label length mismatch");
-    assert_eq!(h.rows(), mask.len(), "mask length mismatch");
-    assert_eq!(
-        (grad.rows(), grad.cols()),
-        (h.rows(), h.cols()),
-        "gradient shape mismatch"
-    );
-    let mut loss = 0.0f64;
-    for (i, (&masked, &label)) in mask.iter().zip(labels).enumerate() {
-        let g = grad.row_mut(i);
-        if !masked {
-            g.fill(0.0);
-            continue;
-        }
-        g.copy_from_slice(h.row(i));
-        softmax_in_place(g);
-        let y = label as usize;
-        // Clamped away from 0, but a NaN stays NaN (`f32::max` would drop
-        // it), so a poisoned row shows in the loss.
-        let p = if g[y] < 1e-12 { 1e-12 } else { g[y] };
-        loss -= (p as f64).ln();
-        for (j, gv) in g.iter_mut().enumerate() {
-            let indicator = if j == y { 1.0 } else { 0.0 };
-            *gv = (*gv - indicator) / count as f32;
-        }
-    }
-    loss / count
+) -> (f64, Dense) {
+    let count = mask.iter().filter(|&&m| m).count().max(1) as f64;
+    let mut grad = Dense::zeros(h.rows(), h.cols());
+    let loss = ctx.softmax_cross_entropy_into(h, labels, mask, count, &mut grad);
+    (loss, grad)
 }
 
 /// Classification accuracy of `h`'s row-argmax against `labels`, over rows
@@ -107,6 +53,29 @@ pub fn accuracy(h: &Dense, labels: &[u32], mask: &[bool]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pargcn_matrix::softmax::exp;
+    use pargcn_matrix::KernelKind;
+
+    /// One row's softmax in place: the max-subtracted exponentials (the
+    /// stability trick), divided by their sum when it is positive.
+    fn softmax_in_place(row: &mut [f32]) {
+        let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+        let mut sum = 0.0f32;
+        for v in row.iter_mut() {
+            *v = exp(*v - max);
+            sum += *v;
+        }
+        if sum > 0.0 {
+            for v in row.iter_mut() {
+                *v /= sum;
+            }
+        }
+    }
+
+    /// The loss on the serial context.
+    fn xent(h: &Dense, labels: &[u32], mask: &[bool]) -> (f64, Dense) {
+        softmax_cross_entropy(&ComputeCtx::serial(), h, labels, mask)
+    }
 
     /// Row-wise softmax of `h`, one [`softmax_in_place`] per row.
     fn softmax_rows(h: &Dense) -> Dense {
@@ -140,8 +109,8 @@ mod tests {
         let unsure = Dense::from_vec(1, 2, vec![0.1, -0.1]);
         let labels = vec![0u32];
         let mask = vec![true];
-        let (l_conf, _) = softmax_cross_entropy(&confident, &labels, &mask);
-        let (l_unsure, _) = softmax_cross_entropy(&unsure, &labels, &mask);
+        let (l_conf, _) = xent(&confident, &labels, &mask);
+        let (l_unsure, _) = xent(&unsure, &labels, &mask);
         assert!(l_conf < l_unsure);
     }
 
@@ -150,7 +119,7 @@ mod tests {
         let h = Dense::from_vec(2, 3, vec![0.5, -0.2, 0.1, 1.0, 0.3, -0.7]);
         let labels = vec![2u32, 0];
         let mask = vec![true, true];
-        let (_, grad) = softmax_cross_entropy(&h, &labels, &mask);
+        let (_, grad) = xent(&h, &labels, &mask);
         let eps = 1e-3f32;
         for i in 0..2 {
             for j in 0..3 {
@@ -158,8 +127,8 @@ mod tests {
                 hp.set(i, j, h.get(i, j) + eps);
                 let mut hm = h.clone();
                 hm.set(i, j, h.get(i, j) - eps);
-                let (lp, _) = softmax_cross_entropy(&hp, &labels, &mask);
-                let (lm, _) = softmax_cross_entropy(&hm, &labels, &mask);
+                let (lp, _) = xent(&hp, &labels, &mask);
+                let (lm, _) = xent(&hm, &labels, &mask);
                 let fd = ((lp - lm) / (2.0 * eps as f64)) as f32;
                 assert!(
                     (fd - grad.get(i, j)).abs() < 1e-3,
@@ -216,34 +185,41 @@ mod tests {
         let mask: Vec<bool> = (0..n).map(|i| i % 3 != 1).collect();
         let count = 211.0;
         let (loss_ref, grad_ref) = softmax_then_gradient_loop(&h, &labels, &mask, count);
-        // A stale buffer: every element must be overwritten.
-        let mut grad = Dense::from_fn(n, c, |_, _| 9.0);
-        let loss = softmax_cross_entropy_into(&h, &labels, &mask, count, &mut grad);
-        // A masked-in NaN row makes both losses NaN ...
-        let has_nan = |i: usize| h.row(i).iter().any(|v| v.is_nan());
-        assert!((0..n).any(|i| mask[i] && has_nan(i)));
-        assert!(loss_ref.is_nan() && loss.is_nan());
-        // ... and without the NaN rows every other row's term, the
-        // underflow and huge-logit rows included, agrees bit for bit.
-        let finite: Vec<bool> = (0..n).map(|i| mask[i] && !has_nan(i)).collect();
-        let (loss_ref, _) = softmax_then_gradient_loop(&h, &labels, &finite, count);
-        let mut scratch = Dense::zeros(n, c);
-        let loss = softmax_cross_entropy_into(&h, &labels, &finite, count, &mut scratch);
-        assert!(loss.is_finite());
-        assert_eq!(loss_ref.to_bits(), loss.to_bits());
         let bits = |d: &Dense| -> Vec<u32> {
             d.data()
                 .iter()
                 .map(|v| if v.is_nan() { f32::NAN } else { *v }.to_bits())
                 .collect()
         };
-        assert_eq!(bits(&grad_ref), bits(&grad));
+        let has_nan = |i: usize| h.row(i).iter().any(|v| v.is_nan());
+        assert!((0..n).any(|i| mask[i] && has_nan(i)));
+        let finite: Vec<bool> = (0..n).map(|i| mask[i] && !has_nan(i)).collect();
+        let (finite_ref, _) = softmax_then_gradient_loop(&h, &labels, &finite, count);
+        let blocked = ComputeCtx::serial().with_kernel(KernelKind::Blocked);
+        for ctx in [
+            ComputeCtx::serial().with_kernel(KernelKind::Naive),
+            blocked.clone().without_lanes(),
+            blocked,
+        ] {
+            // A stale buffer: every element must be overwritten.
+            let mut grad = Dense::from_fn(n, c, |_, _| 9.0);
+            let loss = ctx.softmax_cross_entropy_into(&h, &labels, &mask, count, &mut grad);
+            // A masked-in NaN row makes both losses NaN ...
+            assert!(loss_ref.is_nan() && loss.is_nan());
+            // ... and without the NaN rows every other row's term, the
+            // underflow and huge-logit rows included, agrees bit for bit.
+            let mut scratch = Dense::zeros(n, c);
+            let loss = ctx.softmax_cross_entropy_into(&h, &labels, &finite, count, &mut scratch);
+            assert!(loss.is_finite());
+            assert_eq!(finite_ref.to_bits(), loss.to_bits());
+            assert_eq!(bits(&grad_ref), bits(&grad));
+        }
     }
 
     #[test]
     fn masked_rows_have_zero_gradient() {
         let h = Dense::from_vec(2, 2, vec![1.0, 0.0, 0.0, 1.0]);
-        let (_, grad) = softmax_cross_entropy(&h, &[0, 1], &[true, false]);
+        let (_, grad) = xent(&h, &[0, 1], &[true, false]);
         assert_eq!(grad.row(1), &[0.0, 0.0]);
     }
 

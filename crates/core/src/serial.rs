@@ -163,7 +163,8 @@ impl SerialTrainer {
     /// Returns the epoch loss.
     pub fn train_epoch(&mut self, h0: &Dense, labels: &[u32], mask: &[bool]) -> f64 {
         let state = self.forward(h0);
-        let (j, grad) = loss::softmax_cross_entropy(&state.h[self.config.layers()], labels, mask);
+        let (j, grad) =
+            loss::softmax_cross_entropy(&self.ctx, &state.h[self.config.layers()], labels, mask);
         let delta_w = self.backward(&state, &grad);
         // The parameter update: Eq. 5 for SGD; Adam when configured.
         for (layer, (w, dw)) in self.params.weights.iter_mut().zip(&delta_w).enumerate() {
@@ -218,7 +219,7 @@ mod tests {
         let mask = vec![true, true, false, true, true];
 
         let state = t.forward(&h0);
-        let (_, grad_hl) = loss::softmax_cross_entropy(&state.h[2], &labels, &mask);
+        let (_, grad_hl) = loss::softmax_cross_entropy(&t.ctx, &state.h[2], &labels, &mask);
         let analytic = t.backward(&state, &grad_hl);
 
         let eps = 1e-2f32;
@@ -230,14 +231,14 @@ mod tests {
                     let w = &mut tp.params.weights[layer];
                     w.set(i, j, w.get(i, j) + eps);
                     let (lp, _) =
-                        loss::softmax_cross_entropy(&tp.forward(&h0).h[2], &labels, &mask);
+                        loss::softmax_cross_entropy(&t.ctx, &tp.forward(&h0).h[2], &labels, &mask);
 
                     let mut tm = SerialTrainer::new(&g, t.config.clone(), 7);
                     tm.params = t.params.clone();
                     let w = &mut tm.params.weights[layer];
                     w.set(i, j, w.get(i, j) - eps);
                     let (lm, _) =
-                        loss::softmax_cross_entropy(&tm.forward(&h0).h[2], &labels, &mask);
+                        loss::softmax_cross_entropy(&t.ctx, &tm.forward(&h0).h[2], &labels, &mask);
 
                     let fd = ((lp - lm) / (2.0 * eps as f64)) as f32;
                     let an = analytic_grad.get(i, j);
@@ -306,7 +307,7 @@ mod tests {
         let labels = vec![0u32, 1, 0, 1];
         let mask = vec![true; 4];
         let state = t.forward(&h0);
-        let (_, grad_hl) = loss::softmax_cross_entropy(&state.h[2], &labels, &mask);
+        let (_, grad_hl) = loss::softmax_cross_entropy(&t.ctx, &state.h[2], &labels, &mask);
         let analytic = t.backward(&state, &grad_hl);
         let eps = 1e-2f32;
         // Spot-check a few entries of W¹.
@@ -316,7 +317,7 @@ mod tests {
                 tt.params = t.params.clone();
                 let w = &mut tt.params.weights[0];
                 w.set(i, j, w.get(i, j) + delta);
-                loss::softmax_cross_entropy(&tt.forward(&h0).h[2], &labels, &mask).0
+                loss::softmax_cross_entropy(&t.ctx, &tt.forward(&h0).h[2], &labels, &mask).0
             };
             let fd = ((probe(eps) - probe(-eps)) / (2.0 * eps as f64)) as f32;
             let an = analytic[0].get(i, j);

@@ -50,9 +50,10 @@ pub fn train_serial(
     let mut rng = StdRng::seed_from_u64(param_seed);
     let mut w = Dense::glorot(h0.cols(), classes, &mut rng);
     let mut losses = Vec::with_capacity(epochs);
+    let cctx = ComputeCtx::serial();
     for _ in 0..epochs {
         let logits = hp.matmul(&w);
-        let (j, grad) = loss::softmax_cross_entropy(&logits, labels, mask);
+        let (j, grad) = loss::softmax_cross_entropy(&cctx, &logits, labels, mask);
         // dJ/dW = (Â^K X)ᵀ · dJ/dlogits.
         let dw = hp.matmul_at(&grad);
         w.sub_scaled_assign(&dw, learning_rate);
@@ -146,7 +147,7 @@ pub fn train_distributed(
             let logits = cctx.matmul(&hp, &w);
             let mut grad = Dense::zeros(logits.rows(), classes);
             let loss_local =
-                loss::softmax_cross_entropy_into(&logits, l_local, m_local, mask_total, &mut grad);
+                cctx.softmax_cross_entropy_into(&logits, l_local, m_local, mask_total, &mut grad);
             let mut lbuf = [loss_local as f32];
             ctx.allreduce_sum(&mut lbuf);
             losses.push(lbuf[0] as f64);

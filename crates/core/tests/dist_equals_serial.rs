@@ -584,3 +584,29 @@ fn a_non_finite_loss_panics_naming_the_step() {
         ComputeSpec::default(),
     );
 }
+
+/// A NaN feature under a ReLU hidden layer: `max(NaN, 0)` is 0, so the
+/// loss stays finite, but `ΔW¹ = (H⁰)ᵀ(Â'G¹)` carries the NaN into `W¹`.
+/// The check on the allreduced `ΔW` names the layer at the first step.
+#[test]
+#[should_panic(expected = "step 0: ΔW1 is non-finite")]
+fn a_non_finite_weight_gradient_panics_naming_the_layer() {
+    let g = er::generate(40, 160, false, 4);
+    let part = pargcn_partition::random::partition(g.n(), 2, 1);
+    let mut h0 = Dense::random(g.n(), 6, &mut StdRng::seed_from_u64(3));
+    h0.row_mut(7).fill(f32::NAN);
+    let labels: Vec<u32> = (0..g.n()).map(|i| (i % 3) as u32).collect();
+    let mask = vec![true; g.n()];
+    let config = GcnConfig::two_layer(6, 8, 3);
+    train_full_batch_spec(
+        &g,
+        &h0,
+        &labels,
+        &mask,
+        &part,
+        &config,
+        3,
+        1,
+        ComputeSpec::default(),
+    );
+}

@@ -26,8 +26,7 @@ use std::sync::{Arc, Mutex};
 
 use crate::gemm::{self, PackBuf};
 use crate::lanes::Avx2;
-use crate::spmm_kernel;
-use crate::{Csr, Dense};
+use crate::{softmax, spmm_kernel, Csr, Dense};
 use pargcn_util::pool::{auto_threads, Pool};
 
 /// Minimum per-kernel work (≈ inner-loop multiply-adds) before a kernel
@@ -310,6 +309,26 @@ impl ComputeCtx {
         let mut out = Dense::zeros(a.n_rows(), h.cols());
         self.spmm_into(a, h, &mut out, false);
         out
+    }
+
+    /// Masked softmax cross-entropy of `h` into `grad` (overwritten),
+    /// normalised by `count`; returns the loss (see
+    /// [`crate::softmax`]). The blocked engine runs eight rows per AVX2
+    /// register where the CPU has them; naive and the scalar fallback run
+    /// one row at a time, with the same bits.
+    pub fn softmax_cross_entropy_into(
+        &self,
+        h: &Dense,
+        labels: &[u32],
+        mask: &[bool],
+        count: f64,
+        grad: &mut Dense,
+    ) -> f64 {
+        let lanes = match self.kernel {
+            KernelKind::Naive => None,
+            KernelKind::Blocked => self.lanes,
+        };
+        softmax::softmax_cross_entropy_into(h, labels, mask, count, grad, lanes)
     }
 }
 

@@ -4,7 +4,9 @@
 //! written for baseline x86-64, where the compiler vectorizes them at
 //! SSE2's four lanes. This module gives their hot loops eight-lane
 //! `core::arch` bodies, chosen once per [`crate::ComputeCtx`] by
-//! [`Avx2::detect`]; every other host keeps the scalar blocked code.
+//! [`Avx2::detect`]; every other host keeps the scalar blocked code. The
+//! loss ([`crate::softmax`]) runs here too, eight rows at a time, one row
+//! per lane.
 //!
 //! **Bitwise contract** (DESIGN.md §10). Every lane does what the scalar
 //! loop does to one element: `acc = acc + a·b` as a separate
@@ -12,7 +14,8 @@
 //! rounding would change the bits), with one accumulator per output
 //! element summing its terms in the same ascending order. Tiling only
 //! partitions the output, so the lanes are bit-for-bit the scalar and
-//! naive kernels.
+//! naive kernels. The loss's lanes likewise repeat the scalar row's
+//! operations in its order, the in-house `exp`'s included.
 //!
 //! **Containment.** This is the crate's only `unsafe` code. An [`Avx2`]
 //! token can only be made by [`Avx2::detect`], so holding one proves the
@@ -22,6 +25,7 @@
 //! stores of `load8`/`store8`, each on a slice checked to hold eight
 //! floats.
 
+use crate::softmax::LANE_CLASSES;
 use crate::{Csr, Dense};
 use std::ops::Range;
 
@@ -135,11 +139,67 @@ impl Avx2 {
         #[cfg(not(target_arch = "x86_64"))]
         unreachable!("an Avx2 token exists only on x86-64");
     }
+
+    /// `out = exp(x)` element by element with the library's
+    /// [`exp`](crate::softmax::exp) on eight lanes: the scalar function's
+    /// operations in its order, so bitwise equal to it on every input.
+    /// The length must be a multiple of eight. For the exhaustive test.
+    #[doc(hidden)]
+    pub fn exp_into(self, x: &[f32], out: &mut [f32]) {
+        assert_eq!(x.len(), out.len(), "exp lanes: length mismatch");
+        assert_eq!(x.len() % 8, 0, "exp lanes: length not a multiple of 8");
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `self` exists, so `detect` saw AVX2 on this CPU.
+        unsafe {
+            x86::exp_into(x, out)
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        unreachable!("an Avx2 token exists only on x86-64")
+    }
+
+    /// The loss rows `rows` of `h`, one per lane, with labels `ys`:
+    /// writes each row's `(softmax(h) − onehot(y)) / count` into the same
+    /// row of `grad` and returns the eight label probabilities, every step
+    /// in class order like the scalar row.
+    pub(crate) fn softmax_rows(
+        self,
+        h: &Dense,
+        rows: &[usize; 8],
+        ys: [u32; 8],
+        count: f32,
+        grad: &mut Dense,
+    ) -> [f32; 8] {
+        let c = h.cols();
+        assert_eq!(
+            (grad.rows(), grad.cols()),
+            (h.rows(), c),
+            "softmax lanes: shape mismatch"
+        );
+        assert!(c <= LANE_CLASSES, "softmax lanes: {c} classes");
+        assert!(
+            rows.iter().all(|&r| r < h.rows()),
+            "softmax lanes: row past the matrix"
+        );
+        assert!(
+            ys.iter().all(|&y| (y as usize) < c),
+            "softmax lanes: label out of range"
+        );
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `self` exists, so `detect` saw AVX2 on this CPU.
+        unsafe {
+            x86::softmax_rows(h.data(), c, rows, ys, count, grad.data_mut())
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        unreachable!("an Avx2 token exists only on x86-64")
+    }
 }
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     use crate::gemm::at_edge_pass;
+    use crate::softmax::{
+        INF_BITS, LANE_CLASSES, LN2_HI, LN2_LO, LOG2E, MIN_NORMAL_BITS, POLY, ROUND, X_HI, X_LO,
+    };
     use crate::spmm_kernel::{edge_pass, row_tiles};
     use crate::{Csr, Dense};
     use std::arch::x86_64::*;
@@ -475,5 +535,169 @@ mod x86 {
         for (v, &acc_v) in acc.iter().enumerate() {
             store8(&mut out_row[8 * v..], acc_v);
         }
+    }
+
+    #[target_feature(enable = "avx2")]
+    pub(super) fn exp_into(x: &[f32], out: &mut [f32]) {
+        for (x, out) in x.chunks_exact(8).zip(out.chunks_exact_mut(8)) {
+            store8(out, exp8(load8(x)));
+        }
+    }
+
+    /// [`crate::softmax::exp`] on eight lanes, step for step: the same
+    /// clamp (a NaN passing through), reduction, polynomial, exponent-bit
+    /// scaling, overflow and flush, and NaN propagation.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn exp8(x: __m256) -> __m256 {
+        let c = _mm256_set1_ps;
+        let xc = _mm256_max_ps(c(X_LO), _mm256_min_ps(c(X_HI), x));
+        let t = _mm256_add_ps(_mm256_mul_ps(xc, c(LOG2E)), c(ROUND));
+        let kf = _mm256_sub_ps(t, c(ROUND));
+        let r = _mm256_sub_ps(
+            _mm256_sub_ps(xc, _mm256_mul_ps(kf, c(LN2_HI))),
+            _mm256_mul_ps(kf, c(LN2_LO)),
+        );
+        let z = _mm256_mul_ps(r, r);
+        let mut p = c(POLY[0]);
+        for &k in &POLY[1..] {
+            p = _mm256_add_ps(_mm256_mul_ps(p, r), c(k));
+        }
+        let y = _mm256_add_ps(_mm256_add_ps(_mm256_mul_ps(p, z), r), c(1.0));
+        let scale = _mm256_slli_epi32::<23>(_mm256_castps_si256(t));
+        let bits = _mm256_add_epi32(_mm256_castps_si256(y), scale);
+        let bits = _mm256_min_epi32(bits, _mm256_set1_epi32(INF_BITS));
+        let normal = _mm256_cmpgt_epi32(bits, _mm256_set1_epi32(MIN_NORMAL_BITS - 1));
+        let y = _mm256_castsi256_ps(_mm256_and_si256(bits, normal));
+        _mm256_add_ps(y, _mm256_mul_ps(xc, _mm256_setzero_ps()))
+    }
+
+    /// Eight rows of eight floats in, the eight columns out.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn transpose8(r: [__m256; 8]) -> [__m256; 8] {
+        let t0 = _mm256_unpacklo_ps(r[0], r[1]);
+        let t1 = _mm256_unpackhi_ps(r[0], r[1]);
+        let t2 = _mm256_unpacklo_ps(r[2], r[3]);
+        let t3 = _mm256_unpackhi_ps(r[2], r[3]);
+        let t4 = _mm256_unpacklo_ps(r[4], r[5]);
+        let t5 = _mm256_unpackhi_ps(r[4], r[5]);
+        let t6 = _mm256_unpacklo_ps(r[6], r[7]);
+        let t7 = _mm256_unpackhi_ps(r[6], r[7]);
+        let s0 = _mm256_shuffle_ps::<0x44>(t0, t2);
+        let s1 = _mm256_shuffle_ps::<0xee>(t0, t2);
+        let s2 = _mm256_shuffle_ps::<0x44>(t1, t3);
+        let s3 = _mm256_shuffle_ps::<0xee>(t1, t3);
+        let s4 = _mm256_shuffle_ps::<0x44>(t4, t6);
+        let s5 = _mm256_shuffle_ps::<0xee>(t4, t6);
+        let s6 = _mm256_shuffle_ps::<0x44>(t5, t7);
+        let s7 = _mm256_shuffle_ps::<0xee>(t5, t7);
+        [
+            _mm256_permute2f128_ps::<0x20>(s0, s4),
+            _mm256_permute2f128_ps::<0x20>(s1, s5),
+            _mm256_permute2f128_ps::<0x20>(s2, s6),
+            _mm256_permute2f128_ps::<0x20>(s3, s7),
+            _mm256_permute2f128_ps::<0x31>(s0, s4),
+            _mm256_permute2f128_ps::<0x31>(s1, s5),
+            _mm256_permute2f128_ps::<0x31>(s2, s6),
+            _mm256_permute2f128_ps::<0x31>(s3, s7),
+        ]
+    }
+
+    #[target_feature(enable = "avx2")]
+    pub(super) fn softmax_rows(
+        h: &[f32],
+        c: usize,
+        rows: &[usize; 8],
+        ys: [u32; 8],
+        count: f32,
+        g: &mut [f32],
+    ) -> [f32; 8] {
+        match c {
+            0..=16 => softmax_block::<16>(h, c, rows, ys, count, g),
+            17..=32 => softmax_block::<32>(h, c, rows, ys, count, g),
+            _ => softmax_block::<LANE_CLASSES>(h, c, rows, ys, count, g),
+        }
+    }
+
+    /// [`softmax_rows`] with a column buffer of `N ≥ c` registers, sized
+    /// to the rows so that clearing it costs little.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn softmax_block<const N: usize>(
+        h: &[f32],
+        c: usize,
+        rows: &[usize; 8],
+        ys: [u32; 8],
+        count: f32,
+        g: &mut [f32],
+    ) -> [f32; 8] {
+        // Lane `l` of `col[j]` is element `j` of row `rows[l]`: eight
+        // classes at a time through `transpose8`, the last `c mod 8` one
+        // by one.
+        let mut buf = [_mm256_setzero_ps(); N];
+        let col = &mut buf[..c];
+        let c8 = c - c % 8;
+        let row = |l: usize| &h[rows[l] * c..rows[l] * c + c];
+        for j0 in (0..c8).step_by(8) {
+            let t = transpose8(std::array::from_fn(|l| load8(&row(l)[j0..])));
+            col[j0..j0 + 8].copy_from_slice(&t);
+        }
+        for (j, v) in col.iter_mut().enumerate().skip(c8) {
+            *v = load8(&std::array::from_fn::<f32, 8, _>(|l| row(l)[j]));
+        }
+        // The `f32::max` fold: `maxps(v, acc)` returns `acc` when `v` is
+        // NaN, as `f32::max(acc, v)` does (`acc` is never NaN).
+        let mut max = _mm256_set1_ps(f32::NEG_INFINITY);
+        for &v in col.iter() {
+            max = _mm256_max_ps(v, max);
+        }
+        let mut sum = _mm256_setzero_ps();
+        for v in col.iter_mut() {
+            *v = exp8(_mm256_sub_ps(*v, max));
+            sum = _mm256_add_ps(sum, *v);
+        }
+        // `/ sum` where the sum is positive (elsewhere `/ 1`, which changes
+        // no bit), the label's probability, and `(p − [j = y]) / count`.
+        let positive = _mm256_cmp_ps::<_CMP_GT_OQ>(sum, _mm256_setzero_ps());
+        let sum = _mm256_blendv_ps(_mm256_set1_ps(1.0), sum, positive);
+        let y = _mm256_setr_epi32(
+            ys[0] as i32,
+            ys[1] as i32,
+            ys[2] as i32,
+            ys[3] as i32,
+            ys[4] as i32,
+            ys[5] as i32,
+            ys[6] as i32,
+            ys[7] as i32,
+        );
+        let (one, count) = (_mm256_set1_ps(1.0), _mm256_set1_ps(count));
+        // Each lane's label matches one class, so `py` gathers its
+        // probability by `or` into `+0.0`.
+        let mut py = _mm256_setzero_ps();
+        let mut j = _mm256_setzero_si256();
+        for v in col.iter_mut() {
+            let p = _mm256_div_ps(*v, sum);
+            let is_y = _mm256_castsi256_ps(_mm256_cmpeq_epi32(y, j));
+            py = _mm256_or_ps(py, _mm256_and_ps(is_y, p));
+            *v = _mm256_div_ps(_mm256_sub_ps(p, _mm256_and_ps(is_y, one)), count);
+            j = _mm256_add_epi32(j, _mm256_set1_epi32(1));
+        }
+        for j0 in (0..c8).step_by(8) {
+            let t = transpose8(col[j0..j0 + 8].try_into().expect("eight columns"));
+            for (l, &v) in t.iter().enumerate() {
+                store8(&mut g[rows[l] * c + j0..], v);
+            }
+        }
+        for (j, &v) in col.iter().enumerate().skip(c8) {
+            let mut lanes = [0.0; 8];
+            store8(&mut lanes, v);
+            for (l, &x) in lanes.iter().enumerate() {
+                g[rows[l] * c + j] = x;
+            }
+        }
+        let mut ps = [0.0; 8];
+        store8(&mut ps, py);
+        ps
     }
 }

@@ -43,6 +43,7 @@ pub mod gemm;
 #[allow(unsafe_code)]
 pub mod lanes;
 pub mod norm;
+pub mod softmax;
 pub mod spmm_kernel;
 
 pub use csr::Csr;

@@ -28,15 +28,19 @@ run cargo test --release -q --offline --locked -p pargcn-util
 # where the AVX2 lanes' #[target_feature] code is inlined differently
 # from debug builds.
 run cargo test --release -q --offline --locked -p pargcn-matrix
+# The loss's in-house exp: its 8-lane form equals its scalar form on all
+# 2^32 inputs (an #[ignore]d sweep, about a minute of CPU in release).
+run cargo test --release -q --offline --locked -p pargcn-matrix \
+    --test softmax_lanes -- --ignored
 # Kernel-engine parity: the bitwise-determinism suites, the golden
 # training bits, distributed ≡ serial and the allocation contract must
 # hold under both compute engines
-# (PARGCN_KERNEL selects naive vs blocked GEMM/SpMM; every result is
-# bitwise engine-independent — DESIGN.md §10).
+# (PARGCN_KERNEL selects naive vs blocked GEMM/SpMM and loss; every
+# result is bitwise engine-independent — DESIGN.md §10).
 for kernel in naive blocked; do
     run env PARGCN_KERNEL=$kernel \
         cargo test -q --offline --locked -p pargcn-matrix \
-        --test determinism_threads --test kernel_engine
+        --test determinism_threads --test kernel_engine --test softmax_lanes
     run env PARGCN_KERNEL=$kernel \
         cargo test -q --offline --locked -p pargcn-core \
         --test determinism_threads --test no_alloc_steady_state \
