@@ -140,21 +140,21 @@ fn bench_pool_overhead(c: &mut Criterion) {
 /// Naive vs blocked kernel engine head-to-head on GCN-typical skinny
 /// shapes (`n × {16,64,128}` features), single thread — the single-core
 /// arithmetic headroom the blocked engine exists for — plus the fused
-/// forward transform at one and two threads. `blocked` runs on
-/// AVX2 lanes where the CPU has them; `scalar` is the same engine on its
-/// portable fallback, so the `scalar`/`blocked` ratio is what the lanes
-/// buy. Throughput is in multiply-add elements, so
+/// forward transform at one and two threads. `blocked` runs on AVX2
+/// lanes where the CPU has them (and the naive loops elsewhere).
+/// Throughput is in multiply-add elements, so
 /// `elements_per_s × 2 = FLOP/s` and the ratios read off directly at
 /// equal shapes. Results are bitwise identical between engines
 /// (determinism suite), so this is a pure speed comparison. Baseline:
 /// `results/kernels_blocked.json`.
 fn bench_kernel_engine(c: &mut Criterion) {
     let mut group = c.benchmark_group("kernel_engine");
-    let blocked = ComputeCtx::serial().with_kernel(KernelKind::Blocked);
     let engines = [
         ("naive", ComputeCtx::serial().with_kernel(KernelKind::Naive)),
-        ("scalar", blocked.clone().without_lanes()),
-        ("blocked", blocked),
+        (
+            "blocked",
+            ComputeCtx::serial().with_kernel(KernelKind::Blocked),
+        ),
     ];
     let mut rng = StdRng::seed_from_u64(6);
 

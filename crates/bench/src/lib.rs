@@ -33,13 +33,20 @@ pub struct Opts {
 
 impl Opts {
     /// Parses `std::env::args`, ignoring unknown flags (binaries parse their
-    /// own extras from the same args).
+    /// own extras from the same args); a malformed value of a common flag
+    /// prints the error and exits with status 2.
     pub fn parse() -> Opts {
         let args: Vec<String> = std::env::args().collect();
-        Opts::from_args(&args)
+        Opts::from_args(&args).unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(2)
+        })
     }
 
-    pub fn from_args(args: &[String]) -> Opts {
+    /// Parses the common flags out of `args`, ignoring unknown ones; a
+    /// common flag without a value, or with one it cannot take, is an
+    /// error naming the flag and the value.
+    pub fn from_args(args: &[String]) -> Result<Opts, String> {
         let mut opts = Opts {
             quick: false,
             extra_scale: 1,
@@ -48,35 +55,32 @@ impl Opts {
             threads: None,
             kernel: None,
         };
-        let mut i = 0;
-        while i < args.len() {
-            match args[i].as_str() {
+        let mut args = args.iter();
+        while let Some(flag) = args.next() {
+            let flag = flag.as_str();
+            let mut value = || {
+                args.next()
+                    .map(String::as_str)
+                    .ok_or_else(|| format!("{flag} needs a value"))
+            };
+            match flag {
                 "--quick" => opts.quick = true,
-                "--scale" => {
-                    i += 1;
-                    opts.extra_scale = args.get(i).and_then(|s| s.parse().ok()).unwrap_or(1);
-                }
-                "--seed" => {
-                    i += 1;
-                    opts.seed = args.get(i).and_then(|s| s.parse().ok()).unwrap_or(1);
-                }
-                "--json" => {
-                    i += 1;
-                    opts.json = args.get(i).cloned();
-                }
-                "--threads" => {
-                    i += 1;
-                    opts.threads = args.get(i).and_then(|s| s.parse().ok()).filter(|&t| t > 0);
-                }
+                "--scale" => opts.extra_scale = number(flag, value()?)?,
+                "--seed" => opts.seed = number(flag, value()?)?,
+                "--json" => opts.json = Some(value()?.to_string()),
+                // 0 keeps the default.
+                "--threads" => opts.threads = Some(number(flag, value()?)?).filter(|&t| t > 0),
                 "--kernel" => {
-                    i += 1;
-                    opts.kernel = args.get(i).and_then(|s| KernelKind::parse(s));
+                    let v = value()?;
+                    let kernel = KernelKind::parse(v).ok_or_else(|| {
+                        format!("{flag} {v:?} is not a kernel engine (naive|blocked)")
+                    })?;
+                    opts.kernel = Some(kernel);
                 }
                 _ => {}
             }
-            i += 1;
         }
-        opts
+        Ok(opts)
     }
 
     /// Effective scale for a dataset: its default divisor times the extra
@@ -95,6 +99,12 @@ impl Opts {
     pub fn load(&self, ds: Dataset) -> GraphData {
         ds.generate(self.scale_for(ds), self.seed)
     }
+}
+
+/// The value of a numeric flag.
+fn number<T: std::str::FromStr>(flag: &str, v: &str) -> Result<T, String> {
+    v.parse()
+        .map_err(|_| format!("{flag} {v:?} is not a whole number"))
 }
 
 /// A generic result row for JSON output.
@@ -226,7 +236,7 @@ mod tests {
         .iter()
         .map(|s| s.to_string())
         .collect();
-        let o = Opts::from_args(&args);
+        let o = Opts::from_args(&args).unwrap();
         assert!(o.quick);
         assert_eq!(o.extra_scale, 4);
         assert_eq!(o.seed, 9);
@@ -236,8 +246,25 @@ mod tests {
     }
 
     #[test]
+    fn opts_reject_malformed_values_naming_the_flag() {
+        let parse = |args: &[&str]| {
+            let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+            Opts::from_args(&args).unwrap_err()
+        };
+        assert_eq!(
+            parse(&["bin", "--kernel", "bogus"]),
+            "--kernel \"bogus\" is not a kernel engine (naive|blocked)"
+        );
+        assert_eq!(
+            parse(&["bin", "--threads", "four"]),
+            "--threads \"four\" is not a whole number"
+        );
+        assert_eq!(parse(&["bin", "--seed"]), "--seed needs a value");
+    }
+
+    #[test]
     fn quick_scale_is_8x() {
-        let o = Opts::from_args(&["bin".to_string(), "--quick".to_string()]);
+        let o = Opts::from_args(&["bin".to_string(), "--quick".to_string()]).unwrap();
         assert_eq!(o.scale_for(Dataset::Cora).0, 8);
     }
 

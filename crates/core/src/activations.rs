@@ -132,9 +132,9 @@ mod tests {
 
     const ACTIVATIONS: [Activation; 2] = [Activation::Relu, Activation::Identity];
 
-    /// Every engine a layer can run on, named: naive, blocked as
-    /// dispatched (AVX2 lanes where the CPU has them) and blocked on its
-    /// scalar fallback, each with one and four threads.
+    /// Every engine a layer can run on, named: naive and blocked as
+    /// dispatched (AVX2 lanes where the CPU has them), each with one and
+    /// four threads.
     fn engines() -> Vec<(String, ComputeCtx)> {
         [1, 4]
             .into_iter()
@@ -143,8 +143,7 @@ mod tests {
                 let blocked = ComputeCtx::with_threads(t).with_kernel(KernelKind::Blocked);
                 [
                     (format!("naive t={t}"), naive),
-                    (format!("dispatched t={t}"), blocked.clone()),
-                    (format!("scalar t={t}"), blocked.without_lanes()),
+                    (format!("dispatched t={t}"), blocked),
                 ]
             })
             .collect()

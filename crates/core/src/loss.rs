@@ -195,11 +195,9 @@ mod tests {
         assert!((0..n).any(|i| mask[i] && has_nan(i)));
         let finite: Vec<bool> = (0..n).map(|i| mask[i] && !has_nan(i)).collect();
         let (finite_ref, _) = softmax_then_gradient_loop(&h, &labels, &finite, count);
-        let blocked = ComputeCtx::serial().with_kernel(KernelKind::Blocked);
         for ctx in [
             ComputeCtx::serial().with_kernel(KernelKind::Naive),
-            blocked.clone().without_lanes(),
-            blocked,
+            ComputeCtx::serial().with_kernel(KernelKind::Blocked),
         ] {
             // A stale buffer: every element must be overwritten.
             let mut grad = Dense::from_fn(n, c, |_, _| 9.0);

@@ -72,6 +72,10 @@ pub struct SgcOutcome {
 
 /// Distributed SGC: K propagation sweeps over the GCN comm plan, then
 /// communication-free local epochs (plus the `ΔW` allreduce).
+///
+/// # Panics
+/// Naming the epoch, when the global loss or the allreduced `ΔW` is not
+/// finite.
 #[allow(clippy::too_many_arguments)]
 pub fn train_distributed(
     graph: &Graph,
@@ -143,17 +147,23 @@ pub fn train_distributed(
         // Training epochs: purely local + ΔW allreduce.
         let mut w = w_init.clone();
         let mut losses = Vec::with_capacity(epochs);
-        for _ in 0..epochs {
+        // The allreduced loss and `ΔW` are the same on every rank, so a
+        // non-finite one stops every rank at the same epoch.
+        for epoch in 0..epochs {
             let logits = cctx.matmul(&hp, &w);
             let mut grad = Dense::zeros(logits.rows(), classes);
             let loss_local =
                 cctx.softmax_cross_entropy_into(&logits, l_local, m_local, mask_total, &mut grad);
             let mut lbuf = [loss_local as f32];
             ctx.allreduce_sum(&mut lbuf);
-            losses.push(lbuf[0] as f64);
+            let loss = lbuf[0] as f64;
+            assert!(loss.is_finite(), "epoch {epoch}: the global loss is {loss}");
+            losses.push(loss);
 
             let mut dw = cctx.matmul_at(&hp, &grad);
             ctx.allreduce_sum(dw.data_mut());
+            let finite = dw.data().iter().all(|v| v.is_finite());
+            assert!(finite, "epoch {epoch}: ΔW is non-finite");
             w.sub_scaled_assign(&dw, learning_rate);
         }
         let pred = cctx.matmul(&hp, &w);
@@ -269,6 +279,31 @@ mod tests {
         // And the propagation traffic is exactly K sweeps of the plan volume.
         let expected = plan.total_volume_rows() * (h0.cols() as u64) * 4 * k as u64;
         assert_eq!(bytes(&short), expected);
+    }
+
+    /// One NaN feature row, propagated into its neighbours' rows, makes
+    /// the masked loss NaN.
+    #[test]
+    #[should_panic(expected = "epoch 0: the global loss is NaN")]
+    fn a_non_finite_loss_panics_naming_the_epoch() {
+        let (g, mut h0, labels, mask) = setup();
+        h0.row_mut(7).fill(f32::NAN);
+        let a = g.normalized_adjacency();
+        let part = partition_rows(&g, &a, Method::Hp, 3, 0.1, 4);
+        train_distributed(&g, &h0, 2, 4, &labels, &mask, &part, 3, 0.5, 5);
+    }
+
+    /// Unpropagated and outside the mask, a NaN feature row leaves the
+    /// loss finite but not `ΔW` (its zero gradient row times NaN).
+    #[test]
+    #[should_panic(expected = "epoch 0: ΔW is non-finite")]
+    fn a_non_finite_weight_gradient_panics_naming_the_epoch() {
+        let (g, mut h0, labels, mut mask) = setup();
+        h0.row_mut(7).fill(f32::NAN);
+        mask[7] = false;
+        let a = g.normalized_adjacency();
+        let part = partition_rows(&g, &a, Method::Hp, 3, 0.1, 4);
+        train_distributed(&g, &h0, 0, 4, &labels, &mask, &part, 3, 0.5, 5);
     }
 
     #[test]

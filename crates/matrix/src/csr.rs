@@ -260,7 +260,7 @@ impl Csr {
     /// accumulates that row's nonzero terms in the **canonical order** —
     /// one accumulator per element, terms added in ascending CSR position.
     /// Every SpMM kernel in this crate (this one, the serial
-    /// [`Csr::spmm_into`], and the tiled [`crate::spmm_kernel::spmm_into`])
+    /// [`Csr::spmm_into`], and the AVX2 column tiles of [`crate::lanes`])
     /// realizes that same order, so all of them are bitwise identical to
     /// each other at any thread count (see DESIGN.md §10).
     pub fn spmm_into_pool(&self, h: &Dense, out: &mut Dense, accumulate: bool, pool: &Pool) {

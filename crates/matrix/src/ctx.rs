@@ -5,8 +5,9 @@
 //! kernels; [`ComputeCtx`] is our equivalent — a shared handle to a
 //! [`Pool`] that the SpMM/DMM kernels use to split row ranges across
 //! threads, plus the choice of **kernel engine** ([`KernelKind`]): the
-//! naive reference loops or the cache-blocked engine ([`crate::gemm`],
-//! [`crate::spmm_kernel`]). One context is built per simulated rank, so
+//! naive reference loops or the blocked engine, which runs the AVX2
+//! register tiles of [`crate::lanes`] where the CPU has them and the
+//! naive loops elsewhere. One context is built per simulated rank, so
 //! `p` ranks × `t` threads gives the paper's hybrid execution model.
 //!
 //! Every kernel dispatched here produces **bitwise identical** results
@@ -35,6 +36,9 @@ use pargcn_util::pool::{auto_threads, Pool};
 /// call is chunked the same way on every rank and every run.
 pub const MIN_PARALLEL_WORK: usize = 16 * 1024;
 
+/// The environment variable naming the default [`KernelKind`].
+const KERNEL_ENV: &str = "PARGCN_KERNEL";
+
 /// Which kernel engine a [`ComputeCtx`] dispatches to. Both engines are
 /// bitwise identical on the training pipeline's data; `Naive` exists as
 /// the reference and for A/B benchmarking (`--kernel`, `PARGCN_KERNEL`).
@@ -42,7 +46,8 @@ pub const MIN_PARALLEL_WORK: usize = 16 * 1024;
 pub enum KernelKind {
     /// The straightforward i-k-j / row-axpy loops.
     Naive,
-    /// The packed, register-tiled engine (default).
+    /// The AVX2 register tiles where the CPU has them, else the naive
+    /// loops (default).
     Blocked,
 }
 
@@ -56,13 +61,24 @@ impl KernelKind {
         }
     }
 
-    /// The `PARGCN_KERNEL` env var, defaulting to `Blocked` (unknown
-    /// values also fall back to the default).
+    /// The `PARGCN_KERNEL` env var, defaulting to `Blocked` when it is
+    /// unset or empty.
+    ///
+    /// # Panics
+    /// If it is set to anything but a [`KernelKind::parse`] spelling.
     pub fn from_env() -> KernelKind {
-        std::env::var("PARGCN_KERNEL")
-            .ok()
-            .and_then(|s| KernelKind::parse(&s))
-            .unwrap_or(KernelKind::Blocked)
+        let value = std::env::var_os(KERNEL_ENV);
+        Self::from_env_value(value.as_ref().map(|v| v.to_string_lossy()).as_deref())
+    }
+
+    /// [`KernelKind::from_env`] on the variable's value (`None`: unset).
+    fn from_env_value(value: Option<&str>) -> KernelKind {
+        match value.map(str::trim) {
+            None | Some("") => KernelKind::Blocked,
+            Some(v) => KernelKind::parse(v).unwrap_or_else(|| {
+                panic!("{KERNEL_ENV}={v:?} is not a kernel engine (naive|blocked)")
+            }),
+        }
     }
 
     pub fn name(self) -> &'static str {
@@ -84,27 +100,49 @@ pub struct ComputeSpec {
     pub kernel: Option<KernelKind>,
 }
 
-/// State shared by every clone of one context: the packing scratch of
-/// the blocked engine (grow-once; see [`PackBuf`]) and the FLOP meter.
+/// State shared by every clone of one context: the lanes' `A·Bᵀ`
+/// transpose scratch (grow-once; see [`PackBuf`]) and the FLOP meter.
 #[derive(Debug, Default)]
 struct Scratch {
     pack: Mutex<PackBuf>,
     flops: AtomicU64,
 }
 
+/// The lanes `kernel` runs on: AVX2 under [`KernelKind::Blocked`] where
+/// the CPU has it.
+fn lanes_for(kernel: KernelKind) -> Option<Avx2> {
+    match kernel {
+        KernelKind::Naive => None,
+        KernelKind::Blocked => Avx2::detect(),
+    }
+}
+
 /// Cheaply cloneable handle to a per-rank thread pool plus the selected
-/// kernel engine; clones share the pool, the packing scratch and the
-/// FLOP counter. The blocked engine runs on AVX2 lanes ([`crate::lanes`])
-/// when the CPU has them, detected once when the context is built.
+/// kernel engine; clones share the pool, the transpose scratch and the
+/// FLOP counter.
 #[derive(Clone, Debug)]
 pub struct ComputeCtx {
     pool: Arc<Pool>,
     kernel: KernelKind,
+    /// The AVX2 lanes every kernel runs on: `Some` under
+    /// [`KernelKind::Blocked`] where the CPU has them (detected once,
+    /// when the context is built), else `None` — the naive loops.
     lanes: Option<Avx2>,
     scratch: Arc<Scratch>,
 }
 
 impl ComputeCtx {
+    /// A context of `threads` executors (min 1) on `kernel` with the
+    /// given lanes; a non-AVX2 host builds a `Blocked` one without lanes.
+    fn new(threads: usize, kernel: KernelKind, lanes: Option<Avx2>) -> Self {
+        Self {
+            pool: Arc::new(Pool::new(threads)),
+            kernel,
+            lanes,
+            scratch: Arc::new(Scratch::default()),
+        }
+    }
+
     /// A single-threaded context: every kernel runs inline on the caller.
     pub fn serial() -> Self {
         Self::with_threads(1)
@@ -113,12 +151,8 @@ impl ComputeCtx {
     /// A context with exactly `threads` executors (min 1); kernel engine
     /// from `PARGCN_KERNEL` (default blocked).
     pub fn with_threads(threads: usize) -> Self {
-        Self {
-            pool: Arc::new(Pool::new(threads)),
-            kernel: KernelKind::from_env(),
-            lanes: Avx2::detect(),
-            scratch: Arc::new(Scratch::default()),
-        }
+        let kernel = KernelKind::from_env();
+        Self::new(threads, kernel, lanes_for(kernel))
     }
 
     /// A context for one of `ranks` simulated processors sharing the
@@ -126,26 +160,17 @@ impl ComputeCtx {
     /// `available_parallelism / ranks` (see [`auto_threads`]); the kernel
     /// engine is `spec.kernel` if given, else `PARGCN_KERNEL`.
     pub fn for_ranks_spec(ranks: usize, spec: ComputeSpec) -> Self {
-        let mut ctx = Self::with_threads(auto_threads(ranks, spec.threads));
-        if let Some(kernel) = spec.kernel {
-            ctx.kernel = kernel;
-        }
-        ctx
+        let kernel = spec.kernel.unwrap_or_else(KernelKind::from_env);
+        Self::new(auto_threads(ranks, spec.threads), kernel, lanes_for(kernel))
     }
 
     /// Replaces the kernel engine (builder-style, for benches/tests).
-    pub fn with_kernel(mut self, kernel: KernelKind) -> Self {
-        self.kernel = kernel;
-        self
-    }
-
-    /// Runs the blocked engine on its scalar code even where the CPU has
-    /// AVX2, so the bitwise suites cover the fallback every other host
-    /// runs. Results are identical either way.
-    #[doc(hidden)]
-    pub fn without_lanes(mut self) -> Self {
-        self.lanes = None;
-        self
+    pub fn with_kernel(self, kernel: KernelKind) -> Self {
+        Self {
+            kernel,
+            lanes: lanes_for(kernel),
+            ..self
+        }
     }
 
     #[inline]
@@ -180,22 +205,26 @@ impl ComputeCtx {
         self.scratch.flops.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Pre-sizes the blocked engine's panel-packing scratch so
-    /// steady-state kernel calls never grow it — called once from
+    /// Pre-sizes the lanes' `A·Bᵀ` transpose scratch so steady-state
+    /// kernel calls never grow it — called once from
     /// `EpochWorkspace::new` with the run's largest operand shapes.
-    pub fn reserve_pack(&self, panel_floats: usize) {
-        self.scratch.pack.lock().unwrap().reserve(panel_floats);
+    pub fn reserve_pack(&self, floats: usize) {
+        self.pack().reserve(floats);
+    }
+
+    fn pack(&self) -> std::sync::MutexGuard<'_, PackBuf> {
+        self.scratch
+            .pack
+            .lock()
+            .expect("a kernel panicked holding the pack")
     }
 
     /// `out (+)= a × b` on the selected engine.
     pub fn matmul_into(&self, a: &Dense, b: &Dense, out: &mut Dense, accumulate: bool) {
         self.add_flops(2 * (a.rows() * a.cols() * b.cols()) as u64);
-        match self.kernel {
-            KernelKind::Naive => a.matmul_into_pool(b, out, accumulate, self.pool()),
-            KernelKind::Blocked => {
-                let mut pack = self.scratch.pack.lock().unwrap();
-                gemm::matmul_into(a, b, out, accumulate, &mut pack, self.pool(), self.lanes);
-            }
+        match self.lanes {
+            None => a.matmul_into_pool(b, out, accumulate, self.pool()),
+            Some(l) => gemm::matmul_into(l, a, b, out, accumulate, self.pool()),
         }
     }
 
@@ -207,8 +236,8 @@ impl ComputeCtx {
     }
 
     /// `out = f(a × b)` (the forward layer's `H = σ(A·W)`, written in
-    /// place of the product) on the selected engine; the blocked engine
-    /// applies `f` as it stores each block of rows. Bitwise identical to
+    /// place of the product) on the selected engine; the lanes apply `f`
+    /// as they store each block of rows. Bitwise identical to
     /// [`ComputeCtx::matmul_into`] followed by [`Dense::map_inplace_pool`],
     /// and metered like the GEMM alone.
     pub fn matmul_map_into(
@@ -219,21 +248,18 @@ impl ComputeCtx {
         f: impl Fn(f32) -> f32 + Sync,
     ) {
         self.add_flops(2 * (a.rows() * a.cols() * b.cols()) as u64);
-        match self.kernel {
-            KernelKind::Naive => {
+        match self.lanes {
+            None => {
                 a.matmul_into_pool(b, out, false, self.pool());
                 out.map_inplace_pool(self.pool(), f);
             }
-            KernelKind::Blocked => {
-                let mut pack = self.scratch.pack.lock().unwrap();
-                gemm::matmul_map_into(a, b, out, f, &mut pack, self.pool(), self.lanes);
-            }
+            Some(l) => gemm::matmul_map_into(l, a, b, out, f, self.pool()),
         }
     }
 
     /// `out = (a × bᵀ) ⊙ f(z)` (the backward layer's `S ⊙ σ′`, with `σ′`
-    /// read off `H`) on the selected engine; the blocked engine multiplies
-    /// as it stores.
+    /// read off `H`) on the selected engine; the lanes multiply as they
+    /// store.
     /// Bitwise identical to [`ComputeCtx::matmul_bt_into`] followed by
     /// `out ⊙= f(z)`, and metered like the GEMM alone.
     pub fn matmul_bt_scale_into(
@@ -245,14 +271,13 @@ impl ComputeCtx {
         out: &mut Dense,
     ) {
         self.add_flops(2 * (a.rows() * a.cols() * b.rows()) as u64);
-        match self.kernel {
-            KernelKind::Naive => {
+        match self.lanes {
+            None => {
                 a.matmul_bt_into_pool(b, out, self.pool());
                 out.mul_map_assign(z, f);
             }
-            KernelKind::Blocked => {
-                let mut pack = self.scratch.pack.lock().unwrap();
-                gemm::matmul_bt_scale_into(a, b, z, f, out, &mut pack, self.pool(), self.lanes);
+            Some(l) => {
+                gemm::matmul_bt_scale_into(l, a, b, z, f, out, &mut self.pack(), self.pool())
             }
         }
     }
@@ -260,12 +285,9 @@ impl ComputeCtx {
     /// `out = a × bᵀ` on the selected engine.
     pub fn matmul_bt_into(&self, a: &Dense, b: &Dense, out: &mut Dense) {
         self.add_flops(2 * (a.rows() * a.cols() * b.rows()) as u64);
-        match self.kernel {
-            KernelKind::Naive => a.matmul_bt_into_pool(b, out, self.pool()),
-            KernelKind::Blocked => {
-                let mut pack = self.scratch.pack.lock().unwrap();
-                gemm::matmul_bt_into(a, b, out, &mut pack, self.pool(), self.lanes);
-            }
+        match self.lanes {
+            None => a.matmul_bt_into_pool(b, out, self.pool()),
+            Some(l) => gemm::matmul_bt_into(l, a, b, out, &mut self.pack(), self.pool()),
         }
     }
 
@@ -280,9 +302,9 @@ impl ComputeCtx {
     /// engine.
     pub fn matmul_at_into(&self, a: &Dense, b: &Dense, out: &mut Dense) {
         self.add_flops(2 * (a.rows() * a.cols() * b.cols()) as u64);
-        match self.kernel {
-            KernelKind::Naive => a.matmul_at_into_pool(b, out, self.pool()),
-            KernelKind::Blocked => gemm::matmul_at_into(a, b, out, self.pool(), self.lanes),
+        match self.lanes {
+            None => a.matmul_at_into_pool(b, out, self.pool()),
+            Some(l) => gemm::matmul_at_into(l, a, b, out, self.pool()),
         }
     }
 
@@ -296,11 +318,9 @@ impl ComputeCtx {
     /// `out (+)= a × h` (SpMM) on the selected engine.
     pub fn spmm_into(&self, a: &Csr, h: &Dense, out: &mut Dense, accumulate: bool) {
         self.add_flops(2 * (a.nnz() * h.cols()) as u64);
-        match self.kernel {
-            KernelKind::Naive => a.spmm_into_pool(h, out, accumulate, self.pool()),
-            KernelKind::Blocked => {
-                spmm_kernel::spmm_into(a, h, out, accumulate, self.pool(), self.lanes)
-            }
+        match self.lanes {
+            None => a.spmm_into_pool(h, out, accumulate, self.pool()),
+            Some(l) => spmm_kernel::spmm_into(l, a, h, out, accumulate, self.pool()),
         }
     }
 
@@ -313,9 +333,8 @@ impl ComputeCtx {
 
     /// Masked softmax cross-entropy of `h` into `grad` (overwritten),
     /// normalised by `count`; returns the loss (see
-    /// [`crate::softmax`]). The blocked engine runs eight rows per AVX2
-    /// register where the CPU has them; naive and the scalar fallback run
-    /// one row at a time, with the same bits.
+    /// [`crate::softmax`]). The lanes run eight rows per AVX2 register;
+    /// without them the rows run one at a time, with the same bits.
     pub fn softmax_cross_entropy_into(
         &self,
         h: &Dense,
@@ -324,11 +343,7 @@ impl ComputeCtx {
         count: f64,
         grad: &mut Dense,
     ) -> f64 {
-        let lanes = match self.kernel {
-            KernelKind::Naive => None,
-            KernelKind::Blocked => self.lanes,
-        };
-        softmax::softmax_cross_entropy_into(h, labels, mask, count, grad, lanes)
+        softmax::softmax_cross_entropy_into(h, labels, mask, count, grad, self.lanes)
     }
 }
 
@@ -398,6 +413,77 @@ mod tests {
         assert_eq!(ctx.flops(), 240 + 96);
         assert_eq!(ctx.take_flops(), 336);
         assert_eq!(ctx.flops(), 0);
+    }
+
+    #[test]
+    fn kernel_env_keeps_the_default_only_when_unset() {
+        assert_eq!(KernelKind::from_env_value(None), KernelKind::Blocked);
+        assert_eq!(KernelKind::from_env_value(Some("")), KernelKind::Blocked);
+        assert_eq!(KernelKind::from_env_value(Some("Naive")), KernelKind::Naive);
+        assert_eq!(
+            KernelKind::from_env_value(Some(" blocked")),
+            KernelKind::Blocked
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "PARGCN_KERNEL=\"blokced\" is not a kernel engine")]
+    fn kernel_env_misspelling_panics_naming_the_value() {
+        KernelKind::from_env_value(Some("blokced"));
+    }
+
+    /// What a host without AVX2 builds for the blocked engine — a context
+    /// without lanes — agrees with naive bit for bit on every op and
+    /// meters the same FLOPs.
+    #[test]
+    fn a_blocked_context_with_no_lanes_runs_the_naive_loops() {
+        use pargcn_util::rng::{Rng, SeedableRng, StdRng};
+        let mut rng = StdRng::seed_from_u64(5);
+        // Past the parallel cutoff, with exact zeros and a NaN.
+        let mut a = Dense::from_fn(300, 24, |_, _| match rng.gen_range(0..6u32) {
+            0 => 0.0,
+            _ => rng.gen_range(-2.0..2.0f32),
+        });
+        a.set(7, 3, f32::NAN);
+        let b = Dense::random(24, 20, &mut rng);
+        let bt = Dense::random(20, 24, &mut rng);
+        let g = Dense::random(300, 20, &mut rng);
+        let coo = (0..900).map(|i| ((i % 300) as u32, (i * 7 % 300) as u32, 0.5));
+        let csr = Csr::from_coo(300, 300, coo.collect());
+        let labels: Vec<u32> = (0..300).map(|i| i % 20).collect();
+        let mask: Vec<bool> = (0..300).map(|i| i % 3 != 0).collect();
+        let bits = |d: &Dense| {
+            let nan = |v: &f32| if v.is_nan() { f32::NAN } else { *v };
+            d.data()
+                .iter()
+                .map(|v| nan(v).to_bits())
+                .collect::<Vec<_>>()
+        };
+        let run = |ctx: &ComputeCtx| {
+            let relu = |v: f32| v.max(0.0);
+            let mut outs = vec![ctx.matmul(&a, &b), ctx.matmul_bt(&a, &bt)];
+            outs.push(ctx.matmul_at(&a, &g));
+            outs.push(ctx.spmm(&csr, &a));
+            let mut acc = ctx.matmul(&a, &b);
+            ctx.matmul_into(&a, &b, &mut acc, true);
+            let mut h = Dense::zeros(300, 20);
+            ctx.matmul_map_into(&a, &b, &mut h, relu);
+            let mut s = Dense::zeros(300, 20);
+            ctx.matmul_bt_scale_into(&a, &bt, &g, relu, &mut s);
+            let mut acc_s = ctx.spmm(&csr, &a);
+            ctx.spmm_into(&csr, &a, &mut acc_s, true);
+            let mut grad = Dense::zeros(300, 20);
+            let loss = ctx.softmax_cross_entropy_into(&g, &labels, &mask, 200.0, &mut grad);
+            outs.extend([acc, h, s, acc_s, grad]);
+            let outs: Vec<Vec<u32>> = outs.iter().map(bits).collect();
+            (outs, loss.to_bits(), ctx.take_flops())
+        };
+        for t in [1, 3] {
+            let naive = ComputeCtx::new(t, KernelKind::Naive, None);
+            let blocked = ComputeCtx::new(t, KernelKind::Blocked, None);
+            assert_eq!(blocked.kernel(), KernelKind::Blocked);
+            assert_eq!(run(&naive), run(&blocked), "t={t}");
+        }
     }
 
     #[test]

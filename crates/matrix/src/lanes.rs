@@ -1,20 +1,19 @@
-//! Explicit AVX2 lanes for the blocked engine.
+//! Explicit AVX2 lanes: the blocked engine's kernels.
 //!
-//! The blocked kernels in [`crate::gemm`] and [`crate::spmm_kernel`] are
-//! written for baseline x86-64, where the compiler vectorizes them at
-//! SSE2's four lanes. This module gives their hot loops eight-lane
-//! `core::arch` bodies, chosen once per [`crate::ComputeCtx`] by
-//! [`Avx2::detect`]; every other host keeps the scalar blocked code. The
-//! loss ([`crate::softmax`]) runs here too, eight rows at a time, one row
-//! per lane.
+//! The blocked engine runs the GEMMs and SpMM on eight-lane `core::arch`
+//! register tiles, chosen once per [`crate::ComputeCtx`] by
+//! [`Avx2::detect`]; the row drivers that feed them live in the private
+//! `gemm` and `spmm_kernel` modules. A host without AVX2 runs the naive
+//! loops, with the same bits. The loss ([`crate::softmax`]) runs here
+//! too, eight rows at a time, one row per lane.
 //!
 //! **Bitwise contract** (DESIGN.md §10). Every lane does what the scalar
 //! loop does to one element: `acc = acc + a·b` as a separate
 //! `_mm256_mul_ps` and `_mm256_add_ps`, never an FMA (whose single
 //! rounding would change the bits), with one accumulator per output
 //! element summing its terms in the same ascending order. Tiling only
-//! partitions the output, so the lanes are bit-for-bit the scalar and
-//! naive kernels. The loss's lanes likewise repeat the scalar row's
+//! partitions the output, so the lanes are bit-for-bit the naive
+//! kernels. The loss's lanes likewise repeat the scalar row's
 //! operations in its order, the in-house `exp`'s included.
 //!
 //! **Containment.** This is the crate's only `unsafe` code. An [`Avx2`]

@@ -39,12 +39,12 @@ pub mod csr;
 pub mod ctx;
 pub mod dense;
 pub mod gather;
-pub mod gemm;
+mod gemm;
 #[allow(unsafe_code)]
 pub mod lanes;
 pub mod norm;
 pub mod softmax;
-pub mod spmm_kernel;
+mod spmm_kernel;
 
 pub use csr::Csr;
 pub use ctx::{ComputeCtx, ComputeSpec, KernelKind};

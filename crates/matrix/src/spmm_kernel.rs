@@ -1,58 +1,32 @@
-//! Row-block × column-tile SpMM kernel.
+//! Row-block × column-tile SpMM on AVX2 lanes.
 //!
 //! The naive [`crate::Csr::spmm_into`] is a scalar row-wise axpy: every
 //! nonzero re-reads and re-writes the whole `d`-wide output row from
-//! memory. This kernel instead walks each row's nonzeros once per
-//! **column tile** of the dense operand, holding the tile's partial sums
-//! in a register accumulator array across the entire nonzero loop — the
-//! output row is loaded and stored once per tile instead of once per
-//! nonzero. Tiles are taken greedily wide (64, then 32, then 16 columns,
-//! each a monomorphized kernel with constant loop bounds) so the GCN
-//! feature widths {16, 32, 64, 128} need at most two passes over a row's
-//! nonzeros; narrow tiles would multiply the (random-access) `H`-row
-//! gathers instead. Rows are visited in small blocks so neighbouring
-//! rows (which share many columns on real graphs) reuse the same `H`
-//! tile columns while they are cache-hot.
+//! memory. The lanes instead walk each row's nonzeros once per **column
+//! tile** of the dense operand, holding the tile's partial sums in
+//! registers across the entire nonzero loop — the output row is loaded
+//! and stored once per tile instead of once per nonzero. Tiles are taken
+//! greedily wide (64, then 32, then 16 columns) so the GCN feature widths
+//! {16, 32, 64, 128} need at most two passes over a row's nonzeros;
+//! narrow tiles would multiply the (random-access) `H`-row gathers
+//! instead. Rows are visited in small blocks so neighbouring rows (which
+//! share many columns on real graphs) reuse the same `H` tile columns
+//! while they are cache-hot.
 //!
 //! **Bitwise contract**: splitting a row's `d` output columns into tiles
 //! never regroups any sums — each output element still accumulates its
 //! nonzero terms in ascending CSR order with a single accumulator, which
-//! is exactly the naive kernel's order. Blocked ≡ naive bit-for-bit on
+//! is exactly the naive kernel's order. The lanes ≡ naive bit-for-bit on
 //! every input, at every thread count (see DESIGN.md §10).
 
 use crate::csr::Csr;
-use crate::dense::Dense;
+use crate::dense::{run_rows, Dense};
 use crate::lanes::Avx2;
 use pargcn_util::pool::{weighted_chunks, Pool};
 
 /// Rows per block: consecutive rows processed tile-by-tile together so
 /// their (overlapping) column accesses reuse hot cache lines.
 const RB: usize = 8;
-
-/// One full-width tile pass over a single row's nonzeros: `W` constant
-/// so the accumulator array stays in registers (or at worst L1 spill
-/// slots) and the inner loop fully vectorizes.
-#[inline]
-fn tile_pass<const W: usize>(
-    cols: &[u32],
-    vals: &[f32],
-    h: &Dense,
-    j0: usize,
-    out_row: &mut [f32],
-    accumulate: bool,
-) {
-    let mut acc = [0.0f32; W];
-    if accumulate {
-        acc.copy_from_slice(out_row);
-    }
-    for (&c, &v) in cols.iter().zip(vals) {
-        let hr: &[f32; W] = h.row(c as usize)[j0..j0 + W].try_into().unwrap();
-        for jj in 0..W {
-            acc[jj] += v * hr[jj];
-        }
-    }
-    out_row.copy_from_slice(&acc);
-}
 
 /// Dynamic-width edge pass for the sub-16 remainder columns.
 #[inline]
@@ -78,29 +52,10 @@ pub(crate) fn edge_pass(
     out_row.copy_from_slice(&acc[..w]);
 }
 
-/// Processes rows `[row0, row0+m)` of `a`, writing `m` output rows
-/// starting at `out[0]` (row-major, width `d = h.cols()`).
-fn spmm_rows(a: &Csr, row0: usize, m: usize, h: &Dense, out: &mut [f32], accumulate: bool) {
-    row_tiles(
-        a,
-        row0,
-        m,
-        h.cols(),
-        out,
-        |cols, vals, j0, out_row| match out_row.len() {
-            64 => tile_pass::<64>(cols, vals, h, j0, out_row, accumulate),
-            32 => tile_pass::<32>(cols, vals, h, j0, out_row, accumulate),
-            16 => tile_pass::<16>(cols, vals, h, j0, out_row, accumulate),
-            _ => edge_pass(cols, vals, h, j0, out_row, accumulate),
-        },
-    );
-}
-
 /// The row-block × column-tile walk over rows `[row0, row0+m)`: calls
 /// `tile(cols, vals, j0, out_row)` for each row's nonzeros and each
 /// column tile `[j0, j0 + out_row.len())` of width 64, 32, 16 or a
-/// sub-16 edge. Shared by the scalar kernel and the AVX2 lanes, which
-/// inline it into their `#[target_feature]` code.
+/// sub-16 edge. The lanes inline it into their `#[target_feature]` code.
 #[inline(always)]
 pub(crate) fn row_tiles(
     a: &Csr,
@@ -134,35 +89,29 @@ pub(crate) fn row_tiles(
     }
 }
 
-/// Blocked [`Csr::spmm_into`]: `out (+)= a × h`, split across the pool's
-/// threads by nonzero count exactly like the naive pooled kernel (same
-/// [`weighted_chunks`], same `MIN_PARALLEL_WORK` cutoff). With `lanes`
-/// the tiles run on AVX2 ([`crate::lanes`]), with the same bits.
-pub fn spmm_into(
+/// `out (+)= a × h` on the lanes, its rows split across the pool by
+/// [`run_rows`] with [`weighted_chunks`] like the naive pooled kernel.
+pub(crate) fn spmm_into(
+    l: Avx2,
     a: &Csr,
     h: &Dense,
     out: &mut Dense,
     accumulate: bool,
     pool: &Pool,
-    lanes: Option<Avx2>,
 ) {
     assert_eq!(a.n_cols(), h.rows(), "spmm dimension mismatch");
     assert_eq!(out.rows(), a.n_rows(), "spmm output rows mismatch");
     assert_eq!(out.cols(), h.cols(), "spmm output cols mismatch");
     let d = h.cols();
-    let rows = |row0: usize, m: usize, out: &mut [f32]| match lanes {
-        Some(l) => l.spmm_rows(a, row0, m, h, out, accumulate),
-        None => spmm_rows(a, row0, m, h, out, accumulate),
-    };
-    if pool.threads() == 1 || a.nnz() * d < crate::ctx::MIN_PARALLEL_WORK {
-        rows(0, a.n_rows(), out.data_mut());
-        return;
-    }
-    let ranges = weighted_chunks(a.indptr(), pool.threads());
-    pool.run_disjoint_rows(out.data_mut(), d, &ranges, |chunk, out_rows| {
-        let r = &ranges[chunk];
-        rows(r.start, r.len(), out_rows);
-    });
+    let split = |t| weighted_chunks(a.indptr(), t);
+    run_rows(
+        Some(pool),
+        a.nnz() * d,
+        out.data_mut(),
+        d,
+        split,
+        |rows, out| l.spmm_rows(a, rows.start, rows.len(), h, out, accumulate),
+    );
 }
 
 #[cfg(test)]
@@ -188,6 +137,7 @@ mod tests {
 
     #[test]
     fn blocked_spmm_matches_naive_bitwise() {
+        let Some(l) = Avx2::detect() else { return };
         let pool = Pool::new(1);
         let mut rng = StdRng::seed_from_u64(9);
         for (rows, cols, d) in [
@@ -203,26 +153,25 @@ mod tests {
             // Accumulating path, seeded with a sum-reachable value.
             let mut naive_acc = naive.clone();
             a.spmm_into(&h, &mut naive_acc, true);
-            for lanes in [None, Avx2::detect()] {
-                let mut blocked = Dense::zeros(rows, d);
-                spmm_into(&a, &h, &mut blocked, false, &pool, lanes);
-                assert_eq!(bits(&naive), bits(&blocked), "{rows}x{cols} d={d}");
-                spmm_into(&a, &h, &mut blocked, true, &pool, lanes);
-                assert_eq!(bits(&naive_acc), bits(&blocked), "{lanes:?}");
-            }
+            let mut blocked = Dense::zeros(rows, d);
+            spmm_into(l, &a, &h, &mut blocked, false, &pool);
+            assert_eq!(bits(&naive), bits(&blocked), "{rows}x{cols} d={d}");
+            spmm_into(l, &a, &h, &mut blocked, true, &pool);
+            assert_eq!(bits(&naive_acc), bits(&blocked), "{rows}x{cols} d={d}");
         }
     }
 
     #[test]
     fn empty_and_zero_row_matrices() {
+        let Some(l) = Avx2::detect() else { return };
         let pool = Pool::new(2);
         let a = Csr::from_coo(0, 5, vec![]);
         let h = Dense::zeros(5, 7);
         let mut out = Dense::zeros(0, 7);
-        spmm_into(&a, &h, &mut out, false, &pool, None);
+        spmm_into(l, &a, &h, &mut out, false, &pool);
         let a = Csr::from_coo(4, 5, vec![]); // rows but no nonzeros
         let mut out = Dense::zeros(4, 7);
-        spmm_into(&a, &h, &mut out, false, &pool, None);
+        spmm_into(l, &a, &h, &mut out, false, &pool);
         assert!(out.data().iter().all(|&v| v == 0.0));
     }
 }

@@ -10,13 +10,13 @@
 //! 1-wide operands, dims that are not tile multiples) at pool sizes
 //! t ∈ {1, 2, 7}, and pin the shape-derived FLOP accounting.
 //!
-//! Every blocked check runs twice: through the context as dispatched
-//! (AVX2 lanes where the CPU has them) and on the scalar blocked code
-//! every other host runs ([`ComputeCtx::without_lanes`]), so neither
-//! goes untested on either kind of host. Special values — NaN, ±∞,
-//! `-0.0` and ReLU-style half-zero operands — are compared bit for bit,
-//! except that one NaN equals another: IEEE 754 leaves open which NaN
-//! payload an operation returns, and Rust does not fix it either.
+//! Every blocked check runs through the context as dispatched: the AVX2
+//! lanes where the CPU has them, the naive loops elsewhere (CI asserts
+//! its hosts have AVX2, so there the lanes are what is checked). Special
+//! values — NaN, ±∞, `-0.0` and ReLU-style half-zero operands — are
+//! compared bit for bit, except that one NaN equals another: IEEE 754
+//! leaves open which NaN payload an operation returns, and Rust does not
+//! fix it either.
 
 use pargcn_matrix::{ComputeCtx, Csr, Dense, KernelKind};
 use pargcn_util::qc;
@@ -25,7 +25,8 @@ use pargcn_util::rng::{Rng, StdRng};
 const THREAD_COUNTS: [usize; 3] = [1, 2, 7];
 
 /// Tile-adversarial dimension corners: degenerate (0), 1-wide, exactly
-/// the micro-tile (4×8) and the SpMM column tile (16), one off either
+/// the lanes' `A·B` row tile (4) and 8- and 16-wide column tiles (the
+/// 4×16 and 4×8 register tiles, the SpMM column tile 16), one off either
 /// side of each, and sizes well past one tile.
 const EDGE_DIMS: [usize; 10] = [0, 1, 3, 4, 5, 8, 15, 16, 17, 37];
 
@@ -72,15 +73,6 @@ fn ctx(kernel: KernelKind, threads: usize) -> ComputeCtx {
     ComputeCtx::with_threads(threads).with_kernel(kernel)
 }
 
-/// The blocked engine as dispatched and on its scalar fallback, named.
-fn blocked(threads: usize) -> [(&'static str, ComputeCtx); 2] {
-    let dispatched = ctx(KernelKind::Blocked, threads);
-    [
-        ("dispatched", dispatched.clone()),
-        ("scalar", dispatched.without_lanes()),
-    ]
-}
-
 /// One qc-drawn dimension: mostly edge cases, sometimes a larger free
 /// size so the multi-tile and parallel-cutoff paths run too.
 fn dim(rng: &mut StdRng) -> usize {
@@ -107,23 +99,22 @@ fn gemm_all_variants_blocked_equals_naive_bitwise() {
         let at_b = dense(rng, m, n);
         for t in THREAD_COUNTS {
             let naive = ctx(KernelKind::Naive, t);
-            for (lanes, blocked) in blocked(t) {
-                assert_eq!(
-                    bits(&naive.matmul(&a, &b)),
-                    bits(&blocked.matmul(&a, &b)),
-                    "matmul {m}x{k}x{n} t={t} {lanes}"
-                );
-                assert_eq!(
-                    bits(&naive.matmul_bt(&a, &bt)),
-                    bits(&blocked.matmul_bt(&a, &bt)),
-                    "matmul_bt {m}x{k}x{n} t={t} {lanes}"
-                );
-                assert_eq!(
-                    bits(&naive.matmul_at(&a, &at_b)),
-                    bits(&blocked.matmul_at(&a, &at_b)),
-                    "matmul_at {m}x{k}x{n} t={t} {lanes}"
-                );
-            }
+            let blocked = ctx(KernelKind::Blocked, t);
+            assert_eq!(
+                bits(&naive.matmul(&a, &b)),
+                bits(&blocked.matmul(&a, &b)),
+                "matmul {m}x{k}x{n} t={t}"
+            );
+            assert_eq!(
+                bits(&naive.matmul_bt(&a, &bt)),
+                bits(&blocked.matmul_bt(&a, &bt)),
+                "matmul_bt {m}x{k}x{n} t={t}"
+            );
+            assert_eq!(
+                bits(&naive.matmul_at(&a, &at_b)),
+                bits(&blocked.matmul_at(&a, &at_b)),
+                "matmul_at {m}x{k}x{n} t={t}"
+            );
         }
     });
 }
@@ -142,15 +133,10 @@ fn gemm_accumulate_blocked_equals_naive_bitwise() {
             let seed = naive.matmul(&a, &b);
             let mut out_n = seed.clone();
             naive.matmul_into(&a, &b, &mut out_n, true);
-            for (lanes, blocked) in blocked(t) {
-                let mut out_b = seed.clone();
-                blocked.matmul_into(&a, &b, &mut out_b, true);
-                assert_eq!(
-                    bits(&out_n),
-                    bits(&out_b),
-                    "accumulate {m}x{k}x{n} t={t} {lanes}"
-                );
-            }
+            let blocked = ctx(KernelKind::Blocked, t);
+            let mut out_b = seed.clone();
+            blocked.matmul_into(&a, &b, &mut out_b, true);
+            assert_eq!(bits(&out_n), bits(&out_b), "accumulate {m}x{k}x{n} t={t}");
         }
     });
 }
@@ -168,20 +154,15 @@ fn spmm_blocked_equals_naive_bitwise() {
             let out_n = naive.spmm(&a, &h);
             let mut acc_n = out_n.clone();
             naive.spmm_into(&a, &h, &mut acc_n, true);
-            for (lanes, blocked) in blocked(t) {
-                let mut acc_b = blocked.spmm(&a, &h);
-                assert_eq!(
-                    bits(&out_n),
-                    bits(&acc_b),
-                    "spmm {rows}x{cols}x{d} t={t} {lanes}"
-                );
-                blocked.spmm_into(&a, &h, &mut acc_b, true);
-                assert_eq!(
-                    bits(&acc_n),
-                    bits(&acc_b),
-                    "spmm accumulate {rows}x{cols}x{d} t={t} {lanes}"
-                );
-            }
+            let blocked = ctx(KernelKind::Blocked, t);
+            let mut acc_b = blocked.spmm(&a, &h);
+            assert_eq!(bits(&out_n), bits(&acc_b), "spmm {rows}x{cols}x{d} t={t}");
+            blocked.spmm_into(&a, &h, &mut acc_b, true);
+            assert_eq!(
+                bits(&acc_n),
+                bits(&acc_b),
+                "spmm accumulate {rows}x{cols}x{d} t={t}"
+            );
         }
     });
 }
@@ -246,28 +227,27 @@ fn gemm_special_values_blocked_equals_naive_bitwise() {
                     for acc in &mut acc_n {
                         naive.matmul_into(&a, &b, acc, true);
                     }
-                    for (lanes, blocked) in blocked(t) {
-                        let what = format!("{m}x{k}x{n} a={fa:?} b={fb:?} t={t} {lanes}");
-                        assert_eq!(
-                            bits(&naive.matmul(&a, &b)),
-                            bits(&blocked.matmul(&a, &b)),
-                            "matmul {what}"
-                        );
-                        assert_eq!(
-                            bits(&naive.matmul_bt(&a, &bt)),
-                            bits(&blocked.matmul_bt(&a, &bt)),
-                            "matmul_bt {what}"
-                        );
-                        assert_eq!(
-                            bits(&naive.matmul_at(&a, &g)),
-                            bits(&blocked.matmul_at(&a, &g)),
-                            "matmul_at {what}"
-                        );
-                        for (acc_n, seed) in acc_n.iter().zip([&seed, &seed_nf]) {
-                            let mut acc_b = seed.clone();
-                            blocked.matmul_into(&a, &b, &mut acc_b, true);
-                            assert_eq!(bits(acc_n), bits(&acc_b), "accumulate {what}");
-                        }
+                    let blocked = ctx(KernelKind::Blocked, t);
+                    let what = format!("{m}x{k}x{n} a={fa:?} b={fb:?} t={t}");
+                    assert_eq!(
+                        bits(&naive.matmul(&a, &b)),
+                        bits(&blocked.matmul(&a, &b)),
+                        "matmul {what}"
+                    );
+                    assert_eq!(
+                        bits(&naive.matmul_bt(&a, &bt)),
+                        bits(&blocked.matmul_bt(&a, &bt)),
+                        "matmul_bt {what}"
+                    );
+                    assert_eq!(
+                        bits(&naive.matmul_at(&a, &g)),
+                        bits(&blocked.matmul_at(&a, &g)),
+                        "matmul_at {what}"
+                    );
+                    for (acc_n, seed) in acc_n.iter().zip([&seed, &seed_nf]) {
+                        let mut acc_b = seed.clone();
+                        blocked.matmul_into(&a, &b, &mut acc_b, true);
+                        assert_eq!(bits(acc_n), bits(&acc_b), "accumulate {what}");
                     }
                 }
             }
@@ -289,20 +269,32 @@ fn spmm_special_values_blocked_equals_naive_bitwise() {
                 let naive = ctx(KernelKind::Naive, t);
                 let mut acc_n = seed.clone();
                 naive.spmm_into(&a, &h, &mut acc_n, true);
-                for (lanes, blocked) in blocked(t) {
-                    let what = format!("{rows}x{cols}x{d} h={fill:?} t={t} {lanes}");
-                    assert_eq!(
-                        bits(&naive.spmm(&a, &h)),
-                        bits(&blocked.spmm(&a, &h)),
-                        "spmm {what}"
-                    );
-                    let mut acc_b = seed.clone();
-                    blocked.spmm_into(&a, &h, &mut acc_b, true);
-                    assert_eq!(bits(&acc_n), bits(&acc_b), "spmm accumulate {what}");
-                }
+                let blocked = ctx(KernelKind::Blocked, t);
+                let what = format!("{rows}x{cols}x{d} h={fill:?} t={t}");
+                assert_eq!(
+                    bits(&naive.spmm(&a, &h)),
+                    bits(&blocked.spmm(&a, &h)),
+                    "spmm {what}"
+                );
+                let mut acc_b = seed.clone();
+                blocked.spmm_into(&a, &h, &mut acc_b, true);
+                assert_eq!(bits(&acc_n), bits(&acc_b), "spmm accumulate {what}");
             }
         }
     });
+}
+
+/// On a host without AVX2 the blocked engine runs the naive loops, so
+/// every blocked-vs-naive check above compares naive with itself. CI
+/// runs this with `--ignored` to prove its hosts check the lanes.
+#[cfg(target_arch = "x86_64")]
+#[test]
+#[ignore = "asserts a property of the host; CI runs it with --ignored"]
+fn this_host_runs_the_blocked_engine_on_avx2_lanes() {
+    assert!(
+        pargcn_matrix::lanes::Avx2::detect().is_some(),
+        "no AVX2: the blocked engine would run the naive loops"
+    );
 }
 
 #[test]

@@ -97,11 +97,9 @@ fn logit_row(rng: &mut StdRng, c: usize) -> Vec<f32> {
 
 #[test]
 fn loss_lanes_equal_scalar_bitwise() {
-    let blocked = ComputeCtx::serial().with_kernel(KernelKind::Blocked);
     let forms = [
         ComputeCtx::serial().with_kernel(KernelKind::Naive),
-        blocked.clone().without_lanes(),
-        blocked,
+        ComputeCtx::serial().with_kernel(KernelKind::Blocked),
     ];
     qc::check(|rng| {
         let n = rng.gen_range(0..41usize);

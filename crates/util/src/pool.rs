@@ -337,20 +337,32 @@ pub fn weighted_chunks(prefix: &[usize], max_chunks: usize) -> Vec<Range<usize>>
 }
 
 /// Resolves the per-rank thread count: an explicit `threads` wins, then the
-/// `PARGCN_THREADS` environment variable, then `available_parallelism / ranks`
-/// (each of `ranks` simulated processors gets an equal CPU share), min 1.
+/// `PARGCN_THREADS` environment variable (unless unset or empty), then
+/// `available_parallelism / ranks` (each of `ranks` simulated processors
+/// gets an equal CPU share), min 1.
+///
+/// # Panics
+/// If `PARGCN_THREADS` is consulted and is not a whole number.
 pub fn auto_threads(ranks: usize, threads: Option<usize>) -> usize {
-    if let Some(t) = threads {
-        return t.max(1);
-    }
-    if let Some(t) = std::env::var(THREADS_ENV)
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-    {
+    let env = || {
+        let value = std::env::var_os(THREADS_ENV);
+        threads_from_env(value.as_ref().map(|v| v.to_string_lossy()).as_deref())
+    };
+    if let Some(t) = threads.or_else(env) {
         return t.max(1);
     }
     let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
     (cores / ranks.max(1)).max(1)
+}
+
+/// The thread count a `PARGCN_THREADS` value names (`None`: unset).
+fn threads_from_env(value: Option<&str>) -> Option<usize> {
+    match value.map(str::trim) {
+        None | Some("") => None,
+        Some(v) => Some(v.parse().unwrap_or_else(|_| {
+            panic!("{THREADS_ENV}={v:?} is not a thread count (a whole number)")
+        })),
+    }
 }
 
 #[cfg(test)]
@@ -480,6 +492,20 @@ mod tests {
     fn auto_threads_explicit_wins() {
         assert_eq!(auto_threads(4, Some(3)), 3);
         assert_eq!(auto_threads(4, Some(0)), 1);
+    }
+
+    #[test]
+    fn threads_env_keeps_the_default_only_when_unset() {
+        assert_eq!(threads_from_env(None), None);
+        assert_eq!(threads_from_env(Some(" ")), None);
+        assert_eq!(threads_from_env(Some(" 4")), Some(4));
+        assert_eq!(threads_from_env(Some("0")), Some(0));
+    }
+
+    #[test]
+    #[should_panic(expected = "PARGCN_THREADS=\"four\" is not a thread count")]
+    fn threads_env_word_panics_naming_the_value() {
+        threads_from_env(Some("four"));
     }
 
     #[test]

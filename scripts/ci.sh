@@ -32,6 +32,10 @@ run cargo test --release -q --offline --locked -p pargcn-matrix
 # 2^32 inputs (an #[ignore]d sweep, about a minute of CPU in release).
 run cargo test --release -q --offline --locked -p pargcn-matrix \
     --test softmax_lanes -- --ignored
+# The blocked leg below checks the AVX2 lanes only where the host has
+# them (elsewhere it runs the naive loops): assert that it does.
+run cargo test -q --offline --locked -p pargcn-matrix \
+    --test kernel_engine -- --ignored
 # Kernel-engine parity: the bitwise-determinism suites, the golden
 # training bits, distributed ≡ serial and the allocation contract must
 # hold under both compute engines
