@@ -5,8 +5,11 @@
 //! dispatch overhead.
 
 use pargcn_core::activations::Activation;
+use pargcn_core::CommPlan;
 use pargcn_graph::gen::{grid, rmat};
-use pargcn_matrix::{gather, norm, ComputeCtx, Dense, KernelKind};
+use pargcn_graph::{Dataset, Scale};
+use pargcn_matrix::{gather, norm, ComputeCtx, Csr, Dense, KernelKind};
+use pargcn_partition::{partition_rows, Method, DEFAULT_EPSILON};
 use pargcn_util::bench::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use pargcn_util::pool::Pool;
 use pargcn_util::rng::{Rng, SeedableRng, StdRng};
@@ -137,78 +140,109 @@ fn bench_pool_overhead(c: &mut Criterion) {
     group.finish();
 }
 
-/// Naive vs blocked kernel engine head-to-head on GCN-typical skinny
-/// shapes (`n × {16,64,128}` features), single thread — the single-core
-/// arithmetic headroom the blocked engine exists for — plus the fused
-/// forward transform at one and two threads. `blocked` runs on AVX2
-/// lanes where the CPU has them (and the naive loops elsewhere).
-/// Throughput is in multiply-add elements, so
-/// `elements_per_s × 2 = FLOP/s` and the ratios read off directly at
-/// equal shapes. Results are bitwise identical between engines
-/// (determinism suite), so this is a pure speed comparison. Baseline:
-/// `results/kernels_blocked.json`.
-fn bench_kernel_engine(c: &mut Criterion) {
-    let mut group = c.benchmark_group("kernel_engine");
-    let engines = [
-        ("naive", ComputeCtx::serial().with_kernel(KernelKind::Naive)),
-        (
-            "blocked",
-            ComputeCtx::serial().with_kernel(KernelKind::Blocked),
-        ),
-    ];
-    let mut rng = StdRng::seed_from_u64(6);
-
-    // One rank's layer GEMMs on the road benchmark (roadNet-CA/16 split
-    // over two ranks, a 32-32-16 GCN): H·W at both layers, ΔW = HᵀG at
-    // both layers with H a ReLU output (half zeros), and S = G·Wᵀ from
-    // the 16-wide output layer back to the 32-wide hidden one.
-    let rows = 61_600usize;
-    let relu = |d: Dense| d.map(|v| v.max(0.0));
-    for (k, n) in [(32usize, 32usize), (32, 16)] {
-        let h = relu(Dense::random(rows, k, &mut rng));
-        let w = Dense::random(k, n, &mut rng);
-        let g = Dense::random(rows, n, &mut rng);
-        // Outputs are preallocated, as in the layer loop: a fresh
-        // rank-sized output per call would time page faults.
-        let mut z = Dense::zeros(rows, n);
-        let mut dw = Dense::zeros(k, n);
-        group.throughput(Throughput::Elements((rows * k * n) as u64));
-        for (name, cctx) in &engines {
-            group.bench_with_input(
-                BenchmarkId::new(format!("gemm_{name}"), format!("{rows}x{k}x{n}")),
-                &n,
-                |b, _| b.iter(|| cctx.matmul_into(std::hint::black_box(&h), &w, &mut z, false)),
-            );
-            group.bench_with_input(
-                BenchmarkId::new(format!("gemm_at_{name}"), format!("{rows}x{k}x{n}_relu")),
-                &n,
-                |b, _| b.iter(|| cctx.matmul_at_into(std::hint::black_box(&h), &g, &mut dw)),
-            );
+/// The engines the `kernel_engine` rows compare on `threads` pool
+/// threads: the naive loops, and the blocked engine's lanes at each width
+/// the CPU has (`avx2`, `avx512`); a width it lacks is noted and its rows
+/// are skipped. `blocked` itself runs the widest of these.
+fn engines(threads: usize) -> Vec<(&'static str, ComputeCtx)> {
+    let naive = ComputeCtx::with_threads(threads).with_kernel(KernelKind::Naive);
+    let mut engines = vec![("naive", naive.clone())];
+    for (name, floats) in [("avx2", 8), ("avx512", 16)] {
+        match naive.clone().with_lane_width(floats) {
+            Some(lanes) => engines.push((name, lanes)),
+            None => {
+                eprintln!("kernel_engine: this CPU has no {name} lanes; their rows are skipped")
+            }
         }
     }
-    let g = Dense::random(rows, 16, &mut rng);
-    let w = Dense::random(32, 16, &mut rng);
-    let mut s = Dense::zeros(rows, 32);
-    group.throughput(Throughput::Elements((rows * 16 * 32) as u64));
-    for (name, cctx) in &engines {
-        group.bench_with_input(
-            BenchmarkId::new(format!("gemm_bt_{name}"), format!("{rows}x16x32")),
-            &rows,
-            |b, _| b.iter(|| cctx.matmul_bt_into(std::hint::black_box(&g), &w, &mut s)),
-        );
+    engines
+}
+
+/// Rank 0's own (diagonal) block of `dataset` at `1/scale` size split
+/// over two ranks by `method`, as the perfbench workloads build it: the
+/// SpMM every step runs before any remote row arrives.
+fn own_block(dataset: Dataset, scale: u32, method: Method) -> Csr {
+    let graph = dataset.generate(Scale(scale), 1).graph;
+    let a = graph.normalized_adjacency();
+    let part = partition_rows(&graph, &a, method, 2, DEFAULT_EPSILON, 1);
+    let mut plan = CommPlan::build(&a, &part);
+    plan.ranks.swap_remove(0).a_own
+}
+
+/// Naive vs the blocked engine's lanes at each width, head to head at
+/// the ranks' own shapes, single thread (the fused forward transform at
+/// one and two threads). Three rank shapes of the perfbench workloads (a
+/// 32-32-16 GCN on two ranks):
+///
+/// - `road`: 61,600 rows (roadNet-CA/16 under random rows), every layer
+///   GEMM — `H·W` at both layers, `ΔW = HᵀG` with `H` a ReLU output (half
+///   zeros), `S = G·Wᵀ` from the 16-wide output layer back to the hidden
+///   one — and the own-block SpMM at width 32;
+/// - `amazon`: 1,550 rows (one rank's half of an n/8 amazon0601/16
+///   batch), the same GEMMs;
+/// - `dblp`: coPapersDBLP/64's own-block SpMM under HP at width 32, the
+///   SpMM-bound step.
+///
+/// Plus SpMM on the skewed RMAT graph at widths 16, 64 and 128 (two
+/// column spans). Throughput is in multiply-add elements, so
+/// `elements_per_s × 2 = FLOP/s` and the ratios read off directly at
+/// equal shapes. Every engine gives the same bits (the width-parity and
+/// `kernel_engine` suites), so this is a pure speed comparison.
+fn bench_kernel_engine(c: &mut Criterion) {
+    let mut group = c.benchmark_group("kernel_engine");
+    let engines1 = engines(1);
+    let mut rng = StdRng::seed_from_u64(6);
+    let relu = |d: Dense| d.map(|v| v.max(0.0));
+    for (shape, rows) in [("road", 61_600usize), ("amazon", 1_550)] {
+        for (k, n) in [(32usize, 32usize), (32, 16)] {
+            let h = relu(Dense::random(rows, k, &mut rng));
+            let w = Dense::random(k, n, &mut rng);
+            let g = Dense::random(rows, n, &mut rng);
+            // Outputs are preallocated, as in the layer loop: a fresh
+            // rank-sized output per call would time page faults.
+            let mut z = Dense::zeros(rows, n);
+            let mut dw = Dense::zeros(k, n);
+            group.throughput(Throughput::Elements((rows * k * n) as u64));
+            for (name, cctx) in &engines1 {
+                group.bench_with_input(
+                    BenchmarkId::new(format!("gemm_{name}"), format!("{shape}_{rows}x{k}x{n}")),
+                    &n,
+                    |b, _| b.iter(|| cctx.matmul_into(std::hint::black_box(&h), &w, &mut z, false)),
+                );
+                group.bench_with_input(
+                    BenchmarkId::new(
+                        format!("gemm_at_{name}"),
+                        format!("{shape}_{rows}x{k}x{n}_relu"),
+                    ),
+                    &n,
+                    |b, _| b.iter(|| cctx.matmul_at_into(std::hint::black_box(&h), &g, &mut dw)),
+                );
+            }
+        }
+        let g = Dense::random(rows, 16, &mut rng);
+        let w = Dense::random(32, 16, &mut rng);
+        let mut s = Dense::zeros(rows, 32);
+        group.throughput(Throughput::Elements((rows * 16 * 32) as u64));
+        for (name, cctx) in &engines1 {
+            group.bench_with_input(
+                BenchmarkId::new(format!("gemm_bt_{name}"), format!("{shape}_{rows}x16x32")),
+                &rows,
+                |b, _| b.iter(|| cctx.matmul_bt_into(std::hint::black_box(&g), &w, &mut s)),
+            );
+        }
     }
 
     // The forward layer's fused transform H = σ(A·W), written in place at
     // the road rank shape, serial and on a two-thread pool (where every
     // chunk runs the epilogue on its own rows).
+    let rows = 61_600usize;
     let a = Dense::random(rows, 32, &mut rng);
     let w = Dense::random(32, 32, &mut rng);
     let mut h = Dense::zeros(rows, 32);
     group.throughput(Throughput::Elements((rows * 32 * 32) as u64));
     for t in [1usize, 2] {
-        for kernel in [KernelKind::Naive, KernelKind::Blocked] {
-            let cctx = ComputeCtx::with_threads(t).with_kernel(kernel);
-            let shape = format!("{}_t{t}_{rows}x32x32", kernel.name());
+        for (name, cctx) in engines(t) {
+            let shape = format!("{name}_t{t}_road_{rows}x32x32");
             group.bench_with_input(BenchmarkId::new("transform_relu", &shape), &t, |b, _| {
                 b.iter(|| {
                     Activation::Relu.transform_into(&cctx, std::hint::black_box(&a), &w, &mut h)
@@ -217,51 +251,30 @@ fn bench_kernel_engine(c: &mut Criterion) {
         }
     }
 
-    // Forward DMM H·W: tall-skinny × small square.
-    let n = 8192usize;
-    for d in [16usize, 64, 128] {
-        let h = Dense::random(n, d, &mut rng);
-        let w = Dense::random(d, d, &mut rng);
-        group.throughput(Throughput::Elements((n * d * d) as u64));
-        for (name, cctx) in &engines {
-            group.bench_with_input(
-                BenchmarkId::new(format!("gemm_{name}"), format!("{n}x{d}x{d}")),
-                &d,
-                |b, _| b.iter(|| cctx.matmul(std::hint::black_box(&h), &w)),
-            );
-        }
-    }
-
-    // Backward twins at the widest GCN shape: ΔW = HᵀG and S = G·Wᵀ.
-    let d = 64usize;
-    let h = Dense::random(n, d, &mut rng);
-    let g = Dense::random(n, d, &mut rng);
-    let w = Dense::random(d, d, &mut rng);
-    group.throughput(Throughput::Elements((n * d * d) as u64));
-    for (name, cctx) in &engines {
-        group.bench_with_input(
-            BenchmarkId::new(format!("gemm_at_{name}"), format!("{n}x{d}x{d}")),
-            &d,
-            |b, _| b.iter(|| cctx.matmul_at(std::hint::black_box(&h), &g)),
-        );
-        group.bench_with_input(
-            BenchmarkId::new(format!("gemm_bt_{name}"), format!("{n}x{d}x{d}")),
-            &d,
-            |b, _| b.iter(|| cctx.matmul_bt(std::hint::black_box(&g), &w)),
-        );
-    }
-
-    // SpMM Â·H on the skewed RMAT graph across the same feature widths.
-    let graph = rmat::generate_sized(10_000, 8.0, false, 1);
-    let a = graph.normalized_adjacency();
-    for d in [16usize, 64, 128] {
-        let h = Dense::random(a.n_cols(), d, &mut rng);
+    // The own-block SpMM of the road and dblp ranks at width 32, and the
+    // skewed RMAT graph at widths one and two column spans wide.
+    let rmat = rmat::generate_sized(10_000, 8.0, false, 1).normalized_adjacency();
+    let spmms = [
+        (
+            "road",
+            own_block(Dataset::RoadNetCa, 16, Method::Rp),
+            32usize,
+        ),
+        ("dblp", own_block(Dataset::CoPapersDblp, 64, Method::Hp), 32),
+        ("rmat_10k", rmat.clone(), 16),
+        ("rmat_10k", rmat.clone(), 64),
+        ("rmat_10k", rmat, 128),
+    ];
+    for (shape, a, d) in &spmms {
+        let h = Dense::random(a.n_cols(), *d, &mut rng);
+        let mut out = Dense::zeros(a.n_rows(), *d);
+        let rows = a.n_rows();
         group.throughput(Throughput::Elements((a.nnz() * d) as u64));
-        for (name, cctx) in &engines {
+        for (name, cctx) in &engines1 {
             group.bench_with_input(
-                BenchmarkId::new(format!("spmm_{name}"), format!("rmat_10k_{d}")),
-                &d,
-                |b, _| b.iter(|| cctx.spmm(std::hint::black_box(&a), &h)),
+                BenchmarkId::new(format!("spmm_{name}"), format!("{shape}_{rows}x{d}")),
+                d,
+                |b, _| b.iter(|| cctx.spmm_into(std::hint::black_box(a), &h, &mut out, false)),
             );
         }
     }

@@ -133,7 +133,7 @@ mod tests {
     const ACTIVATIONS: [Activation; 2] = [Activation::Relu, Activation::Identity];
 
     /// Every engine a layer can run on, named: naive and blocked as
-    /// dispatched (AVX2 lanes where the CPU has them), each with one and
+    /// dispatched (the widest lanes the CPU has), each with one and
     /// four threads.
     fn engines() -> Vec<(String, ComputeCtx)> {
         [1, 4]

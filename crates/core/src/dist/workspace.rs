@@ -132,9 +132,9 @@ impl EpochWorkspace {
         let n = plan.n_local();
         let dims = &config.dims;
         let layers = config.layers();
-        // The blocked GEMM engine packs (or, on AVX2 lanes, transposes)
-        // the B operand, which in the layer loop is always a weight
-        // (`H·W`, `G·Wᵀ`; `Hᵀ·G` is pack-free): at most dmax² floats.
+        // The blocked engine's `A·Bᵀ` (`G·Wᵀ`) transposes its B operand,
+        // in the layer loop always a weight, into the shared pack
+        // scratch (`H·W` and `Hᵀ·G` are pack-free): at most dmax² floats.
         // Grow the shared scratch to that once, here, so steady-state
         // kernel calls stay allocation-free (DESIGN.md §9).
         let dmax = dims.iter().copied().max().unwrap_or(0);

@@ -209,6 +209,13 @@ pub fn forward_rank(
 
 /// Distributed multi-layer GAT inference over `part`: returns the global
 /// output features and the per-rank counters.
+///
+/// # Panics
+/// Naming the layer and the rank, when a rank's output of any layer holds
+/// a NaN or ±∞ (the first such layer, on the lowest such rank). Each rank
+/// checks every layer's output before the inter-layer ReLU, which would
+/// turn a NaN into `0.0` and hide it, and finishes its exchanges: a rank
+/// that stopped mid-pass would leave its peers blocked in their receives.
 pub fn forward_distributed(
     graph: &Graph,
     h0: &Dense,
@@ -226,14 +233,20 @@ pub fn forward_distributed(
     struct R {
         out: Dense,
         counters: CommCounters,
+        /// The first layer whose output held a NaN or ±∞.
+        non_finite: Option<usize>,
     }
     let results: Vec<R> = CommSession::new(part.p()).run_step(|ctx| {
         let rp = &plan.ranks[ctx.rank()];
         let widest = layers.iter().map(|l| l.w.cols()).max().unwrap_or(0);
         rp.ensure_pools(ctx, widest, 0);
         let mut h = locals[ctx.rank()].clone();
+        let mut non_finite = None;
         for (k, layer) in layers.iter().enumerate() {
             h = forward_rank(ctx, rp, layer, &h, k as u32);
+            if non_finite.is_none() && h.data().iter().any(|v| !v.is_finite()) {
+                non_finite = Some(k);
+            }
             if k + 1 < layers.len() {
                 h.map_inplace(|v| v.max(0.0)); // inter-layer ReLU
             }
@@ -241,8 +254,15 @@ pub fn forward_distributed(
         R {
             out: h,
             counters: ctx.counters().clone(),
+            non_finite,
         }
     });
+    let first_bad = (results.iter().enumerate())
+        .filter_map(|(rank, r)| Some((r.non_finite?, rank)))
+        .min();
+    if let Some((k, rank)) = first_bad {
+        panic!("GAT layer {k}: rank {rank}'s output is non-finite");
+    }
 
     let d = layers.last().map(|l| l.w.cols()).unwrap_or(h0.cols());
     let mut out = Dense::zeros(graph.n(), d);
@@ -319,6 +339,19 @@ mod tests {
                 dist.max_abs_diff(&serial)
             );
         }
+    }
+
+    /// One NaN feature row makes its rank's first-layer output NaN; the
+    /// ReLU after that layer would map it to `0.0`, leaving the final
+    /// output finite, so the run must stop at layer 0.
+    #[test]
+    #[should_panic(expected = "GAT layer 0: rank")]
+    fn a_non_finite_layer_output_panics_naming_the_layer() {
+        let (g, mut h) = setup();
+        h.row_mut(17).fill(f32::NAN);
+        let layers = vec![GatLayer::init(6, 8, 1), GatLayer::init(8, 4, 2)];
+        let part = partition_rows(&g, &g.normalized_adjacency(), Method::Hp, 4, 0.1, 5);
+        forward_distributed(&g, &h, &layers, &part);
     }
 
     #[test]

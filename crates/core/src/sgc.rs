@@ -14,7 +14,7 @@ use crate::dist::feedforward::spmm_exchange_into;
 use crate::dist::{ExchangeScratch, SpmmExchange};
 use crate::loss;
 use crate::plan::CommPlan;
-use pargcn_comm::{CommCounters, CommSession};
+use pargcn_comm::{CommCounters, CommSession, RankCtx};
 use pargcn_graph::Graph;
 use pargcn_matrix::{gather, ComputeCtx, ComputeSpec, Csr, Dense};
 use pargcn_partition::Partition;
@@ -68,6 +68,78 @@ pub struct SgcOutcome {
     pub losses: Vec<f64>,
     pub predictions: Dense,
     pub counters: Vec<CommCounters>,
+}
+
+/// One rank's SGC training after propagation: its propagated rows, their
+/// labels and mask, and the logits, loss-gradient and `ΔW` buffers every
+/// epoch reuses, so an epoch allocates nothing once the collectives are
+/// warm.
+pub struct SgcRank<'a> {
+    /// The rank's rows of `Â^K·X`.
+    pub hp: Dense,
+    labels: &'a [u32],
+    mask: &'a [bool],
+    /// Masked rows over all ranks: the loss's normaliser.
+    mask_total: f64,
+    logits: Dense,
+    grad: Dense,
+    dw: Dense,
+}
+
+impl<'a> SgcRank<'a> {
+    pub fn new(
+        hp: Dense,
+        labels: &'a [u32],
+        mask: &'a [bool],
+        mask_total: f64,
+        classes: usize,
+    ) -> Self {
+        let (rows, d) = (hp.rows(), hp.cols());
+        SgcRank {
+            hp,
+            labels,
+            mask,
+            mask_total,
+            logits: Dense::zeros(rows, classes),
+            grad: Dense::zeros(rows, classes),
+            dw: Dense::zeros(d, classes),
+        }
+    }
+
+    /// One epoch: the local logits, loss and `ΔW`, both allreduced, then
+    /// `W ← W − η·ΔW`. Returns the global loss, the same on every rank.
+    ///
+    /// # Panics
+    /// Naming `epoch`, when the global loss or the allreduced `ΔW` is not
+    /// finite; both are global, so every rank stops at the same epoch.
+    pub fn epoch(
+        &mut self,
+        ctx: &mut RankCtx,
+        cctx: &ComputeCtx,
+        w: &mut Dense,
+        learning_rate: f32,
+        epoch: usize,
+    ) -> f64 {
+        cctx.matmul_into(&self.hp, w, &mut self.logits, false);
+        let loss_local = cctx.softmax_cross_entropy_into(
+            &self.logits,
+            self.labels,
+            self.mask,
+            self.mask_total,
+            &mut self.grad,
+        );
+        let mut lbuf = [loss_local as f32];
+        ctx.allreduce_sum(&mut lbuf);
+        let loss = lbuf[0] as f64;
+        assert!(loss.is_finite(), "epoch {epoch}: the global loss is {loss}");
+
+        cctx.matmul_at_into(&self.hp, &self.grad, &mut self.dw);
+        ctx.allreduce_sum(self.dw.data_mut());
+        let finite = self.dw.data().iter().all(|v| v.is_finite());
+        assert!(finite, "epoch {epoch}: ΔW is non-finite");
+        w.sub_scaled_assign(&self.dw, learning_rate);
+        loss
+    }
 }
 
 /// Distributed SGC: K propagation sweeps over the GCN comm plan, then
@@ -145,28 +217,13 @@ pub fn train_distributed(
         }
 
         // Training epochs: purely local + ΔW allreduce.
+        let mut rank = SgcRank::new(hp, l_local, m_local, mask_total, classes);
         let mut w = w_init.clone();
         let mut losses = Vec::with_capacity(epochs);
-        // The allreduced loss and `ΔW` are the same on every rank, so a
-        // non-finite one stops every rank at the same epoch.
         for epoch in 0..epochs {
-            let logits = cctx.matmul(&hp, &w);
-            let mut grad = Dense::zeros(logits.rows(), classes);
-            let loss_local =
-                cctx.softmax_cross_entropy_into(&logits, l_local, m_local, mask_total, &mut grad);
-            let mut lbuf = [loss_local as f32];
-            ctx.allreduce_sum(&mut lbuf);
-            let loss = lbuf[0] as f64;
-            assert!(loss.is_finite(), "epoch {epoch}: the global loss is {loss}");
-            losses.push(loss);
-
-            let mut dw = cctx.matmul_at(&hp, &grad);
-            ctx.allreduce_sum(dw.data_mut());
-            let finite = dw.data().iter().all(|v| v.is_finite());
-            assert!(finite, "epoch {epoch}: ΔW is non-finite");
-            w.sub_scaled_assign(&dw, learning_rate);
+            losses.push(rank.epoch(ctx, &cctx, &mut w, learning_rate, epoch));
         }
-        let pred = cctx.matmul(&hp, &w);
+        let pred = cctx.matmul(&rank.hp, &w);
         ctx.add_compute_flops(cctx.take_flops());
         R {
             w,

@@ -20,13 +20,14 @@ use pargcn_core::dist::{
 };
 use pargcn_core::gat::{self, GatLayer};
 use pargcn_core::optim::OptimizerState;
+use pargcn_core::sgc::SgcRank;
 use pargcn_core::{CommPlan, GcnConfig};
 use pargcn_graph::gen::er;
 use pargcn_graph::gen::sbm::{self, SbmParams};
 use pargcn_graph::Graph;
 use pargcn_matrix::{gather, ComputeCtx, ComputeSpec, Dense};
 use pargcn_partition::{partition_rows, Method, Partition};
-use pargcn_util::allocmeter::CountingAllocator;
+use pargcn_util::allocmeter::{self, CountingAllocator};
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
@@ -303,6 +304,49 @@ fn gat_forward_does_not_allocate_on_the_comm_path() {
         assert_eq!(
             *allocs, 0,
             "rank {rank}: GAT's exchange allocated {allocs} times inside the comm runtime"
+        );
+    }
+}
+
+/// SGC's epochs after propagation reuse each rank's logits, gradient and
+/// `ΔW` buffers: with the collectives warm, three epochs after two
+/// warm-up ones allocate nothing on any rank, inside the comm runtime or
+/// out of it.
+#[test]
+fn sgc_epochs_do_not_allocate() {
+    let pr = problem(4, false);
+    let a = pr.graph.normalized_adjacency();
+    let plan = CommPlan::build(&a, &pr.part);
+    let (d, classes) = (pr.h0.cols(), 4);
+    let mask_total = pr.mask.iter().filter(|&&m| m).count().max(1) as f64;
+    let w0 = Dense::from_fn(d, classes, |i, j| ((i * 5 + j * 3) % 7) as f32 / 7.0 - 0.4);
+    let allocs = CommSession::new(pr.part.p()).run_step(|ctx| {
+        let rows = &plan.ranks[ctx.rank()].local_rows;
+        let labels: Vec<u32> = rows.iter().map(|&v| pr.labels[v as usize]).collect();
+        let mask: Vec<bool> = rows.iter().map(|&v| pr.mask[v as usize]).collect();
+        let hp = gather::gather_rows(&pr.h0, rows);
+        let cctx = ComputeCtx::for_ranks_spec(pr.part.p(), ComputeSpec::default());
+        ctx.ensure_collectives(2, d * classes);
+        let mut rank = SgcRank::new(hp, &labels, &mask, mask_total, classes);
+        let mut w = w0.clone();
+        for epoch in 0..2 {
+            rank.epoch(ctx, &cctx, &mut w, 0.1, epoch);
+        }
+        ctx.reset_counters();
+        let before = allocmeter::current();
+        for epoch in 2..5 {
+            rank.epoch(ctx, &cctx, &mut w, 0.1, epoch);
+        }
+        (
+            allocmeter::current() - before,
+            ctx.counters().comm_path_allocs,
+        )
+    });
+    for (rank, &(all, comm)) in allocs.iter().enumerate() {
+        assert_eq!(
+            (all, comm),
+            (0, 0),
+            "rank {rank}: steady SGC epochs allocated {all} times ({comm} in the comm runtime)"
         );
     }
 }

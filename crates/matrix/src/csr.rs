@@ -11,6 +11,15 @@ use crate::Dense;
 use pargcn_util::pool::{weighted_chunks, Pool};
 
 /// A CSR sparse `f32` matrix.
+///
+/// **Invariant**, which the lanes' SpMM relies on to read `H` rows by
+/// column index without a bounds check: every column index is below
+/// `n_cols`, `indptr` has `n_rows + 1` entries, is monotone and ends at
+/// `nnz`, and `values` is as long as `indices`. The fields are private,
+/// and every constructor establishes it: [`Csr::from_coo`] and
+/// [`Csr::from_parts`] by assertion, [`Csr::identity`],
+/// [`Csr::transpose`] and [`Csr::select_rows`] by construction, and
+/// [`Csr::split_by_owner`] by asserting each entry's position.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Csr {
     n_rows: usize,

@@ -5,10 +5,11 @@
 //! kernels; [`ComputeCtx`] is our equivalent — a shared handle to a
 //! [`Pool`] that the SpMM/DMM kernels use to split row ranges across
 //! threads, plus the choice of **kernel engine** ([`KernelKind`]): the
-//! naive reference loops or the blocked engine, which runs the AVX2
-//! register tiles of [`crate::lanes`] where the CPU has them and the
-//! naive loops elsewhere. One context is built per simulated rank, so
-//! `p` ranks × `t` threads gives the paper's hybrid execution model.
+//! naive reference loops or the blocked engine, which runs the register
+//! tiles of [`crate::lanes`] at the widest width the CPU has (16-float
+//! AVX-512F, else 8-float AVX2) and the naive loops without AVX2. One
+//! context is built per simulated rank, so `p` ranks × `t` threads gives
+//! the paper's hybrid execution model.
 //!
 //! Every kernel dispatched here produces **bitwise identical** results
 //! regardless of engine and thread count: per output element the
@@ -26,7 +27,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::gemm::{self, PackBuf};
-use crate::lanes::Avx2;
+use crate::lanes::Lanes;
 use crate::{softmax, spmm_kernel, Csr, Dense};
 use pargcn_util::pool::{auto_threads, Pool};
 
@@ -46,8 +47,8 @@ const KERNEL_ENV: &str = "PARGCN_KERNEL";
 pub enum KernelKind {
     /// The straightforward i-k-j / row-axpy loops.
     Naive,
-    /// The AVX2 register tiles where the CPU has them, else the naive
-    /// loops (default).
+    /// The widest SIMD register tiles the CPU has (AVX-512F, else
+    /// AVX2), else the naive loops (default).
     Blocked,
 }
 
@@ -108,12 +109,12 @@ struct Scratch {
     flops: AtomicU64,
 }
 
-/// The lanes `kernel` runs on: AVX2 under [`KernelKind::Blocked`] where
-/// the CPU has it.
-fn lanes_for(kernel: KernelKind) -> Option<Avx2> {
+/// The lanes `kernel` runs on: the widest the CPU has under
+/// [`KernelKind::Blocked`].
+fn lanes_for(kernel: KernelKind) -> Option<Lanes> {
     match kernel {
         KernelKind::Naive => None,
-        KernelKind::Blocked => Avx2::detect(),
+        KernelKind::Blocked => Lanes::detect(),
     }
 }
 
@@ -124,17 +125,19 @@ fn lanes_for(kernel: KernelKind) -> Option<Avx2> {
 pub struct ComputeCtx {
     pool: Arc<Pool>,
     kernel: KernelKind,
-    /// The AVX2 lanes every kernel runs on: `Some` under
-    /// [`KernelKind::Blocked`] where the CPU has them (detected once,
-    /// when the context is built), else `None` — the naive loops.
-    lanes: Option<Avx2>,
+    /// The lanes every kernel runs on: `Some` under
+    /// [`KernelKind::Blocked`] where the CPU has AVX2, at its widest width
+    /// (detected once, when the context is built), else `None` — the
+    /// naive loops.
+    lanes: Option<Lanes>,
     scratch: Arc<Scratch>,
 }
 
 impl ComputeCtx {
     /// A context of `threads` executors (min 1) on `kernel` with the
     /// given lanes; a non-AVX2 host builds a `Blocked` one without lanes.
-    fn new(threads: usize, kernel: KernelKind, lanes: Option<Avx2>) -> Self {
+    /// The width-parity tests pick the lanes here.
+    fn new(threads: usize, kernel: KernelKind, lanes: Option<Lanes>) -> Self {
         Self {
             pool: Arc::new(Pool::new(threads)),
             kernel,
@@ -171,6 +174,25 @@ impl ComputeCtx {
             lanes: lanes_for(kernel),
             ..self
         }
+    }
+
+    /// The blocked engine on `floats`-wide lanes (8 or 16) instead of the
+    /// widest, or `None` where the CPU lacks them: for the kernel bench's
+    /// per-width rows. Training always runs the widest lanes.
+    #[doc(hidden)]
+    pub fn with_lane_width(self, floats: usize) -> Option<Self> {
+        let lanes = Lanes::of_width(floats)?;
+        Some(Self {
+            kernel: KernelKind::Blocked,
+            lanes: Some(lanes),
+            ..self
+        })
+    }
+
+    /// The lanes the kernels run on, if any: `None` on the naive engine
+    /// and on a CPU without AVX2.
+    pub fn lanes(&self) -> Option<Lanes> {
+        self.lanes
     }
 
     #[inline]
@@ -333,7 +355,8 @@ impl ComputeCtx {
 
     /// Masked softmax cross-entropy of `h` into `grad` (overwritten),
     /// normalised by `count`; returns the loss (see
-    /// [`crate::softmax`]). The lanes run eight rows per AVX2 register;
+    /// [`crate::softmax`]). The lanes run eight rows per AVX2 register at
+    /// either width;
     /// without them the rows run one at a time, with the same bits.
     pub fn softmax_cross_entropy_into(
         &self,
@@ -432,26 +455,69 @@ mod tests {
         KernelKind::from_env_value(Some("blokced"));
     }
 
-    /// What a host without AVX2 builds for the blocked engine — a context
-    /// without lanes — agrees with naive bit for bit on every op and
-    /// meters the same FLOPs.
-    #[test]
-    fn a_blocked_context_with_no_lanes_runs_the_naive_loops() {
-        use pargcn_util::rng::{Rng, SeedableRng, StdRng};
-        let mut rng = StdRng::seed_from_u64(5);
-        // Past the parallel cutoff, with exact zeros and a NaN.
-        let mut a = Dense::from_fn(300, 24, |_, _| match rng.gen_range(0..6u32) {
-            0 => 0.0,
+    use pargcn_util::rng::{Rng, SeedableRng, StdRng};
+
+    /// Operands for every dispatched op: `a` is `m×k`, `b` `k×n`, `bt`
+    /// `n×k`, `g` `m×n` (also `H` of the SpMM and the loss's logits),
+    /// `csr` `m×m`, and the accumulators `m×n`.
+    struct Operands {
+        a: Dense,
+        b: Dense,
+        bt: Dense,
+        g: Dense,
+        csr: Csr,
+        labels: Vec<u32>,
+        mask: Vec<bool>,
+        /// Accumulators to add into: holding `-0.0`, NaN or ±∞ when the
+        /// operands do.
+        seed: Dense,
+    }
+
+    /// One operand value: uniform in (−2, 2) with exact zeros, and with
+    /// `special`, also `-0.0`, NaN and ±∞.
+    fn value(rng: &mut StdRng, special: bool) -> f32 {
+        match (special, rng.gen_range(0..16u32)) {
+            (_, 0..=2) => 0.0,
+            (true, 3) => -0.0,
+            (true, 4) => f32::NAN,
+            (true, 5) => f32::INFINITY,
+            (true, 6) => f32::NEG_INFINITY,
             _ => rng.gen_range(-2.0..2.0f32),
-        });
-        a.set(7, 3, f32::NAN);
-        let b = Dense::random(24, 20, &mut rng);
-        let bt = Dense::random(20, 24, &mut rng);
-        let g = Dense::random(300, 20, &mut rng);
-        let coo = (0..900).map(|i| ((i % 300) as u32, (i * 7 % 300) as u32, 0.5));
-        let csr = Csr::from_coo(300, 300, coo.collect());
-        let labels: Vec<u32> = (0..300).map(|i| i % 20).collect();
-        let mask: Vec<bool> = (0..300).map(|i| i % 3 != 0).collect();
+        }
+    }
+
+    fn operands(rng: &mut StdRng, (m, k, n): (usize, usize, usize), special: bool) -> Operands {
+        let mut dense = |r, c| Dense::from_fn(r, c, |_, _| value(rng, special));
+        let (a, b, bt, g, seed) = (
+            dense(m, k),
+            dense(k, n),
+            dense(n, k),
+            dense(m, n),
+            dense(m, n),
+        );
+        // About a third of the rows empty, the rest up to six entries.
+        let mut coo = Vec::new();
+        for r in 0..m {
+            for _ in 0..[0, 0, 1, 2, 4, 6][rng.gen_range(0..6usize)] {
+                let c = rng.gen_range(0..m as u32);
+                coo.push((r as u32, c, value(rng, special)));
+            }
+        }
+        Operands {
+            a,
+            b,
+            bt,
+            g,
+            csr: Csr::from_coo(m, m, coo),
+            labels: (0..m).map(|_| rng.gen_range(0..n.max(1) as u32)).collect(),
+            mask: (0..m).map(|i| i % 3 != 0).collect(),
+            seed,
+        }
+    }
+
+    /// Every dispatched op on `x`: each output's bits (any NaN read as
+    /// one NaN), the loss's bits and the FLOPs the context metered.
+    fn every_op(ctx: &ComputeCtx, x: &Operands) -> (Vec<Vec<u32>>, u64, u64) {
         let bits = |d: &Dense| {
             let nan = |v: &f32| if v.is_nan() { f32::NAN } else { *v };
             d.data()
@@ -459,36 +525,115 @@ mod tests {
                 .map(|v| nan(v).to_bits())
                 .collect::<Vec<_>>()
         };
-        let run = |ctx: &ComputeCtx| {
-            let relu = |v: f32| v.max(0.0);
-            let mut outs = vec![ctx.matmul(&a, &b), ctx.matmul_bt(&a, &bt)];
-            outs.push(ctx.matmul_at(&a, &g));
-            outs.push(ctx.spmm(&csr, &a));
-            let mut acc = ctx.matmul(&a, &b);
-            ctx.matmul_into(&a, &b, &mut acc, true);
-            let mut h = Dense::zeros(300, 20);
-            ctx.matmul_map_into(&a, &b, &mut h, relu);
-            let mut s = Dense::zeros(300, 20);
-            ctx.matmul_bt_scale_into(&a, &bt, &g, relu, &mut s);
-            let mut acc_s = ctx.spmm(&csr, &a);
-            ctx.spmm_into(&csr, &a, &mut acc_s, true);
-            let mut grad = Dense::zeros(300, 20);
-            let loss = ctx.softmax_cross_entropy_into(&g, &labels, &mask, 200.0, &mut grad);
-            outs.extend([acc, h, s, acc_s, grad]);
-            let outs: Vec<Vec<u32>> = outs.iter().map(bits).collect();
-            (outs, loss.to_bits(), ctx.take_flops())
+        let relu = |v: f32| v.max(0.0);
+        let (m, n) = (x.a.rows(), x.b.cols());
+        let mut outs = vec![
+            ctx.matmul(&x.a, &x.b),
+            ctx.matmul_bt(&x.a, &x.bt),
+            ctx.matmul_at(&x.a, &x.g),
+            ctx.spmm(&x.csr, &x.g),
+        ];
+        // Accumulate into a sum-reachable output and into the seed.
+        for seed in [ctx.matmul(&x.a, &x.b), x.seed.clone()] {
+            let mut acc = seed.clone();
+            ctx.matmul_into(&x.a, &x.b, &mut acc, true);
+            let mut acc_s = seed;
+            ctx.spmm_into(&x.csr, &x.g, &mut acc_s, true);
+            outs.extend([acc, acc_s]);
+        }
+        let mut h = Dense::zeros(m, n);
+        ctx.matmul_map_into(&x.a, &x.b, &mut h, relu);
+        let mut s = Dense::zeros(m, n);
+        ctx.matmul_bt_scale_into(&x.a, &x.bt, &x.g, relu, &mut s);
+        let mut grad = Dense::zeros(m, n);
+        let loss = ctx.softmax_cross_entropy_into(&x.g, &x.labels, &x.mask, 7.0, &mut grad);
+        outs.extend([h, s, grad]);
+        let outs = outs.iter().map(bits).collect();
+        (outs, loss.to_bits(), ctx.take_flops())
+    }
+
+    /// What a host without AVX2 builds for the blocked engine — a context
+    /// without lanes — agrees with naive bit for bit on every op and
+    /// meters the same FLOPs.
+    #[test]
+    fn a_blocked_context_with_no_lanes_runs_the_naive_loops() {
+        let mut rng = StdRng::seed_from_u64(5);
+        // Past the parallel cutoff, with exact zeros and special values.
+        for special in [false, true] {
+            let x = operands(&mut rng, (300, 24, 20), special);
+            for t in [1, 3] {
+                let naive = ComputeCtx::new(t, KernelKind::Naive, None);
+                let blocked = ComputeCtx::new(t, KernelKind::Blocked, None);
+                assert_eq!(blocked.kernel(), KernelKind::Blocked);
+                assert_eq!(every_op(&naive, &x), every_op(&blocked, &x), "t={t}");
+            }
+        }
+    }
+
+    /// The lanes of `floats` width agree with the naive loops bit for bit
+    /// on every op at every output width 1–130 (`A·B`, `A·Bᵀ` and `Aᵀ·B`
+    /// columns, SpMM's `H`), with empty CSR rows, every other width with
+    /// NaN, ±∞ and `-0.0` operands (which take `Aᵀ·B`'s masked path), on
+    /// 1 and 3 threads, and meter the same FLOPs. Where the CPU lacks the
+    /// width, it says so instead of passing silently.
+    fn lanes_match_naive_at_every_width(floats: usize) {
+        let Some(lanes) = Lanes::of_width(floats) else {
+            eprintln!("skipped: this CPU has no {floats}-float lanes, so they are unchecked here");
+            return;
         };
-        for t in [1, 3] {
-            let naive = ComputeCtx::new(t, KernelKind::Naive, None);
-            let blocked = ComputeCtx::new(t, KernelKind::Blocked, None);
-            assert_eq!(blocked.kernel(), KernelKind::Blocked);
-            assert_eq!(run(&naive), run(&blocked), "t={t}");
+        let mut rng = StdRng::seed_from_u64(floats as u64);
+        for n in 1..=130 {
+            let shape = (37, 3 + n % 7, n);
+            let x = operands(&mut rng, shape, n % 2 == 0);
+            for t in [1, 3] {
+                let naive = ComputeCtx::new(t, KernelKind::Naive, None);
+                let wide = ComputeCtx::new(t, KernelKind::Blocked, Some(lanes));
+                assert_eq!(
+                    every_op(&naive, &x),
+                    every_op(&wide, &x),
+                    "{} lanes, m×k×n = {shape:?}, t={t}",
+                    lanes.name()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn width_parity_avx2_lanes_match_naive() {
+        lanes_match_naive_at_every_width(8);
+    }
+
+    #[test]
+    fn width_parity_avx512_lanes_match_naive() {
+        lanes_match_naive_at_every_width(16);
+    }
+
+    /// `detect` picks the widest lanes the CPU has, and a context for the
+    /// bench's per-width rows runs the width it names.
+    #[test]
+    fn width_parity_detect_picks_the_widest() {
+        let widest = Lanes::of_width(16).or_else(|| Lanes::of_width(8));
+        assert_eq!(Lanes::detect(), widest);
+        assert_eq!(
+            ComputeCtx::serial()
+                .with_kernel(KernelKind::Blocked)
+                .lanes(),
+            widest
+        );
+        assert_eq!(
+            ComputeCtx::serial().with_kernel(KernelKind::Naive).lanes(),
+            None
+        );
+        for floats in [8, 16] {
+            let ctx = ComputeCtx::serial().with_kernel(KernelKind::Naive);
+            let lanes = ctx.with_lane_width(floats).and_then(|c| c.lanes());
+            assert_eq!(lanes, Lanes::of_width(floats));
+            assert!(lanes.is_none_or(|l| l.width() == floats));
         }
     }
 
     #[test]
     fn dispatch_engines_agree_bitwise() {
-        use pargcn_util::rng::{SeedableRng, StdRng};
         let mut rng = StdRng::seed_from_u64(4);
         let a = Dense::random(30, 12, &mut rng);
         let b = Dense::random(12, 9, &mut rng);

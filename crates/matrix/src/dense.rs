@@ -6,17 +6,20 @@
 //! order so the inner loop streams contiguously over rows of the right-hand
 //! operand, which vectorizes well for skinny matrices.
 
+use crate::aligned::AlignedBuf;
 use crate::ctx::MIN_PARALLEL_WORK;
 use pargcn_util::pool::{even_chunks, Pool};
 use pargcn_util::rng::Rng;
 use std::ops::Range;
 
-/// A row-major dense `f32` matrix.
+/// A row-major dense `f32` matrix. Its data starts on a 64-byte cache
+/// line (see the private `aligned` module), except when adopted from a
+/// `Vec` by [`Dense::from_vec`].
 #[derive(Clone, PartialEq)]
 pub struct Dense {
     rows: usize,
     cols: usize,
-    data: Vec<f32>,
+    data: AlignedBuf,
 }
 
 impl std::fmt::Debug for Dense {
@@ -37,42 +40,47 @@ impl Dense {
         Self {
             rows,
             cols,
-            data: vec![0.0; rows * cols],
+            data: AlignedBuf::zeros(rows * cols),
         }
     }
 
-    /// Builds a matrix from a row-major data vector.
+    /// Builds a matrix from a row-major data vector, without copying: the
+    /// data keeps the vector's start, which need not be line-aligned.
     ///
     /// # Panics
     /// Panics if `data.len() != rows * cols`.
     pub fn from_vec(rows: usize, cols: usize, data: Vec<f32>) -> Self {
         assert_eq!(data.len(), rows * cols, "dense data length mismatch");
-        Self { rows, cols, data }
+        Self {
+            rows,
+            cols,
+            data: AlignedBuf::from_vec(data),
+        }
     }
 
-    /// Builds a matrix by evaluating `f(i, j)` at every position.
+    /// Builds a matrix by evaluating `f(i, j)` at every position, in row-major order.
     pub fn from_fn(rows: usize, cols: usize, mut f: impl FnMut(usize, usize) -> f32) -> Self {
-        let mut data = Vec::with_capacity(rows * cols);
-        for i in 0..rows {
-            for j in 0..cols {
-                data.push(f(i, j));
-            }
+        let mut m = Self::zeros(rows, cols);
+        for (idx, v) in m.data.iter_mut().enumerate() {
+            *v = f(idx / cols, idx % cols);
         }
-        Self { rows, cols, data }
+        m
     }
 
     /// Glorot/Xavier-uniform initialization, the standard GCN parameter
     /// init: `U(-s, s)` with `s = sqrt(6 / (rows + cols))`.
     pub fn glorot(rows: usize, cols: usize, rng: &mut impl Rng) -> Self {
         let s = (6.0 / (rows + cols) as f64).sqrt() as f32;
-        let data = (0..rows * cols).map(|_| rng.gen_range(-s..=s)).collect();
-        Self { rows, cols, data }
+        let mut m = Self::zeros(rows, cols);
+        m.data.iter_mut().for_each(|v| *v = rng.gen_range(-s..=s));
+        m
     }
 
     /// Uniform random entries in `[0, 1)`; used for synthetic feature matrices.
     pub fn random(rows: usize, cols: usize, rng: &mut impl Rng) -> Self {
-        let data = (0..rows * cols).map(|_| rng.gen::<f32>()).collect();
-        Self { rows, cols, data }
+        let mut m = Self::zeros(rows, cols);
+        m.data.iter_mut().for_each(|v| *v = rng.gen::<f32>());
+        m
     }
 
     #[inline]
@@ -91,7 +99,7 @@ impl Dense {
     /// now read in the new shape — callers that reuse one buffer across
     /// shapes must fully overwrite it before reading.
     pub fn reshape(&mut self, rows: usize, cols: usize) {
-        self.data.resize(rows * cols, 0.0);
+        self.data.resize(rows * cols);
         self.rows = rows;
         self.cols = cols;
     }
@@ -132,7 +140,7 @@ impl Dense {
     /// inverse of [`Dense::from_vec`]: together they let a message payload
     /// be viewed as a matrix and then recycled without copying.
     pub fn into_vec(self) -> Vec<f32> {
-        self.data
+        self.data.into_vec()
     }
 
     /// Overwrites `self` with the contents of `src` (shapes must match);
@@ -300,17 +308,9 @@ impl Dense {
             (b.rows, b.cols),
             "hadamard shape mismatch"
         );
-        let data = self
-            .data
-            .iter()
-            .zip(&b.data)
-            .map(|(&x, &y)| x * y)
-            .collect();
-        Dense {
-            rows: self.rows,
-            cols: self.cols,
-            data,
-        }
+        let mut out = self.clone();
+        out.hadamard_assign(b);
+        out
     }
 
     /// In-place element-wise multiply: `self ⊙= b`.
@@ -320,7 +320,7 @@ impl Dense {
             (b.rows, b.cols),
             "hadamard shape mismatch"
         );
-        for (x, &y) in self.data.iter_mut().zip(&b.data) {
+        for (x, &y) in self.data.iter_mut().zip(b.data.iter()) {
             *x *= y;
         }
     }
@@ -333,7 +333,7 @@ impl Dense {
             (z.rows, z.cols),
             "mul_map_assign shape mismatch"
         );
-        for (x, &zv) in self.data.iter_mut().zip(&z.data) {
+        for (x, &zv) in self.data.iter_mut().zip(z.data.iter()) {
             *x *= f(zv);
         }
     }
@@ -345,7 +345,7 @@ impl Dense {
             (b.rows, b.cols),
             "add shape mismatch"
         );
-        for (x, &y) in self.data.iter_mut().zip(&b.data) {
+        for (x, &y) in self.data.iter_mut().zip(b.data.iter()) {
             *x += y;
         }
     }
@@ -357,7 +357,7 @@ impl Dense {
             (b.rows, b.cols),
             "sub shape mismatch"
         );
-        for (x, &y) in self.data.iter_mut().zip(&b.data) {
+        for (x, &y) in self.data.iter_mut().zip(b.data.iter()) {
             *x -= eta * y;
         }
     }
@@ -420,7 +420,7 @@ impl Dense {
             && self
                 .data
                 .iter()
-                .zip(&b.data)
+                .zip(b.data.iter())
                 .all(|(&x, &y)| crate::approx_eq(x, y, rel))
     }
 
@@ -429,7 +429,7 @@ impl Dense {
         assert_eq!((self.rows, self.cols), (b.rows, b.cols));
         self.data
             .iter()
-            .zip(&b.data)
+            .zip(b.data.iter())
             .map(|(&x, &y)| (x - y).abs())
             .fold(0.0f32, f32::max)
     }

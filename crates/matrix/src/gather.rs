@@ -12,12 +12,11 @@ use crate::Dense;
 /// Gathers rows `idx` of `h` into a new `idx.len() × h.cols()` matrix —
 /// exactly `Xₘₙ ⊗ H` with `idx = {i : Xₘₙ(i,i) = 1}`.
 pub fn gather_rows(h: &Dense, idx: &[u32]) -> Dense {
-    let d = h.cols();
-    let mut data = Vec::with_capacity(idx.len() * d);
-    for &i in idx {
-        data.extend_from_slice(h.row(i as usize));
+    let mut out = Dense::zeros(idx.len(), h.cols());
+    for (k, &i) in idx.iter().enumerate() {
+        out.row_mut(k).copy_from_slice(h.row(i as usize));
     }
-    Dense::from_vec(idx.len(), d, data)
+    out
 }
 
 /// Gathers rows `idx` of `h` into a caller-provided flat buffer (resized to

@@ -1,6 +1,7 @@
-//! The dense products of the blocked engine on AVX2 lanes: the drivers
-//! that lay out the right operand, split output rows across the pool and
-//! enter the register tiles of [`crate::lanes`].
+//! The dense products of the blocked engine on SIMD lanes (16-float
+//! AVX-512F or 8-float AVX2, see [`crate::lanes`]): the drivers that lay
+//! out the right operand, split output rows across the pool and enter the
+//! register tiles.
 //!
 //! `A·B` reads the small row-major right operand directly, so it needs
 //! no pack at all; `A·Bᵀ` makes one transposing copy of it into a
@@ -27,7 +28,7 @@
 //! and unfused forms have the same bits.
 
 use crate::dense::{run_rows, Dense};
-use crate::lanes::Avx2;
+use crate::lanes::Lanes;
 use pargcn_util::pool::{even_chunks, Pool};
 
 /// Grow-once scratch for the transposed right operand of `A·Bᵀ`. One
@@ -73,47 +74,13 @@ fn skip_matters(b: &Dense, out: &Dense, accumulate: bool) -> bool {
         || (accumulate && out.data().iter().any(|v| *v == 0.0 && v.is_sign_negative()))
 }
 
-/// Dynamic-width edge of the lanes' `Aᵀ·B` for the sub-8 remainder
-/// columns: `out_row[jj] (+)= a[i][j] · b[i][n0+jj]` for `i ∈ [i0, ie)`,
-/// ascending. The `aij == 0.0` skip mirrors the naive kernel's control
-/// flow exactly, so the two are bitwise identical even on non-finite
-/// inputs.
-#[allow(clippy::too_many_arguments)]
-#[inline]
-pub(crate) fn at_edge_pass(
-    a: &[f32],
-    m: usize,
-    j: usize,
-    b: &[f32],
-    n: usize,
-    i0: usize,
-    ie: usize,
-    n0: usize,
-    out_row: &mut [f32],
-) {
-    let w = out_row.len();
-    let mut acc = [0.0f32; 16];
-    acc[..w].copy_from_slice(out_row);
-    for i in i0..ie {
-        let aij = a[i * m + j];
-        if aij == 0.0 {
-            continue;
-        }
-        let br = &b[i * n + n0..i * n + n0 + w];
-        for (jj, &bv) in br.iter().enumerate() {
-            acc[jj] += aij * bv;
-        }
-    }
-    out_row.copy_from_slice(&acc[..w]);
-}
-
 /// `out (+)= a·bp` over a whole `m×n` output (`bp` the row-major `k×n`
 /// right operand), its rows split across the pool by
 /// [`run_rows`] with [`even_chunks`] like the naive kernels. `epi` sees
 /// global row indices.
 #[allow(clippy::too_many_arguments)]
 fn product(
-    l: Avx2,
+    l: Lanes,
     a: &[f32],
     (m, k, n): (usize, usize, usize),
     bp: &[f32],
@@ -132,7 +99,7 @@ fn product(
 
 /// `out (+)= a × b`.
 pub(crate) fn matmul_into(
-    l: Avx2,
+    l: Lanes,
     a: &Dense,
     b: &Dense,
     out: &mut Dense,
@@ -148,7 +115,7 @@ pub(crate) fn matmul_into(
 /// each product exactly once, so this is bitwise [`matmul_into`]
 /// followed by [`Dense::map_inplace_pool`].
 pub(crate) fn matmul_map_into(
-    l: Avx2,
+    l: Lanes,
     a: &Dense,
     b: &Dense,
     out: &mut Dense,
@@ -167,7 +134,7 @@ pub(crate) fn matmul_map_into(
 /// `epi(first_row, rows)`; on the naive fallback (see [`skip_matters`])
 /// `epi` runs once over the whole output.
 fn ab_product(
-    l: Avx2,
+    l: Lanes,
     a: &Dense,
     b: &Dense,
     out: &mut Dense,
@@ -199,7 +166,7 @@ fn ab_product(
 /// `out = a × bᵀ` (`a` is `m×k`, `b` is `n×k`), through one small
 /// transposing copy of `b` into `pack`.
 pub(crate) fn matmul_bt_into(
-    l: Avx2,
+    l: Lanes,
     a: &Dense,
     b: &Dense,
     out: &mut Dense,
@@ -216,7 +183,7 @@ pub(crate) fn matmul_bt_into(
 /// included.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn matmul_bt_scale_into(
-    l: Avx2,
+    l: Lanes,
     a: &Dense,
     b: &Dense,
     z: &Dense,
@@ -239,7 +206,7 @@ pub(crate) fn matmul_bt_scale_into(
 }
 
 fn bt_product(
-    l: Avx2,
+    l: Lanes,
     a: &Dense,
     b: &Dense,
     out: &mut Dense,
@@ -263,7 +230,7 @@ fn bt_product(
 /// in L1. The pool splits the output rows by [`run_rows`] with
 /// [`even_chunks`], which is bitwise invisible because output rows are
 /// independent.
-pub(crate) fn matmul_at_into(l: Avx2, a: &Dense, b: &Dense, out: &mut Dense, pool: &Pool) {
+pub(crate) fn matmul_at_into(l: Lanes, a: &Dense, b: &Dense, out: &mut Dense, pool: &Pool) {
     assert_eq!(a.rows(), b.rows(), "matmul_at dimension mismatch");
     assert_eq!(
         (out.rows(), out.cols()),
@@ -306,7 +273,7 @@ mod tests {
 
     #[test]
     fn blocked_matmul_matches_naive_bitwise() {
-        let Some(l) = Avx2::detect() else { return };
+        let Some(l) = Lanes::detect() else { return };
         let pool = Pool::new(1);
         for (m, k, n) in [(7, 5, 9), (64, 32, 16), (1, 1, 1), (13, 8, 8), (100, 3, 17)] {
             let a = random(m, k, 1);
@@ -321,7 +288,7 @@ mod tests {
 
     #[test]
     fn blocked_accumulate_matches_naive_bitwise() {
-        let Some(l) = Avx2::detect() else { return };
+        let Some(l) = Lanes::detect() else { return };
         let pool = Pool::new(2);
         let a = random(33, 17, 3);
         let b = random(17, 12, 4);
@@ -336,7 +303,7 @@ mod tests {
 
     #[test]
     fn blocked_bt_and_at_match_naive_bitwise() {
-        let Some(l) = Avx2::detect() else { return };
+        let Some(l) = Lanes::detect() else { return };
         let pool = Pool::new(1);
         let mut pack = PackBuf::default();
         let a = random(21, 10, 5);
@@ -354,7 +321,7 @@ mod tests {
 
     #[test]
     fn degenerate_shapes_are_handled() {
-        let Some(l) = Avx2::detect() else { return };
+        let Some(l) = Lanes::detect() else { return };
         let pool = Pool::new(1);
         for (m, k, n) in [(0, 4, 4), (4, 0, 4), (4, 4, 0), (0, 0, 0)] {
             let a = Dense::zeros(m, k);

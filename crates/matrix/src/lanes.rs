@@ -1,46 +1,108 @@
-//! Explicit AVX2 lanes: the blocked engine's kernels.
+//! Explicit SIMD lanes: the blocked engine's kernels.
 //!
-//! The blocked engine runs the GEMMs and SpMM on eight-lane `core::arch`
-//! register tiles, chosen once per [`crate::ComputeCtx`] by
-//! [`Avx2::detect`]; the row drivers that feed them live in the private
+//! The blocked engine runs the GEMMs and SpMM on `core::arch` register
+//! tiles at the widest width the CPU has: sixteen floats (`zmm`) where
+//! it has AVX-512F, eight (`ymm`) where it has only AVX2, chosen once per
+//! [`crate::ComputeCtx`] by [`Lanes::detect`]. Each kernel body is written
+//! once, generic over the private `Isa` trait (load, store, splat,
+//! multiply-add and masked part-width loads and stores), and entered
+//! through one `#[target_feature]` function per width, so the same source
+//! compiles to `ymm` code behind the AVX2 entry and `zmm` code behind the
+//! AVX-512F one. The row drivers that feed the kernels live in the private
 //! `gemm` and `spmm_kernel` modules. A host without AVX2 runs the naive
-//! loops, with the same bits. The loss ([`crate::softmax`]) runs here
-//! too, eight rows at a time, one row per lane.
+//! loops, with the same bits. The loss ([`crate::softmax`]) runs here too,
+//! on eight AVX2 lanes at either width, eight rows at a time, one row per
+//! lane. The loads and stores are unaligned, but [`crate::Dense`] data
+//! starts on a 64-byte cache line, so a full register of a row whose
+//! width is a multiple of sixteen floats reads or writes one line.
 //!
 //! **Bitwise contract** (DESIGN.md §10). Every lane does what the scalar
-//! loop does to one element: `acc = acc + a·b` as a separate
-//! `_mm256_mul_ps` and `_mm256_add_ps`, never an FMA (whose single
-//! rounding would change the bits), with one accumulator per output
-//! element summing its terms in the same ascending order. Tiling only
-//! partitions the output, so the lanes are bit-for-bit the naive
-//! kernels. The loss's lanes likewise repeat the scalar row's
-//! operations in its order, the in-house `exp`'s included.
+//! loop does to one element: `acc = acc + a·b` as a separate multiply and
+//! add, never an FMA (whose single rounding would change the bits), with
+//! one accumulator per output element summing its terms in the same
+//! ascending order. Tiling only partitions the output, and a part-width
+//! tile's masked-off lanes are neither read nor written, so the lanes
+//! are bit-for-bit the naive kernels at both widths. The loss's lanes
+//! likewise repeat the scalar row's operations in its order, the in-house
+//! `exp`'s included.
 //!
-//! **Containment.** This is the crate's only `unsafe` code. An [`Avx2`]
-//! token can only be made by [`Avx2::detect`], so holding one proves the
-//! CPU has AVX2; its safe methods assert their slice bounds and then
-//! enter the `#[target_feature]` kernels, which index through checked
-//! slices. The only raw-pointer accesses are the unaligned loads and
-//! stores of `load8`/`store8`, each on a slice checked to hold eight
-//! floats.
+//! **Containment.** This is the crate's only `unsafe` code. A [`Lanes`]
+//! token can only be made by detection, so holding one proves the CPU
+//! has its width (and AVX2, which the loss uses at either width). Its
+//! safe methods assert their operands' extents and then enter the
+//! `#[target_feature]` kernels, which read and write through raw pointers
+//! without further checks. Every such access is in bounds by those
+//! asserts, or, for SpMM's `H` rows, by the [`Csr`] invariant that each
+//! column index is below `n_cols` (every `Csr` constructor establishes
+//! it; see each `SAFETY` note below).
 
 use crate::softmax::LANE_CLASSES;
 use crate::{Csr, Dense};
 use std::ops::Range;
 
-/// Proof that the running CPU supports AVX2: the only constructor is
-/// [`Avx2::detect`].
+/// The register width of a [`Lanes`] token.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Avx2(());
+enum Width {
+    /// Eight floats per `ymm` register.
+    Avx2,
+    /// Sixteen floats per `zmm` register.
+    Avx512,
+}
 
-impl Avx2 {
-    /// `Some` when the running CPU supports AVX2.
-    pub fn detect() -> Option<Avx2> {
+/// Proof that the running CPU has the SIMD lanes the token names: AVX2,
+/// or AVX-512F and AVX2. The only constructors are [`Lanes::detect`] and,
+/// for the width-parity tests, the crate's `Lanes::of_width`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Lanes(Width);
+
+/// Runs `kernel(args)` from the entries of the token's width.
+macro_rules! on_width {
+    ($lanes:expr, $kernel:ident($($arg:expr),* $(,)?)) => {
+        match $lanes.0 {
+            Width::Avx2 => x86::avx2::$kernel($($arg),*),
+            Width::Avx512 => x86::avx512::$kernel($($arg),*),
+        }
+    };
+}
+
+impl Lanes {
+    /// The widest lanes the running CPU supports, if it has AVX2.
+    pub fn detect() -> Option<Lanes> {
+        Self::of_width(16).or_else(|| Self::of_width(8))
+    }
+
+    /// The `floats`-wide lanes (8 or 16) when the running CPU has them.
+    /// Only the width-parity tests and the kernel bench pick a width;
+    /// the engine always runs [`Lanes::detect`]'s.
+    pub(crate) fn of_width(floats: usize) -> Option<Lanes> {
         #[cfg(target_arch = "x86_64")]
         if std::arch::is_x86_feature_detected!("avx2") {
-            return Some(Avx2(()));
+            match floats {
+                8 => return Some(Lanes(Width::Avx2)),
+                16 if std::arch::is_x86_feature_detected!("avx512f") => {
+                    return Some(Lanes(Width::Avx512))
+                }
+                _ => {}
+            }
         }
+        let _ = floats;
         None
+    }
+
+    /// Floats per register: 8 or 16.
+    pub fn width(self) -> usize {
+        match self.0 {
+            Width::Avx2 => 8,
+            Width::Avx512 => 16,
+        }
+    }
+
+    /// The instruction set the kernels run on: `avx2` or `avx512`.
+    pub fn name(self) -> &'static str {
+        match self.0 {
+            Width::Avx2 => "avx2",
+            Width::Avx512 => "avx512",
+        }
     }
 
     /// `out (+)= a·b` over `m` rows: `a` is `m×k`, `b` the row-major
@@ -75,12 +137,13 @@ impl Avx2 {
             out.len()
         );
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: `self` exists, so `detect` saw AVX2 on this CPU.
+        // SAFETY: `self` exists, so detection saw its width on this CPU;
+        // the asserts above are the kernel's extents.
         unsafe {
-            x86::gemm_rows(a, m, k, b, n, out, accumulate, epi)
+            on_width!(self, gemm_rows(a, m, k, b, n, out, accumulate, epi))
         };
         #[cfg(not(target_arch = "x86_64"))]
-        unreachable!("an Avx2 token exists only on x86-64");
+        unreachable!("a Lanes token exists only on x86-64");
     }
 
     /// `out = aᵀ·b` restricted to output rows `js`: `a` is `r×m`, `b` is
@@ -108,12 +171,13 @@ impl Avx2 {
         assert!(b.len() >= r * n, "at lanes: b holds {} < {r}×{n}", b.len());
         assert!(out.len() >= js.len() * n, "at lanes: out too short");
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: `self` exists, so `detect` saw AVX2 on this CPU.
+        // SAFETY: `self` exists, so detection saw its width on this CPU;
+        // the asserts above are the kernel's extents.
         unsafe {
-            x86::at_rows(a, m, b, n, r, js, out)
+            on_width!(self, at_rows(a, m, b, n, r, js, out))
         };
         #[cfg(not(target_arch = "x86_64"))]
-        unreachable!("an Avx2 token exists only on x86-64");
+        unreachable!("a Lanes token exists only on x86-64");
     }
 
     /// `out (+)= a·h` for CSR rows `[row0, row0+m)`, writing `m` output
@@ -131,32 +195,36 @@ impl Avx2 {
         assert_eq!(a.n_cols(), h.rows(), "spmm lanes: dimension mismatch");
         assert!(out.len() >= m * h.cols(), "spmm lanes: out too short");
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: `self` exists, so `detect` saw AVX2 on this CPU.
+        // SAFETY: `self` exists, so detection saw its width on this CPU.
+        // The asserts above bound the rows and the output; every column
+        // of `a` is below `a.n_cols() = h.rows()` (the `Csr` invariant),
+        // which bounds the `H` rows the kernel reads.
         unsafe {
-            x86::spmm_rows(a, row0, m, h, out, accumulate)
+            on_width!(self, spmm_rows(a, row0, m, h, out, accumulate))
         };
         #[cfg(not(target_arch = "x86_64"))]
-        unreachable!("an Avx2 token exists only on x86-64");
+        unreachable!("a Lanes token exists only on x86-64");
     }
 
     /// `out = exp(x)` element by element with the library's
-    /// [`exp`](crate::softmax::exp) on eight lanes: the scalar function's
-    /// operations in its order, so bitwise equal to it on every input.
-    /// The length must be a multiple of eight. For the exhaustive test.
+    /// [`exp`](crate::softmax::exp) on eight AVX2 lanes: the scalar
+    /// function's operations in its order, so bitwise equal to it on
+    /// every input. The length must be a multiple of eight. For the
+    /// exhaustive test.
     #[doc(hidden)]
     pub fn exp_into(self, x: &[f32], out: &mut [f32]) {
         assert_eq!(x.len(), out.len(), "exp lanes: length mismatch");
         assert_eq!(x.len() % 8, 0, "exp lanes: length not a multiple of 8");
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: `self` exists, so `detect` saw AVX2 on this CPU.
+        // SAFETY: `self` exists, so detection saw AVX2 on this CPU.
         unsafe {
             x86::exp_into(x, out)
         }
         #[cfg(not(target_arch = "x86_64"))]
-        unreachable!("an Avx2 token exists only on x86-64")
+        unreachable!("a Lanes token exists only on x86-64")
     }
 
-    /// The loss rows `rows` of `h`, one per lane, with labels `ys`:
+    /// The loss rows `rows` of `h`, one per AVX2 lane, with labels `ys`:
     /// writes each row's `(softmax(h) − onehot(y)) / count` into the same
     /// row of `grad` and returns the eight label probabilities, every step
     /// in class order like the scalar row.
@@ -184,28 +252,27 @@ impl Avx2 {
             "softmax lanes: label out of range"
         );
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: `self` exists, so `detect` saw AVX2 on this CPU.
+        // SAFETY: `self` exists, so detection saw AVX2 on this CPU.
         unsafe {
             x86::softmax_rows(h.data(), c, rows, ys, count, grad.data_mut())
         }
         #[cfg(not(target_arch = "x86_64"))]
-        unreachable!("an Avx2 token exists only on x86-64")
+        unreachable!("a Lanes token exists only on x86-64")
     }
 }
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use crate::gemm::at_edge_pass;
     use crate::softmax::{
         INF_BITS, LANE_CLASSES, LN2_HI, LN2_LO, LOG2E, MIN_NORMAL_BITS, POLY, ROUND, X_HI, X_LO,
     };
-    use crate::spmm_kernel::{edge_pass, row_tiles};
     use crate::{Csr, Dense};
     use std::arch::x86_64::*;
     use std::ops::Range;
 
-    /// Rows of the `A·B` register tile; with two 8-lane columns it holds
-    /// 4×16 outputs in eight registers.
+    /// Rows of the `A·B` and `Aᵀ·B` register tiles; with two registers of
+    /// columns a tile holds 4×16 outputs in eight `ymm` accumulators, or
+    /// 4×32 in eight `zmm` ones.
     const MR: usize = 4;
 
     /// Floats of `a` and `b` rows one `Aᵀ·B` input-row block may span:
@@ -213,8 +280,535 @@ mod x86 {
     /// output rereads the block from L1.
     const AT_BLOCK_FLOATS: usize = 4096;
 
+    /// The widest SpMM column span one pass over a row's nonzeros keeps
+    /// in registers: 8 `ymm` or 4 `zmm` accumulators. Wider rows take one
+    /// pass per span.
+    const SPAN: usize = 64;
+
     /// The exponent bits of an `f32`: all set for the infinities and NaN.
     const EXP: u32 = 0x7f80_0000;
+
+    /// One register width's operations, the vocabulary the kernel bodies
+    /// below are written in once. Every method is `unsafe`: the caller
+    /// runs on a CPU with the width's instructions (the bodies run only
+    /// inside the `#[target_feature]` entries), and a pointer argument
+    /// covers every lane the method reads or writes.
+    trait Isa {
+        /// Floats per register.
+        const W: usize;
+        type V: Copy;
+        /// The lanes a part-width load or store touches.
+        type Mask: Copy;
+        unsafe fn zero() -> Self::V;
+        unsafe fn splat(x: f32) -> Self::V;
+        /// The first `n` lanes, `1 ≤ n ≤ W`.
+        unsafe fn mask(n: usize) -> Self::Mask;
+        /// `W` floats from `p`, unaligned.
+        unsafe fn load(p: *const f32) -> Self::V;
+        /// The `mask` lanes from `p`, `+0.0` in the others, which are not
+        /// read.
+        unsafe fn load_part(p: *const f32, mask: Self::Mask) -> Self::V;
+        unsafe fn store(p: *mut f32, v: Self::V);
+        /// Stores the `mask` lanes only.
+        unsafe fn store_part(p: *mut f32, mask: Self::Mask, v: Self::V);
+        /// `acc + x·y`, rounded twice like the scalar `acc += x * y`.
+        unsafe fn mul_add(acc: Self::V, x: Self::V, y: Self::V) -> Self::V;
+        /// `acc + x·y` with the product masked to `+0.0` where `x` is
+        /// `±0.0` (a NaN `x` compares unequal, so it still propagates, as
+        /// in the naive kernel).
+        unsafe fn mul_add_nonzero(acc: Self::V, x: Self::V, y: Self::V) -> Self::V;
+    }
+
+    /// Eight-float AVX2 lanes.
+    struct Ymm;
+
+    impl Isa for Ymm {
+        const W: usize = 8;
+        type V = __m256;
+        type Mask = __m256i;
+        #[inline(always)]
+        unsafe fn zero() -> __m256 {
+            _mm256_setzero_ps()
+        }
+        #[inline(always)]
+        unsafe fn splat(x: f32) -> __m256 {
+            _mm256_set1_ps(x)
+        }
+        #[inline(always)]
+        unsafe fn mask(n: usize) -> __m256i {
+            let lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+            _mm256_cmpgt_epi32(_mm256_set1_epi32(n as i32), lane)
+        }
+        #[inline(always)]
+        unsafe fn load(p: *const f32) -> __m256 {
+            _mm256_loadu_ps(p)
+        }
+        #[inline(always)]
+        unsafe fn load_part(p: *const f32, mask: __m256i) -> __m256 {
+            _mm256_maskload_ps(p, mask)
+        }
+        #[inline(always)]
+        unsafe fn store(p: *mut f32, v: __m256) {
+            _mm256_storeu_ps(p, v)
+        }
+        #[inline(always)]
+        unsafe fn store_part(p: *mut f32, mask: __m256i, v: __m256) {
+            _mm256_maskstore_ps(p, mask, v)
+        }
+        #[inline(always)]
+        unsafe fn mul_add(acc: __m256, x: __m256, y: __m256) -> __m256 {
+            _mm256_add_ps(acc, _mm256_mul_ps(x, y))
+        }
+        #[inline(always)]
+        unsafe fn mul_add_nonzero(acc: __m256, x: __m256, y: __m256) -> __m256 {
+            let keep = _mm256_cmp_ps::<_CMP_NEQ_UQ>(x, _mm256_setzero_ps());
+            _mm256_add_ps(acc, _mm256_and_ps(_mm256_mul_ps(x, y), keep))
+        }
+    }
+
+    /// Sixteen-float AVX-512F lanes.
+    struct Zmm;
+
+    impl Isa for Zmm {
+        const W: usize = 16;
+        type V = __m512;
+        type Mask = __mmask16;
+        #[inline(always)]
+        unsafe fn zero() -> __m512 {
+            _mm512_setzero_ps()
+        }
+        #[inline(always)]
+        unsafe fn splat(x: f32) -> __m512 {
+            _mm512_set1_ps(x)
+        }
+        #[inline(always)]
+        unsafe fn mask(n: usize) -> __mmask16 {
+            ((1u32 << n) - 1) as __mmask16
+        }
+        #[inline(always)]
+        unsafe fn load(p: *const f32) -> __m512 {
+            _mm512_loadu_ps(p)
+        }
+        #[inline(always)]
+        unsafe fn load_part(p: *const f32, mask: __mmask16) -> __m512 {
+            _mm512_maskz_loadu_ps(mask, p)
+        }
+        #[inline(always)]
+        unsafe fn store(p: *mut f32, v: __m512) {
+            _mm512_storeu_ps(p, v)
+        }
+        #[inline(always)]
+        unsafe fn store_part(p: *mut f32, mask: __mmask16, v: __m512) {
+            _mm512_mask_storeu_ps(p, mask, v)
+        }
+        #[inline(always)]
+        unsafe fn mul_add(acc: __m512, x: __m512, y: __m512) -> __m512 {
+            _mm512_add_ps(acc, _mm512_mul_ps(x, y))
+        }
+        #[inline(always)]
+        unsafe fn mul_add_nonzero(acc: __m512, x: __m512, y: __m512) -> __m512 {
+            let keep = _mm512_cmp_ps_mask::<_CMP_NEQ_UQ>(x, _mm512_setzero_ps());
+            _mm512_add_ps(acc, _mm512_maskz_mul_ps(keep, x, y))
+        }
+    }
+
+    /// Register `v` of a `V`-register column tile at `p`: the last one
+    /// part-width, through `mask`, when `PART`.
+    #[inline(always)]
+    unsafe fn load_v<I: Isa, const V: usize, const PART: bool>(
+        p: *const f32,
+        v: usize,
+        mask: I::Mask,
+    ) -> I::V {
+        if PART && v + 1 == V {
+            I::load_part(p.add(v * I::W), mask)
+        } else {
+            I::load(p.add(v * I::W))
+        }
+    }
+
+    /// Stores register `v` of a column tile, like [`load_v`] reads it.
+    #[inline(always)]
+    unsafe fn store_v<I: Isa, const V: usize, const PART: bool>(
+        p: *mut f32,
+        v: usize,
+        mask: I::Mask,
+        x: I::V,
+    ) {
+        if PART && v + 1 == V {
+            I::store_part(p.add(v * I::W), mask, x)
+        } else {
+            I::store(p.add(v * I::W), x)
+        }
+    }
+
+    /// The `#[target_feature]` entries of one width. Each enters the
+    /// width-generic body of the same name with the width's [`Isa`], so
+    /// the body and every method it calls inline into the entry and
+    /// compile to that width's instructions.
+    macro_rules! entries {
+        ($width:ident, $feature:literal, $isa:ty) => {
+            pub(super) mod $width {
+                use super::*;
+
+                #[allow(clippy::too_many_arguments)]
+                #[target_feature(enable = $feature)]
+                pub(in crate::lanes) unsafe fn gemm_rows(
+                    a: &[f32],
+                    m: usize,
+                    k: usize,
+                    b: &[f32],
+                    n: usize,
+                    out: &mut [f32],
+                    accumulate: bool,
+                    epi: &mut impl FnMut(usize, &mut [f32]),
+                ) {
+                    super::gemm_rows::<$isa>(a, m, k, b, n, out, accumulate, epi)
+                }
+
+                #[target_feature(enable = $feature)]
+                pub(in crate::lanes) unsafe fn at_rows(
+                    a: &[f32],
+                    m: usize,
+                    b: &[f32],
+                    n: usize,
+                    r: usize,
+                    js: Range<usize>,
+                    out: &mut [f32],
+                ) {
+                    super::at_rows::<$isa>(a, m, b, n, r, js, out)
+                }
+
+                #[target_feature(enable = $feature)]
+                pub(in crate::lanes) unsafe fn spmm_rows(
+                    a: &Csr,
+                    row0: usize,
+                    m: usize,
+                    h: &Dense,
+                    out: &mut [f32],
+                    accumulate: bool,
+                ) {
+                    super::spmm_rows::<$isa>(a, row0, m, h, out, accumulate)
+                }
+            }
+        };
+    }
+
+    entries!(avx2, "avx2", Ymm);
+    entries!(avx512, "avx512f", Zmm);
+
+    /// `A·B` in blocks of `MR` output rows (single rows for the last
+    /// `m mod MR`), each block handed to `epi` once finished.
+    ///
+    /// Safety: `a`, `b` and `out` hold `m×k`, `k×n` and `m×n` floats
+    /// (`Lanes::gemm_rows`' asserts).
+    #[allow(clippy::too_many_arguments)]
+    #[inline(always)]
+    unsafe fn gemm_rows<I: Isa>(
+        a: &[f32],
+        m: usize,
+        k: usize,
+        b: &[f32],
+        n: usize,
+        out: &mut [f32],
+        accumulate: bool,
+        epi: &mut impl FnMut(usize, &mut [f32]),
+    ) {
+        let mut i0 = 0;
+        while i0 < m {
+            let rows = if m - i0 >= MR { MR } else { 1 };
+            let a_blk = a.as_ptr().add(i0 * k);
+            let out_blk = &mut out[i0 * n..(i0 + rows) * n];
+            let o = out_blk.as_mut_ptr();
+            if rows == MR {
+                ab_row_block::<I, MR>(a_blk, k, b.as_ptr(), n, o, accumulate);
+            } else {
+                ab_row_block::<I, 1>(a_blk, k, b.as_ptr(), n, o, accumulate);
+            }
+            epi(i0, out_blk);
+            i0 += rows;
+        }
+    }
+
+    /// `R` output rows, column tile by column tile: two registers wide,
+    /// then one, then one part-width register for the last `n mod W`
+    /// columns.
+    #[inline(always)]
+    unsafe fn ab_row_block<I: Isa, const R: usize>(
+        a: *const f32,
+        k: usize,
+        b: *const f32,
+        n: usize,
+        out: *mut f32,
+        accumulate: bool,
+    ) {
+        let full = I::mask(I::W);
+        let mut j0 = 0;
+        while n - j0 >= 2 * I::W {
+            ab_tile::<I, R, 2, false>(a, k, b, n, j0, out, accumulate, full);
+            j0 += 2 * I::W;
+        }
+        if n - j0 >= I::W {
+            ab_tile::<I, R, 1, false>(a, k, b, n, j0, out, accumulate, full);
+            j0 += I::W;
+        }
+        if j0 < n {
+            let part = I::mask(n - j0);
+            ab_tile::<I, R, 1, true>(a, k, b, n, j0, out, accumulate, part);
+        }
+    }
+
+    /// One `R × V`-register tile at column `j0`, accumulated across the
+    /// whole `k` loop: per `k` step, `V` loads of `b`'s row and `R`
+    /// broadcasts of `a`.
+    #[allow(clippy::too_many_arguments)]
+    #[inline(always)]
+    unsafe fn ab_tile<I: Isa, const R: usize, const V: usize, const PART: bool>(
+        a: *const f32,
+        k: usize,
+        b: *const f32,
+        n: usize,
+        j0: usize,
+        out: *mut f32,
+        accumulate: bool,
+        mask: I::Mask,
+    ) {
+        let mut acc = [[I::zero(); V]; R];
+        if accumulate {
+            for (r, acc_r) in acc.iter_mut().enumerate() {
+                for (v, acc_rv) in acc_r.iter_mut().enumerate() {
+                    *acc_rv = load_v::<I, V, PART>(out.add(r * n + j0), v, mask);
+                }
+            }
+        }
+        for kk in 0..k {
+            let b_row = b.add(kk * n + j0);
+            let mut bv = [I::zero(); V];
+            for (v, bvv) in bv.iter_mut().enumerate() {
+                *bvv = load_v::<I, V, PART>(b_row, v, mask);
+            }
+            for (r, acc_r) in acc.iter_mut().enumerate() {
+                let ar = I::splat(*a.add(r * k + kk));
+                for (acc_rv, &bvv) in acc_r.iter_mut().zip(&bv) {
+                    *acc_rv = I::mul_add(*acc_rv, ar, bvv);
+                }
+            }
+        }
+        for (r, acc_r) in acc.iter().enumerate() {
+            for (v, &acc_rv) in acc_r.iter().enumerate() {
+                store_v::<I, V, PART>(out.add(r * n + j0), v, mask, acc_rv);
+            }
+        }
+    }
+
+    /// `Aᵀ·B` rows `js`, over input-row blocks that stay in L1 while every
+    /// output tile sweeps them.
+    ///
+    /// Safety: `a`, `b` hold `r×m` and `r×n` floats, `js` lies in `0..m`
+    /// and `out` holds `js.len()×n` floats (`Lanes::at_rows`' asserts).
+    #[inline(always)]
+    unsafe fn at_rows<I: Isa>(
+        a: &[f32],
+        m: usize,
+        b: &[f32],
+        n: usize,
+        r: usize,
+        js: Range<usize>,
+        out: &mut [f32],
+    ) {
+        out[..js.len() * n].fill(0.0);
+        let ib = (AT_BLOCK_FLOATS / (m + n).max(1)).max(8);
+        let (ap, bp) = (a.as_ptr(), b.as_ptr());
+        let mut i0 = 0;
+        while i0 < r {
+            let rows = i0..(i0 + ib).min(r);
+            // Over a finite block of `b`, the `±0.0` product of a zero `a`
+            // term leaves an accumulator that started at `+0.0` unchanged,
+            // so only blocks holding an infinity or NaN need the mask.
+            let masked = b[rows.start * n..rows.end * n]
+                .iter()
+                .fold(false, |bad, v| bad | (v.to_bits() & EXP == EXP));
+            let mut j = js.start;
+            while j < js.end {
+                let jr = if js.end - j >= MR { MR } else { 1 };
+                let o = out.as_mut_ptr().add((j - js.start) * n);
+                let rows = rows.clone();
+                match (jr == MR, masked) {
+                    (true, false) => at_row_block::<I, MR, false>(ap, m, bp, n, rows, j, o),
+                    (true, true) => at_row_block::<I, MR, true>(ap, m, bp, n, rows, j, o),
+                    (false, false) => at_row_block::<I, 1, false>(ap, m, bp, n, rows, j, o),
+                    (false, true) => at_row_block::<I, 1, true>(ap, m, bp, n, rows, j, o),
+                }
+                j += jr;
+            }
+            i0 = rows.end;
+        }
+    }
+
+    /// Output rows `[j, j+R)` over one input-row block, column tile by
+    /// column tile like [`ab_row_block`].
+    #[inline(always)]
+    unsafe fn at_row_block<I: Isa, const R: usize, const MASK: bool>(
+        a: *const f32,
+        m: usize,
+        b: *const f32,
+        n: usize,
+        rows: Range<usize>,
+        j: usize,
+        out: *mut f32,
+    ) {
+        let full = I::mask(I::W);
+        let mut c0 = 0;
+        while n - c0 >= 2 * I::W {
+            at_tile::<I, R, 2, MASK, false>(a, m, b, n, rows.clone(), j, c0, out, full);
+            c0 += 2 * I::W;
+        }
+        if n - c0 >= I::W {
+            at_tile::<I, R, 1, MASK, false>(a, m, b, n, rows.clone(), j, c0, out, full);
+            c0 += I::W;
+        }
+        if c0 < n {
+            let part = I::mask(n - c0);
+            at_tile::<I, R, 1, MASK, true>(a, m, b, n, rows, j, c0, out, part);
+        }
+    }
+
+    /// One `R × V`-register tile of `ΔW` at output row `j`, column `c0`,
+    /// over the input rows `rows`: per input row, `R` broadcasts of `a`
+    /// and `V` loads of `b`; with `MASK`, each product is masked to
+    /// `+0.0` where its `a` is zero.
+    #[allow(clippy::too_many_arguments)]
+    #[inline(always)]
+    unsafe fn at_tile<
+        I: Isa,
+        const R: usize,
+        const V: usize,
+        const MASK: bool,
+        const PART: bool,
+    >(
+        a: *const f32,
+        m: usize,
+        b: *const f32,
+        n: usize,
+        rows: Range<usize>,
+        j: usize,
+        c0: usize,
+        out: *mut f32,
+        mask: I::Mask,
+    ) {
+        let mut acc = [[I::zero(); V]; R];
+        for (r, acc_r) in acc.iter_mut().enumerate() {
+            for (v, acc_rv) in acc_r.iter_mut().enumerate() {
+                *acc_rv = load_v::<I, V, PART>(out.add(r * n + c0), v, mask);
+            }
+        }
+        for i in rows {
+            let a_part = a.add(i * m + j);
+            let b_row = b.add(i * n + c0);
+            let mut bv = [I::zero(); V];
+            for (v, bvv) in bv.iter_mut().enumerate() {
+                *bvv = load_v::<I, V, PART>(b_row, v, mask);
+            }
+            for (r, acc_r) in acc.iter_mut().enumerate() {
+                let av = I::splat(*a_part.add(r));
+                for (acc_rv, &bvv) in acc_r.iter_mut().zip(&bv) {
+                    *acc_rv = if MASK {
+                        I::mul_add_nonzero(*acc_rv, av, bvv)
+                    } else {
+                        I::mul_add(*acc_rv, av, bvv)
+                    };
+                }
+            }
+        }
+        for (r, acc_r) in acc.iter().enumerate() {
+            for (v, &acc_rv) in acc_r.iter().enumerate() {
+                store_v::<I, V, PART>(out.add(r * n + c0), v, mask, acc_rv);
+            }
+        }
+    }
+
+    /// SpMM rows `[row0, row0+m)` one column span at a time: for each
+    /// span of up to [`SPAN`] columns (one span when `d ≤ 64`), one lean
+    /// row loop holding the span in registers across each row's
+    /// nonzeros.
+    ///
+    /// Safety: rows `[row0, row0+m)` exist in `a`, `a.n_cols() = h.rows()`
+    /// and `out` holds `m×h.cols()` floats (`Lanes::spmm_rows`' asserts).
+    #[inline(always)]
+    unsafe fn spmm_rows<I: Isa>(
+        a: &Csr,
+        row0: usize,
+        m: usize,
+        h: &Dense,
+        out: &mut [f32],
+        accumulate: bool,
+    ) {
+        let d = h.cols();
+        let mut j0 = 0;
+        while j0 < d {
+            let w = (d - j0).min(SPAN);
+            let span = (a, row0..row0 + m, h, j0, out.as_mut_ptr(), accumulate);
+            match w.div_ceil(I::W) {
+                1 => spmm_span::<I, 1>(span, w),
+                2 => spmm_span::<I, 2>(span, w),
+                3 => spmm_span::<I, 3>(span, w),
+                4 => spmm_span::<I, 4>(span, w),
+                5 => spmm_span::<I, 5>(span, w),
+                6 => spmm_span::<I, 6>(span, w),
+                7 => spmm_span::<I, 7>(span, w),
+                _ => spmm_span::<I, 8>(span, w),
+            }
+            j0 += w;
+        }
+    }
+
+    /// One SpMM column span's arguments: the matrix, its rows, `H`, the
+    /// span's first column, the output rows and whether to accumulate.
+    type Span<'a> = (&'a Csr, Range<usize>, &'a Dense, usize, *mut f32, bool);
+
+    /// The `w`-column span of `V = ⌈w/W⌉` registers, the last part-width
+    /// unless `w` is a multiple of `W`.
+    #[inline(always)]
+    unsafe fn spmm_span<I: Isa, const V: usize>(span: Span, w: usize) {
+        let tail = w - (V - 1) * I::W;
+        if tail == I::W {
+            spmm_span_rows::<I, V, false>(span, I::mask(I::W));
+        } else {
+            spmm_span_rows::<I, V, true>(span, I::mask(tail));
+        }
+    }
+
+    /// The lean row loop: per row, `V` accumulators across the row's
+    /// nonzeros in CSR order, one load and one store of the output span.
+    #[inline(always)]
+    unsafe fn spmm_span_rows<I: Isa, const V: usize, const PART: bool>(
+        (a, rows, h, j0, out, accumulate): Span,
+        mask: I::Mask,
+    ) {
+        let d = h.cols();
+        let hp = h.data().as_ptr().add(j0);
+        for (li, i) in rows.enumerate() {
+            let o = out.add(li * d + j0);
+            let mut acc = [I::zero(); V];
+            if accumulate {
+                for (v, acc_v) in acc.iter_mut().enumerate() {
+                    *acc_v = load_v::<I, V, PART>(o, v, mask);
+                }
+            }
+            for (&c, &x) in a.row_indices(i).iter().zip(a.row_values(i)) {
+                // SAFETY: `c < a.n_cols() = h.rows()` (the `Csr`
+                // invariant), so the span lies inside `H`'s row `c`.
+                let h_row = hp.add(c as usize * d);
+                let xv = I::splat(x);
+                for (v, acc_v) in acc.iter_mut().enumerate() {
+                    *acc_v = I::mul_add(*acc_v, xv, load_v::<I, V, PART>(h_row, v, mask));
+                }
+            }
+            for (v, &acc_v) in acc.iter().enumerate() {
+                store_v::<I, V, PART>(o, v, mask, acc_v);
+            }
+        }
+    }
 
     /// Eight floats from the front of `x`, unaligned.
     #[inline]
@@ -232,308 +826,6 @@ mod x86 {
         let x: &mut [f32; 8] = (&mut x[..8]).try_into().expect("eight floats");
         // SAFETY: `x` is eight writable floats; `storeu` needs no alignment.
         unsafe { _mm256_storeu_ps(x.as_mut_ptr(), v) }
-    }
-
-    /// `acc + x·y`, rounded twice like the scalar `acc += x * y`.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    fn mul_add(acc: __m256, x: __m256, y: __m256) -> __m256 {
-        _mm256_add_ps(acc, _mm256_mul_ps(x, y))
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    #[target_feature(enable = "avx2")]
-    pub(super) fn gemm_rows(
-        a: &[f32],
-        m: usize,
-        k: usize,
-        b: &[f32],
-        n: usize,
-        out: &mut [f32],
-        accumulate: bool,
-        epi: &mut impl FnMut(usize, &mut [f32]),
-    ) {
-        let mut i0 = 0;
-        while i0 < m {
-            let rows = if m - i0 >= MR { MR } else { 1 };
-            let a_blk = &a[i0 * k..(i0 + rows) * k];
-            let out_blk = &mut out[i0 * n..(i0 + rows) * n];
-            if rows == MR {
-                ab_row_block::<MR>(a_blk, k, b, n, out_blk, accumulate);
-            } else {
-                ab_row_block::<1>(a_blk, k, b, n, out_blk, accumulate);
-            }
-            epi(i0, out_blk);
-            i0 += rows;
-        }
-    }
-
-    /// `R` output rows, column tile by column tile: 16 wide, then 8, then
-    /// a scalar edge for the last `n mod 8` columns.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    fn ab_row_block<const R: usize>(
-        a: &[f32],
-        k: usize,
-        b: &[f32],
-        n: usize,
-        out: &mut [f32],
-        accumulate: bool,
-    ) {
-        let mut j0 = 0;
-        while n - j0 >= 16 {
-            ab_tile::<R, 2>(a, k, b, n, j0, out, accumulate);
-            j0 += 16;
-        }
-        if n - j0 >= 8 {
-            ab_tile::<R, 1>(a, k, b, n, j0, out, accumulate);
-            j0 += 8;
-        }
-        for r in 0..R {
-            let a_row = &a[r * k..r * k + k];
-            for j in j0..n {
-                let o = &mut out[r * n + j];
-                let mut acc = if accumulate { *o } else { 0.0 };
-                for (kk, &aik) in a_row.iter().enumerate() {
-                    acc += aik * b[kk * n + j];
-                }
-                *o = acc;
-            }
-        }
-    }
-
-    /// One `R × 8V` register tile at column `j0`, accumulated across the
-    /// whole `k` loop: per `k` step, `V` loads of `b`'s row and `R`
-    /// broadcasts of `a`.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    fn ab_tile<const R: usize, const V: usize>(
-        a: &[f32],
-        k: usize,
-        b: &[f32],
-        n: usize,
-        j0: usize,
-        out: &mut [f32],
-        accumulate: bool,
-    ) {
-        let a_rows: [&[f32]; R] = std::array::from_fn(|r| &a[r * k..r * k + k]);
-        let mut acc = [[_mm256_setzero_ps(); V]; R];
-        if accumulate {
-            for (r, acc_r) in acc.iter_mut().enumerate() {
-                for (v, acc_rv) in acc_r.iter_mut().enumerate() {
-                    *acc_rv = load8(&out[r * n + j0 + 8 * v..]);
-                }
-            }
-        }
-        for (kk, b_row) in b[..k * n].chunks_exact(n).enumerate() {
-            let b_row = &b_row[j0..j0 + 8 * V];
-            let mut bv = [_mm256_setzero_ps(); V];
-            for (v, bvv) in bv.iter_mut().enumerate() {
-                *bvv = load8(&b_row[8 * v..]);
-            }
-            for (acc_r, a_row) in acc.iter_mut().zip(&a_rows) {
-                let ar = _mm256_set1_ps(a_row[kk]);
-                for (acc_rv, &bvv) in acc_r.iter_mut().zip(&bv) {
-                    *acc_rv = mul_add(*acc_rv, ar, bvv);
-                }
-            }
-        }
-        for (r, acc_r) in acc.iter().enumerate() {
-            for (v, &acc_rv) in acc_r.iter().enumerate() {
-                store8(&mut out[r * n + j0 + 8 * v..], acc_rv);
-            }
-        }
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) fn at_rows(
-        a: &[f32],
-        m: usize,
-        b: &[f32],
-        n: usize,
-        r: usize,
-        js: Range<usize>,
-        out: &mut [f32],
-    ) {
-        out[..js.len() * n].fill(0.0);
-        // Input rows per block: the block's `a` and `b` rows stay in L1
-        // while every output tile sweeps them.
-        let ib = (AT_BLOCK_FLOATS / (m + n).max(1)).max(8);
-        let mut i0 = 0;
-        while i0 < r {
-            let rows = i0..(i0 + ib).min(r);
-            // Over a finite block of `b`, the `±0.0` product of a zero `a`
-            // term leaves an accumulator that started at `+0.0` unchanged,
-            // so only blocks holding an infinity or NaN need the mask.
-            let masked = b[rows.start * n..rows.end * n]
-                .iter()
-                .fold(false, |bad, v| bad | (v.to_bits() & EXP == EXP));
-            let mut j = js.start;
-            while j < js.end {
-                let jr = if js.end - j >= MR { MR } else { 1 };
-                let out_blk = &mut out[(j - js.start) * n..(j - js.start + jr) * n];
-                let rows = rows.clone();
-                match (jr == MR, masked) {
-                    (true, false) => at_row_block::<MR, false>(a, m, b, n, rows, j, out_blk),
-                    (true, true) => at_row_block::<MR, true>(a, m, b, n, rows, j, out_blk),
-                    (false, false) => at_row_block::<1, false>(a, m, b, n, rows, j, out_blk),
-                    (false, true) => at_row_block::<1, true>(a, m, b, n, rows, j, out_blk),
-                }
-                j += jr;
-            }
-            i0 = rows.end;
-        }
-    }
-
-    /// Output rows `[j, j+R)` over one input-row block, column tile by
-    /// column tile, with a scalar edge that skips zero `a` terms exactly
-    /// like the naive kernel.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    fn at_row_block<const R: usize, const MASK: bool>(
-        a: &[f32],
-        m: usize,
-        b: &[f32],
-        n: usize,
-        rows: Range<usize>,
-        j: usize,
-        out: &mut [f32],
-    ) {
-        let mut c0 = 0;
-        while n - c0 >= 16 {
-            at_tile::<R, 2, MASK>(a, m, b, n, rows.clone(), j, c0, out);
-            c0 += 16;
-        }
-        if n - c0 >= 8 {
-            at_tile::<R, 1, MASK>(a, m, b, n, rows.clone(), j, c0, out);
-            c0 += 8;
-        }
-        if c0 < n {
-            for (jr, out_row) in out.chunks_exact_mut(n).enumerate().take(R) {
-                at_edge_pass(
-                    a,
-                    m,
-                    j + jr,
-                    b,
-                    n,
-                    rows.start,
-                    rows.end,
-                    c0,
-                    &mut out_row[c0..],
-                );
-            }
-        }
-    }
-
-    /// One `R × 8V` tile of `ΔW` at output row `j`, column `c0`, over the
-    /// input rows `rows`: per input row, `R` broadcasts of `a` and `V`
-    /// loads of `b`; with `MASK`, each product is masked to `+0.0` where
-    /// its `a` is zero.
-    #[allow(clippy::too_many_arguments)]
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    fn at_tile<const R: usize, const V: usize, const MASK: bool>(
-        a: &[f32],
-        m: usize,
-        b: &[f32],
-        n: usize,
-        rows: Range<usize>,
-        j: usize,
-        c0: usize,
-        out: &mut [f32],
-    ) {
-        let zero = _mm256_setzero_ps();
-        let mut acc = [[zero; V]; R];
-        for (r, acc_r) in acc.iter_mut().enumerate() {
-            for (v, acc_rv) in acc_r.iter_mut().enumerate() {
-                *acc_rv = load8(&out[r * n + c0 + 8 * v..]);
-            }
-        }
-        let a_blk = a[rows.start * m..rows.end * m].chunks_exact(m);
-        let b_blk = b[rows.start * n..rows.end * n].chunks_exact(n);
-        for (a_row, b_row) in a_blk.zip(b_blk) {
-            let a_part: &[f32; R] = a_row[j..j + R].try_into().expect("R floats");
-            let b_row = &b_row[c0..c0 + 8 * V];
-            let mut bv = [zero; V];
-            for (v, bvv) in bv.iter_mut().enumerate() {
-                *bvv = load8(&b_row[8 * v..]);
-            }
-            for (acc_r, &aij) in acc.iter_mut().zip(a_part) {
-                let av = _mm256_set1_ps(aij);
-                if MASK {
-                    // All ones unless `aij` is ±0.0 (NaN compares unequal,
-                    // so a NaN `a` still propagates, as in the naive kernel).
-                    let keep = _mm256_cmp_ps::<_CMP_NEQ_UQ>(av, zero);
-                    for (acc_rv, &bvv) in acc_r.iter_mut().zip(&bv) {
-                        let term = _mm256_and_ps(_mm256_mul_ps(av, bvv), keep);
-                        *acc_rv = _mm256_add_ps(*acc_rv, term);
-                    }
-                } else {
-                    for (acc_rv, &bvv) in acc_r.iter_mut().zip(&bv) {
-                        *acc_rv = mul_add(*acc_rv, av, bvv);
-                    }
-                }
-            }
-        }
-        for (r, acc_r) in acc.iter().enumerate() {
-            for (v, &acc_rv) in acc_r.iter().enumerate() {
-                store8(&mut out[r * n + c0 + 8 * v..], acc_rv);
-            }
-        }
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) fn spmm_rows(
-        a: &Csr,
-        row0: usize,
-        m: usize,
-        h: &Dense,
-        out: &mut [f32],
-        accumulate: bool,
-    ) {
-        row_tiles(
-            a,
-            row0,
-            m,
-            h.cols(),
-            out,
-            |cols, vals, j0, out_row| match out_row.len() {
-                64 => spmm_tile::<8>(cols, vals, h, j0, out_row, accumulate),
-                32 => spmm_tile::<4>(cols, vals, h, j0, out_row, accumulate),
-                16 => spmm_tile::<2>(cols, vals, h, j0, out_row, accumulate),
-                _ => edge_pass(cols, vals, h, j0, out_row, accumulate),
-            },
-        );
-    }
-
-    /// One `8V`-wide column tile of one CSR row: `V` accumulators across
-    /// the row's nonzeros, in CSR order.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    fn spmm_tile<const V: usize>(
-        cols: &[u32],
-        vals: &[f32],
-        h: &Dense,
-        j0: usize,
-        out_row: &mut [f32],
-        accumulate: bool,
-    ) {
-        let mut acc = [_mm256_setzero_ps(); V];
-        if accumulate {
-            for (v, acc_v) in acc.iter_mut().enumerate() {
-                *acc_v = load8(&out_row[8 * v..]);
-            }
-        }
-        for (&c, &x) in cols.iter().zip(vals) {
-            let h_part = &h.row(c as usize)[j0..j0 + 8 * V];
-            let xv = _mm256_set1_ps(x);
-            for (v, acc_v) in acc.iter_mut().enumerate() {
-                *acc_v = mul_add(*acc_v, xv, load8(&h_part[8 * v..]));
-            }
-        }
-        for (v, &acc_v) in acc.iter().enumerate() {
-            store8(&mut out_row[8 * v..], acc_v);
-        }
     }
 
     #[target_feature(enable = "avx2")]

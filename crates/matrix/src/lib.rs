@@ -35,6 +35,7 @@
 
 #![deny(unsafe_code)]
 
+mod aligned;
 pub mod csr;
 pub mod ctx;
 pub mod dense;

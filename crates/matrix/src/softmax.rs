@@ -15,7 +15,7 @@
 //! **The loss**
 //! ([`ComputeCtx::softmax_cross_entropy_into`](crate::ComputeCtx::softmax_cross_entropy_into))
 //! runs one row at a time, or, on the blocked engine with AVX2, eight
-//! masked rows at a time with one row per lane (`Avx2::softmax_rows`).
+//! masked rows at a time with one row per lane (`Lanes::softmax_rows`).
 //! A lane runs exactly the scalar row's sequence, each step in class
 //! order: the `f32::max` fold, `exp(h − max)` and the sum, `/ sum` when
 //! it is positive, and `(g − [j = y]) / count`. Both forms then take each row's label
@@ -23,7 +23,7 @@
 //! masked row, summed in row order. So the scalar form is the bitwise
 //! reference by construction.
 
-use crate::lanes::Avx2;
+use crate::lanes::Lanes;
 use crate::Dense;
 
 /// 1.5·2²³: adding it to an `f32` of magnitude below 2²² rounds that to
@@ -107,7 +107,7 @@ pub(crate) fn softmax_cross_entropy_into(
     mask: &[bool],
     count: f64,
     grad: &mut Dense,
-    lanes: Option<Avx2>,
+    lanes: Option<Lanes>,
 ) -> f64 {
     assert_eq!(h.rows(), labels.len(), "label length mismatch");
     assert_eq!(h.rows(), mask.len(), "mask length mismatch");

@@ -1,98 +1,34 @@
-//! Row-block × column-tile SpMM on AVX2 lanes.
+//! SpMM on SIMD lanes: one lean row loop per column span.
 //!
 //! The naive [`crate::Csr::spmm_into`] is a scalar row-wise axpy: every
 //! nonzero re-reads and re-writes the whole `d`-wide output row from
-//! memory. The lanes instead walk each row's nonzeros once per **column
-//! tile** of the dense operand, holding the tile's partial sums in
-//! registers across the entire nonzero loop — the output row is loaded
-//! and stored once per tile instead of once per nonzero. Tiles are taken
-//! greedily wide (64, then 32, then 16 columns) so the GCN feature widths
-//! {16, 32, 64, 128} need at most two passes over a row's nonzeros;
-//! narrow tiles would multiply the (random-access) `H`-row gathers
-//! instead. Rows are visited in small blocks so neighbouring rows (which
-//! share many columns on real graphs) reuse the same `H` tile columns
-//! while they are cache-hot.
+//! memory. The lanes ([`crate::lanes`], 16- or 8-float registers) instead
+//! hold an output row's span of up to 64 columns in registers across the
+//! row's entire nonzero loop, so the output row is loaded and stored once
+//! per span instead of once per nonzero, and each `H` row the nonzeros
+//! gather is read once per span. The GCN feature widths up to 64 take
+//! one span, so one pass over each row's nonzeros; the last register of
+//! a span whose width is not a multiple of the lanes' is part-width,
+//! through masked loads and stores. The row loop calls no closure and
+//! checks no bound per nonzero: the `Csr` invariant (every column below
+//! `n_cols`) keeps each `H` row it reads inside `H`.
 //!
-//! **Bitwise contract**: splitting a row's `d` output columns into tiles
-//! never regroups any sums — each output element still accumulates its
-//! nonzero terms in ascending CSR order with a single accumulator, which
-//! is exactly the naive kernel's order. The lanes ≡ naive bit-for-bit on
-//! every input, at every thread count (see DESIGN.md §10).
+//! **Bitwise contract**: splitting a row's `d` output columns into spans
+//! and registers never regroups any sums — each output element still
+//! accumulates its nonzero terms in ascending CSR order with a single
+//! accumulator, which is exactly the naive kernel's order. The lanes ≡
+//! naive bit-for-bit on every input, at every thread count and at both
+//! widths (see DESIGN.md §10).
 
 use crate::csr::Csr;
 use crate::dense::{run_rows, Dense};
-use crate::lanes::Avx2;
+use crate::lanes::Lanes;
 use pargcn_util::pool::{weighted_chunks, Pool};
-
-/// Rows per block: consecutive rows processed tile-by-tile together so
-/// their (overlapping) column accesses reuse hot cache lines.
-const RB: usize = 8;
-
-/// Dynamic-width edge pass for the sub-16 remainder columns.
-#[inline]
-pub(crate) fn edge_pass(
-    cols: &[u32],
-    vals: &[f32],
-    h: &Dense,
-    j0: usize,
-    out_row: &mut [f32],
-    accumulate: bool,
-) {
-    let w = out_row.len();
-    let mut acc = [0.0f32; 16];
-    if accumulate {
-        acc[..w].copy_from_slice(out_row);
-    }
-    for (&c, &v) in cols.iter().zip(vals) {
-        let hr = &h.row(c as usize)[j0..j0 + w];
-        for (jj, &x) in hr.iter().enumerate() {
-            acc[jj] += v * x;
-        }
-    }
-    out_row.copy_from_slice(&acc[..w]);
-}
-
-/// The row-block × column-tile walk over rows `[row0, row0+m)`: calls
-/// `tile(cols, vals, j0, out_row)` for each row's nonzeros and each
-/// column tile `[j0, j0 + out_row.len())` of width 64, 32, 16 or a
-/// sub-16 edge. The lanes inline it into their `#[target_feature]` code.
-#[inline(always)]
-pub(crate) fn row_tiles(
-    a: &Csr,
-    row0: usize,
-    m: usize,
-    d: usize,
-    out: &mut [f32],
-    mut tile: impl FnMut(&[u32], &[f32], usize, &mut [f32]),
-) {
-    let mut ib = 0;
-    while ib < m {
-        let ie = (ib + RB).min(m);
-        let mut j0 = 0;
-        while j0 < d {
-            // Greedy widest tile: fewer passes over each row's nonzeros
-            // means fewer repeat gathers of the same (random) `H` rows.
-            let w = match d - j0 {
-                rem if rem >= 64 => 64,
-                rem if rem >= 32 => 32,
-                rem if rem >= 16 => 16,
-                rem => rem,
-            };
-            for li in ib..ie {
-                let cols = a.row_indices(row0 + li);
-                let vals = a.row_values(row0 + li);
-                tile(cols, vals, j0, &mut out[li * d + j0..li * d + j0 + w]);
-            }
-            j0 += w;
-        }
-        ib = ie;
-    }
-}
 
 /// `out (+)= a × h` on the lanes, its rows split across the pool by
 /// [`run_rows`] with [`weighted_chunks`] like the naive pooled kernel.
 pub(crate) fn spmm_into(
-    l: Avx2,
+    l: Lanes,
     a: &Csr,
     h: &Dense,
     out: &mut Dense,
@@ -137,7 +73,7 @@ mod tests {
 
     #[test]
     fn blocked_spmm_matches_naive_bitwise() {
-        let Some(l) = Avx2::detect() else { return };
+        let Some(l) = Lanes::detect() else { return };
         let pool = Pool::new(1);
         let mut rng = StdRng::seed_from_u64(9);
         for (rows, cols, d) in [
@@ -163,7 +99,7 @@ mod tests {
 
     #[test]
     fn empty_and_zero_row_matrices() {
-        let Some(l) = Avx2::detect() else { return };
+        let Some(l) = Lanes::detect() else { return };
         let pool = Pool::new(2);
         let a = Csr::from_coo(0, 5, vec![]);
         let h = Dense::zeros(5, 7);

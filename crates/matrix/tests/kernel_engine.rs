@@ -10,9 +10,11 @@
 //! 1-wide operands, dims that are not tile multiples) at pool sizes
 //! t ∈ {1, 2, 7}, and pin the shape-derived FLOP accounting.
 //!
-//! Every blocked check runs through the context as dispatched: the AVX2
-//! lanes where the CPU has them, the naive loops elsewhere (CI asserts
-//! its hosts have AVX2, so there the lanes are what is checked). Special
+//! Every blocked check runs through the context as dispatched: the
+//! widest lanes the CPU has (AVX-512F, else AVX2), the naive loops
+//! without AVX2 (CI asserts its hosts have AVX2, so there the lanes are
+//! what is checked; the width-parity unit tests in `ctx.rs` check the
+//! narrower width too). Special
 //! values — NaN, ±∞, `-0.0` and ReLU-style half-zero operands — are
 //! compared bit for bit, except that one NaN equals another: IEEE 754
 //! leaves open which NaN payload an operation returns, and Rust does not
@@ -286,14 +288,19 @@ fn spmm_special_values_blocked_equals_naive_bitwise() {
 
 /// On a host without AVX2 the blocked engine runs the naive loops, so
 /// every blocked-vs-naive check above compares naive with itself. CI
-/// runs this with `--ignored` to prove its hosts check the lanes.
+/// runs this with `--ignored` to prove its hosts check the lanes, and to
+/// print which width `blocked` runs there (the width-parity unit tests
+/// in `ctx.rs` check both widths where the host has them).
 #[cfg(target_arch = "x86_64")]
 #[test]
 #[ignore = "asserts a property of the host; CI runs it with --ignored"]
 fn this_host_runs_the_blocked_engine_on_avx2_lanes() {
-    assert!(
-        pargcn_matrix::lanes::Avx2::detect().is_some(),
-        "no AVX2: the blocked engine would run the naive loops"
+    let lanes = ctx(KernelKind::Blocked, 1).lanes();
+    let lanes = lanes.expect("no AVX2: the blocked engine would run the naive loops");
+    println!(
+        "blocked runs {}-float {} lanes on this host",
+        lanes.width(),
+        lanes.name()
     );
 }
 

@@ -3,7 +3,7 @@
 //! over random shapes, masks and adversarial logits. On a host without
 //! AVX2 both sides are the scalar code and the checks pass trivially.
 
-use pargcn_matrix::lanes::Avx2;
+use pargcn_matrix::lanes::Lanes;
 use pargcn_matrix::softmax::exp;
 use pargcn_matrix::{ComputeCtx, Dense, KernelKind};
 use pargcn_util::qc;
@@ -26,7 +26,7 @@ fn bits(values: &[f32]) -> Vec<u32> {
 #[test]
 #[ignore = "sweeps all 2^32 floats; run in release with --ignored"]
 fn exp_lanes_equal_scalar_on_every_float() {
-    let Some(lanes) = Avx2::detect() else {
+    let Some(lanes) = Lanes::detect() else {
         eprintln!("no AVX2 on this host: nothing to compare");
         return;
     };

@@ -25,26 +25,32 @@ run env PARGCN_THREADS=4 cargo test -q --offline --locked
 # the optimiser can fold benchmark bodies.
 run cargo test --release -q --offline --locked -p pargcn-util
 # The kernel engine's bitwise suites in release codegen too: that is
-# where the AVX2 lanes' #[target_feature] code is inlined differently
+# where the lanes' #[target_feature] code is inlined differently
 # from debug builds.
 run cargo test --release -q --offline --locked -p pargcn-matrix
 # The loss's in-house exp: its 8-lane form equals its scalar form on all
 # 2^32 inputs (an #[ignore]d sweep, about a minute of CPU in release).
 run cargo test --release -q --offline --locked -p pargcn-matrix \
     --test softmax_lanes -- --ignored
-# The blocked leg below checks the AVX2 lanes only where the host has
-# them (elsewhere it runs the naive loops): assert that it does.
+# The blocked leg below checks the lanes only where the host has AVX2
+# (elsewhere it runs the naive loops): assert that it does, and print
+# which width (avx2 or avx512) `blocked` runs here.
 run cargo test -q --offline --locked -p pargcn-matrix \
-    --test kernel_engine -- --ignored
+    --test kernel_engine -- --ignored --nocapture
 # Kernel-engine parity: the bitwise-determinism suites, the golden
 # training bits, distributed ≡ serial and the allocation contract must
 # hold under both compute engines
 # (PARGCN_KERNEL selects naive vs blocked GEMM/SpMM and loss; every
 # result is bitwise engine-independent — DESIGN.md §10).
+# The width-parity unit tests compare naive, AVX2 and AVX-512 lanes bit
+# for bit (a width the host lacks prints a skip note).
 for kernel in naive blocked; do
     run env PARGCN_KERNEL=$kernel \
         cargo test -q --offline --locked -p pargcn-matrix \
         --test determinism_threads --test kernel_engine --test softmax_lanes
+    run env PARGCN_KERNEL=$kernel \
+        cargo test -q --offline --locked -p pargcn-matrix --lib width_parity \
+        -- --nocapture
     run env PARGCN_KERNEL=$kernel \
         cargo test -q --offline --locked -p pargcn-core \
         --test determinism_threads --test no_alloc_steady_state \
