@@ -14,11 +14,18 @@
 //! A change that alters the math on purpose — a different `exp` in the
 //! loss, a new summation order — updates [`GOLDEN`] to the value this
 //! test prints and says so in CHANGES.md.
+//!
+//! The two §4.4 case studies get a fingerprint each on the same graph:
+//! [`GOLDEN_SGC`] (losses, `W`, predictions and per-rank sent bytes over
+//! p ∈ {1, 3} × K ∈ {0, 2}) and [`GOLDEN_GAT`] (two-layer outputs over
+//! p ∈ {1, 3}).
 
 use pargcn_core::baselines::cagnet;
 use pargcn_core::dist::{self, DistOutcome};
+use pargcn_core::gat::{self, GatLayer};
 use pargcn_core::model::{GcnConfig, LayerOrder};
 use pargcn_core::optim::Optimizer;
+use pargcn_core::sgc;
 use pargcn_graph::gen::er;
 use pargcn_graph::Graph;
 use pargcn_matrix::{ComputeSpec, Dense};
@@ -27,6 +34,12 @@ use pargcn_util::rng::{SeedableRng, StdRng};
 
 /// The fingerprint of the whole matrix.
 const GOLDEN: u64 = 0x1aae_dcf1_c2df_481b;
+
+/// The fingerprint of the SGC runs.
+const GOLDEN_SGC: u64 = 0xd322_9503_e959_a8e2;
+
+/// The fingerprint of the GAT passes.
+const GOLDEN_GAT: u64 = 0x95d9_de7e_5cba_7ba5;
 
 /// The shared signature of the full-batch entry points.
 type Trainer = fn(
@@ -137,4 +150,52 @@ fn training_bits_match_the_golden_fingerprint() {
             all.0
         );
     }
+}
+
+/// The features, labels and mask of the golden runs.
+fn inputs(n: usize, d_in: usize, classes: usize) -> (Dense, Vec<u32>, Vec<bool>) {
+    let mut rng = StdRng::seed_from_u64(3);
+    let h0 = Dense::random(n, d_in, &mut rng);
+    let labels = (0..n).map(|i| (i % classes) as u32).collect();
+    let mask = (0..n).map(|i| i % 3 != 2).collect();
+    (h0, labels, mask)
+}
+
+#[test]
+fn sgc_bits_match_the_golden_fingerprint() {
+    let (n, classes) = (240, 5);
+    let (h0, labels, mask) = inputs(n, 12, classes);
+    let graph = er::generate(n, 1200, false, 17);
+    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+    for p in [1, 3] {
+        let part = random::partition(n, p, 5);
+        for k in [0, 2] {
+            let out =
+                sgc::train_distributed(&graph, &h0, k, classes, &labels, &mask, &part, 3, 0.5, 42);
+            for l in &out.losses {
+                h.word(l.to_bits());
+            }
+            h.dense(&out.w);
+            h.dense(&out.predictions);
+            for c in &out.counters {
+                h.word(c.sent_bytes);
+            }
+        }
+    }
+    assert_eq!(h.0, GOLDEN_SGC, "SGC bits moved: fingerprint {:#018x}", h.0);
+}
+
+#[test]
+fn gat_bits_match_the_golden_fingerprint() {
+    let n = 240;
+    let (h0, ..) = inputs(n, 12, 5);
+    let graph = er::generate(n, 1200, false, 17);
+    let layers = [GatLayer::init(12, 8, 1), GatLayer::init(8, 5, 2)];
+    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+    for p in [1, 3] {
+        let part = random::partition(n, p, 5);
+        let (out, _) = gat::forward_distributed(&graph, &h0, &layers, &part);
+        h.dense(&out);
+    }
+    assert_eq!(h.0, GOLDEN_GAT, "GAT bits moved: fingerprint {:#018x}", h.0);
 }
