@@ -14,6 +14,11 @@
 //!    (line 10) — one pass, the activation applied in place as the GEMM
 //!    stores `Hᵏ`.
 //!
+//! Steps 1 and 3 are the two halves of every point-to-point exchange
+//! (`send_rows` and `recv_in_plan_order`): the GCN exchange folds each
+//! arrival into `Â·X`, and GAT's attention layer ([`crate::gat`]) runs
+//! the same halves with a fold that keeps each block's raw rows.
+//!
 //! One deviation from the paper's literal pseudocode: lines 6/9 write
 //! `(AₘH)Wᵏ` per contribution; we accumulate `AₘH` first and apply `Wᵏ`
 //! once — algebraically identical (distributivity) and fewer DMM FLOPs.
@@ -122,27 +127,47 @@ pub fn spmm_exchange_into(
     assert_eq!(ax.rows(), plan.n_local(), "exchange accumulator rows");
     assert_eq!(ax.cols(), d, "exchange accumulator cols");
 
-    // Lines 3–5: gather and non-blocking-send the rows each peer needs,
-    // each payload recycled from the pool of its destination.
+    send_rows(ctx, plan, x_local, tag);
+    // Line 6: local block product, overlapping the in-flight messages.
+    cctx.spmm_into(&plan.a_own, x_local, ax, false);
+    // Lines 7–9: fold each remote block into `ax`, in plan order.
+    recv_in_plan_order(ctx, plan, tag, scratch, |ctx, i, payload| {
+        accumulate_block(ctx, plan, i, payload, d, ax, cctx)
+    });
+}
+
+/// Lines 3–5, the send half of every point-to-point exchange: gathers
+/// the rows each peer needs from `x_local` and non-blocking-sends them,
+/// each payload recycled from the pool of its destination.
+pub(crate) fn send_rows(ctx: &mut RankCtx, plan: &RankPlan, x_local: &Dense, tag: u32) {
+    let d = x_local.cols();
     for ss in &plan.send {
         let mut payload = ctx.acquire(ss.peer, ss.local_indices.len() * d);
         gather::gather_rows_into(x_local, &ss.local_indices, &mut payload);
         ctx.isend(ss.peer, tag, payload);
     }
+}
 
-    // Line 6: local block product, overlapping the in-flight messages.
-    cctx.spmm_into(&plan.a_own, x_local, ax, false);
-
-    // Lines 7–9: drain receives eagerly (any completion order), but
-    // *accumulate* strictly in plan order. Remote blocks overlap on output
-    // rows, and float addition is not associative, so summing in arrival
-    // order would let thread scheduling leak into the results — the
-    // repeated-runs-bitwise-identical guarantee the tests pin down.
-    //
-    // Each pass drains the whole mailbox with one `try_recv_any` sweep
-    // (instead of probing every peer individually), folds every in-order
-    // block that has landed, and only then blocks — on *any* next arrival,
-    // since exactly the planned peers send under this tag.
+/// The receive half: hands `fold` every remote block's payload as
+/// `(block index, payload)`, strictly in plan order, whatever order they
+/// arrive in.
+///
+/// Receives are drained eagerly, but *folded* in plan order: remote
+/// blocks overlap on output rows, and float addition is not associative,
+/// so summing in arrival order would let thread scheduling leak into the
+/// results — the repeated-runs-bitwise-identical guarantee the tests pin
+/// down. Each pass drains the whole mailbox with one `try_recv_any`
+/// sweep (instead of probing every peer individually), folds every
+/// in-order block that has landed, and only then blocks — on *any* next
+/// arrival, since exactly the planned peers send under this tag.
+#[inline]
+pub(crate) fn recv_in_plan_order(
+    ctx: &mut RankCtx,
+    plan: &RankPlan,
+    tag: u32,
+    scratch: &mut ExchangeScratch,
+    mut fold: impl FnMut(&mut RankCtx, usize, Vec<f32>),
+) {
     scratch.begin(plan);
     let n_blocks = plan.a_remote.len();
     let mut next = 0;
@@ -155,7 +180,7 @@ pub fn spmm_exchange_into(
             let Some(payload) = scratch.arrived[next].take() else {
                 break;
             };
-            accumulate_block(ctx, plan, next, payload, d, ax, cctx);
+            fold(ctx, next, payload);
             next += 1;
             progressed = true;
         }

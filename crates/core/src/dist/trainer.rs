@@ -80,8 +80,7 @@ impl<X: SpmmExchange> RankSlot<X> {
     /// One [`epoch_step`] over the slot's plans and rows, returning the
     /// global loss; with `train == false` only the forward pass, leaving
     /// the logits in `ws.h[L−1]`. Pools and workspace are first topped up
-    /// to the plan (idempotent). The wall time is split into the counters'
-    /// comm and compute seconds, and the kernel FLOPs are credited.
+    /// to the plan (idempotent). The step is [`metered`].
     pub(crate) fn step(&mut self, ctx: &mut RankCtx, config: &GcnConfig, train: bool) -> f64 {
         let plan_b = self.plan_b.as_ref().unwrap_or(&self.plan_f);
         prewarm_comm_pools(ctx, &self.plan_f, plan_b, config);
@@ -98,14 +97,15 @@ impl<X: SpmmExchange> RankSlot<X> {
             opt_state: std::mem::take(&mut self.state.opt_state),
             ctx: self.cctx.clone(),
         };
-        let comm_before = ctx.counters().comm_seconds;
-        let start = Instant::now();
-        let loss = if train {
-            epoch_step(ctx, &mut st, &mut self.ws)
-        } else {
-            feedforward::run(ctx, &st, &mut self.ws);
-            f64::NAN
-        };
+        let ws = &mut self.ws;
+        let loss = metered(ctx, &self.cctx, |ctx| {
+            if train {
+                epoch_step(ctx, &mut st, ws)
+            } else {
+                feedforward::run(ctx, &st, ws);
+                f64::NAN
+            }
+        });
         // `ws.dw` still holds the allreduced gradients the update applied.
         self.non_finite_dw = train
             .then(|| {
@@ -113,15 +113,24 @@ impl<X: SpmmExchange> RankSlot<X> {
                 self.ws.dw.iter().position(bad).map(|k| k + 1)
             })
             .flatten();
-        let wall = start.elapsed().as_secs_f64();
-        ctx.add_compute_seconds(wall - (ctx.counters().comm_seconds - comm_before));
-        ctx.add_compute_flops(st.ctx.take_flops());
         self.state = TrainState {
             params: st.params,
             opt_state: st.opt_state,
         };
         loss
     }
+}
+
+/// Runs `f`, splitting its wall time into the counters' comm and compute
+/// seconds and crediting the kernel FLOPs it dispatched through `cctx`.
+fn metered<R>(ctx: &mut RankCtx, cctx: &ComputeCtx, f: impl FnOnce(&mut RankCtx) -> R) -> R {
+    let comm_before = ctx.counters().comm_seconds;
+    let start = Instant::now();
+    let out = f(ctx);
+    let wall = start.elapsed().as_secs_f64();
+    ctx.add_compute_seconds(wall - (ctx.counters().comm_seconds - comm_before));
+    ctx.add_compute_flops(cctx.take_flops());
+    out
 }
 
 /// The one owner of a distributed GCN run (§4.1): the [`CommSession`]
@@ -228,6 +237,28 @@ impl<'a, X: SpmmExchange + Send> Trainer<'a, X> {
         predictions
     }
 
+    /// Replaces every rank's features `H⁰ₘ` by `(Âˢ·H⁰)ₘ` before the
+    /// first step: `sweeps` exchanges of `plans[m]` (over rank `m`'s own
+    /// rows), ping-ponging between its features and the workspace's
+    /// accumulator, [`metered`] like a step.
+    pub(crate) fn propagate<Y: SpmmExchange + Sync>(&mut self, plans: &[Y], sweeps: usize) {
+        let sweep_all = |ctx: &mut RankCtx, slot: &mut RankSlot<X>| {
+            let plan = &plans[ctx.rank()];
+            assert_eq!(plan.local_rows(), slot.plan_f.local_rows(), "rows");
+            let (n, d) = (slot.h0.rows(), slot.h0.cols());
+            let RankSlot { cctx, h0, ws, .. } = slot;
+            metered(ctx, cctx, |ctx| {
+                plan.ensure_pools(ctx, d, 0);
+                for sweep in 0..sweeps {
+                    ws.ax.reshape(n, d);
+                    plan.exchange_into(ctx, h0, sweep as u32, cctx, &mut ws.exchange, &mut ws.ax);
+                    std::mem::swap(h0, &mut ws.ax);
+                }
+            })
+        };
+        self.run(sweep_all, || ());
+    }
+
     /// The current (replicated) parameters and optimizer state.
     pub fn state(&self) -> TrainState {
         lock(&self.slots[0]).state.clone()
@@ -331,7 +362,16 @@ pub(crate) fn train_full_batch<X: SpmmExchange + Send>(
         (build(&a), graph.directed().then(|| build(&a.transpose())))
     };
     let start = TrainState::new(config, param_seed);
-    let mut trainer = Trainer::new(plan_f, plan_b, h0, labels, mask, config, start, spec);
+    let trainer = Trainer::new(plan_f, plan_b, h0, labels, mask, config, start, spec);
+    run_epochs(trainer, epochs)
+}
+
+/// The tail of every full-batch run: `epochs` steps of `trainer` (one per
+/// epoch), then one prediction pass.
+pub(crate) fn run_epochs<X: SpmmExchange + Send>(
+    mut trainer: Trainer<'_, X>,
+    epochs: usize,
+) -> DistOutcome {
     let losses = (0..epochs).map(|_| trainer.step()).collect();
     let predictions = trainer.predict();
     let counters = trainer.counters();

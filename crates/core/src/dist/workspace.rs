@@ -32,7 +32,7 @@ use pargcn_comm::RankCtx;
 use pargcn_matrix::{ComputeCtx, Dense};
 
 /// Scratch state of one in-flight point-to-point exchange
-/// ([`spmm_exchange_into`]): a slot per remote block for payloads that
+/// ([`spmm_exchange_into`], or a GAT layer's): a slot per remote block for payloads that
 /// arrived out of plan order, plus the peer → slot map. Reused across
 /// every exchange of a run (forward and backward plans may have
 /// different receive sets; `begin` re-keys it). The CAGNET broadcasts

@@ -20,15 +20,17 @@
 //! through the attention softmax, which the paper does not evaluate either;
 //! the point being demonstrated is the *communication* claim.
 //!
-//! The exchange is the GCN trainer's send side and pooled payloads, but
-//! not its [`SpmmExchange`]: that trait folds each arrival into `Â·X` and
-//! hands back only the sum, while attention needs the raw remote rows of
-//! `P` — every neighbour's score enters the softmax before any row is
-//! weighted. So [`forward_distributed`] keeps the received payloads as
-//! row blocks until the layer's attention is done, then releases them to
-//! their senders' pools, sized once for the widest layer.
+//! The exchange is the GCN exchange's own send and receive halves, with
+//! pooled payloads, an [`ExchangeScratch`] and any-order arrival; only
+//! the fold differs. The GCN fold sums each block into `Â·X`, while
+//! attention needs the raw remote rows of `P` — every neighbour's score
+//! enters the softmax before any row is weighted. So [`forward_rank`]
+//! keeps each received payload as its `P` block until the layer's
+//! attention is done, then releases it to its sender's pool, sized once
+//! for the widest layer.
 
-use crate::dist::SpmmExchange;
+use crate::dist::feedforward::{recv_in_plan_order, send_rows};
+use crate::dist::{ExchangeScratch, SpmmExchange};
 use crate::plan::{CommPlan, RankPlan};
 use pargcn_comm::{CommCounters, CommSession, RankCtx};
 use pargcn_graph::Graph;
@@ -121,31 +123,26 @@ pub fn forward_serial(layer: &GatLayer, pattern: &Csr, h: &Dense) -> Dense {
 /// trainer (here of the *transformed* rows `P`, DmmFirst-style), then local
 /// attention. `tag` must be unique per layer within a forward pass, and
 /// the payload pools must fit `d_out`-wide rows ([`SpmmExchange::ensure_pools`]),
-/// as [`forward_distributed`] sizes them.
+/// as [`forward_distributed`] sizes them. `scratch` stages the arrivals.
 pub fn forward_rank(
     ctx: &mut RankCtx,
     rp: &RankPlan,
     layer: &GatLayer,
     h_local: &Dense,
     tag: u32,
+    scratch: &mut ExchangeScratch,
 ) -> Dense {
     let p_local = h_local.matmul(&layer.w);
     let d = p_local.cols();
 
-    // Send the needed transformed rows — same selectors, same peers, each
-    // payload taken from its destination's pool.
-    for ss in &rp.send {
-        let mut payload = ctx.acquire(ss.peer, ss.local_indices.len() * d);
-        gather::gather_rows_into(&p_local, &ss.local_indices, &mut payload);
-        ctx.isend(ss.peer, tag, payload);
-    }
-    // Receive the remote transformed rows; they go back to their senders'
-    // pools once the attention below is done with them.
-    let p_remote: Vec<Dense> = rp
-        .a_remote
-        .iter()
-        .map(|block| Dense::from_vec(block.rows.len(), d, ctx.recv(block.peer, tag)))
-        .collect();
+    // The GCN exchange's sends and receives, over the transformed rows.
+    // The remote blocks go back to their senders' pools once the
+    // attention below is done with them.
+    send_rows(ctx, rp, &p_local, tag);
+    let mut p_remote = Vec::with_capacity(rp.a_remote.len());
+    recv_in_plan_order(ctx, rp, tag, scratch, |_, i, payload| {
+        p_remote.push(Dense::from_vec(rp.a_remote[i].rows.len(), d, payload));
+    });
 
     // Everything below is local — §4.4's point.
     let s_src: Vec<f32> = (0..rp.n_local())
@@ -240,10 +237,11 @@ pub fn forward_distributed(
         let rp = &plan.ranks[ctx.rank()];
         let widest = layers.iter().map(|l| l.w.cols()).max().unwrap_or(0);
         rp.ensure_pools(ctx, widest, 0);
+        let mut scratch = ExchangeScratch::new(part.p());
         let mut h = locals[ctx.rank()].clone();
         let mut non_finite = None;
         for (k, layer) in layers.iter().enumerate() {
-            h = forward_rank(ctx, rp, layer, &h, k as u32);
+            h = forward_rank(ctx, rp, layer, &h, k as u32, &mut scratch);
             if non_finite.is_none() && h.data().iter().any(|v| !v.is_finite()) {
                 non_finite = Some(k);
             }

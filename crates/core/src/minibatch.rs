@@ -13,7 +13,7 @@ use crate::model::{GcnConfig, Params};
 use crate::plan::{CommPlan, RankPlan};
 use pargcn_comm::{CommCounters, RankCtx};
 use pargcn_graph::Graph;
-use pargcn_matrix::{gather, norm, ComputeSpec, Csr, Dense};
+use pargcn_matrix::{gather, norm, ComputeSpec, Dense};
 use pargcn_partition::{metrics, Partition};
 use std::time::Instant;
 
@@ -184,13 +184,7 @@ impl<'a> MinibatchEngine<'a> {
         assert_eq!(part.n(), graph.n(), "partition size mismatch");
         // Every rank starts with no rows; each step brings its batch's.
         let plans = (0..part.p())
-            .map(|rank| RankPlan {
-                rank,
-                local_rows: Vec::new(),
-                a_own: Csr::identity(0),
-                a_remote: Vec::new(),
-                send: Vec::new(),
-            })
+            .map(|rank| RankPlan::pass_through(rank, Vec::new()))
             .collect();
         let no_rows = Dense::zeros(0, h0.cols());
         let start = TrainState::new(config, param_seed);

@@ -63,6 +63,18 @@ pub struct RankPlan {
 }
 
 impl RankPlan {
+    /// A plan with no peers: the identity as its own block, so a sweep
+    /// hands the rows back unchanged and sends nothing.
+    pub fn pass_through(rank: usize, local_rows: Vec<u32>) -> RankPlan {
+        RankPlan {
+            rank,
+            a_own: Csr::identity(local_rows.len()),
+            local_rows,
+            a_remote: Vec::new(),
+            send: Vec::new(),
+        }
+    }
+
     /// Number of owned rows `n_m`.
     pub fn n_local(&self) -> usize {
         self.local_rows.len()

@@ -5,21 +5,23 @@
 //! to `softmax(Â^K X W)`: a K-hop feature propagation followed by logistic
 //! regression. §4.4's claim is that other GNN models reuse the *identical*
 //! communication scheme with only local-computation changes, and SGC is
-//! the starkest demonstration: the K propagation sweeps use exactly the
-//! GCN comm plan (Eq. 8–9 sends of `H` rows), after which *training incurs
-//! zero point-to-point communication at all* — every epoch is a local DMM
-//! plus the small `ΔW` allreduce. The test-suite asserts that byte count.
+//! the starkest demonstration. Here it is the shared [`Trainer`] with a
+//! different model: the K propagation sweeps run once in the trainer's
+//! session over exactly the GCN comm plan (Eq. 8–9 sends of `H` rows),
+//! and every epoch is then a [`Trainer::step`] of a one-layer,
+//! identity-output GCN `d → classes` over [`RankPlan::pass_through`]
+//! plans — *zero point-to-point communication*, a local DMM plus the
+//! small `ΔW` allreduce. The test-suite asserts that byte count.
 
-use crate::dist::feedforward::spmm_exchange_into;
-use crate::dist::{ExchangeScratch, SpmmExchange};
-use crate::loss;
-use crate::plan::CommPlan;
-use pargcn_comm::{CommCounters, CommSession, RankCtx};
+use crate::dist::trainer::run_epochs;
+use crate::dist::{DistOutcome, TrainState, Trainer};
+use crate::model::{GcnConfig, LayerOrder};
+use crate::optim::Optimizer;
+use crate::plan::{CommPlan, RankPlan};
+use crate::serial::SerialTrainer;
 use pargcn_graph::Graph;
-use pargcn_matrix::{gather, ComputeCtx, ComputeSpec, Csr, Dense};
+use pargcn_matrix::{ComputeSpec, Csr, Dense};
 use pargcn_partition::Partition;
-use pargcn_util::rng::SeedableRng;
-use pargcn_util::rng::StdRng;
 
 /// Serial K-hop propagation: `Â^K · H`.
 fn propagate_serial(a: &Csr, h0: &Dense, k: usize) -> Dense {
@@ -30,8 +32,20 @@ fn propagate_serial(a: &Csr, h0: &Dense, k: usize) -> Dense {
     h
 }
 
+/// SGC's trained part: one SGD-trained, identity-output layer
+/// `d → classes`.
+fn config(d: usize, classes: usize, learning_rate: f32) -> GcnConfig {
+    GcnConfig {
+        dims: vec![d, classes],
+        learning_rate,
+        order: LayerOrder::SpmmFirst,
+        optimizer: Optimizer::Sgd,
+    }
+}
+
 /// Serial SGC training: propagate once, then `epochs` steps of softmax
-/// regression on the propagated features. Returns `(W, per-epoch losses)`.
+/// regression on the propagated features (a [`SerialTrainer`] over the
+/// identity adjacency). Returns `(W, per-epoch losses)`.
 // The training entry points take the full problem description by design;
 // a config struct would just rename the eight pieces.
 #[allow(clippy::too_many_arguments)]
@@ -47,107 +61,22 @@ pub fn train_serial(
     param_seed: u64,
 ) -> (Dense, Vec<f64>) {
     let hp = propagate_serial(a, h0, k);
-    let mut rng = StdRng::seed_from_u64(param_seed);
-    let mut w = Dense::glorot(h0.cols(), classes, &mut rng);
-    let mut losses = Vec::with_capacity(epochs);
-    let cctx = ComputeCtx::serial();
-    for _ in 0..epochs {
-        let logits = hp.matmul(&w);
-        let (j, grad) = loss::softmax_cross_entropy(&cctx, &logits, labels, mask);
-        // dJ/dW = (Â^K X)ᵀ · dJ/dlogits.
-        let dw = hp.matmul_at(&grad);
-        w.sub_scaled_assign(&dw, learning_rate);
-        losses.push(j);
-    }
-    (w, losses)
-}
-
-/// Outcome of distributed SGC training.
-pub struct SgcOutcome {
-    pub w: Dense,
-    pub losses: Vec<f64>,
-    pub predictions: Dense,
-    pub counters: Vec<CommCounters>,
-}
-
-/// One rank's SGC training after propagation: its propagated rows, their
-/// labels and mask, and the logits, loss-gradient and `ΔW` buffers every
-/// epoch reuses, so an epoch allocates nothing once the collectives are
-/// warm.
-pub struct SgcRank<'a> {
-    /// The rank's rows of `Â^K·X`.
-    pub hp: Dense,
-    labels: &'a [u32],
-    mask: &'a [bool],
-    /// Masked rows over all ranks: the loss's normaliser.
-    mask_total: f64,
-    logits: Dense,
-    grad: Dense,
-    dw: Dense,
-}
-
-impl<'a> SgcRank<'a> {
-    pub fn new(
-        hp: Dense,
-        labels: &'a [u32],
-        mask: &'a [bool],
-        mask_total: f64,
-        classes: usize,
-    ) -> Self {
-        let (rows, d) = (hp.rows(), hp.cols());
-        SgcRank {
-            hp,
-            labels,
-            mask,
-            mask_total,
-            logits: Dense::zeros(rows, classes),
-            grad: Dense::zeros(rows, classes),
-            dw: Dense::zeros(d, classes),
-        }
-    }
-
-    /// One epoch: the local logits, loss and `ΔW`, both allreduced, then
-    /// `W ← W − η·ΔW`. Returns the global loss, the same on every rank.
-    ///
-    /// # Panics
-    /// Naming `epoch`, when the global loss or the allreduced `ΔW` is not
-    /// finite; both are global, so every rank stops at the same epoch.
-    pub fn epoch(
-        &mut self,
-        ctx: &mut RankCtx,
-        cctx: &ComputeCtx,
-        w: &mut Dense,
-        learning_rate: f32,
-        epoch: usize,
-    ) -> f64 {
-        cctx.matmul_into(&self.hp, w, &mut self.logits, false);
-        let loss_local = cctx.softmax_cross_entropy_into(
-            &self.logits,
-            self.labels,
-            self.mask,
-            self.mask_total,
-            &mut self.grad,
-        );
-        let mut lbuf = [loss_local as f32];
-        ctx.allreduce_sum(&mut lbuf);
-        let loss = lbuf[0] as f64;
-        assert!(loss.is_finite(), "epoch {epoch}: the global loss is {loss}");
-
-        cctx.matmul_at_into(&self.hp, &self.grad, &mut self.dw);
-        ctx.allreduce_sum(self.dw.data_mut());
-        let finite = self.dw.data().iter().all(|v| v.is_finite());
-        assert!(finite, "epoch {epoch}: ΔW is non-finite");
-        w.sub_scaled_assign(&self.dw, learning_rate);
-        loss
-    }
+    let config = config(h0.cols(), classes, learning_rate);
+    let params = config.init_params(param_seed);
+    let mut t = SerialTrainer::from_adjacency(Csr::identity(hp.rows()), false, config, params);
+    let losses = (0..epochs)
+        .map(|_| t.train_epoch(&hp, labels, mask))
+        .collect();
+    (t.params.weights.swap_remove(0), losses)
 }
 
 /// Distributed SGC: K propagation sweeps over the GCN comm plan, then
-/// communication-free local epochs (plus the `ΔW` allreduce).
+/// communication-free [`Trainer`] steps (plus the `ΔW` allreduce), one
+/// per epoch.
 ///
 /// # Panics
-/// Naming the epoch, when the global loss or the allreduced `ΔW` is not
-/// finite.
+/// Naming the step (step t is epoch t), when the global loss or the
+/// allreduced `ΔW` is not finite.
 #[allow(clippy::too_many_arguments)]
 pub fn train_distributed(
     graph: &Graph,
@@ -160,94 +89,38 @@ pub fn train_distributed(
     epochs: usize,
     learning_rate: f32,
     param_seed: u64,
-) -> SgcOutcome {
-    let a = graph.normalized_adjacency();
-    let plan = CommPlan::build(&a, part);
-    let n = graph.n();
-    let d = h0.cols();
-    let mask_total = mask.iter().filter(|&&m| m).count().max(1) as f64;
-    let mut rng = StdRng::seed_from_u64(param_seed);
-    let w_init = Dense::glorot(d, classes, &mut rng);
+) -> DistOutcome {
+    let plan = CommPlan::build(&graph.normalized_adjacency(), part);
+    let config = config(h0.cols(), classes, learning_rate);
+    let trainer = propagated(&plan, h0, k, labels, mask, &config, param_seed);
+    run_epochs(trainer, epochs)
+}
 
-    let locals: Vec<(Dense, Vec<u32>, Vec<bool>)> = plan
-        .ranks
-        .iter()
-        .map(|rp| {
-            (
-                gather::gather_rows(h0, &rp.local_rows),
-                rp.local_rows.iter().map(|&v| labels[v as usize]).collect(),
-                rp.local_rows.iter().map(|&v| mask[v as usize]).collect(),
-            )
-        })
+/// A [`Trainer`] of `config` over pass-through plans on `plan`'s rows,
+/// its features propagated `k` times over `plan` in its own session.
+fn propagated<'a>(
+    plan: &CommPlan,
+    h0: &Dense,
+    k: usize,
+    labels: &[u32],
+    mask: &[bool],
+    config: &'a GcnConfig,
+    param_seed: u64,
+) -> Trainer<'a> {
+    let pass_through = (plan.ranks.iter())
+        .map(|rp| RankPlan::pass_through(rp.rank, rp.local_rows.clone()))
         .collect();
-
-    struct R {
-        w: Dense,
-        losses: Vec<f64>,
-        pred: Dense,
-        counters: CommCounters,
-    }
-
-    let results: Vec<R> = CommSession::new(part.p()).run_step(|ctx| {
-        let m = ctx.rank();
-        let rp = &plan.ranks[m];
-        let (h_local, l_local, m_local) = &locals[m];
-        let cctx = ComputeCtx::for_ranks_spec(part.p(), ComputeSpec::default());
-
-        // K-hop propagation: the only point-to-point communication. The
-        // sweeps ping-pong between two persistent buffers over a single
-        // exchange scratch, with the payload pools pre-warmed, so no sweep
-        // after the first allocates on the comm path.
-        rp.ensure_pools(ctx, d, d * classes);
-        ctx.ensure_collectives(2, d * classes);
-        let mut scratch = ExchangeScratch::new(part.p());
-        let mut hp = h_local.clone();
-        let mut hp_next = Dense::zeros(h_local.rows(), d);
-        for sweep in 0..k {
-            spmm_exchange_into(
-                ctx,
-                rp,
-                &hp,
-                sweep as u32,
-                &cctx,
-                &mut scratch,
-                &mut hp_next,
-            );
-            std::mem::swap(&mut hp, &mut hp_next);
-        }
-
-        // Training epochs: purely local + ΔW allreduce.
-        let mut rank = SgcRank::new(hp, l_local, m_local, mask_total, classes);
-        let mut w = w_init.clone();
-        let mut losses = Vec::with_capacity(epochs);
-        for epoch in 0..epochs {
-            losses.push(rank.epoch(ctx, &cctx, &mut w, learning_rate, epoch));
-        }
-        let pred = cctx.matmul(&rank.hp, &w);
-        ctx.add_compute_flops(cctx.take_flops());
-        R {
-            w,
-            losses,
-            pred,
-            counters: ctx.counters().clone(),
-        }
-    });
-
-    let mut predictions = Dense::zeros(n, classes);
-    for (rp, r) in plan.ranks.iter().zip(&results) {
-        gather::scatter_rows(&r.pred, &rp.local_rows, &mut predictions);
-    }
-    SgcOutcome {
-        w: results[0].w.clone(),
-        losses: results[0].losses.clone(),
-        predictions,
-        counters: results.iter().map(|r| r.counters.clone()).collect(),
-    }
+    let start = TrainState::new(config, param_seed);
+    let spec = ComputeSpec::default();
+    let mut trainer = Trainer::new(pass_through, None, h0, labels, mask, config, start, spec);
+    trainer.propagate(&plan.ranks, k);
+    trainer
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::loss;
     use pargcn_graph::gen::sbm::{self, SbmParams};
     use pargcn_partition::{partition_rows, Method};
 
@@ -267,28 +140,14 @@ mod tests {
 
     #[test]
     fn propagation_matches_serial() {
-        let (g, h0, ..) = setup();
+        let (g, h0, labels, mask) = setup();
         let a = g.normalized_adjacency();
         let serial = propagate_serial(&a, &h0, 3);
         let part = partition_rows(&g, &a, Method::Hp, 4, 0.1, 1);
         let plan = CommPlan::build(&a, &part);
-        let locals: Vec<Dense> = plan
-            .ranks
-            .iter()
-            .map(|rp| gather::gather_rows(&h0, &rp.local_rows))
-            .collect();
-        let results = CommSession::new(4).run_step(|ctx| {
-            let cctx = pargcn_matrix::ComputeCtx::serial();
-            let rp = &plan.ranks[ctx.rank()];
-            let mut scratch = ExchangeScratch::new(4);
-            let mut hp = locals[ctx.rank()].clone();
-            let mut next = Dense::zeros(hp.rows(), hp.cols());
-            for sweep in 0..3 {
-                spmm_exchange_into(ctx, rp, &hp, sweep, &cctx, &mut scratch, &mut next);
-                std::mem::swap(&mut hp, &mut next);
-            }
-            hp
-        });
+        let config = config(h0.cols(), 4, 0.5);
+        let mut trainer = propagated(&plan, &h0, 3, &labels, &mask, &config, 1);
+        let results = trainer.run(|_, slot| slot.h0.clone(), || ()).0;
         for (rp, hp) in plan.ranks.iter().zip(&results) {
             for (li, &gv) in rp.local_rows.iter().enumerate() {
                 for (a, b) in serial.row(gv as usize).iter().zip(hp.row(li)) {
@@ -309,9 +168,9 @@ mod tests {
             assert!((s - d).abs() < 1e-3 * (1.0 + s.abs()), "loss {s} vs {d}");
         }
         assert!(
-            out.w.approx_eq(&w_serial, 2e-3),
+            out.params.weights[0].approx_eq(&w_serial, 2e-3),
             "W diverged {}",
-            out.w.max_abs_diff(&w_serial)
+            out.params.weights[0].max_abs_diff(&w_serial)
         );
     }
 
@@ -327,7 +186,7 @@ mod tests {
 
         let short = train_distributed(&g, &h0, k, 4, &labels, &mask, &part, 1, 0.5, 1);
         let long = train_distributed(&g, &h0, k, 4, &labels, &mask, &part, 50, 0.5, 1);
-        let bytes = |o: &SgcOutcome| o.counters.iter().map(|c| c.sent_bytes).sum::<u64>();
+        let bytes = |o: &DistOutcome| o.counters.iter().map(|c| c.sent_bytes).sum::<u64>();
         assert_eq!(
             bytes(&short),
             bytes(&long),
@@ -341,7 +200,7 @@ mod tests {
     /// One NaN feature row, propagated into its neighbours' rows, makes
     /// the masked loss NaN.
     #[test]
-    #[should_panic(expected = "epoch 0: the global loss is NaN")]
+    #[should_panic(expected = "step 0: the global loss is NaN")]
     fn a_non_finite_loss_panics_naming_the_epoch() {
         let (g, mut h0, labels, mask) = setup();
         h0.row_mut(7).fill(f32::NAN);
@@ -353,7 +212,7 @@ mod tests {
     /// Unpropagated and outside the mask, a NaN feature row leaves the
     /// loss finite but not `ΔW` (its zero gradient row times NaN).
     #[test]
-    #[should_panic(expected = "epoch 0: ΔW is non-finite")]
+    #[should_panic(expected = "step 0: ΔW1 is non-finite")]
     fn a_non_finite_weight_gradient_panics_naming_the_epoch() {
         let (g, mut h0, labels, mut mask) = setup();
         h0.row_mut(7).fill(f32::NAN);

@@ -175,7 +175,7 @@ fn sgc_bits_match_the_golden_fingerprint() {
             for l in &out.losses {
                 h.word(l.to_bits());
             }
-            h.dense(&out.w);
+            h.dense(&out.params.weights[0]);
             h.dense(&out.predictions);
             for c in &out.counters {
                 h.word(c.sent_bytes);

@@ -16,11 +16,12 @@ use pargcn_comm::{CommCounters, CommSession};
 use pargcn_core::baselines::cagnet::CagnetPlan;
 use pargcn_core::dist::trainer::epoch_step;
 use pargcn_core::dist::{
-    prewarm_comm_pools, EpochWorkspace, RankState, SpmmExchange, TrainState, Trainer,
+    prewarm_comm_pools, EpochWorkspace, ExchangeScratch, RankState, SpmmExchange, TrainState,
+    Trainer,
 };
 use pargcn_core::gat::{self, GatLayer};
 use pargcn_core::optim::OptimizerState;
-use pargcn_core::sgc::SgcRank;
+use pargcn_core::plan::RankPlan;
 use pargcn_core::{CommPlan, GcnConfig};
 use pargcn_graph::gen::er;
 use pargcn_graph::gen::sbm::{self, SbmParams};
@@ -77,6 +78,9 @@ fn problem(p: usize, directed: bool) -> Problem {
 struct RankAllocs {
     /// Comm-path allocations over the steady-state epochs.
     steady: u64,
+    /// All allocations the rank thread made over the steady-state epochs,
+    /// inside the comm runtime or out of it.
+    all: u64,
     /// Pool acquires, over all epochs, that no prewarmed buffer served.
     pool_misses: u64,
 }
@@ -121,7 +125,7 @@ fn epoch_allocs<X: SpmmExchange + Sync>(
             mask: m_local,
             mask_total,
             opt_state: OptimizerState::new(config.optimizer, &config.shapes()),
-            ctx: ComputeCtx::serial(),
+            ctx: ComputeCtx::for_ranks_spec(p, ComputeSpec::default()),
         };
         prewarm_comm_pools(ctx, st.plan_f, st.plan_b, config);
         let mut ws = EpochWorkspace::new(st.plan_f, config, p, &st.ctx);
@@ -134,11 +138,13 @@ fn epoch_allocs<X: SpmmExchange + Sync>(
         ctx.reset_counters();
 
         // Steady state: every buffer a message needs is already resident.
+        let before = allocmeter::current();
         for _ in 0..3 {
             epoch_step(ctx, &mut st, &mut ws);
         }
         let pool = ctx.pool_stats();
         RankAllocs {
+            all: allocmeter::current() - before,
             steady: ctx.counters().comm_path_allocs,
             pool_misses: pool.acquires - pool.hits,
         }
@@ -278,10 +284,11 @@ fn gat_forward_does_not_allocate_on_the_comm_path() {
         let rp = &plan.ranks[ctx.rank()];
         rp.ensure_pools(ctx, 16, 0);
         let h0 = gather::gather_rows(&pr.h0, &rp.local_rows);
+        let mut scratch = ExchangeScratch::new(pr.part.p());
         for _ in 0..passes {
             let mut h = h0.clone();
             for (k, layer) in layers.iter().enumerate() {
-                h = gat::forward_rank(ctx, rp, layer, &h, k as u32);
+                h = gat::forward_rank(ctx, rp, layer, &h, k as u32, &mut scratch);
             }
         }
         (
@@ -308,45 +315,30 @@ fn gat_forward_does_not_allocate_on_the_comm_path() {
     }
 }
 
-/// SGC's epochs after propagation reuse each rank's logits, gradient and
-/// `ΔW` buffers: with the collectives warm, three epochs after two
-/// warm-up ones allocate nothing on any rank, inside the comm runtime or
-/// out of it.
+/// SGC's epochs are one-layer GCN steps over pass-through plans, which
+/// reuse every workspace buffer: with the collectives warm, three epochs
+/// after two warm-up ones allocate nothing on any rank, inside the comm
+/// runtime or out of it.
 #[test]
 fn sgc_epochs_do_not_allocate() {
     let pr = problem(4, false);
     let a = pr.graph.normalized_adjacency();
-    let plan = CommPlan::build(&a, &pr.part);
-    let (d, classes) = (pr.h0.cols(), 4);
-    let mask_total = pr.mask.iter().filter(|&&m| m).count().max(1) as f64;
-    let w0 = Dense::from_fn(d, classes, |i, j| ((i * 5 + j * 3) % 7) as f32 / 7.0 - 0.4);
-    let allocs = CommSession::new(pr.part.p()).run_step(|ctx| {
-        let rows = &plan.ranks[ctx.rank()].local_rows;
-        let labels: Vec<u32> = rows.iter().map(|&v| pr.labels[v as usize]).collect();
-        let mask: Vec<bool> = rows.iter().map(|&v| pr.mask[v as usize]).collect();
-        let hp = gather::gather_rows(&pr.h0, rows);
-        let cctx = ComputeCtx::for_ranks_spec(pr.part.p(), ComputeSpec::default());
-        ctx.ensure_collectives(2, d * classes);
-        let mut rank = SgcRank::new(hp, &labels, &mask, mask_total, classes);
-        let mut w = w0.clone();
-        for epoch in 0..2 {
-            rank.epoch(ctx, &cctx, &mut w, 0.1, epoch);
-        }
-        ctx.reset_counters();
-        let before = allocmeter::current();
-        for epoch in 2..5 {
-            rank.epoch(ctx, &cctx, &mut w, 0.1, epoch);
-        }
-        (
-            allocmeter::current() - before,
-            ctx.counters().comm_path_allocs,
-        )
-    });
-    for (rank, &(all, comm)) in allocs.iter().enumerate() {
+    let pass_through: Vec<RankPlan> = (CommPlan::build(&a, &pr.part).ranks.into_iter())
+        .map(|rp| RankPlan::pass_through(rp.rank, rp.local_rows))
+        .collect();
+    let config = GcnConfig {
+        dims: vec![pr.h0.cols(), 4],
+        ..GcnConfig::two_layer(1, 1, 1)
+    };
+    let pr = Problem { config, ..pr };
+    let allocs = epoch_allocs(&pr, &pass_through, &pass_through);
+    for (rank, a) in allocs.iter().enumerate() {
         assert_eq!(
-            (all, comm),
+            (a.all, a.steady),
             (0, 0),
-            "rank {rank}: steady SGC epochs allocated {all} times ({comm} in the comm runtime)"
+            "rank {rank}: steady SGC epochs allocated {} times ({} in the comm runtime)",
+            a.all,
+            a.steady
         );
     }
 }

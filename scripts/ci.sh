@@ -59,6 +59,9 @@ done
 # The benchmark crate is its own workspace built against the public
 # training API; test it so an API change cannot silently break it.
 run cargo test --release --offline --locked --manifest-path perfbench/Cargo.toml
+# The §4.4 case studies end to end: the example asserts SGC's exact
+# two-sweep traffic and GAT ≡ serial.
+run cargo run --release --offline --locked -p pargcn-integration --example gnn_extensions
 # Smoke-run the communication and kernel-engine microbenchmarks (a few
 # samples each) so the bench harnesses can't rot between perf sessions.
 run cargo bench -q --offline --locked -p pargcn-bench --bench comm -- --quick
