@@ -15,12 +15,18 @@ use pargcn_util::pool::Pool;
 use pargcn_util::rng::{Rng, SeedableRng, StdRng};
 
 /// Thread counts exercised by the threaded naive-kernel benchmarks. The
-/// `t = 1` rows measure the pooled entry points' serial fallback, so the
-/// gap to the plain kernels is the dispatch overhead, not the algorithm.
+/// `t = 1` rows run the one-thread path, as the `spmm` and `dmm` groups
+/// do, so the gap to them is the dispatch overhead, not the algorithm.
 const THREADS: [usize; 3] = [1, 2, 4];
+
+/// The naive loops on one thread: the `spmm` and `dmm` groups' engine.
+fn naive1() -> ComputeCtx {
+    ComputeCtx::serial().with_kernel(KernelKind::Naive)
+}
 
 fn bench_spmm(c: &mut Criterion) {
     let mut group = c.benchmark_group("spmm");
+    let cctx = naive1();
     for (name, graph) in [
         ("road_10k", grid::road_network(10_000, 1)),
         ("rmat_10k", rmat::generate_sized(10_000, 8.0, false, 1)),
@@ -31,7 +37,7 @@ fn bench_spmm(c: &mut Criterion) {
             let h = Dense::random(a.n_cols(), d, &mut rng);
             group.throughput(Throughput::Elements((a.nnz() * d) as u64));
             group.bench_with_input(BenchmarkId::new(name, d), &d, |b, _| {
-                b.iter(|| a.spmm(std::hint::black_box(&h)))
+                b.iter(|| cctx.spmm(&a, std::hint::black_box(&h)))
             });
         }
     }
@@ -40,13 +46,14 @@ fn bench_spmm(c: &mut Criterion) {
 
 fn bench_dmm(c: &mut Criterion) {
     let mut group = c.benchmark_group("dmm");
+    let cctx = naive1();
     let mut rng = StdRng::seed_from_u64(3);
     for (rows, k, n) in [(10_000usize, 32usize, 32usize), (10_000, 64, 16)] {
         let a = Dense::random(rows, k, &mut rng);
         let w = Dense::random(k, n, &mut rng);
         group.throughput(Throughput::Elements((rows * k * n) as u64));
         group.bench_function(format!("{rows}x{k}x{n}"), |b| {
-            b.iter(|| a.matmul(std::hint::black_box(&w)))
+            b.iter(|| cctx.matmul(&a, std::hint::black_box(&w)))
         });
     }
     group.finish();
@@ -192,7 +199,7 @@ fn bench_kernel_engine(c: &mut Criterion) {
     let mut group = c.benchmark_group("kernel_engine");
     let engines1 = engines(1);
     let mut rng = StdRng::seed_from_u64(6);
-    let relu = |d: Dense| d.map(|v| v.max(0.0));
+    let relu = |d: Dense| Activation::Relu.apply(&naive1(), &d);
     for (shape, rows) in [("road", 61_600usize), ("amazon", 1_550)] {
         for (k, n) in [(32usize, 32usize), (32, 16)] {
             let h = relu(Dense::random(rows, k, &mut rng));

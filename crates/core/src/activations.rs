@@ -10,7 +10,6 @@
 //! back for its layer.
 
 use pargcn_matrix::{ComputeCtx, Dense};
-use pargcn_util::pool::Pool;
 
 /// Element-wise activation applied to `Zᵏ` to form `Hᵏ`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -45,46 +44,32 @@ fn unit_slope(_: f32) -> f32 {
 }
 
 impl Activation {
+    /// `H = σ(Z)`, element-wise on `ctx`'s pool: the reference the fused
+    /// kernels below are tested against.
+    pub fn apply(&self, ctx: &ComputeCtx, z: &Dense) -> Dense {
+        let mut h = z.clone();
+        self.apply_in_place(ctx, &mut h);
+        h
+    }
+
+    /// `σ'(Z)`, element-wise on `ctx`'s pool. Equally `σ′` read off
     /// `H = σ(Z)`.
-    pub fn apply(&self, z: &Dense) -> Dense {
+    pub fn derivative(&self, ctx: &ComputeCtx, z: &Dense) -> Dense {
+        let mut d = z.clone();
         match self {
-            Activation::Relu => z.map(relu),
-            Activation::Identity => z.clone(),
+            Activation::Relu => ctx.map_inplace(&mut d, relu_slope),
+            Activation::Identity => ctx.map_inplace(&mut d, unit_slope),
         }
+        d
     }
 
-    /// `σ'(Z)`, element-wise. Equally `σ′` read off `H = σ(Z)`.
-    pub fn derivative(&self, z: &Dense) -> Dense {
+    /// `Z ← σ(Z)` in place, on `ctx`'s pool. The aggregate-last
+    /// (DmmFirst) forward pass runs it on the exchange's output, which
+    /// thereby becomes `H`.
+    pub fn apply_in_place(&self, ctx: &ComputeCtx, z: &mut Dense) {
         match self {
-            Activation::Relu => z.map(relu_slope),
-            Activation::Identity => z.map(unit_slope),
-        }
-    }
-
-    /// Pooled [`Activation::apply`]; element-wise, so bitwise identical to
-    /// serial at any thread count.
-    pub fn apply_pool(&self, z: &Dense, pool: &Pool) -> Dense {
-        match self {
-            Activation::Relu => z.map_pool(pool, relu),
-            Activation::Identity => z.clone(),
-        }
-    }
-
-    /// `Z ← σ(Z)` in place; pooled, bitwise identical to serial. The
-    /// aggregate-last (DmmFirst) forward pass runs it on the exchange's
-    /// output, which thereby becomes `H`.
-    pub fn apply_in_place(&self, z: &mut Dense, pool: &Pool) {
-        match self {
-            Activation::Relu => z.map_inplace_pool(pool, relu),
+            Activation::Relu => ctx.map_inplace(z, relu),
             Activation::Identity => {}
-        }
-    }
-
-    /// Pooled [`Activation::derivative`]; bitwise identical to serial.
-    pub fn derivative_pool(&self, z: &Dense, pool: &Pool) -> Dense {
-        match self {
-            Activation::Relu => z.map_pool(pool, relu_slope),
-            Activation::Identity => z.map_pool(pool, unit_slope),
         }
     }
 
@@ -201,9 +186,10 @@ mod tests {
                 1 => -f32::from_bits(rng.gen::<u32>() >> 9),
                 _ => rng.gen_range(-4.0..4.0f32),
             });
+            let ctx = ComputeCtx::serial();
             for act in ACTIVATIONS {
-                let from_output = act.derivative(&act.apply(&v));
-                let from_input = act.derivative(&v);
+                let from_output = act.derivative(&ctx, &act.apply(&ctx, &v));
+                let from_input = act.derivative(&ctx, &v);
                 // No NaN canonicalisation: σ′ is 0 or 1, never NaN.
                 let raw = |d: &Dense| d.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                 assert_eq!(raw(&from_output), raw(&from_input), "{act:?}");
@@ -221,14 +207,14 @@ mod tests {
                 for act in ACTIVATIONS {
                     let mut z = Dense::zeros(m, n);
                     ctx.matmul_into(&a, &w, &mut z, false);
-                    let h_ref = act.apply(&z);
+                    let h_ref = act.apply(&ctx, &z);
                     // Stale contents must not leak into the output.
                     let mut h = operand(&mut rng, m, n, 4);
                     act.transform_into(&ctx, &a, &w, &mut h);
                     let what = format!("{act:?} {m}x{k}x{n} {engine}");
                     assert_eq!(bits(&h_ref), bits(&h), "H {what}");
                     let mut dmm_first = z.clone();
-                    act.apply_in_place(&mut dmm_first, ctx.pool());
+                    act.apply_in_place(&ctx, &mut dmm_first);
                     assert_eq!(bits(&h_ref), bits(&dmm_first), "in place {what}");
                 }
             }
@@ -248,8 +234,8 @@ mod tests {
                 for act in ACTIVATIONS {
                     let mut g_ref = Dense::zeros(m, n);
                     ctx.matmul_bt_into(&ag, &w, &mut g_ref);
-                    g_ref.hadamard_assign(&act.derivative(&z));
-                    let h = act.apply(&z);
+                    g_ref.hadamard_assign(&act.derivative(&ctx, &z));
+                    let h = act.apply(&ctx, &z);
                     let mut g = Dense::zeros(m, n);
                     act.backprop_into(&ctx, &ag, &w, &h, &mut g);
                     let what = format!("{act:?} {m}x{k}x{n} {engine}");
@@ -268,45 +254,47 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(13);
         let z = operand(&mut rng, 40, 16, 4);
         let grad = operand(&mut rng, 40, 16, 4);
+        let ctx = ComputeCtx::serial();
         for act in ACTIVATIONS {
-            let mut g_ref = act.derivative_pool(&z, &Pool::new(1));
+            let mut g_ref = act.derivative(&ctx, &z);
             g_ref.hadamard_assign(&grad);
             let mut g = Dense::zeros(40, 16);
-            act.seed_into(&act.apply(&z), &grad, &mut g);
+            act.seed_into(&act.apply(&ctx, &z), &grad, &mut g);
             assert_eq!(bits(&g_ref), bits(&g), "{act:?}");
         }
     }
 
     #[test]
     fn relu_clamps_negatives() {
+        let ctx = ComputeCtx::serial();
         let z = Dense::from_vec(1, 4, vec![-1.0, 0.0, 0.5, 2.0]);
-        assert_eq!(Activation::Relu.apply(&z).data(), &[0.0, 0.0, 0.5, 2.0]);
-        assert_eq!(
-            Activation::Relu.derivative(&z).data(),
-            &[0.0, 0.0, 1.0, 1.0]
-        );
+        let relu = Activation::Relu;
+        assert_eq!(relu.apply(&ctx, &z).data(), &[0.0, 0.0, 0.5, 2.0]);
+        assert_eq!(relu.derivative(&ctx, &z).data(), &[0.0, 0.0, 1.0, 1.0]);
     }
 
     #[test]
     fn identity_is_noop_with_unit_derivative() {
+        let ctx = ComputeCtx::serial();
         let z = Dense::from_vec(1, 3, vec![-1.0, 0.0, 3.0]);
-        assert_eq!(Activation::Identity.apply(&z).data(), z.data());
-        assert_eq!(Activation::Identity.derivative(&z).data(), &[1.0, 1.0, 1.0]);
+        let identity = Activation::Identity;
+        assert_eq!(identity.apply(&ctx, &z).data(), z.data());
+        assert_eq!(identity.derivative(&ctx, &z).data(), &[1.0, 1.0, 1.0]);
     }
 
     #[test]
     fn relu_derivative_consistent_with_finite_difference() {
         let z = Dense::from_vec(1, 2, vec![0.7, -0.3]);
         let eps = 1e-3f32;
-        let d = Activation::Relu.derivative(&z);
+        let ctx = ComputeCtx::serial();
+        let relu = |z: &Dense| Activation::Relu.apply(&ctx, z);
+        let d = Activation::Relu.derivative(&ctx, &z);
         for j in 0..2 {
             let mut zp = z.clone();
             zp.set(0, j, z.get(0, j) + eps);
             let mut zm = z.clone();
             zm.set(0, j, z.get(0, j) - eps);
-            let fd = (Activation::Relu.apply(&zp).get(0, j)
-                - Activation::Relu.apply(&zm).get(0, j))
-                / (2.0 * eps);
+            let fd = (relu(&zp).get(0, j) - relu(&zm).get(0, j)) / (2.0 * eps);
             assert!((fd - d.get(0, j)).abs() < 1e-3);
         }
     }

@@ -236,7 +236,7 @@ mod tests {
     use super::*;
     use pargcn_comm::CommSession;
     use pargcn_graph::gen::er;
-    use pargcn_matrix::gather;
+    use pargcn_matrix::{gather, KernelKind};
     use pargcn_partition::random;
     use pargcn_util::rng::SeedableRng;
     use pargcn_util::rng::StdRng;
@@ -263,7 +263,9 @@ mod tests {
         let plan = CagnetPlan::build(&a, &part);
         let mut rng = StdRng::seed_from_u64(5);
         let h = Dense::random(18, 4, &mut rng);
-        let full = a.spmm(&h);
+        let full = ComputeCtx::serial()
+            .with_kernel(KernelKind::Naive)
+            .spmm(&a, &h);
         let locals: Vec<Dense> = plan
             .ranks
             .iter()

@@ -67,7 +67,7 @@ pub fn run<X: SpmmExchange>(ctx: &mut RankCtx, st: &RankState<'_, X>, ws: &mut E
                 ax.reshape(n, w.cols());
                 cctx.matmul_into(h_prev, w, ax, false);
                 st.plan_f.exchange_into(ctx, ax, tag, cctx, exchange, h_k);
-                act.apply_in_place(h_k, cctx.pool());
+                act.apply_in_place(cctx, h_k);
             }
         }
     }

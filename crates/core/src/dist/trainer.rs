@@ -57,7 +57,7 @@ impl TrainState {
 pub(crate) struct RankSlot<X> {
     /// Replicated parameters and optimizer state (lock-step across slots).
     state: TrainState,
-    cctx: ComputeCtx,
+    pub(crate) cctx: ComputeCtx,
     /// Grow-once layer workspace, row-resized to every step's plan.
     ws: EpochWorkspace,
     /// The forward plan, and the `Âᵀ` plan of a directed graph.
@@ -123,7 +123,11 @@ impl<X: SpmmExchange> RankSlot<X> {
 
 /// Runs `f`, splitting its wall time into the counters' comm and compute
 /// seconds and crediting the kernel FLOPs it dispatched through `cctx`.
-fn metered<R>(ctx: &mut RankCtx, cctx: &ComputeCtx, f: impl FnOnce(&mut RankCtx) -> R) -> R {
+pub(crate) fn metered<R>(
+    ctx: &mut RankCtx,
+    cctx: &ComputeCtx,
+    f: impl FnOnce(&mut RankCtx) -> R,
+) -> R {
     let comm_before = ctx.counters().comm_seconds;
     let start = Instant::now();
     let out = f(ctx);

@@ -29,13 +29,14 @@
 //! attention is done, then releases it to its sender's pool, sized once
 //! for the widest layer.
 
+use crate::activations::Activation;
 use crate::dist::feedforward::{recv_in_plan_order, send_rows};
 use crate::dist::{ExchangeScratch, SpmmExchange};
 use crate::plan::{CommPlan, RankPlan};
 use pargcn_comm::{CommCounters, CommSession, RankCtx};
 use pargcn_graph::Graph;
 use pargcn_matrix::softmax::exp;
-use pargcn_matrix::{gather, Csr, Dense};
+use pargcn_matrix::{gather, ComputeCtx, ComputeSpec, Csr, Dense};
 use pargcn_partition::Partition;
 use pargcn_util::rng::StdRng;
 use pargcn_util::rng::{Rng, SeedableRng};
@@ -86,9 +87,10 @@ fn dot(a: &[f32], b: &[f32]) -> f32 {
 
 /// Serial GAT layer forward over the adjacency *pattern* (values ignored;
 /// attention replaces the fixed normalization). `pattern` must contain the
-/// self loops (use the normalized adjacency's pattern).
-pub fn forward_serial(layer: &GatLayer, pattern: &Csr, h: &Dense) -> Dense {
-    let p = h.matmul(&layer.w);
+/// self loops (use the normalized adjacency's pattern). The transform
+/// runs on `ctx`.
+pub fn forward_serial(ctx: &ComputeCtx, layer: &GatLayer, pattern: &Csr, h: &Dense) -> Dense {
+    let p = ctx.matmul(h, &layer.w);
     let d = p.cols();
     let n = pattern.n_rows();
     let s_src: Vec<f32> = (0..n).map(|i| dot(&layer.a_src, p.row(i))).collect();
@@ -123,16 +125,18 @@ pub fn forward_serial(layer: &GatLayer, pattern: &Csr, h: &Dense) -> Dense {
 /// trainer (here of the *transformed* rows `P`, DmmFirst-style), then local
 /// attention. `tag` must be unique per layer within a forward pass, and
 /// the payload pools must fit `d_out`-wide rows ([`SpmmExchange::ensure_pools`]),
-/// as [`forward_distributed`] sizes them. `scratch` stages the arrivals.
+/// as [`forward_distributed`] sizes them. The transform runs on the
+/// rank's `cctx`; `scratch` stages the arrivals.
 pub fn forward_rank(
     ctx: &mut RankCtx,
     rp: &RankPlan,
     layer: &GatLayer,
     h_local: &Dense,
     tag: u32,
+    cctx: &ComputeCtx,
     scratch: &mut ExchangeScratch,
 ) -> Dense {
-    let p_local = h_local.matmul(&layer.w);
+    let p_local = cctx.matmul(h_local, &layer.w);
     let d = p_local.cols();
 
     // The GCN exchange's sends and receives, over the transformed rows.
@@ -205,7 +209,9 @@ pub fn forward_rank(
 }
 
 /// Distributed multi-layer GAT inference over `part`: returns the global
-/// output features and the per-rank counters.
+/// output features and the per-rank counters. Each rank runs its kernels
+/// on its own [`ComputeCtx`], sized and chosen as the trainers' are
+/// (`PARGCN_THREADS`, `PARGCN_KERNEL`).
 ///
 /// # Panics
 /// Naming the layer and the rank, when a rank's output of any layer holds
@@ -237,16 +243,17 @@ pub fn forward_distributed(
         let rp = &plan.ranks[ctx.rank()];
         let widest = layers.iter().map(|l| l.w.cols()).max().unwrap_or(0);
         rp.ensure_pools(ctx, widest, 0);
+        let cctx = ComputeCtx::for_ranks_spec(part.p(), ComputeSpec::default());
         let mut scratch = ExchangeScratch::new(part.p());
         let mut h = locals[ctx.rank()].clone();
         let mut non_finite = None;
         for (k, layer) in layers.iter().enumerate() {
-            h = forward_rank(ctx, rp, layer, &h, k as u32, &mut scratch);
+            h = forward_rank(ctx, rp, layer, &h, k as u32, &cctx, &mut scratch);
             if non_finite.is_none() && h.data().iter().any(|v| !v.is_finite()) {
                 non_finite = Some(k);
             }
             if k + 1 < layers.len() {
-                h.map_inplace(|v| v.max(0.0)); // inter-layer ReLU
+                Activation::Relu.apply_in_place(&cctx, &mut h); // inter-layer ReLU
             }
         }
         R {
@@ -270,14 +277,16 @@ pub fn forward_distributed(
     (out, results.iter().map(|r| r.counters.clone()).collect())
 }
 
-/// Serial multi-layer GAT inference (the oracle for the distributed path).
+/// Serial multi-layer GAT inference (the oracle for the distributed
+/// path), on one [`ComputeCtx`] sized as the serial trainer's is.
 pub fn forward_serial_multi(graph: &Graph, h0: &Dense, layers: &[GatLayer]) -> Dense {
+    let ctx = ComputeCtx::for_ranks_spec(1, ComputeSpec::default());
     let pattern = graph.normalized_adjacency();
     let mut h = h0.clone();
     for (k, layer) in layers.iter().enumerate() {
-        h = forward_serial(layer, &pattern, &h);
+        h = forward_serial(&ctx, layer, &pattern, &h);
         if k + 1 < layers.len() {
-            h.map_inplace(|v| v.max(0.0));
+            Activation::Relu.apply_in_place(&ctx, &mut h);
         }
     }
     h
@@ -307,7 +316,7 @@ mod tests {
             a_dst: vec![0.0; 6],
             negative_slope: 0.2,
         };
-        let out = forward_serial(&layer, &pattern, &h);
+        let out = forward_serial(&ComputeCtx::serial(), &layer, &pattern, &h);
         for i in 0..20 {
             let cols = pattern.row_indices(i);
             let mut mean = vec![0.0f32; 6];
@@ -373,10 +382,11 @@ mod tests {
         let (g, h) = setup();
         let pattern = g.normalized_adjacency();
         let layer = GatLayer::init(6, 6, 9);
-        let out1 = forward_serial(&layer, &pattern, &h);
+        let ctx = ComputeCtx::serial();
+        let out1 = forward_serial(&ctx, &layer, &pattern, &h);
         let mut h2 = h.clone();
-        h2.map_inplace(|v| v * -1.5 + 0.3);
-        let out2 = forward_serial(&layer, &pattern, &h2);
+        ctx.map_inplace(&mut h2, |v| v * -1.5 + 0.3);
+        let out2 = forward_serial(&ctx, &layer, &pattern, &h2);
         // Not a linear map of each other: compare normalized difference.
         assert!(out1.max_abs_diff(&out2) > 1e-3);
     }

@@ -8,14 +8,13 @@
 //! volume a partition induces — the quantity Fig. 5 compares between HP
 //! and SHP.
 
-use crate::dist::trainer::{RankSlot, TrainState, Trainer};
+use crate::dist::trainer::{metered, RankSlot, TrainState, Trainer};
 use crate::model::{GcnConfig, Params};
 use crate::plan::{CommPlan, RankPlan};
 use pargcn_comm::{CommCounters, RankCtx};
 use pargcn_graph::Graph;
 use pargcn_matrix::{gather, norm, ComputeSpec, Dense};
 use pargcn_partition::{metrics, Partition};
-use std::time::Instant;
 
 /// Restriction of a global partition to a batch's vertices: part ids keep
 /// their meaning (rank `m` still owns its vertices), rows renumber to the
@@ -232,28 +231,27 @@ impl<'a> MinibatchEngine<'a> {
             // One rank's step: build its plans and, when `trainable`,
             // gather its rows, keep both in its slot and train. Returns the
             // loss (`NaN` when not trained) and the rows its forward plan
-            // sends per sweep. The preparation's time is split into the
-            // counters' comm and compute seconds like the training step's.
+            // sends per sweep. The preparation is [`metered`] like the
+            // training step (it runs no kernel, so it credits no FLOPs).
             let step = |ctx: &mut RankCtx, slot: &mut RankSlot<RankPlan>| {
-                let comm_before = ctx.counters().comm_seconds;
-                let start = Instant::now();
-                let (plan_f, plan_b) = slot.builder.build(ctx, graph, part, batch);
-                let volume = plan_f.sent_rows();
-                if trainable {
-                    slot.h0.reshape(plan_f.local_rows.len(), slot.h0.cols());
-                    slot.labels.clear();
-                    slot.mask.clear();
-                    for (li, &pos) in plan_f.local_rows.iter().enumerate() {
-                        let v = batch[pos as usize] as usize;
-                        slot.h0.row_mut(li).copy_from_slice(h0.row(v));
-                        slot.labels.push(labels[v]);
-                        slot.mask.push(mask[v]);
+                let volume = metered(ctx, &slot.cctx, |ctx| {
+                    let (plan_f, plan_b) = slot.builder.build(ctx, graph, part, batch);
+                    let volume = plan_f.sent_rows();
+                    if trainable {
+                        slot.h0.reshape(plan_f.local_rows.len(), slot.h0.cols());
+                        slot.labels.clear();
+                        slot.mask.clear();
+                        for (li, &pos) in plan_f.local_rows.iter().enumerate() {
+                            let v = batch[pos as usize] as usize;
+                            slot.h0.row_mut(li).copy_from_slice(h0.row(v));
+                            slot.labels.push(labels[v]);
+                            slot.mask.push(mask[v]);
+                        }
+                        slot.mask_total = labelled as f64;
+                        (slot.plan_f, slot.plan_b) = (plan_f, plan_b);
                     }
-                    slot.mask_total = labelled as f64;
-                    (slot.plan_f, slot.plan_b) = (plan_f, plan_b);
-                }
-                let wall = start.elapsed().as_secs_f64();
-                ctx.add_compute_seconds(wall - (ctx.counters().comm_seconds - comm_before));
+                    volume
+                });
                 let loss = if trainable {
                     slot.step(ctx, config, true)
                 } else {

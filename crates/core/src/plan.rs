@@ -397,7 +397,7 @@ impl PlanBuilder {
 mod tests {
     use super::*;
     use pargcn_graph::gen::er;
-    use pargcn_matrix::{gather, Dense};
+    use pargcn_matrix::{gather, ComputeCtx, Dense, KernelKind};
     use pargcn_partition::{metrics, random, Hypergraph};
     use pargcn_util::rng::SeedableRng;
     use pargcn_util::rng::StdRng;
@@ -463,11 +463,12 @@ mod tests {
         let plan = CommPlan::build(&a, &part);
         let mut rng = StdRng::seed_from_u64(5);
         let h = Dense::random(30, 6, &mut rng);
-        let full = a.spmm(&h);
+        let naive = ComputeCtx::serial().with_kernel(KernelKind::Naive);
+        let full = naive.spmm(&a, &h);
 
         for rp in &plan.ranks {
             let h_local = gather::gather_rows(&h, &rp.local_rows);
-            let mut ah = rp.a_own.spmm(&h_local);
+            let mut ah = naive.spmm(&rp.a_own, &h_local);
             for block in &rp.a_remote {
                 // Simulate the peer's gather+send.
                 let peer = &plan.ranks[block.peer];
@@ -478,7 +479,7 @@ mod tests {
                     .find(|s| s.peer == rp.rank)
                     .expect("peer must have matching send set");
                 let payload = gather::gather_rows(&peer_local, &ss.local_indices);
-                block.a.spmm_into(&payload, &mut ah, true);
+                naive.spmm_into(&block.a, &payload, &mut ah, true);
             }
             for (li, &gv) in rp.local_rows.iter().enumerate() {
                 let expect = full.row(gv as usize);

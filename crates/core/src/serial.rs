@@ -90,7 +90,6 @@ impl SerialTrainer {
         assert_eq!(h0.rows(), self.a.n_rows(), "feature row count mismatch");
         assert_eq!(h0.cols(), self.config.dims[0], "input width mismatch");
         let cctx = &self.ctx;
-        let pool = cctx.pool();
         let mut z = Vec::with_capacity(self.config.layers());
         let mut h = Vec::with_capacity(self.config.layers() + 1);
         h.push(h0.clone());
@@ -100,7 +99,7 @@ impl SerialTrainer {
                 LayerOrder::SpmmFirst => cctx.matmul(&cctx.spmm(&self.a, &h[k - 1]), w),
                 LayerOrder::DmmFirst => cctx.spmm(&self.a, &cctx.matmul(&h[k - 1], w)),
             };
-            let hk = self.config.activation(k).apply_pool(&zk, pool);
+            let hk = self.config.activation(k).apply(cctx, &zk);
             z.push(zk);
             h.push(hk);
         }
@@ -111,49 +110,26 @@ impl SerialTrainer {
     /// gradient `∇_{H^L} J`. Returns the parameter gradients `ΔW¹…ΔW^L`.
     pub fn backward(&self, state: &ForwardState, grad_hl: &Dense) -> Vec<Dense> {
         let cctx = &self.ctx;
-        let pool = cctx.pool();
         let layers = self.config.layers();
+        // G = S ⊙ σ'(Z) for layer k's activation (Eqs. 2 and 3).
+        let times_slope = |mut s: Dense, k: usize| {
+            s.hadamard_assign(&self.config.activation(k).derivative(cctx, &state.z[k - 1]));
+            s
+        };
         let mut delta_w = vec![Dense::zeros(0, 0); layers];
         // G^L = ∇_{H^L} J ⊙ σ'(Z^L)  (Eq. 2)
-        let mut g = grad_hl.hadamard(
-            &self
-                .config
-                .activation(layers)
-                .derivative_pool(&state.z[layers - 1], pool),
-        );
+        let mut g = times_slope(grad_hl.clone(), layers);
         for k in (1..=layers).rev() {
-            let w = &self.params.weights[k - 1];
-            match self.config.order {
-                LayerOrder::SpmmFirst => {
-                    // ΔWᵏ = (H^{k-1})ᵀ (Âᵀ Gᵏ)   (Eq. 4; Âᵀ for directed)
-                    let ag = cctx.spmm(self.a_back(), &g);
-                    delta_w[k - 1] = cctx.matmul_at(&state.h[k - 1], &ag);
-                    if k > 1 {
-                        // Sᵏ = (ÂᵀGᵏ)(Wᵏ)ᵀ; G^{k-1} = Sᵏ ⊙ σ'(Z^{k-1})  (Eq. 3)
-                        let s = cctx.matmul_bt(&ag, w);
-                        g = s.hadamard(
-                            &self
-                                .config
-                                .activation(k - 1)
-                                .derivative_pool(&state.z[k - 2], pool),
-                        );
-                    }
-                }
-                LayerOrder::DmmFirst => {
-                    // Z = Â(HW): dJ/d(HW) = ÂᵀG, ΔW = Hᵀ(ÂᵀG),
-                    // dJ/dH = (ÂᵀG)Wᵀ — same shapes, same comm pattern.
-                    let ag = cctx.spmm(self.a_back(), &g);
-                    delta_w[k - 1] = cctx.matmul_at(&state.h[k - 1], &ag);
-                    if k > 1 {
-                        let s = cctx.matmul_bt(&ag, w);
-                        g = s.hadamard(
-                            &self
-                                .config
-                                .activation(k - 1)
-                                .derivative_pool(&state.z[k - 2], pool),
-                        );
-                    }
-                }
+            // ΔWᵏ = (H^{k-1})ᵀ (Âᵀ Gᵏ)   (Eq. 4; Âᵀ for directed).
+            // Both layer orders share this body: for DmmFirst, Z = Â(HW)
+            // gives dJ/d(HW) = ÂᵀG, ΔW = Hᵀ(ÂᵀG) and dJ/dH = (ÂᵀG)Wᵀ —
+            // the same shapes and the same comm pattern.
+            let ag = cctx.spmm(self.a_back(), &g);
+            delta_w[k - 1] = cctx.matmul_at(&state.h[k - 1], &ag);
+            if k > 1 {
+                // Sᵏ = (ÂᵀGᵏ)(Wᵏ)ᵀ; G^{k-1} = Sᵏ ⊙ σ'(Z^{k-1})  (Eq. 3)
+                let s = cctx.matmul_bt(&ag, &self.params.weights[k - 1]);
+                g = times_slope(s, k - 1);
             }
         }
         delta_w

@@ -20,14 +20,14 @@ use crate::optim::Optimizer;
 use crate::plan::{CommPlan, RankPlan};
 use crate::serial::SerialTrainer;
 use pargcn_graph::Graph;
-use pargcn_matrix::{ComputeSpec, Csr, Dense};
+use pargcn_matrix::{ComputeCtx, ComputeSpec, Csr, Dense};
 use pargcn_partition::Partition;
 
 /// Serial K-hop propagation: `Â^K · H`.
-fn propagate_serial(a: &Csr, h0: &Dense, k: usize) -> Dense {
+fn propagate_serial(ctx: &ComputeCtx, a: &Csr, h0: &Dense, k: usize) -> Dense {
     let mut h = h0.clone();
     for _ in 0..k {
-        h = a.spmm(&h);
+        h = ctx.spmm(a, &h);
     }
     h
 }
@@ -60,7 +60,8 @@ pub fn train_serial(
     learning_rate: f32,
     param_seed: u64,
 ) -> (Dense, Vec<f64>) {
-    let hp = propagate_serial(a, h0, k);
+    let ctx = ComputeCtx::for_ranks_spec(1, ComputeSpec::default());
+    let hp = propagate_serial(&ctx, a, h0, k);
     let config = config(h0.cols(), classes, learning_rate);
     let params = config.init_params(param_seed);
     let mut t = SerialTrainer::from_adjacency(Csr::identity(hp.rows()), false, config, params);
@@ -142,7 +143,7 @@ mod tests {
     fn propagation_matches_serial() {
         let (g, h0, labels, mask) = setup();
         let a = g.normalized_adjacency();
-        let serial = propagate_serial(&a, &h0, 3);
+        let serial = propagate_serial(&ComputeCtx::serial(), &a, &h0, 3);
         let part = partition_rows(&g, &a, Method::Hp, 4, 0.1, 1);
         let plan = CommPlan::build(&a, &part);
         let config = config(h0.cols(), 4, 0.5);

@@ -284,11 +284,12 @@ fn gat_forward_does_not_allocate_on_the_comm_path() {
         let rp = &plan.ranks[ctx.rank()];
         rp.ensure_pools(ctx, 16, 0);
         let h0 = gather::gather_rows(&pr.h0, &rp.local_rows);
+        let cctx = ComputeCtx::for_ranks_spec(pr.part.p(), ComputeSpec::default());
         let mut scratch = ExchangeScratch::new(pr.part.p());
         for _ in 0..passes {
             let mut h = h0.clone();
             for (k, layer) in layers.iter().enumerate() {
-                h = gat::forward_rank(ctx, rp, layer, &h, k as u32, &mut scratch);
+                h = gat::forward_rank(ctx, rp, layer, &h, k as u32, &cctx, &mut scratch);
             }
         }
         (

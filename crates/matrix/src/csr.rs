@@ -1,4 +1,5 @@
-//! Compressed-sparse-row matrix and the SpMM kernel.
+//! Compressed-sparse-row matrix and the naive SpMM loop that
+//! [`crate::ComputeCtx`] runs as its reference engine.
 //!
 //! The adjacency matrix `Â` is the only sparse matrix in GCN training
 //! (paper §3.1); everything else is dense. CSR gives contiguous access to a
@@ -247,57 +248,6 @@ impl Csr {
         }
     }
 
-    /// SpMM: `self × h` where `h` is dense. `self` is `m×k`, `h` is `k×d`.
-    pub fn spmm(&self, h: &Dense) -> Dense {
-        let mut out = Dense::zeros(self.n_rows, h.cols());
-        self.spmm_rows(h, &mut out, false, None);
-        out
-    }
-
-    /// `out (+)= self × h`. With `accumulate`, adds into `out` — the shape of
-    /// Algorithm 1 line 9, where remote contributions `Âₘ·H_{nm}` are folded
-    /// into the partially-computed local product.
-    pub fn spmm_into(&self, h: &Dense, out: &mut Dense, accumulate: bool) {
-        self.spmm_rows(h, out, accumulate, None);
-    }
-
-    /// Pooled [`Csr::spmm_into`]: output rows are split across the pool's
-    /// threads by *nonzero count* (via [`weighted_chunks`] over `indptr`),
-    /// so a few dense hub rows don't serialize the kernel.
-    ///
-    /// Each output element is produced by exactly one thread, which
-    /// accumulates that row's nonzero terms in the **canonical order** —
-    /// one accumulator per element, terms added in ascending CSR position.
-    /// Every SpMM kernel in this crate (this one, the serial
-    /// [`Csr::spmm_into`], and the AVX2 column tiles of [`crate::lanes`])
-    /// realizes that same order, so all of them are bitwise identical to
-    /// each other at any thread count (see DESIGN.md §10).
-    pub fn spmm_into_pool(&self, h: &Dense, out: &mut Dense, accumulate: bool, pool: &Pool) {
-        self.spmm_rows(h, out, accumulate, Some(pool));
-    }
-
-    fn spmm_rows(&self, h: &Dense, out: &mut Dense, accumulate: bool, pool: Option<&Pool>) {
-        assert_eq!(self.n_cols, h.rows(), "spmm dimension mismatch");
-        assert_eq!(out.rows(), self.n_rows, "spmm output rows mismatch");
-        assert_eq!(out.cols(), h.cols(), "spmm output cols mismatch");
-        if !accumulate {
-            out.fill_zero();
-        }
-        let d = h.cols();
-        let work = self.nnz() * d;
-        let split = |t| weighted_chunks(&self.indptr, t);
-        run_rows(pool, work, out.data_mut(), d, split, |rows, out| {
-            for (local, i) in rows.enumerate() {
-                let out_row = &mut out[local * d..(local + 1) * d];
-                for (&c, &v) in self.row_indices(i).iter().zip(self.row_values(i)) {
-                    for (o, &x) in out_row.iter_mut().zip(h.row(c as usize)) {
-                        *o += v * x;
-                    }
-                }
-            }
-        });
-    }
-
     /// Extracts the submatrix formed by the given rows, keeping the full
     /// column space. This is the paper's `Aₘ ∈ R^{n×n}` — a processor's
     /// local row block, still indexed by global columns.
@@ -390,11 +340,59 @@ impl Csr {
     }
 }
 
+/// SpMM, `out (+)= a × h` (`a` is `m×k`, `h` is `k×d`): the naive
+/// engine's row-wise axpy. With `accumulate`, adds into `out` — the shape
+/// of Algorithm 1 line 9, where remote contributions `Âₘ·H_{nm}` are
+/// folded into the partially-computed local product.
+///
+/// Output rows are split across the pool's threads by *nonzero count*
+/// (via [`weighted_chunks`] over `indptr`), so a few dense hub rows don't
+/// serialize the kernel. Each output element is produced by exactly one
+/// thread, which accumulates that row's nonzero terms in the **canonical
+/// order** — one accumulator per element, terms added in ascending CSR
+/// position. The lanes' SpMM ([`crate::lanes`]) realizes that same
+/// order, so both engines are bitwise identical to each other at any
+/// thread count (see DESIGN.md §10).
+pub(crate) fn spmm_rows(
+    a: &Csr,
+    h: &Dense,
+    out: &mut Dense,
+    accumulate: bool,
+    pool: Option<&Pool>,
+) {
+    assert_eq!(a.n_cols, h.rows(), "spmm dimension mismatch");
+    assert_eq!(out.rows(), a.n_rows, "spmm output rows mismatch");
+    assert_eq!(out.cols(), h.cols(), "spmm output cols mismatch");
+    if !accumulate {
+        out.fill_zero();
+    }
+    let d = h.cols();
+    let work = a.nnz() * d;
+    let split = |t| weighted_chunks(&a.indptr, t);
+    run_rows(pool, work, out.data_mut(), d, split, |rows, out| {
+        for (local, i) in rows.enumerate() {
+            let out_row = &mut out[local * d..(local + 1) * d];
+            for (&c, &v) in a.row_indices(i).iter().zip(a.row_values(i)) {
+                for (o, &x) in out_row.iter_mut().zip(h.row(c as usize)) {
+                    *o += v * x;
+                }
+            }
+        }
+    });
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ComputeCtx;
     use pargcn_util::rng::StdRng;
     use pargcn_util::rng::{Rng, SeedableRng};
+
+    fn spmm(a: &Csr, h: &Dense) -> Dense {
+        let mut out = Dense::zeros(a.n_rows(), h.cols());
+        spmm_rows(a, h, &mut out, false, None);
+        out
+    }
 
     fn random_csr(rng: &mut StdRng, m: usize, n: usize, density: f64) -> Csr {
         let mut coo = Vec::new();
@@ -426,7 +424,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(7);
         let a = random_csr(&mut rng, 9, 7, 0.3);
         let h = Dense::random(7, 4, &mut rng);
-        assert!(a.spmm(&h).approx_eq(&a.to_dense().matmul(&h), 1e-5));
+        let dense = ComputeCtx::serial().matmul(&a.to_dense(), &h);
+        assert!(spmm(&a, &h).approx_eq(&dense, 1e-5));
     }
 
     #[test]
@@ -434,10 +433,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(8);
         let a = random_csr(&mut rng, 5, 5, 0.4);
         let h = Dense::random(5, 3, &mut rng);
-        let mut out = a.spmm(&h);
-        a.spmm_into(&h, &mut out, true);
-        let mut twice = a.spmm(&h);
-        twice.add_assign(&a.spmm(&h));
+        let mut out = spmm(&a, &h);
+        spmm_rows(&a, &h, &mut out, true, None);
+        let mut twice = spmm(&a, &h);
+        twice.add_assign(&spmm(&a, &h));
         assert!(out.approx_eq(&twice, 1e-5));
     }
 
@@ -506,7 +505,7 @@ mod tests {
     fn identity_spmm_is_noop() {
         let mut rng = StdRng::seed_from_u64(10);
         let h = Dense::random(6, 3, &mut rng);
-        assert!(Csr::identity(6).spmm(&h).approx_eq(&h, 0.0));
+        assert!(spmm(&Csr::identity(6), &h).approx_eq(&h, 0.0));
     }
 
     #[test]
@@ -515,6 +514,6 @@ mod tests {
         assert_eq!(a.row_nnz(0), 0);
         assert_eq!(a.row_nnz(4), 1);
         let h = Dense::zeros(5, 2);
-        assert_eq!(a.spmm(&h).rows(), 5);
+        assert_eq!(spmm(&a, &h).rows(), 5);
     }
 }

@@ -1,5 +1,6 @@
 //! Compute context: the per-rank handle to intra-rank thread parallelism
-//! and kernel selection.
+//! and kernel selection, and the one way to run a dense product, an SpMM
+//! or an element-wise map.
 //!
 //! The paper's processors each run multithreaded SuiteSparse:GraphBLAS
 //! kernels; [`ComputeCtx`] is our equivalent — a shared handle to a
@@ -28,7 +29,7 @@ use std::sync::{Arc, Mutex};
 
 use crate::gemm::{self, PackBuf};
 use crate::lanes::Lanes;
-use crate::{softmax, spmm_kernel, Csr, Dense};
+use crate::{csr, dense, softmax, spmm_kernel, Csr, Dense};
 use pargcn_util::pool::{auto_threads, Pool};
 
 /// Minimum per-kernel work (≈ inner-loop multiply-adds) before a kernel
@@ -245,7 +246,7 @@ impl ComputeCtx {
     pub fn matmul_into(&self, a: &Dense, b: &Dense, out: &mut Dense, accumulate: bool) {
         self.add_flops(2 * (a.rows() * a.cols() * b.cols()) as u64);
         match self.lanes {
-            None => a.matmul_into_pool(b, out, accumulate, self.pool()),
+            None => dense::gemm(a, b, out, accumulate, Some(self.pool())),
             Some(l) => gemm::matmul_into(l, a, b, out, accumulate, self.pool()),
         }
     }
@@ -260,7 +261,7 @@ impl ComputeCtx {
     /// `out = f(a × b)` (the forward layer's `H = σ(A·W)`, written in
     /// place of the product) on the selected engine; the lanes apply `f`
     /// as they store each block of rows. Bitwise identical to
-    /// [`ComputeCtx::matmul_into`] followed by [`Dense::map_inplace_pool`],
+    /// [`ComputeCtx::matmul_into`] followed by [`ComputeCtx::map_inplace`],
     /// and metered like the GEMM alone.
     pub fn matmul_map_into(
         &self,
@@ -272,8 +273,8 @@ impl ComputeCtx {
         self.add_flops(2 * (a.rows() * a.cols() * b.cols()) as u64);
         match self.lanes {
             None => {
-                a.matmul_into_pool(b, out, false, self.pool());
-                out.map_inplace_pool(self.pool(), f);
+                dense::gemm(a, b, out, false, Some(self.pool()));
+                self.map_inplace(out, f);
             }
             Some(l) => gemm::matmul_map_into(l, a, b, out, f, self.pool()),
         }
@@ -295,7 +296,7 @@ impl ComputeCtx {
         self.add_flops(2 * (a.rows() * a.cols() * b.rows()) as u64);
         match self.lanes {
             None => {
-                a.matmul_bt_into_pool(b, out, self.pool());
+                dense::gemm_bt(a, b, out, Some(self.pool()));
                 out.mul_map_assign(z, f);
             }
             Some(l) => {
@@ -308,7 +309,7 @@ impl ComputeCtx {
     pub fn matmul_bt_into(&self, a: &Dense, b: &Dense, out: &mut Dense) {
         self.add_flops(2 * (a.rows() * a.cols() * b.rows()) as u64);
         match self.lanes {
-            None => a.matmul_bt_into_pool(b, out, self.pool()),
+            None => dense::gemm_bt(a, b, out, Some(self.pool())),
             Some(l) => gemm::matmul_bt_into(l, a, b, out, &mut self.pack(), self.pool()),
         }
     }
@@ -325,7 +326,7 @@ impl ComputeCtx {
     pub fn matmul_at_into(&self, a: &Dense, b: &Dense, out: &mut Dense) {
         self.add_flops(2 * (a.rows() * a.cols() * b.cols()) as u64);
         match self.lanes {
-            None => a.matmul_at_into_pool(b, out, self.pool()),
+            None => dense::gemm_at(a, b, out, Some(self.pool())),
             Some(l) => gemm::matmul_at_into(l, a, b, out, self.pool()),
         }
     }
@@ -341,7 +342,7 @@ impl ComputeCtx {
     pub fn spmm_into(&self, a: &Csr, h: &Dense, out: &mut Dense, accumulate: bool) {
         self.add_flops(2 * (a.nnz() * h.cols()) as u64);
         match self.lanes {
-            None => a.spmm_into_pool(h, out, accumulate, self.pool()),
+            None => csr::spmm_rows(a, h, out, accumulate, Some(self.pool())),
             Some(l) => spmm_kernel::spmm_into(l, a, h, out, accumulate, self.pool()),
         }
     }
@@ -351,6 +352,14 @@ impl ComputeCtx {
         let mut out = Dense::zeros(a.n_rows(), h.cols());
         self.spmm_into(a, h, &mut out, false);
         out
+    }
+
+    /// `m ← f(m)`, element by element, rows split across the pool. The
+    /// same loop on either engine (an element-wise map has no summation
+    /// order to keep), so bitwise identical at any thread count; it does
+    /// no metered arithmetic and adds nothing to the FLOP counter.
+    pub fn map_inplace(&self, m: &mut Dense, f: impl Fn(f32) -> f32 + Sync) {
+        dense::map_rows(m, Some(self.pool()), f);
     }
 
     /// Masked softmax cross-entropy of `h` into `grad` (overwritten),
@@ -433,6 +442,8 @@ mod tests {
         let _ = ctx.matmul(&a, &b); // 2*10*4*3 = 240
         let clone = ctx.clone();
         let _ = clone.matmul_bt(&b, &b); // 2*4*3*4 = 96
+        let mut m = Dense::zeros(10, 4);
+        clone.map_inplace(&mut m, |v| v + 1.0); // element-wise: no FLOPs
         assert_eq!(ctx.flops(), 240 + 96);
         assert_eq!(ctx.take_flops(), 336);
         assert_eq!(ctx.flops(), 0);

@@ -1,10 +1,16 @@
-//! Row-major dense matrix with the DMM kernels used in GCN training.
+//! Row-major dense matrix, and the naive DMM and element-wise loops that
+//! [`crate::ComputeCtx`] runs as its reference engine.
 //!
 //! The matrices handled here are the vertex-feature blocks `H` (tall and
 //! skinny: many rows, few columns) and the parameter matrices `W` (small,
-//! replicated on every processor). Kernels are written in the i-k-j loop
-//! order so the inner loop streams contiguously over rows of the right-hand
-//! operand, which vectorizes well for skinny matrices.
+//! replicated on every processor). `Dense` itself is plain data plus the
+//! in-place updates of the training loop; every product and element-wise
+//! map runs through a `ComputeCtx`. The naive loops are crate-private:
+//! the context reaches them under [`crate::KernelKind::Naive`] or on a
+//! CPU without AVX2, and the lanes fall back to `A·B`'s on non-finite
+//! operands. They are written in the i-k-j loop order so the inner loop
+//! streams contiguously over rows of the right-hand operand, which
+//! vectorizes well for skinny matrices.
 
 use crate::aligned::AlignedBuf;
 use crate::ctx::MIN_PARALLEL_WORK;
@@ -135,7 +141,6 @@ impl Dense {
         self.data[i * self.cols + j] = v;
     }
 
-    /// Resets every entry to zero, keeping the allocation.
     /// Consumes the matrix, yielding its backing row-major storage. The
     /// inverse of [`Dense::from_vec`]: together they let a message payload
     /// be viewed as a matrix and then recycled without copying.
@@ -154,143 +159,13 @@ impl Dense {
         self.data.copy_from_slice(&src.data);
     }
 
+    /// Resets every entry to zero, keeping the allocation.
     pub fn fill_zero(&mut self) {
         self.data.iter_mut().for_each(|v| *v = 0.0);
     }
 
-    /// `self × b` (DMM). `self` is `m×k`, `b` is `k×n`, result `m×n`.
-    pub fn matmul(&self, b: &Dense) -> Dense {
-        let mut out = Dense::zeros(self.rows, b.cols);
-        self.gemm(b, &mut out, false, None);
-        out
-    }
-
-    /// `out (+)= self × b`; when `accumulate` is false `out` is overwritten.
-    ///
-    /// Writing into a caller-provided buffer lets the per-epoch training loop
-    /// reuse allocations (the feature blocks are recomputed every layer).
-    pub fn matmul_into(&self, b: &Dense, out: &mut Dense, accumulate: bool) {
-        self.gemm(b, out, accumulate, None);
-    }
-
-    /// Pooled [`Dense::matmul_into`]: output rows are split evenly across
-    /// the pool's threads, each chunk running the serial loop body over
-    /// its own rows.
-    pub fn matmul_into_pool(&self, b: &Dense, out: &mut Dense, accumulate: bool, pool: &Pool) {
-        self.gemm(b, out, accumulate, Some(pool));
-    }
-
-    fn gemm(&self, b: &Dense, out: &mut Dense, accumulate: bool, pool: Option<&Pool>) {
-        assert_eq!(self.cols, b.rows, "matmul dimension mismatch");
-        assert_eq!(out.rows, self.rows, "matmul output rows mismatch");
-        assert_eq!(out.cols, b.cols, "matmul output cols mismatch");
-        if !accumulate {
-            out.fill_zero();
-        }
-        let n = b.cols;
-        let work = self.rows * self.cols * n;
-        let split = |t| even_chunks(self.rows, t);
-        run_rows(pool, work, &mut out.data, n, split, |rows, out| {
-            for (local, i) in rows.enumerate() {
-                let out_row = &mut out[local * n..(local + 1) * n];
-                for (k, &aik) in self.row(i).iter().enumerate() {
-                    if aik == 0.0 {
-                        continue;
-                    }
-                    for (o, &bv) in out_row.iter_mut().zip(b.row(k)) {
-                        *o += aik * bv;
-                    }
-                }
-            }
-        });
-    }
-
-    /// `self × bᵀ`. `self` is `m×k`, `b` is `n×k`, result `m×n`.
-    ///
-    /// Used in backpropagation for `S = (ÂG)·Wᵀ` without materializing `Wᵀ`.
-    pub fn matmul_bt(&self, b: &Dense) -> Dense {
-        let mut out = Dense::zeros(self.rows, b.rows);
-        self.gemm_bt(b, &mut out, None);
-        out
-    }
-
-    /// `out = self × bᵀ` (overwritten, never reallocated), output rows
-    /// split evenly across the pool's threads. Each output element is one
-    /// dot product, computed by exactly one thread in the serial order.
-    pub fn matmul_bt_into_pool(&self, b: &Dense, out: &mut Dense, pool: &Pool) {
-        self.gemm_bt(b, out, Some(pool));
-    }
-
-    fn gemm_bt(&self, b: &Dense, out: &mut Dense, pool: Option<&Pool>) {
-        assert_eq!(self.cols, b.cols, "matmul_bt dimension mismatch");
-        assert_eq!(
-            (out.rows, out.cols),
-            (self.rows, b.rows),
-            "matmul_bt output shape mismatch"
-        );
-        let n = b.rows;
-        let work = self.rows * self.cols * n;
-        let split = |t| even_chunks(self.rows, t);
-        run_rows(pool, work, &mut out.data, n, split, |rows, out| {
-            for (local, i) in rows.enumerate() {
-                let a_row = self.row(i);
-                for j in 0..n {
-                    let mut acc = 0.0f32;
-                    for (&x, &y) in a_row.iter().zip(b.row(j)) {
-                        acc += x * y;
-                    }
-                    out[local * n + j] = acc;
-                }
-            }
-        });
-    }
-
-    /// `selfᵀ × b`. `self` is `n×m`, `b` is `n×k`, result `m×k`.
-    ///
-    /// Used for the parameter gradient `ΔWᵏ = (H^{k-1})ᵀ (Â Gᵏ)` (paper Eq. 4).
-    pub fn matmul_at(&self, b: &Dense) -> Dense {
-        let mut out = Dense::zeros(self.cols, b.cols);
-        self.gemm_at(b, &mut out, None);
-        out
-    }
-
-    /// `out = selfᵀ × b`, the parameter-gradient kernel. Parallelism is
-    /// over *output* rows (columns of `self`): each thread sweeps all input
-    /// rows `i` in ascending order but only touches its own output rows
-    /// `j`, so every output element accumulates its `i`-terms in exactly
-    /// the serial order, with no per-thread partial buffers or
-    /// cross-thread reduction at all.
-    pub fn matmul_at_into_pool(&self, b: &Dense, out: &mut Dense, pool: &Pool) {
-        self.gemm_at(b, out, Some(pool));
-    }
-
-    fn gemm_at(&self, b: &Dense, out: &mut Dense, pool: Option<&Pool>) {
-        assert_eq!(self.rows, b.rows, "matmul_at dimension mismatch");
-        assert_eq!(out.rows, self.cols, "matmul_at output rows mismatch");
-        assert_eq!(out.cols, b.cols, "matmul_at output cols mismatch");
-        out.fill_zero();
-        let k = b.cols;
-        let work = self.rows * self.cols * k;
-        let split = |t| even_chunks(self.cols, t);
-        run_rows(pool, work, &mut out.data, k, split, |js, out| {
-            for i in 0..self.rows {
-                let b_row = b.row(i);
-                for (local, j) in js.clone().enumerate() {
-                    let aij = self.data[i * self.cols + j];
-                    if aij == 0.0 {
-                        continue;
-                    }
-                    let out_row = &mut out[local * k..(local + 1) * k];
-                    for (o, &bv) in out_row.iter_mut().zip(b_row) {
-                        *o += aij * bv;
-                    }
-                }
-            }
-        });
-    }
-
     /// Explicit transpose; only used for small matrices and in tests
-    /// (hot paths use the `matmul_bt`/`matmul_at` fused variants instead).
+    /// (hot paths use the context's fused `A·Bᵀ` and `Aᵀ·B` instead).
     pub fn transpose(&self) -> Dense {
         let mut out = Dense::zeros(self.cols, self.rows);
         for i in 0..self.rows {
@@ -298,18 +173,6 @@ impl Dense {
                 out.data[j * self.rows + i] = self.data[i * self.cols + j];
             }
         }
-        out
-    }
-
-    /// Element-wise (Hadamard) product, as used for `G = S ⊙ σ'(Z)` (Eq. 3).
-    pub fn hadamard(&self, b: &Dense) -> Dense {
-        assert_eq!(
-            (self.rows, self.cols),
-            (b.rows, b.cols),
-            "hadamard shape mismatch"
-        );
-        let mut out = self.clone();
-        out.hadamard_assign(b);
         out
     }
 
@@ -362,47 +225,6 @@ impl Dense {
         }
     }
 
-    /// Applies `f` to every element, in place.
-    pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32 + Sync) {
-        self.map_rows(None, f);
-    }
-
-    /// Pooled [`Dense::map_inplace`]: rows split evenly across threads.
-    pub fn map_inplace_pool(&mut self, pool: &Pool, f: impl Fn(f32) -> f32 + Sync) {
-        self.map_rows(Some(pool), f);
-    }
-
-    /// A new matrix with `f` applied to every element.
-    pub fn map(&self, f: impl Fn(f32) -> f32 + Sync) -> Dense {
-        let mut out = self.clone();
-        out.map_rows(None, f);
-        out
-    }
-
-    /// Pooled [`Dense::map`].
-    pub fn map_pool(&self, pool: &Pool, f: impl Fn(f32) -> f32 + Sync) -> Dense {
-        let mut out = self.clone();
-        out.map_rows(Some(pool), f);
-        out
-    }
-
-    fn map_rows(&mut self, pool: Option<&Pool>, f: impl Fn(f32) -> f32 + Sync) {
-        let (rows, cols) = (self.rows, self.cols);
-        let split = |t| even_chunks(rows, t);
-        run_rows(
-            pool,
-            rows * cols,
-            &mut self.data,
-            cols,
-            split,
-            |_, slice| {
-                for v in slice {
-                    *v = f(*v);
-                }
-            },
-        );
-    }
-
     /// Frobenius norm, accumulated in `f64`.
     pub fn frobenius_norm(&self) -> f64 {
         self.data
@@ -448,12 +270,107 @@ impl Dense {
             })
             .collect()
     }
+}
 
-    /// Vertically stacks rows of `self` selected by `idx`
-    /// (equivalent to [`crate::gather::gather_rows`]).
-    pub fn select_rows(&self, idx: &[u32]) -> Dense {
-        crate::gather::gather_rows(self, idx)
+/// `out (+)= a × b` (DMM): `a` is `m×k`, `b` is `k×n`, `out` is `m×n`,
+/// overwritten unless `accumulate`. The naive engine's i-k-j loop: the
+/// inner loop streams over a row of `b`, and zero `a` terms are skipped.
+/// Output rows are split evenly across the pool's threads.
+pub(crate) fn gemm(a: &Dense, b: &Dense, out: &mut Dense, accumulate: bool, pool: Option<&Pool>) {
+    assert_eq!(a.cols, b.rows, "matmul dimension mismatch");
+    assert_eq!(out.rows, a.rows, "matmul output rows mismatch");
+    assert_eq!(out.cols, b.cols, "matmul output cols mismatch");
+    if !accumulate {
+        out.fill_zero();
     }
+    let n = b.cols;
+    let work = a.rows * a.cols * n;
+    let split = |t| even_chunks(a.rows, t);
+    run_rows(pool, work, &mut out.data, n, split, |rows, out| {
+        for (local, i) in rows.enumerate() {
+            let out_row = &mut out[local * n..(local + 1) * n];
+            for (k, &aik) in a.row(i).iter().enumerate() {
+                if aik == 0.0 {
+                    continue;
+                }
+                for (o, &bv) in out_row.iter_mut().zip(b.row(k)) {
+                    *o += aik * bv;
+                }
+            }
+        }
+    });
+}
+
+/// `out = a × bᵀ` (`a` is `m×k`, `b` is `n×k`; `out` is `m×n`,
+/// overwritten): the backward pass's `S = (ÂG)·Wᵀ` without
+/// materializing `Wᵀ`. Each output element is one dot product, computed
+/// by exactly one thread in ascending `k`.
+pub(crate) fn gemm_bt(a: &Dense, b: &Dense, out: &mut Dense, pool: Option<&Pool>) {
+    assert_eq!(a.cols, b.cols, "matmul_bt dimension mismatch");
+    assert_eq!(
+        (out.rows, out.cols),
+        (a.rows, b.rows),
+        "matmul_bt output shape mismatch"
+    );
+    let n = b.rows;
+    let work = a.rows * a.cols * n;
+    let split = |t| even_chunks(a.rows, t);
+    run_rows(pool, work, &mut out.data, n, split, |rows, out| {
+        for (local, i) in rows.enumerate() {
+            let a_row = a.row(i);
+            for j in 0..n {
+                let mut acc = 0.0f32;
+                for (&x, &y) in a_row.iter().zip(b.row(j)) {
+                    acc += x * y;
+                }
+                out[local * n + j] = acc;
+            }
+        }
+    });
+}
+
+/// `out = aᵀ × b` (`a` is `r×m`, `b` is `r×n`; `out` is `m×n`,
+/// overwritten): the parameter gradient `ΔWᵏ = (H^{k-1})ᵀ (Â Gᵏ)`
+/// (paper Eq. 4). Parallelism is over *output* rows (columns of `a`):
+/// each thread sweeps all input rows in ascending order but only touches
+/// its own output rows, so every output element accumulates its terms in
+/// exactly the one-thread order, with no per-thread partial buffers or
+/// cross-thread reduction at all.
+pub(crate) fn gemm_at(a: &Dense, b: &Dense, out: &mut Dense, pool: Option<&Pool>) {
+    assert_eq!(a.rows, b.rows, "matmul_at dimension mismatch");
+    assert_eq!(out.rows, a.cols, "matmul_at output rows mismatch");
+    assert_eq!(out.cols, b.cols, "matmul_at output cols mismatch");
+    out.fill_zero();
+    let k = b.cols;
+    let work = a.rows * a.cols * k;
+    let split = |t| even_chunks(a.cols, t);
+    run_rows(pool, work, &mut out.data, k, split, |js, out| {
+        for i in 0..a.rows {
+            let b_row = b.row(i);
+            for (local, j) in js.clone().enumerate() {
+                let aij = a.data[i * a.cols + j];
+                if aij == 0.0 {
+                    continue;
+                }
+                let out_row = &mut out[local * k..(local + 1) * k];
+                for (o, &bv) in out_row.iter_mut().zip(b_row) {
+                    *o += aij * bv;
+                }
+            }
+        }
+    });
+}
+
+/// `m ← f(m)`, element by element, rows split evenly across the pool's
+/// threads.
+pub(crate) fn map_rows(m: &mut Dense, pool: Option<&Pool>, f: impl Fn(f32) -> f32 + Sync) {
+    let (rows, cols) = (m.rows, m.cols);
+    let split = |t| even_chunks(rows, t);
+    run_rows(pool, rows * cols, &mut m.data, cols, split, |_, slice| {
+        for v in slice {
+            *v = f(*v);
+        }
+    });
 }
 
 /// Runs a naive kernel's one loop body, `body(rows, out_rows)`, over the
@@ -504,12 +421,18 @@ mod tests {
         out
     }
 
+    fn matmul(a: &Dense, b: &Dense) -> Dense {
+        let mut out = Dense::zeros(a.rows(), b.cols());
+        gemm(a, b, &mut out, false, None);
+        out
+    }
+
     #[test]
     fn matmul_matches_naive() {
         let mut rng = StdRng::seed_from_u64(1);
         let a = Dense::random(7, 5, &mut rng);
         let b = Dense::random(5, 9, &mut rng);
-        assert!(a.matmul(&b).approx_eq(&naive_matmul(&a, &b), 1e-5));
+        assert!(matmul(&a, &b).approx_eq(&naive_matmul(&a, &b), 1e-5));
     }
 
     #[test]
@@ -517,7 +440,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let a = Dense::random(6, 4, &mut rng);
         let b = Dense::random(8, 4, &mut rng);
-        assert!(a.matmul_bt(&b).approx_eq(&a.matmul(&b.transpose()), 1e-5));
+        let mut bt = Dense::zeros(6, 8);
+        gemm_bt(&a, &b, &mut bt, None);
+        assert!(bt.approx_eq(&matmul(&a, &b.transpose()), 1e-5));
     }
 
     #[test]
@@ -525,7 +450,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let a = Dense::random(6, 4, &mut rng);
         let b = Dense::random(6, 3, &mut rng);
-        assert!(a.matmul_at(&b).approx_eq(&a.transpose().matmul(&b), 1e-5));
+        let mut at = Dense::zeros(4, 3);
+        gemm_at(&a, &b, &mut at, None);
+        assert!(at.approx_eq(&matmul(&a.transpose(), &b), 1e-5));
     }
 
     #[test]
@@ -533,10 +460,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         let a = Dense::random(3, 3, &mut rng);
         let b = Dense::random(3, 3, &mut rng);
-        let mut out = a.matmul(&b);
-        a.matmul_into(&b, &mut out, true);
-        let mut twice = a.matmul(&b);
-        twice.add_assign(&a.matmul(&b));
+        let mut out = matmul(&a, &b);
+        gemm(&a, &b, &mut out, true, None);
+        let mut twice = matmul(&a, &b);
+        twice.add_assign(&matmul(&a, &b));
         assert!(out.approx_eq(&twice, 1e-5));
     }
 
@@ -551,7 +478,8 @@ mod tests {
     fn hadamard_and_updates() {
         let a = Dense::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
         let b = Dense::from_vec(2, 2, vec![2.0, 0.5, 1.0, -1.0]);
-        let h = a.hadamard(&b);
+        let mut h = a.clone();
+        h.hadamard_assign(&b);
         assert_eq!(h.data(), &[2.0, 1.0, 3.0, -4.0]);
         let mut w = a.clone();
         w.sub_scaled_assign(&b, 2.0);
@@ -579,6 +507,6 @@ mod tests {
     fn matmul_shape_mismatch_panics() {
         let a = Dense::zeros(2, 3);
         let b = Dense::zeros(2, 3);
-        let _ = a.matmul(&b);
+        let _ = matmul(&a, &b);
     }
 }

@@ -27,7 +27,7 @@
 //! with the same scalar operations as the separate passes, so the fused
 //! and unfused forms have the same bits.
 
-use crate::dense::{run_rows, Dense};
+use crate::dense::{self, run_rows, Dense};
 use crate::lanes::Lanes;
 use pargcn_util::pool::{even_chunks, Pool};
 
@@ -113,7 +113,7 @@ pub(crate) fn matmul_into(
 /// applied to each block of output rows as it is stored, on the pooled
 /// path too (every chunk runs the epilogue on its own rows). `f` reads
 /// each product exactly once, so this is bitwise [`matmul_into`]
-/// followed by [`Dense::map_inplace_pool`].
+/// followed by the element-wise map `f` in place.
 pub(crate) fn matmul_map_into(
     l: Lanes,
     a: &Dense,
@@ -146,7 +146,7 @@ fn ab_product(
     assert_eq!(out.rows(), a.rows(), "matmul output rows mismatch");
     assert_eq!(out.cols(), b.cols(), "matmul output cols mismatch");
     if skip_matters(b, out, accumulate) {
-        a.matmul_into_pool(b, out, accumulate, pool);
+        dense::gemm(a, b, out, accumulate, Some(pool));
         epi(0, out.data_mut());
         return;
     }
@@ -279,7 +279,7 @@ mod tests {
             let a = random(m, k, 1);
             let b = random(k, n, 2);
             let mut naive = Dense::zeros(m, n);
-            a.matmul_into(&b, &mut naive, false);
+            dense::gemm(&a, &b, &mut naive, false, None);
             let mut blocked = Dense::zeros(m, n);
             matmul_into(l, &a, &b, &mut blocked, false, &pool);
             assert_eq!(bits(&naive), bits(&blocked), "shape {m}x{k}x{n}");
@@ -294,9 +294,10 @@ mod tests {
         let b = random(17, 12, 4);
         // Accumulator contents must be sum-reachable (never -0.0): use a
         // prior product, exactly like the trainers do.
-        let mut naive = a.matmul(&b);
+        let mut naive = Dense::zeros(33, 12);
+        dense::gemm(&a, &b, &mut naive, false, None);
         let mut blocked = naive.clone();
-        a.matmul_into(&b, &mut naive, true);
+        dense::gemm(&a, &b, &mut naive, true, None);
         matmul_into(l, &a, &b, &mut blocked, true, &pool);
         assert_eq!(bits(&naive), bits(&blocked));
     }
@@ -310,13 +311,15 @@ mod tests {
         let b = random(14, 10, 6);
         let h = random(50, 6, 7);
         let g = random(50, 11, 8);
-        let mut blocked = Dense::zeros(21, 14);
+        let (mut naive, mut blocked) = (Dense::zeros(21, 14), Dense::zeros(21, 14));
+        dense::gemm_bt(&a, &b, &mut naive, None);
         matmul_bt_into(l, &a, &b, &mut blocked, &mut pack, &pool);
-        assert_eq!(bits(&a.matmul_bt(&b)), bits(&blocked));
+        assert_eq!(bits(&naive), bits(&blocked));
 
-        let mut blocked = Dense::zeros(6, 11);
+        let (mut naive, mut blocked) = (Dense::zeros(6, 11), Dense::zeros(6, 11));
+        dense::gemm_at(&h, &g, &mut naive, None);
         matmul_at_into(l, &h, &g, &mut blocked, &pool);
-        assert_eq!(bits(&h.matmul_at(&g)), bits(&blocked));
+        assert_eq!(bits(&naive), bits(&blocked));
     }
 
     #[test]
@@ -327,7 +330,7 @@ mod tests {
             let a = Dense::zeros(m, k);
             let b = Dense::zeros(k, n);
             let mut naive = Dense::zeros(m, n);
-            a.matmul_into(&b, &mut naive, false);
+            dense::gemm(&a, &b, &mut naive, false, None);
             let mut out = Dense::zeros(m, n);
             matmul_into(l, &a, &b, &mut out, false, &pool);
             assert_eq!(bits(&naive), bits(&out));

@@ -4,11 +4,17 @@
 //! The paper's computational core is two kernels:
 //!
 //! * **SpMM** — sparse adjacency × dense feature/gradient matrix
-//!   (`Csr::spmm*`), used by graph convolution in both the feedforward
-//!   (`Z = Â·H·W`) and backpropagation (`S = Â·G·Wᵀ`) phases, and
-//! * **DMM** — dense × dense multiplication ([`Dense::matmul`] and its
-//!   transposed variants), used for applying the replicated parameter
+//!   ([`ComputeCtx::spmm`]), used by graph convolution in both the
+//!   feedforward (`Z = Â·H·W`) and backpropagation (`S = Â·G·Wᵀ`)
+//!   phases, and
+//! * **DMM** — dense × dense multiplication ([`ComputeCtx::matmul`] and
+//!   its transposed variants), used for applying the replicated parameter
 //!   matrices `W` and forming parameter gradients `ΔW = Hᵀ(ÂG)`.
+//!
+//! [`ComputeCtx`] is the one way to run them, and the element-wise map:
+//! it picks the engine (the naive loops or the SIMD lanes), splits rows
+//! across its thread pool and meters FLOPs. [`Dense`] and [`Csr`] are
+//! plain data with in-place updates.
 //!
 //! The crate also implements the row-selection "semiring" multiply the paper
 //! performs with SuiteSparse:GraphBLAS's `GxB_PLUS_SECOND` (`Xₘₙ ⊗ H`),
@@ -19,16 +25,17 @@
 //! reductions that feed scalar metrics accumulate in `f64`.
 //!
 //! ```
-//! use pargcn_matrix::{norm, Csr, Dense};
+//! use pargcn_matrix::{norm, ComputeCtx, Csr, Dense};
 //!
 //! // A directed path 0 → 1 → 2 and its GCN-normalized adjacency.
 //! let a = Csr::from_coo(3, 3, vec![(0, 1, 1.0), (1, 2, 1.0)]);
 //! let a_hat = norm::normalize_adjacency(&a);
 //!
-//! // One graph-convolution step: Â · H · W.
+//! // One graph-convolution step, Â · H · W, on one thread.
+//! let ctx = ComputeCtx::serial();
 //! let h = Dense::from_fn(3, 2, |i, j| (i + j) as f32);
 //! let w = Dense::from_fn(2, 2, |i, j| if i == j { 1.0 } else { 0.0 });
-//! let z = a_hat.spmm(&h).matmul(&w);
+//! let z = ctx.matmul(&ctx.spmm(&a_hat, &h), &w);
 //! assert_eq!(z.rows(), 3);
 //! assert_eq!(z.cols(), 2);
 //! ```

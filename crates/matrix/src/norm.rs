@@ -153,9 +153,10 @@ mod tests {
             ],
         );
         let norm = normalize_adjacency(&a);
+        let ctx = crate::ComputeCtx::serial();
         let mut x = crate::Dense::from_vec(4, 1, vec![1.0, -0.5, 0.25, 0.7]);
         for _ in 0..50 {
-            let nx = norm.spmm(&x);
+            let nx = ctx.spmm(&norm, &x);
             assert!(nx.frobenius_norm() <= x.frobenius_norm() * (1.0 + 1e-5));
             x = nx;
         }

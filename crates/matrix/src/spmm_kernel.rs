@@ -1,8 +1,8 @@
 //! SpMM on SIMD lanes: one lean row loop per column span.
 //!
-//! The naive [`crate::Csr::spmm_into`] is a scalar row-wise axpy: every
-//! nonzero re-reads and re-writes the whole `d`-wide output row from
-//! memory. The lanes ([`crate::lanes`], 16- or 8-float registers) instead
+//! The naive SpMM loop, which [`crate::ComputeCtx::spmm_into`] runs
+//! without lanes, is a scalar row-wise axpy: every nonzero re-reads and
+//! re-writes the whole `d`-wide output row from memory. The lanes ([`crate::lanes`], 16- or 8-float registers) instead
 //! hold an output row's span of up to 64 columns in registers across the
 //! row's entire nonzero loop, so the output row is loaded and stored once
 //! per span instead of once per nonzero, and each `H` row the nonzeros
@@ -53,6 +53,7 @@ pub(crate) fn spmm_into(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::csr;
     use pargcn_util::rng::{Rng, SeedableRng, StdRng};
 
     fn bits(d: &Dense) -> Vec<u32> {
@@ -85,10 +86,11 @@ mod tests {
         ] {
             let a = random_csr(rows, cols, 4, rows as u64);
             let h = Dense::random(cols, d, &mut rng);
-            let naive = a.spmm(&h);
+            let mut naive = Dense::zeros(rows, d);
+            csr::spmm_rows(&a, &h, &mut naive, false, None);
             // Accumulating path, seeded with a sum-reachable value.
             let mut naive_acc = naive.clone();
-            a.spmm_into(&h, &mut naive_acc, true);
+            csr::spmm_rows(&a, &h, &mut naive_acc, true, None);
             let mut blocked = Dense::zeros(rows, d);
             spmm_into(l, &a, &h, &mut blocked, false, &pool);
             assert_eq!(bits(&naive), bits(&blocked), "{rows}x{cols} d={d}");

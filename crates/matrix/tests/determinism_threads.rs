@@ -2,14 +2,13 @@
 //!
 //! The contract (DESIGN.md, hybrid rank×thread section): every naive
 //! kernel dispatched through a [`ComputeCtx`] produces output **bitwise
-//! identical** to its serial counterpart at any thread count, because
-//! chunks write disjoint output rows with the serial loop body and nothing
-//! is reduced across threads. These tests pin that down over qc-seeded
+//! identical** to its one-thread run at any thread count, because chunks
+//! write disjoint output rows with the one loop body and nothing is
+//! reduced across threads. These tests pin that down over qc-seeded
 //! shapes, including empty rows, skewed (hub-heavy) sparsity, and row
 //! counts far above the chunk count.
 
 use pargcn_matrix::{ComputeCtx, Csr, Dense, KernelKind};
-use pargcn_util::pool::Pool;
 use pargcn_util::qc;
 use pargcn_util::rng::{Rng, SeedableRng, StdRng};
 
@@ -53,15 +52,16 @@ fn spmm_bitwise_equal_across_thread_counts() {
         let d = rng.gen_range(1..48);
         let a = random_csr(rng, rows, cols);
         let h = Dense::random(cols, d, rng);
-        let expected = bits(&a.spmm(&h));
+        let serial = naive(1);
+        let expected = bits(&serial.spmm(&a, &h));
         for t in THREAD_COUNTS {
             let ctx = naive(t);
             assert_eq!(bits(&ctx.spmm(&a, &h)), expected, "spmm at {t} threads");
             // The accumulate path too.
-            let mut out = a.spmm(&h);
+            let mut out = serial.spmm(&a, &h);
             ctx.spmm_into(&a, &h, &mut out, true);
-            let mut twice = a.spmm(&h);
-            a.spmm_into(&h, &mut twice, true);
+            let mut twice = serial.spmm(&a, &h);
+            serial.spmm_into(&a, &h, &mut twice, true);
             assert_eq!(bits(&out), bits(&twice), "spmm accumulate at {t} threads");
         }
     });
@@ -75,7 +75,7 @@ fn matmul_bitwise_equal_across_thread_counts() {
         let n = rng.gen_range(1..48);
         let a = Dense::random(m, k, rng);
         let b = Dense::random(k, n, rng);
-        let expected = bits(&a.matmul(&b));
+        let expected = bits(&naive(1).matmul(&a, &b));
         for t in THREAD_COUNTS {
             assert_eq!(
                 bits(&naive(t).matmul(&a, &b)),
@@ -94,7 +94,7 @@ fn matmul_bt_bitwise_equal_across_thread_counts() {
         let n = rng.gen_range(1..64);
         let a = Dense::random(m, k, rng);
         let b = Dense::random(n, k, rng);
-        let expected = bits(&a.matmul_bt(&b));
+        let expected = bits(&naive(1).matmul_bt(&a, &b));
         for t in THREAD_COUNTS {
             assert_eq!(
                 bits(&naive(t).matmul_bt(&a, &b)),
@@ -113,7 +113,7 @@ fn matmul_at_bitwise_equal_across_thread_counts() {
         let k = rng.gen_range(1..48);
         let a = Dense::random(n, m, rng);
         let b = Dense::random(n, k, rng);
-        let expected = bits(&a.matmul_at(&b));
+        let expected = bits(&naive(1).matmul_at(&a, &b));
         for t in THREAD_COUNTS {
             assert_eq!(
                 bits(&naive(t).matmul_at(&a, &b)),
@@ -131,13 +131,12 @@ fn map_bitwise_equal_across_thread_counts() {
         let n = rng.gen_range(1..64);
         let a = Dense::random(m, n, rng);
         let f = |v: f32| (v - 0.5).max(0.0);
-        let expected = bits(&a.map(f));
+        // The scalar map, element by element.
+        let expected = bits(&Dense::from_fn(m, n, |i, j| f(a.get(i, j))));
         for t in THREAD_COUNTS {
-            let pool = Pool::new(t);
-            assert_eq!(bits(&a.map_pool(&pool, f)), expected, "map at {t} threads");
-            let mut inplace = a.clone();
-            inplace.map_inplace_pool(&pool, f);
-            assert_eq!(bits(&inplace), expected, "map_inplace at {t} threads");
+            let mut mapped = a.clone();
+            ComputeCtx::with_threads(t).map_inplace(&mut mapped, f);
+            assert_eq!(bits(&mapped), expected, "map_inplace at {t} threads");
         }
     });
 }
@@ -149,7 +148,7 @@ fn rows_far_exceeding_chunk_count() {
     let mut rng = StdRng::seed_from_u64(42);
     let a = random_csr(&mut rng, 20_000, 500);
     let h = Dense::random(500, 16, &mut rng);
-    let expected = bits(&a.spmm(&h));
+    let expected = bits(&naive(1).spmm(&a, &h));
     for t in THREAD_COUNTS {
         assert_eq!(bits(&naive(t).spmm(&a, &h)), expected);
     }

@@ -187,25 +187,6 @@ impl Hypergraph {
         }
         cut
     }
-
-    /// Merges this hypergraph with another over the same vertex set,
-    /// concatenating net sets — the §4.3.3 stochastic-hypergraph merge.
-    pub fn merge(mut self, other: Hypergraph) -> Hypergraph {
-        assert_eq!(
-            self.n_vertices(),
-            other.n_vertices(),
-            "merge requires identical vertex sets"
-        );
-        let offset = self.net_pins.len();
-        self.net_pins.extend_from_slice(&other.net_pins);
-        self.net_ptr
-            .extend(other.net_ptr.iter().skip(1).map(|&x| x + offset));
-        self.net_costs.extend_from_slice(&other.net_costs);
-        let (vtx_ptr, vtx_nets) = invert(self.n_vertices(), &self.net_ptr, &self.net_pins);
-        self.vtx_ptr = vtx_ptr;
-        self.vtx_nets = vtx_nets;
-        self
-    }
 }
 
 /// Builds the vertex → incident-net CSR from the net → pin CSR.
@@ -319,17 +300,6 @@ mod tests {
         assert_eq!(h.nets_of(2), &[0, 1]);
         assert_eq!(h.nets_of(0), &[0, 2]);
         assert_eq!(h.nets_of(4), &[2]);
-    }
-
-    #[test]
-    fn merge_concatenates_nets() {
-        let h1 = Hypergraph::new(vec![1; 3], vec![vec![0, 1]], vec![1]);
-        let h2 = Hypergraph::new(vec![1; 3], vec![vec![1, 2], vec![0, 2]], vec![2, 3]);
-        let merged = h1.merge(h2);
-        assert_eq!(merged.n_nets(), 3);
-        assert_eq!(merged.pins(1), &[1, 2]);
-        assert_eq!(merged.net_cost(2), 3);
-        assert_eq!(merged.nets_of(0), &[0, 2]);
     }
 
     #[test]

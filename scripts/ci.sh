@@ -62,10 +62,14 @@ run cargo test --release --offline --locked --manifest-path perfbench/Cargo.toml
 # The §4.4 case studies end to end: the example asserts SGC's exact
 # two-sweep traffic and GAT ≡ serial.
 run cargo run --release --offline --locked -p pargcn-integration --example gnn_extensions
-# Smoke-run the communication and kernel-engine microbenchmarks (a few
-# samples each) so the bench harnesses can't rot between perf sessions.
+# Smoke-run the communication, kernel (every group), training and
+# ablation microbenchmarks (a few samples each) so the bench harnesses
+# can't rot between perf sessions; training and ablations run the serial
+# oracle, both trainers and simulate_epoch.
 run cargo bench -q --offline --locked -p pargcn-bench --bench comm -- --quick
-run cargo bench -q --offline --locked -p pargcn-bench --bench kernels -- --quick kernel_engine
+run cargo bench -q --offline --locked -p pargcn-bench --bench kernels -- --quick
+run cargo bench -q --offline --locked -p pargcn-bench --bench training -- --quick
+run cargo bench -q --offline --locked -p pargcn-bench --bench ablations -- --quick
 run cargo bench -q --offline --locked -p pargcn-bench --bench minibatch -- --quick
 run cargo bench -q --offline --locked -p pargcn-bench --bench partitioners -- --quick hp_engine
 run cargo fmt --check
